@@ -12,14 +12,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import core as C
-from . import flat as F
 from . import nbe as N
-from . import oracle as O
 from . import surface as R
 from .nbe import EvalConfig
-from .pasting import OperationSet
 from .surface import ParseError
-from .typecheck import CheckError, Checker, SigEntry, Signature
+from .typecheck import CheckError, Checker, OperationSet, SigEntry, Signature, TreeCtx
 
 
 @dataclass
@@ -52,7 +49,7 @@ def run_command(
         ctx = ck.elab_ctx(cmd.ctx)
         term, ty = ck.check(ctx, cmd.term)
         nf = ck.nf(ctx, term)
-        names = _display_names(ctx)
+        names = C.Names(ctx.names)
         shown = R.pretty(
             C.to_raw(N.quote_tm(nf), names, state.keep_implicits)
         )
@@ -81,31 +78,28 @@ def run_command(
     raise CheckError("unknown command", cmd.span)
 
 
+# the oracle's rule set for each theory it validates; WEAK has no rules
+ORACLE_RULES = {N.WEAK: None, N.SU: "su", N.SUA: "sua"}
+
+
 def _oracle_trace(state: SessionState, ctx, term) -> list[str]:
-    from .typecheck import TreeCtx
+    # the validation route loads only when a trace is asked for
+    from . import flat as F
+    from . import oracle as O
 
     amb = ctx.tree if isinstance(ctx, TreeCtx) else len(ctx)
-    rules = (
-        O.RuleSet.SUA_PRIME
-        if state.sig.config.insertion == "full"
-        else O.RuleSet.SU_PRIME
-    )
     t = C.flatten_tm(term, amb)
     lines = [f"oracle: {F.show_tm(t)}"]
+    name = ORACLE_RULES[state.sig.config]
+    if name is None:
+        return lines
+    rules = O.RuleSet(name)
     while True:
         steps = O.step(t, rules)
         if not steps:
             return lines
         t = steps[0].term
         lines.append(f"oracle: {F.show_tm(t)}  [{steps[0].rule}]")
-
-
-def _display_names(ctx) -> C.Names:
-    from .typecheck import TreeCtx
-
-    if isinstance(ctx, TreeCtx):
-        return C.Names(ctx.names)
-    return C.Names(ctx.names)
 
 
 def resolve_import(path: str, base_dir: Optional[Path]) -> Path:
@@ -152,6 +146,8 @@ flags (applied left to right):
   --insertion {none,id,full}
   --ops {regular,groupoidal}
   --keep-implicits      display all labelling arguments
+  --oracle              print the small-step oracle's trace after each
+                        normalise (weak, --su and --sua only)
 """
 
 
@@ -216,6 +212,8 @@ def parse_args(argv: list[str]) -> Options:
         else:
             files.append(arg)
         i += 1
+    if oracle and config not in ORACLE_RULES:
+        raise UsageError("--oracle needs the weak, --su or --sua preset")
     return Options(config, ops, keep, oracle, tuple(files))
 
 
@@ -226,6 +224,21 @@ def run_text(state: SessionState, text: str, source: Optional[str] = None):
             print(line)
 
 
+def _reported(run) -> bool:
+    """Call run(); report a failure as one line on stderr and return False."""
+    try:
+        run()
+    except (ParseError, CheckError) as e:
+        print(f"error: {e}", file=sys.stderr)
+    except RecursionError:
+        print("error: the input is nested too deeply", file=sys.stderr)
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+    else:
+        return True
+    return False
+
+
 def repl(state: SessionState) -> int:
     status = 0
     while True:
@@ -234,14 +247,8 @@ def repl(state: SessionState) -> int:
         except EOFError:
             print()
             return status
-        if not line.strip():
-            continue
-        try:
-            run_text(state, line)
-        except (ParseError, CheckError) as e:
-            print(f"error: {e}", file=sys.stderr)
+        if line.strip() and not _reported(lambda: run_text(state, line)):
             status = 1
-    return status
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -263,10 +270,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not path.is_file():
             print(f"error: cannot open {f!r}", file=sys.stderr)
             return 1
-        try:
-            run_text(state, path.read_text(), source=str(path))
-        except (ParseError, CheckError) as e:
-            print(f"error: {e}", file=sys.stderr)
+        if not _reported(lambda: run_text(state, path.read_text(), str(path))):
             return 1
     return 0
 

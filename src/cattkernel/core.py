@@ -3,8 +3,8 @@ consumed by evaluation.
 
 Terms over a list context use positions counted from the start; terms over
 a tree context use paths.  Standard types, composites and coherences, disc
-labellings, and the interior and exterior labellings of an insertion are
-all built here in core syntax.
+labellings, and the exterior labelling of an insertion are all built here
+in core syntax.
 """
 
 from __future__ import annotations
@@ -198,24 +198,6 @@ def label_from_disc(a: CoreType, t: CoreTerm) -> CoreLabel:
 
 # ---------------------------------------------------------------------------
 # insertion labellings
-
-
-def interior_path(s: Tree, p: T.Branch, t: Tree, q: Path) -> Path:
-    """Where the interior labelling of an insertion sends a path of the
-    inserted tree."""
-    k = p[0]
-    if len(p) == 1:
-        return (q[0] + k,) + q[1:]
-    if len(q) == 1:
-        return (k,) if q[0] == 0 else (k + 1,)
-    return (k,) + interior_path(s.branches[k], p[1:], t.branches[0], q[1:])
-
-
-def interior_clabel(s: Tree, p: T.Branch, t: Tree) -> CoreLabel:
-    T._require_point(s, p, t)
-    return CoreLabel(
-        LTree.from_fn(t, lambda q: CPath(interior_path(s, p, t, q))), CSTAR
-    )
 
 
 def exterior_clabel(s: Tree, p: T.Branch, t: Tree) -> CoreLabel:

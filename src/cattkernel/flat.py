@@ -107,9 +107,6 @@ class VarSet:
     def union(self, other: "VarSet") -> "VarSet":
         return VarSet(tuple(a or b for a, b in zip(self.members, other.members)))
 
-    def intersection(self, other: "VarSet") -> "VarSet":
-        return VarSet(tuple(a and b for a, b in zip(self.members, other.members)))
-
     def positions(self) -> list[int]:
         return [i for i, m in enumerate(self.members) if m]
 
@@ -405,10 +402,6 @@ def canonical_type(g: FlatCtx, t: FlatTerm) -> FlatType:
             raise MalformedSyntax(f"variable v{t.idx} out of scope")
         return weaken_n(g.entries[pos], t.idx + 1)
     return _sub_ty(t.ty, t.sub)
-
-
-def dim_tm(g: FlatCtx, t: FlatTerm) -> int:
-    return dim_ty(canonical_type(g, t))
 
 
 # ---------------------------------------------------------------------------

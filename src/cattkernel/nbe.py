@@ -77,10 +77,6 @@ NfTerm = Union[NVar, NApp]
 NfType = tuple
 
 
-def nf_dim(b: NfType) -> int:
-    return len(b)
-
-
 # ---------------------------------------------------------------------------
 # environments
 
@@ -335,10 +331,6 @@ def quote_ty(b: NfType) -> CoreType:
 
 def flatten_nf(x: NfTerm, amb) -> F.FlatTerm:
     return C.flatten_tm(quote_tm(x), amb)
-
-
-def flatten_nf_ty(b: NfType, amb) -> F.FlatType:
-    return C.flatten_ty(quote_ty(b), amb)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Pasting contexts: recognition, Dyck words, peaks, pruning, boundary
-variable sets, and operation sets."""
+"""Pasting contexts: recognition, Dyck words, peaks, pruning, and boundary
+variable sets."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from . import flat as F
 from .flat import STAR, Arrow, FlatCtx, FlatSub, FlatTerm, FlatType, Star, Var, VarSet
@@ -26,10 +25,6 @@ class DyckWord:
             if depth < 0:
                 raise F.MalformedSyntax("negative prefix in Dyck word")
 
-    @property
-    def trailing_dim(self) -> int:
-        return sum(1 if m == UP else -1 for m in self.moves)
-
     def __repr__(self) -> str:
         return "Dyck(" + "".join(self.moves) + ")"
 
@@ -39,11 +34,6 @@ class Peak:
     """Index of an up-move immediately followed by a down-move."""
 
     pos: int
-
-
-class OperationSet(Enum):
-    REGULAR = "regular"
-    GROUPOIDAL = "groupoidal"
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +204,3 @@ def boundary_set(g: FlatCtx, n: int, eps: str) -> VarSet:
             mem[i] = True
         i += 2
     return VarSet(tuple(mem))
-
-
-def op_allowed(o: OperationSet, g: FlatCtx, u: VarSet, v: VarSet) -> bool:
-    if o is OperationSet.GROUPOIDAL:
-        return True
-    n = len(g)
-    full = VarSet.full(n)
-    if (u, v) == (full, full):
-        return True
-    d = F.dim_ctx(g)
-    if d == 0:
-        return False
-    return (u, v) == (boundary_set(g, d - 1, "-"), boundary_set(g, d - 1, "+"))

@@ -56,20 +56,12 @@ def linear_tree(n: int) -> Tree:
     return t
 
 
-def concat_trees(s: Tree, t: Tree) -> Tree:
-    return Tree(s.branches + t.branches)
-
-
 def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
     for k in p:
         if k >= len(t.branches):
             raise F.MalformedSyntax("path leaves the tree")
         t = t.branches[k]
     return t
-
-
-def tree_dim(t: Tree) -> int:
-    return t.height
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +173,6 @@ def path_pos(t: Tree, p: Path) -> int:
 
 def path_var(t: Tree, p: Path) -> FlatTerm:
     return Var(ctx_size(t) - 1 - path_pos(t, p))
-
-
-def fst_var(g: FlatCtx) -> FlatTerm:
-    return Var(len(g) - 1)
 
 
 def snd_var(g: FlatCtx) -> FlatTerm:
@@ -416,24 +404,13 @@ def boundary_inclusion(t: Tree, n: int, eps: str) -> Labelling:
     )
 
 
+def boundary_paths(t: Tree, n: int, eps: str) -> set[Path]:
+    """The paths of t in its n-boundary of side eps."""
+    return {boundary_path(t, n, eps, p) for p in all_paths(tree_boundary(t, n))}
+
+
 def tree_boundary_set(t: Tree, n: int, eps: str) -> VarSet:
-    size = ctx_size(t)
-    if n == 0:
-        pos = 0 if eps == "-" else zero_cell_pos(t, len(t.branches))
-        return VarSet.of(size, [pos])
-    if not t.branches:
-        return VarSet.full(size)
-    offs = _offsets(t)
-    mem = [False] * size
-    for k, b in enumerate(t.branches):
-        inner = tree_boundary_set(b, n - 1, eps)
-        # suspended component: both endpoint 0-cells plus the shifted inner set
-        mem[zero_cell_pos(t, k)] = True
-        mem[zero_cell_pos(t, k + 1)] = True
-        for p, on in enumerate(inner.members):
-            if on:
-                mem[offs[k] + p + 1] = True
-    return VarSet(tuple(mem))
+    return VarSet.of(ctx_size(t), (path_pos(t, p) for p in boundary_paths(t, n, eps)))
 
 
 # ---------------------------------------------------------------------------

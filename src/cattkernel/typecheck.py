@@ -10,17 +10,15 @@ are handled uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Optional, Union
 
 from . import core as C
-from . import flat as F
 from . import nbe as N
-from . import pasting as P
 from . import surface as R
 from . import trees as T
 from .core import CoreTerm, CoreType
 from .nbe import Env, EvalConfig, NfType
-from .pasting import OperationSet
 from .surface import SYNTH, Span
 from .trees import LTree, Tree
 
@@ -56,12 +54,6 @@ def ctx_id_env(ctx: Ctx) -> Env:
     return N.id_list_env(len(ctx))
 
 
-def ctx_names(ctx: Ctx) -> C.Names:
-    if isinstance(ctx, TreeCtx):
-        return C.Names(ctx.names)
-    return C.Names(ctx.names)
-
-
 def ctx_compatible(a: Ctx, b: Ctx) -> bool:
     if isinstance(a, TreeCtx) and isinstance(b, TreeCtx):
         return a.tree == b.tree
@@ -77,6 +69,28 @@ class SigEntry:
     ty: NfType
 
 
+class OperationSet(Enum):
+    REGULAR = "regular"
+    GROUPOIDAL = "groupoidal"
+
+
+def op_allowed(ops: OperationSet, t: Tree, src: set, tgt: set) -> bool:
+    """Whether a coherence over t whose source and target have these path
+    supports is an operation: both supports full, or the source and target
+    boundaries of t one dimension down."""
+    if ops is OperationSet.GROUPOIDAL:
+        return True
+    if src == tgt == set(T.all_paths(t)):
+        return True
+    d = t.height
+    if d == 0:
+        return False
+    return (src, tgt) == (
+        T.boundary_paths(t, d - 1, "-"),
+        T.boundary_paths(t, d - 1, "+"),
+    )
+
+
 @dataclass
 class Signature:
     config: EvalConfig = N.WEAK
@@ -84,18 +98,16 @@ class Signature:
     entries: dict = field(default_factory=dict)
 
 
-def _suspend_nf_tm(x, tree_ctx: bool):
+def _suspend_nf_tm(x):
     if isinstance(x, N.NVar):
         if isinstance(x.pos, tuple):
             return N.NVar((0,) + x.pos)
         return N.NVar(x.pos + 2)
-    return N.NApp(x.head, x.label.map(lambda e: _suspend_nf_tm(e, tree_ctx)))
+    return N.NApp(x.head, x.label.map(_suspend_nf_tm))
 
 
 def _suspend_nf_ty(b: NfType, tree_ctx: bool) -> NfType:
-    shifted = tuple(
-        (_suspend_nf_tm(s, tree_ctx), _suspend_nf_tm(t, tree_ctx)) for s, t in b
-    )
+    shifted = tuple((_suspend_nf_tm(s), _suspend_nf_tm(t)) for s, t in b)
     if tree_ctx:
         bottom = ((N.NVar((0,)), N.NVar((1,))),)
     else:
@@ -185,10 +197,9 @@ class Checker:
         if not ty_nf:
             raise CheckError("a coherence needs an arrow type", raw.ty.span)
         src, tgt = ty_nf[0]
-        g = T.tree_to_ctx(shape)
-        u = F.support(g, N.flatten_nf(src, shape))
-        v = F.support(g, N.flatten_nf(tgt, shape))
-        if not P.op_allowed(self.sig.ops, g, u, v):
+        u = self.support(ctx, src)
+        v = self.support(ctx, tgt)
+        if not op_allowed(self.sig.ops, shape, u, v):
             raise CheckError(
                 "the source and target supports do not form an allowed operation",
                 raw.ty.span,
@@ -252,6 +263,14 @@ class Checker:
             q = q[:-1]
             pairs.append((N.NVar(q), N.NVar(q[:-1] + (q[-1] + 1,))))
         return tuple(pairs)
+
+    def support(self, ctx: TreeCtx, x) -> set:
+        """The paths a normal form over a tree context mentions, closed
+        under taking the endpoints in their types."""
+        out = N.nf_vars(x)
+        for p in tuple(out):
+            out |= N.nf_vars(self.path_type(ctx, p))
+        return out
 
     def check_app(self, ctx: Ctx, raw: R.RApp) -> tuple:
         head = raw.term

@@ -1,5 +1,8 @@
 """Flag handling, file execution, imports, and exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,10 +11,20 @@ from cattkernel import cli as X
 from cattkernel import nbe as N
 from cattkernel import surface as R
 from cattkernel.nbe import EvalConfig
-from cattkernel.pasting import OperationSet
-from cattkernel.typecheck import CheckError, Signature
+from cattkernel.typecheck import CheckError, OperationSet
 
-MONOIDAL = Path(__file__).resolve().parent.parent / "catt" / "monoidal.catt"
+ROOT = Path(__file__).resolve().parent.parent
+MONOIDAL = ROOT / "catt" / "monoidal.catt"
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +72,32 @@ def test_oracle_trace_flag(tmp_path, capsys):
     assert "oracle:" in out and "[dr]" in out
 
 
+def test_oracle_trace_follows_the_theory(tmp_path, capsys):
+    f = tmp_path / "a.catt"
+    f.write_text("normalise comp[f, id(y)] in (x : *), (y : *), (f : x -> y)\n")
+    assert X.main(["--oracle", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert len([ln for ln in out.splitlines() if ln.startswith("oracle:")]) == 1
+    assert "[prune]" not in out and "[dr]" not in out
+    assert X.main(["--dr", "on", "--oracle", str(f)]) == 2
+    assert "--su" in capsys.readouterr().err
+
+
+def test_validation_route_not_loaded_without_oracle():
+    code = (
+        "import sys\n"
+        "from cattkernel import cli\n"
+        "assert cli.main(['--su', 'catt/monoidal.catt']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cattkernel')))\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert "cattkernel.cli" in loaded
+    assert "cattkernel.pasting" not in loaded
+    assert "cattkernel.oracle" not in loaded
+
+
 def test_bad_flag_values():
     with pytest.raises(X.UsageError):
         X.parse_args(["--dr", "maybe"])
@@ -101,6 +140,28 @@ def test_parse_error_gives_exit_code_one(tmp_path, capsys):
     f.write_text("def = ]\n")
     assert X.main([str(f)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_deep_nesting_gives_one_error_line(tmp_path):
+    f = tmp_path / "deep.catt"
+    deep = "comp[" * 1000 + "f" + ", g]" * 1000
+    f.write_text(f"normalise {deep} in [f, g]\n")
+    code = "import sys\nfrom cattkernel import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    proc = run_python(code, str(f))
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_reported_as_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(X, "run_command", broken)
+    f = tmp_path / "a.catt"
+    f.write_text("def one [f] = comp\n")
+    assert X.main([str(f)]) == 1
+    assert capsys.readouterr().err == "internal error: ValueError: boom\n"
 
 
 def test_missing_file_gives_exit_code_one(capsys):

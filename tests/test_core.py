@@ -159,14 +159,6 @@ def insertion_points(max_nodes: int):
                     yield s, tuple(p), t
 
 
-def test_interior_clabel_matches_flat():
-    for s, p, t in insertion_points(4):
-        r = T.insert_tree(s, p, t)
-        got = C.interior_clabel(s, p, t)
-        flat = got.lt.map(lambda e: C.flatten_tm(e, r))
-        assert flat == T.interior_label(s, p, t).lt
-
-
 def test_exterior_clabel_matches_flat():
     for s, p, t in insertion_points(4):
         r = T.insert_tree(s, p, t)

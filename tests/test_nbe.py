@@ -233,7 +233,7 @@ def test_flatten_nf_matches_standard_composite():
 
 def test_flatten_nf_type():
     b = N.standard_nf_type(WEAK, CHAIN2, 1)
-    assert N.flatten_nf_ty(b, CHAIN2) == T.standard_type(CHAIN2, 1)
+    assert C.flatten_ty(N.quote_ty(b), CHAIN2) == T.standard_type(CHAIN2, 1)
 
 
 # ---------------------------------------------------------------------------

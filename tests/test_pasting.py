@@ -1,4 +1,4 @@
-"""Ps-contexts, Dyck words, pruning, boundary sets, operation sets."""
+"""Ps-contexts, Dyck words, pruning, boundary sets."""
 
 import itertools
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from cattkernel import flat as F
 from cattkernel import pasting as P
 from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var, VarSet
-from cattkernel.pasting import DOWN, UP, DyckWord, OperationSet, Peak
+from cattkernel.pasting import DOWN, UP, DyckWord, Peak
 
 import strategies as S
 
@@ -283,33 +283,3 @@ def test_boundary_suspension():
 def test_boundary_requires_ps():
     with pytest.raises(F.MalformedSyntax):
         P.boundary_set(F.sphere_ctx(1), 0, "-")
-
-
-# ---------------------------------------------------------------------------
-# operation sets
-
-
-def test_disc_boundaries_allowed_under_regular():
-    for n in range(1, 4):
-        g = F.disc_ctx(n)
-        u = F.support(g, Var(2))  # d_{n-1}^-
-        v = F.support(g, Var(1))  # d_{n-1}^+
-        assert P.op_allowed(OperationSet.REGULAR, g, u, v)
-
-
-def test_groupoidal_allows_everything():
-    g = F.disc_ctx(2)
-    u = VarSet.of(len(g), [0])
-    assert P.op_allowed(OperationSet.GROUPOIDAL, g, u, u)
-
-
-def test_regular_rejects_non_boundary():
-    g = F.disc_ctx(2)
-    u = VarSet.of(len(g), [0])
-    assert not P.op_allowed(OperationSet.REGULAR, g, u, u)
-
-
-def test_regular_allows_full():
-    g = example_237_ctx()
-    full = VarSet.full(len(g))
-    assert P.op_allowed(OperationSet.REGULAR, g, full, full)

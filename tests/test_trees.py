@@ -10,9 +10,12 @@ from cattkernel import flat as F
 from cattkernel import pasting as P
 from cattkernel import trees as T
 from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var, VarSet
+from cattkernel.nbe import NVar
 from cattkernel.trees import LEAF, LTree, Labelling, Tree
+from cattkernel.typecheck import Checker, Signature
 
 import strategies as S
+from flat_cases import make_ctx
 
 
 def nodes(t: Tree) -> int:
@@ -101,7 +104,7 @@ def test_suspension_commutes_with_realisation():
 def test_concat_realises_to_wedge():
     for s in all_trees(4):
         for t in all_trees(4):
-            lhs = T.tree_to_ctx(T.concat_trees(s, t))
+            lhs = T.tree_to_ctx(Tree(s.branches + t.branches))
             rhs, _, _ = T.wedge(T.tree_to_ctx(s), T.tree_to_ctx(t))
             assert lhs == rhs
 
@@ -309,6 +312,23 @@ def test_tree_boundary_set_matches_pasting():
         for n in range(0, t.height + 2):
             for eps in ("-", "+"):
                 assert T.tree_boundary_set(t, n, eps) == P.boundary_set(g, n, eps)
+
+
+def test_tree_supports_and_boundaries_match_pasting():
+    ck = Checker(Signature())
+    for t in all_trees(6):
+        g = T.tree_to_ctx(t)
+
+        def positions(paths):
+            return VarSet.of(len(g), (T.path_pos(t, p) for p in paths))
+
+        for p in T.all_paths(t):
+            supp = ck.support(make_ctx(t), NVar(p))
+            assert positions(supp) == F.support(g, T.path_var(t, p))
+        for n in range(0, t.height + 2):
+            for eps in ("-", "+"):
+                bdry = T.boundary_paths(t, n, eps)
+                assert positions(bdry) == P.boundary_set(g, n, eps)
 
 
 def test_boundary_inclusion_support():

@@ -1,14 +1,28 @@
 """The bidirectional checker, driven through the surface syntax."""
 
+import random
+
 import pytest
 
 from cattkernel import cli as X
+from cattkernel import flat as F
 from cattkernel import nbe as N
 from cattkernel import surface as R
+from cattkernel import trees as T
+from cattkernel.flat import VarSet
 from cattkernel.nbe import SU, SUA, WEAK, NApp, NCoh, NComp, NId, NVar
-from cattkernel.pasting import OperationSet
-from cattkernel.trees import LEAF, Tree
-from cattkernel.typecheck import CheckError, Checker, Signature, TreeCtx
+from cattkernel.trees import LEAF, Tree, linear_tree
+from cattkernel.typecheck import (
+    CheckError,
+    Checker,
+    OperationSet,
+    Signature,
+    TreeCtx,
+    op_allowed,
+)
+
+import gen_typed
+from flat_cases import make_ctx
 
 CHAIN2 = Tree((LEAF, LEAF))
 CHAIN3 = Tree((LEAF, LEAF, LEAF))
@@ -97,6 +111,52 @@ def test_groupoidal_operations_allow_inverses():
     st = session(ops=OperationSet.GROUPOIDAL)
     run(st, "def inv = coh [ x{f}y : y -> x ]")
     assert "inv" in st.sig.entries
+
+
+def test_normal_form_supports_match_flat_supports():
+    # the tree support of a normal form is the support of its flattening
+    rng = random.Random(3)
+    for _ in range(60):
+        tree, _, term_text = gen_typed.random_case(rng)
+        g = T.tree_to_ctx(tree)
+        ctx = make_ctx(tree)
+        for config in (WEAK, SU, SUA):
+            ck = Checker(Signature(config=config))
+            term, ty = ck.check(ctx, R.parse_term(term_text))
+            for x in (ck.nf(ctx, term),) + ty[0]:
+                got = VarSet.of(
+                    len(g), (T.path_pos(tree, p) for p in ck.support(ctx, x))
+                )
+                assert got == F.support(g, N.flatten_nf(x, tree))
+
+
+# ---------------------------------------------------------------------------
+# operation sets, on path supports
+
+
+def test_disc_boundaries_allowed_under_regular():
+    ck = Checker(Signature())
+    for n in range(1, 4):
+        t = linear_tree(n)
+        u = ck.support(make_ctx(t), NVar((0,) * n))  # d_{n-1}^-
+        v = ck.support(make_ctx(t), NVar((0,) * (n - 1) + (1,)))  # d_{n-1}^+
+        assert op_allowed(OperationSet.REGULAR, t, u, v)
+
+
+def test_groupoidal_allows_everything():
+    u = {(0,)}
+    assert op_allowed(OperationSet.GROUPOIDAL, linear_tree(2), u, u)
+
+
+def test_regular_rejects_non_boundary():
+    u = {(0,)}
+    assert not op_allowed(OperationSet.REGULAR, linear_tree(2), u, u)
+
+
+def test_regular_allows_full():
+    t = Tree((LEAF, Tree((LEAF,))))  # x{f}y{g{a}h}z
+    full = set(T.all_paths(t))
+    assert op_allowed(OperationSet.REGULAR, t, full, full)
 
 
 def test_coherence_over_singleton_tree_rejected():
