@@ -11,6 +11,7 @@ environments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from . import core as C
@@ -95,10 +96,14 @@ class Env:
         return self.data[key]
 
 
+# Environments are immutable, so one identity environment per tree or
+# length serves every caller.
+@lru_cache(maxsize=None)
 def id_env(t: Tree) -> Env:
     return Env(LTree.from_fn(t, NVar), ())
 
 
+@lru_cache(maxsize=None)
 def id_list_env(n: int) -> Env:
     return Env(tuple(NVar(i) for i in range(n)), ())
 
@@ -260,7 +265,7 @@ def _eval_head(
             lt = C.insert_ltree(lt, p, m)
             s = T.insert_tree(s, p, t)
     if a is None:
-        b = eval_ty(cfg, C.std_type(s, comp_dim), id_env(s))
+        b = standard_nf_type(cfg, s, comp_dim)
     else:
         b = eval_ty(cfg, a, id_env(s))
     return _classify(cfg, s, b, lt)

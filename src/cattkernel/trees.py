@@ -24,19 +24,29 @@ Branch = tuple[int, ...]
 class Tree:
     branches: tuple[Tree, ...] = ()
 
+    def __post_init__(self):
+        # Computed once from the children's stored values.  They are plain
+        # attributes, not fields, so equality, hashing and repr still see
+        # the branches alone.
+        bs = self.branches
+        height = max((b._height + 1 for b in bs), default=0)
+        trunk = 1 + bs[0]._trunk_height if len(bs) == 1 else 0
+        size = 1 + sum(b._ctx_size + 1 for b in bs)
+        object.__setattr__(self, "_height", height)
+        object.__setattr__(self, "_trunk_height", trunk)
+        object.__setattr__(self, "_ctx_size", size)
+
     @property
     def height(self) -> int:
-        return max((b.height + 1 for b in self.branches), default=0)
+        return self._height
 
     @property
     def trunk_height(self) -> int:
-        if len(self.branches) == 1:
-            return 1 + self.branches[0].trunk_height
-        return 0
+        return self._trunk_height
 
     @property
     def is_linear(self) -> bool:
-        return self.height == self.trunk_height
+        return self._height == self._trunk_height
 
     def __repr__(self) -> str:
         return "T[" + ",".join(repr(b)[1:] for b in self.branches) + "]"
@@ -145,7 +155,7 @@ def all_branches(s: Tree) -> list[Branch]:
 
 
 def ctx_size(t: Tree) -> int:
-    return 1 + sum(ctx_size(b) + 1 for b in t.branches)
+    return t._ctx_size
 
 
 def _offsets(t: Tree) -> list[int]:

@@ -4,7 +4,9 @@ Heads synthesise their own context (a top-level name, a coherence, the
 identity); applications check arguments against that context, converting
 substitutions over tree contexts into labellings.  All equality checks go
 through evaluation, so the configured reductions and implicit suspension
-are handled uniformly.
+are handled uniformly.  Elaboration returns the value of each subterm with
+it, so an argument is evaluated once, where it is checked, and never again
+by the applications that contain it.
 """
 
 from __future__ import annotations
@@ -210,6 +212,12 @@ class Checker:
 
     def check(self, ctx: Ctx, raw: R.RawTerm) -> tuple:
         """Elaborate a term in a context; return it with its type."""
+        t, ty, _ = self.elab(ctx, raw)
+        return t, ty
+
+    def elab(self, ctx: Ctx, raw: R.RawTerm) -> tuple:
+        """Elaborate a term in a context; return it with its type and its
+        value, which equals ``self.nf(ctx, term)``."""
         if isinstance(raw, R.RVar):
             found = self.lookup(ctx, raw.name)
             if found is not None:
@@ -218,16 +226,16 @@ class Checker:
         if isinstance(raw, R.RComp):
             if isinstance(ctx, TreeCtx):
                 tree = ctx.tree
-                return C.CComp(tree), N.standard_nf_type(
-                    self.config, tree, tree.height
-                )
+                t = C.CComp(tree)
+                ty = N.standard_nf_type(self.config, tree, tree.height)
+                return t, ty, self.nf(ctx, t)
             raise CheckError("a bare composite needs a tree context", raw.span)
         if isinstance(raw, R.RId):
             if isinstance(ctx, TreeCtx) and ctx.tree.is_linear:
                 n = ctx.tree.height
-                return C.CId(n), N.standard_nf_type(
-                    self.config, ctx.tree, n + 1
-                )
+                t = C.CId(n)
+                ty = N.standard_nf_type(self.config, ctx.tree, n + 1)
+                return t, ty, self.nf(ctx, t)
             return self.check_by_infer(ctx, raw)
         if isinstance(raw, R.RApp):
             return self.check_app(ctx, raw)
@@ -241,17 +249,17 @@ class Checker:
             raise CheckError(
                 "the term lives over a different context", raw.span
             )
-        return t, ty
+        return t, ty, self.nf(ctx, t)
 
     def lookup(self, ctx: Ctx, name: str) -> Optional[tuple]:
         if isinstance(ctx, TreeCtx):
             for p in T.all_paths(ctx.tree):
                 if ctx.names.lookup(p) == name:
-                    return C.CPath(p), self.path_type(ctx, p)
+                    return C.CPath(p), self.path_type(ctx, p), N.NVar(p)
             return None
         for i, nm in enumerate(ctx.names):
             if nm == name:
-                return C.CVar(i), self.nf_ty(ctx, ctx.types[i])
+                return C.CVar(i), self.nf_ty(ctx, ctx.types[i]), N.NVar(i)
         return None
 
     def path_type(self, ctx: TreeCtx, p) -> NfType:
@@ -276,29 +284,28 @@ class Checker:
         head = raw.term
         if isinstance(head, R.RComp) and isinstance(raw.args, R.RLabelArgs):
             shape = _raw_shape(raw.args.tree)
-            lab, lab_ty = self.check_label(ctx, raw.args, shape)
+            lab, vals, lab_ty = self.check_label(ctx, raw.args, shape)
             inner_ty = N.standard_nf_type(self.config, shape, shape.height)
-            return self.apply_label(ctx, C.CComp(shape), inner_ty, lab, lab_ty)
+            return self.apply_label(C.CComp(shape), inner_ty, lab, vals, lab_ty)
         inner_ctx, t, ty = self.infer(head)
         if isinstance(inner_ctx, TreeCtx):
             args = raw.args
             if isinstance(args, R.RSubArgs):
                 args = _sub_to_label(args, inner_ctx.tree)
-            lab, lab_ty = self.check_label(ctx, args, inner_ctx.tree)
-            return self.apply_label(ctx, t, ty, lab, lab_ty)
+            lab, vals, lab_ty = self.check_label(ctx, args, inner_ctx.tree)
+            return self.apply_label(t, ty, lab, vals, lab_ty)
         if not isinstance(raw.args, R.RSubArgs):
             raise CheckError(
                 "labelling arguments need a tree context", raw.args.span
             )
         return self.apply_sub(ctx, inner_ctx, t, ty, raw.args)
 
-    def apply_label(self, ctx, t, inner_ty, lab: C.CoreLabel, lab_ty: NfType):
-        env = Env(
-            lab.lt.map(lambda e: self.nf(ctx, e)),
-            lab_ty,
-        )
+    def apply_label(
+        self, t, inner_ty, lab: C.CoreLabel, vals: LTree, lab_ty: NfType
+    ):
+        env = Env(vals, lab_ty)
         out_ty = N.eval_ty(self.config, N.quote_ty(inner_ty), env)
-        return C.CLabel(t, lab), out_ty
+        return C.CLabel(t, lab), out_ty, N.eval_tm(self.config, t, env)
 
     def apply_sub(self, ctx, inner_ctx: ListCtx, t, inner_ty, args: R.RSubArgs):
         if len(args.terms) != len(inner_ctx):
@@ -308,12 +315,14 @@ class Checker:
             )
         terms = []
         types = []
+        vals = []
         for s in args.terms:
-            ti, bi = self.check(ctx, s)
+            ti, bi, vi = self.elab(ctx, s)
             terms.append(ti)
             types.append(bi)
+            vals.append(vi)
         base_ty = types[0] if types else ()
-        env = Env(tuple(self.nf(ctx, ti) for ti in terms), base_ty)
+        env = Env(tuple(vals), base_ty)
         for i, (ti, bi) in enumerate(zip(terms, types)):
             expected = N.eval_ty(self.config, inner_ctx.types[i], env)
             if bi != expected:
@@ -328,45 +337,52 @@ class Checker:
                 )
         sub = C.CoreSub(N.quote_ty(base_ty), tuple(terms))
         out_ty = N.eval_ty(self.config, N.quote_ty(inner_ty), env)
-        return C.CSub(t, sub), out_ty
+        return C.CSub(t, sub), out_ty, N.eval_tm(self.config, t, env)
 
     # -- labellings ---------------------------------------------------------
 
     def check_label(self, ctx: Ctx, args: R.RLabelArgs, shape: Tree) -> tuple:
+        """Elaborate a labelling; return it with the labelling of its
+        values and the type of its zero cells."""
         if _raw_shape(args.tree) != shape:
             raise CheckError(
                 "the labelling does not match the shape of the context",
                 args.tree.span,
             )
-        lt, ty = self._label_tree(ctx, args.tree, shape)
+        lt, vals, ty = self._label_tree(ctx, args.tree, shape)
         if args.ty is not None:
             _, given = self.check_ty(ctx, args.ty)
             if given != ty:
                 raise CheckError(
                     "the type part does not match the labelling", args.ty.span
                 )
-        return C.CoreLabel(lt, N.quote_ty(ty)), ty
+        return C.CoreLabel(lt, N.quote_ty(ty)), vals, ty
 
     def _label_tree(self, ctx: Ctx, raw: R.RawTree, shape: Tree) -> tuple:
+        """The core labelling, the labelling of its values, and the type of
+        its zero cells; an omitted argument takes the endpoint value found
+        in its neighbours' types."""
         if not shape.branches:
             x = raw.elements[0]
             if x is None or isinstance(x, R.RHole):
                 raise CheckError(
                     "a locally maximal argument cannot be omitted", raw.span
                 )
-            t, ty = self.check(ctx, x)
-            return LTree((t,), ()), ty
+            t, ty, v = self.elab(ctx, x)
+            return LTree((t,), ()), LTree((v,), ()), ty
         branches = []
+        branch_vals = []
         pairs = []
         tails = []
         for i, sub in enumerate(shape.branches):
-            m, b = self._label_tree(ctx, raw.branches[i], sub)
+            m, mv, b = self._label_tree(ctx, raw.branches[i], sub)
             if not b:
                 raise CheckError(
                     "a branch argument has a type of the wrong dimension",
                     raw.branches[i].span,
                 )
             branches.append(m)
+            branch_vals.append(mv)
             pairs.append(b[0])
             tails.append(b[1:])
         for i in range(len(tails) - 1):
@@ -385,14 +401,18 @@ class Checker:
             if x is None or isinstance(x, R.RHole):
                 elements.append(N.quote_tm(endpoints[i]))
             else:
-                t, _ = self.check(ctx, x)
-                if self.nf(ctx, t) != endpoints[i]:
+                t, _, v = self.elab(ctx, x)
+                if v != endpoints[i]:
                     raise CheckError(
                         "an explicit argument disagrees with the inferred one",
                         x.span,
                     )
                 elements.append(t)
-        return LTree(tuple(elements), tuple(branches)), tails[0]
+        return (
+            LTree(tuple(elements), tuple(branches)),
+            LTree(tuple(endpoints), tuple(branch_vals)),
+            tails[0],
+        )
 
     # -- types --------------------------------------------------------------
 
@@ -403,8 +423,8 @@ class Checker:
         if isinstance(raw, R.RTyHole):
             raise CheckError("a type hole is not allowed here", raw.span)
         if isinstance(raw, R.RArrow):
-            s, a = self.check(ctx, raw.src)
-            t, b = self.check(ctx, raw.tgt)
+            s, a, sv = self.elab(ctx, raw.src)
+            t, b, tv = self.elab(ctx, raw.tgt)
             if raw.base is not None:
                 base_core, base_nf = self.check_ty(ctx, raw.base)
                 if a != base_nf or b != base_nf:
@@ -417,8 +437,7 @@ class Checker:
                         "the endpoints have different types", raw.span
                     )
                 base_core = N.quote_ty(a)
-            nf = ((self.nf(ctx, s), self.nf(ctx, t)),) + a
-            return C.CArrow(s, base_core, t), nf
+            return C.CArrow(s, base_core, t), ((sv, tv),) + a
         if isinstance(raw, R.RTySusp):
             raise CheckError("a suspended type cannot be checked here", raw.span)
         raise CheckError("unsupported type", raw.span)

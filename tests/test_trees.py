@@ -1,6 +1,7 @@
 """Trees, wedges, labellings, tree boundaries, standard coherences, and
 insertion."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -119,6 +120,30 @@ def test_tree_dyck_ctx_round_trips():
 
 def test_ctx_to_tree_rejects_non_ps():
     assert T.ctx_to_tree(F.sphere_ctx(1)) is None
+
+
+def test_stored_metadata_matches_recursive_definitions():
+    def height(t):
+        return max((height(b) + 1 for b in t.branches), default=0)
+
+    def trunk_height(t):
+        return 1 + trunk_height(t.branches[0]) if len(t.branches) == 1 else 0
+
+    def ctx_size(t):
+        return 1 + sum(ctx_size(b) + 1 for b in t.branches)
+
+    def rebuild(t):
+        return Tree(tuple(rebuild(b) for b in t.branches))
+
+    assert [f.name for f in dataclasses.fields(Tree)] == ["branches"]
+    for t in all_trees(6):
+        assert t.height == height(t)
+        assert t.trunk_height == trunk_height(t)
+        assert T.ctx_size(t) == ctx_size(t)
+        assert t.is_linear == (height(t) == trunk_height(t))
+        u = rebuild(t)
+        assert u is not t
+        assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
 
 
 # ---------------------------------------------------------------------------

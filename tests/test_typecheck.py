@@ -1,14 +1,17 @@
 """The bidirectional checker, driven through the surface syntax."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from cattkernel import cli as X
+from cattkernel import core as C
 from cattkernel import flat as F
 from cattkernel import nbe as N
 from cattkernel import surface as R
 from cattkernel import trees as T
+from cattkernel.core import path_name
 from cattkernel.flat import VarSet
 from cattkernel.nbe import SU, SUA, WEAK, NApp, NCoh, NComp, NId, NVar
 from cattkernel.trees import LEAF, Tree, linear_tree
@@ -369,3 +372,115 @@ def test_keep_implicits_shows_all_arguments():
     st.keep_implicits = True
     out = run(st, "normalise comp[f, g] in [f, g]")
     assert out[0] == "normal form: comp<p0{f}p1{g}p2>"
+
+
+# ---------------------------------------------------------------------------
+# values carried by elaboration
+
+ALL_CONFIGS = [
+    N.EvalConfig(dr=dr, ecr=ecr, insertion=ins)
+    for dr in (False, True)
+    for ecr in (False, True)
+    for ins in ("none", "id", "full")
+]
+
+MONOIDAL = Path(__file__).resolve().parent.parent / "catt" / "monoidal.catt"
+
+
+def list_ctx_text(t: Tree) -> str:
+    """The realisation of t as a list context, each cell named after its
+    path as in gen_typed.ctx_text."""
+    entries = []
+    for p in sorted(T.all_paths(t), key=lambda p: T.path_pos(t, p)):
+        if len(p) == 1:
+            ty = "*"
+        else:
+            q = p[:-1]
+            ty = f"{path_name(q)} -> {path_name(q[:-1] + (q[-1] + 1,))}"
+        entries.append(f"({path_name(p)} : {ty})")
+    return ", ".join(entries)
+
+
+def test_elaborated_value_is_the_normal_form():
+    rng = random.Random(11)
+    cases = [gen_typed.random_case(rng) for _ in range(30)]
+    for config in ALL_CONFIGS:
+        ck = Checker(Signature(config=config))
+        for tree, tree_text, term_text in cases:
+            raw = R.parse_term(term_text)
+            # the context text parses to the suspension of the tree, so
+            # the term is applied one dimension up there
+            ctxs = (
+                make_ctx(tree),
+                ck.elab_ctx(R.parse_ctx(tree_text)),
+                ck.elab_ctx(R.parse_ctx(list_ctx_text(tree))),
+            )
+            for ctx in ctxs:
+                term, ty, value = ck.elab(ctx, raw)
+                nf = ck.nf(ctx, term)
+                assert value == nf, (config, ctx, term_text)
+                assert ck.check(ctx, raw) == (term, ty)
+                # normal forms are fixed points of normalisation
+                assert ck.nf(ctx, N.quote_tm(nf)) == nf
+                if config == WEAK:
+                    # the weak theory only evaluates: flattening sees no change
+                    amb = ctx.tree if isinstance(ctx, TreeCtx) else len(ctx)
+                    assert N.flatten_nf(nf, amb) == C.flatten_tm(term, amb)
+
+
+def test_elaborated_values_in_the_monoidal_file():
+    # the file applies definitions to cells of higher dimension than their
+    # contexts (implicit suspension) and elaborates coherence types
+    cmds = R.parse(MONOIDAL.read_text())
+    for config in ALL_CONFIGS:
+        st = session(config=config)
+        ck = Checker(st.sig)
+        for cmd in cmds:
+            if isinstance(cmd, R.DefCmd) and cmd.ctx is None:
+                ctx, term, ty = ck.infer(cmd.term)
+                if isinstance(term, C.CCoh):
+                    assert ty == ck.nf_ty(ctx, term.ty)
+            else:
+                ctx = ck.elab_ctx(cmd.ctx)
+                raws = (cmd.lhs, cmd.rhs) if isinstance(cmd, R.AssertCmd) else (cmd.term,)
+                for raw in raws:
+                    term, _, value = ck.elab(ctx, raw)
+                    assert value == ck.nf(ctx, term), (config, cmd)
+            if isinstance(cmd, R.DefCmd):
+                X.run_command(st, cmd)
+
+
+def left_nested(n: int) -> str:
+    t = "f0"
+    for i in range(1, n):
+        t = f"comp[{t}, f{i}]"
+    return t
+
+
+@pytest.mark.parametrize("config", [SU, SUA], ids=["su", "sua"])
+def test_nested_composite_evaluates_each_argument_once(config, monkeypatch):
+    # Evaluating each argument where it is checked makes the work grow
+    # about linearly in the number of nested composites; re-evaluating
+    # every argument at each enclosing level made it grow quadratically.
+    calls = 0
+    eval_tm = N.eval_tm
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return eval_tm(*args)
+
+    monkeypatch.setattr(N, "eval_tm", counted)
+
+    def count(n: int) -> int:
+        nonlocal calls
+        calls = 0
+        ck = Checker(Signature(config=config))
+        names = ", ".join(f"f{i}" for i in range(n))
+        ctx = ck.elab_ctx(R.parse_ctx(f"[{names}]"))
+        term, _ = ck.check(ctx, R.parse_term(left_nested(n)))
+        ck.nf(ctx, term)
+        return calls
+
+    count(64)  # fill the caches of standard types first
+    assert count(64) / count(32) <= 2.5
