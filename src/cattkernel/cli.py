@@ -47,8 +47,7 @@ def run_command(
         return [f"defined {cmd.name}"]
     if isinstance(cmd, R.NormaliseCmd):
         ctx = ck.elab_ctx(cmd.ctx)
-        term, ty = ck.check(ctx, cmd.term)
-        nf = ck.nf(ctx, term)
+        term, ty, nf = ck.elab(ctx, cmd.term)
         names = C.Names(ctx.names)
         shown = R.pretty(
             C.to_raw(N.quote_tm(nf), names, state.keep_implicits)
@@ -62,17 +61,17 @@ def run_command(
         return out
     if isinstance(cmd, R.AssertCmd):
         ctx = ck.elab_ctx(cmd.ctx)
-        lhs, lty = ck.check(ctx, cmd.lhs)
-        rhs, rty = ck.check(ctx, cmd.rhs)
+        _, lty, lhs = ck.elab(ctx, cmd.lhs)
+        _, rty, rhs = ck.elab(ctx, cmd.rhs)
         if lty != rty:
             raise CheckError("the two sides have different types", cmd.span)
-        if ck.nf(ctx, lhs) != ck.nf(ctx, rhs):
+        if lhs != rhs:
             raise CheckError("the terms are not equal", cmd.span)
         return ["assertion holds"]
     if isinstance(cmd, R.SizeCmd):
         ctx = ck.elab_ctx(cmd.ctx)
-        term, _ = ck.check(ctx, cmd.term)
-        return [f"size: {N.size_tm(ck.nf(ctx, term))}"]
+        _, _, nf = ck.elab(ctx, cmd.term)
+        return [f"size: {N.size_tm(nf)}"]
     if isinstance(cmd, R.ImportCmd):
         return run_import(state, cmd.path, base_dir)
     raise CheckError("unknown command", cmd.span)

@@ -90,12 +90,6 @@ class CArrow:
 
 
 @dataclass(frozen=True)
-class CTySub:
-    ty: "CoreType"
-    sub: "CoreSub"
-
-
-@dataclass(frozen=True)
 class CTyLabel:
     ty: "CoreType"
     label: "CoreLabel"
@@ -106,7 +100,7 @@ class CTySusp:
     ty: "CoreType"
 
 
-CoreType = Union[CStar, CArrow, CTySub, CTyLabel, CTySusp]
+CoreType = Union[CStar, CArrow, CTyLabel, CTySusp]
 
 CSTAR = CStar()
 
@@ -130,9 +124,6 @@ class CoreLabel:
 
     def shape(self) -> Tree:
         return self.lt.shape()
-
-    def __call__(self, p: Path) -> CoreTerm:
-        return self.lt.lookup(p)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +226,6 @@ def exterior_clabel(s: Tree, p: T.Branch, t: Tree) -> CoreLabel:
     return CoreLabel(LTree(elements, branches), CSTAR)
 
 
-def insert_ltree(lt: LTree, p: T.Branch, m: LTree) -> LTree:
-    """Splice the labelling m into lt at the branch p."""
-    return T.insert_label(Labelling(lt, STAR), p, Labelling(m, STAR)).lt
-
-
 # ---------------------------------------------------------------------------
 # flattening
 
@@ -284,22 +270,14 @@ def flatten_tm(x: CoreTerm, amb: Ambient) -> FlatTerm:
 
 
 def flatten_ty(a: CoreType, amb: Ambient) -> FlatType:
+    """Flatten a type as elaboration and quotation produce it: a stack of
+    arrows over the base type."""
     if isinstance(a, CStar):
         return STAR
     if isinstance(a, CArrow):
         return F.Arrow(
             flatten_tm(a.src, amb), flatten_ty(a.base, amb), flatten_tm(a.tgt, amb)
         )
-    if isinstance(a, CTySub):
-        inner = flatten_ty(a.ty, len(a.sub.terms))
-        return F.substitute(inner, flatten_sub(a.sub, amb))
-    if isinstance(a, CTyLabel):
-        shape = a.label.shape()
-        inner = flatten_ty(a.ty, shape)
-        return F.substitute(inner, T.label_to_sub(flatten_label(a.label, amb)))
-    if isinstance(a, CTySusp):
-        inner_amb = _unsuspend(amb)
-        return F.suspend_ty(flatten_ty(a.ty, inner_amb), _amb_size(inner_amb))
     raise TypeError(f"cannot flatten {a!r}")
 
 
@@ -370,8 +348,6 @@ def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
         return R.RId()
     if isinstance(x, CComp):
         return R.RComp()
-    if isinstance(x, CInc):
-        return R.RInc(x.low, x.high, to_raw(x.term, nm, keep_implicits))
     if isinstance(x, CSub):
         ty = to_raw(x.sub.ty, nm, keep_implicits) if keep_implicits else None
         args = R.RSubArgs(
@@ -396,18 +372,6 @@ def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
         return R.RArrow(
             to_raw(x.src, nm, keep_implicits), base, to_raw(x.tgt, nm, keep_implicits)
         )
-    if isinstance(x, CTySub):
-        ty = to_raw(x.sub.ty, nm, keep_implicits) if keep_implicits else None
-        args = R.RSubArgs(
-            ty, tuple(to_raw(t, nm, keep_implicits) for t in x.sub.terms)
-        )
-        return R.RTyApp(to_raw(x.ty, nm, keep_implicits), args)
-    if isinstance(x, CTyLabel):
-        return R.RTyApp(
-            to_raw(x.ty, nm, keep_implicits), _raw_label(x.label, nm, keep_implicits)
-        )
-    if isinstance(x, CTySusp):
-        return R.RTySusp(to_raw(x.ty, nm, keep_implicits))
     raise TypeError(f"cannot convert {x!r}")
 
 

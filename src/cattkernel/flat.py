@@ -98,12 +98,6 @@ class VarSet:
 
     members: tuple[bool, ...]
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, pos: int) -> bool:
-        return self.members[pos]
-
     def union(self, other: "VarSet") -> "VarSet":
         return VarSet(tuple(a or b for a, b in zip(self.members, other.members)))
 

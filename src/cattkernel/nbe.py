@@ -161,17 +161,9 @@ def eval_tm(cfg: EvalConfig, x: CoreTerm, env: Env) -> NfTerm:
     if isinstance(x, C.CInc):
         return eval_tm(cfg, x.term, restrict(env, x.low, x.high))
     if isinstance(x, C.CSub):
-        inner = Env(
-            tuple(eval_tm(cfg, t, env) for t in x.sub.terms),
-            eval_ty(cfg, x.sub.ty, env),
-        )
-        return eval_tm(cfg, x.term, inner)
+        return eval_tm(cfg, x.term, eval_args(cfg, x.sub, env))
     if isinstance(x, C.CLabel):
-        inner = Env(
-            x.label.lt.map(lambda e: eval_tm(cfg, e, env)),
-            eval_ty(cfg, x.label.ty, env),
-        )
-        return eval_tm(cfg, x.term, inner)
+        return eval_tm(cfg, x.term, eval_args(cfg, x.label, env))
     if isinstance(x, C.CSusp):
         return eval_tm(cfg, x.term, lift(env))
     raise TypeError(f"cannot evaluate {x!r}")
@@ -184,21 +176,21 @@ def eval_ty(cfg: EvalConfig, a: CoreType, env: Env) -> NfType:
         return ((eval_tm(cfg, a.src, env), eval_tm(cfg, a.tgt, env)),) + eval_ty(
             cfg, a.base, env
         )
-    if isinstance(a, C.CTySub):
-        inner = Env(
-            tuple(eval_tm(cfg, t, env) for t in a.sub.terms),
-            eval_ty(cfg, a.sub.ty, env),
-        )
-        return eval_ty(cfg, a.ty, inner)
     if isinstance(a, C.CTyLabel):
-        inner = Env(
-            a.label.lt.map(lambda e: eval_tm(cfg, e, env)),
-            eval_ty(cfg, a.label.ty, env),
-        )
-        return eval_ty(cfg, a.ty, inner)
+        return eval_ty(cfg, a.ty, eval_args(cfg, a.label, env))
     if isinstance(a, C.CTySusp):
         return eval_ty(cfg, a.ty, lift(env))
     raise TypeError(f"cannot evaluate {a!r}")
+
+
+def eval_args(cfg: EvalConfig, args: Union[C.CoreSub, C.CoreLabel], env: Env) -> Env:
+    """The environment of the evaluated arguments of a substitution or a
+    labelling."""
+    if isinstance(args, C.CoreSub):
+        data = tuple(eval_tm(cfg, t, env) for t in args.terms)
+    else:
+        data = args.lt.map(lambda e: eval_tm(cfg, e, env))
+    return Env(data, eval_ty(cfg, args.ty, env))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +254,7 @@ def _eval_head(
             p, t, m = redex
             if a is not None:
                 a = C.CTyLabel(a, C.exterior_clabel(s, p, t))
-            lt = C.insert_ltree(lt, p, m)
+            lt = T.insert_ltree(lt, p, m)
             s = T.insert_tree(s, p, t)
     if a is None:
         b = standard_nf_type(cfg, s, comp_dim)

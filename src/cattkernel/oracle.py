@@ -206,14 +206,6 @@ def complexity_sub(s: FlatSub) -> Complexity:
     return out
 
 
-def complexity_ty(a: FlatType) -> Complexity:
-    if isinstance(a, Star):
-        return ()
-    return _add(
-        _add(complexity(a.src), complexity(a.tgt)), complexity_ty(a.base)
-    )
-
-
 def less_than(a: Complexity, b: Complexity) -> bool:
     """Reverse-lexicographic comparison: higher dimensions dominate."""
     n = max(len(a), len(b))

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flat as F
-from .flat import STAR, Arrow, FlatCtx, FlatSub, FlatTerm, FlatType, Star, Var, VarSet
+from .flat import STAR, Arrow, FlatCtx, FlatSub, FlatTerm, FlatType, Var, VarSet
 
 UP = "U"
 DOWN = "D"
@@ -40,30 +40,37 @@ class Peak:
 # ps-context recognition
 
 
+def _scan(g: FlatCtx) -> tuple[list[str] | None, int | None]:
+    """Read g entry by entry as a pasting context: return its Dyck moves, or
+    None and the position of the first entry that does not fit."""
+    n = len(g)
+    if n == 0 or n % 2 == 0 or g.entries[0] != STAR:
+        return None, 0
+    moves: list[str] = []
+    t: FlatTerm = Var(0)
+    a: FlatType = STAR
+    for i in range(1, n, 2):
+        b = g.entries[i]
+        while F.dim_ty(a) > F.dim_ty(b):
+            t, a = a.tgt, a.base
+            moves.append(DOWN)
+        if a != b:
+            return None, i
+        expected = Arrow(F.weaken(t), F.weaken(a), Var(0))
+        if g.entries[i + 1] != expected:
+            return None, i + 1
+        moves.append(UP)
+        t = Var(0)
+        a = F.weaken(expected)
+    moves.extend([DOWN] * F.dim_ty(a))
+    return moves, None
+
+
 def check_ps_detail(g: FlatCtx) -> tuple[bool, int | None]:
     """Decide the ps-context judgement; on failure return the offending
     entry position."""
-    n = len(g)
-    if n == 0 or n % 2 == 0 or g.entries[0] != STAR:
-        return False, 0
-    t: FlatTerm = Var(0)
-    a: FlatType = STAR
-    i = 1
-    while i < n:
-        b = g.entries[i]
-        c = g.entries[i + 1]
-        while F.dim_ty(a) > F.dim_ty(b):
-            t = a.tgt
-            a = a.base
-        if a != b:
-            return False, i
-        expected = Arrow(F.weaken(t), F.weaken(a), Var(0))
-        if c != expected:
-            return False, i + 1
-        t = Var(0)
-        a = F.weaken(expected)
-        i += 2
-    return True, None
+    moves, pos = _scan(g)
+    return moves is not None, pos
 
 
 def check_ps(g: FlatCtx) -> bool:
@@ -97,33 +104,8 @@ def dyck_realise(d: DyckWord) -> tuple[FlatCtx, FlatType, FlatTerm]:
 def ctx_to_dyck(g: FlatCtx) -> DyckWord | None:
     """Invert realisation: the unique Dyck word whose context is g, or None
     if g is not a ps-context."""
-    n = len(g)
-    if n == 0 or n % 2 == 0 or g.entries[0] != STAR:
-        return None
-    moves: list[str] = []
-    t: FlatTerm = Var(0)
-    a: FlatType = STAR
-    i = 1
-    while i < n:
-        b = g.entries[i]
-        while F.dim_ty(a) > F.dim_ty(b):
-            if not isinstance(a, Arrow):
-                return None
-            t, a = a.tgt, a.base
-            moves.append(DOWN)
-        if a != b:
-            return None
-        expected = Arrow(F.weaken(t), F.weaken(a), Var(0))
-        if g.entries[i + 1] != expected:
-            return None
-        moves.append(UP)
-        t = Var(0)
-        a = F.weaken(expected)
-        i += 2
-    while isinstance(a, Arrow):
-        t, a = a.tgt, a.base
-        moves.append(DOWN)
-    return DyckWord(tuple(moves))
+    moves, _ = _scan(g)
+    return None if moves is None else DyckWord(tuple(moves))
 
 
 def disc_word(n: int) -> DyckWord:

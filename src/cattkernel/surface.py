@@ -7,7 +7,7 @@ entries are allowed everywhere and legality is the typechecker's concern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 KEYWORDS = {"coh", "comp", "id", "def", "normalise", "assert", "size", "import", "in"}
@@ -86,14 +86,6 @@ class RCoh:
 
 
 @dataclass(frozen=True)
-class RInc:
-    low: int
-    high: int
-    term: "RawTerm"
-    span: Span = SYNTH
-
-
-@dataclass(frozen=True)
 class RSusp:
     term: "RawTerm"
     span: Span = SYNTH
@@ -106,7 +98,7 @@ class RApp:
     span: Span = SYNTH
 
 
-RawTerm = Union[RVar, RHole, RId, RComp, RCoh, RInc, RSusp, RApp]
+RawTerm = Union[RVar, RHole, RId, RComp, RCoh, RSusp, RApp]
 
 
 @dataclass(frozen=True)
@@ -127,20 +119,7 @@ class RArrow:
     span: Span = SYNTH
 
 
-@dataclass(frozen=True)
-class RTySusp:
-    ty: "RawType"
-    span: Span = SYNTH
-
-
-@dataclass(frozen=True)
-class RTyApp:
-    ty: "RawType"
-    args: "RawArgs"
-    span: Span = SYNTH
-
-
-RawType = Union[RStar, RTyHole, RArrow, RTySusp, RTyApp]
+RawType = Union[RStar, RTyHole, RArrow]
 
 
 @dataclass(frozen=True)
@@ -392,13 +371,7 @@ class _Parser:
             ty: Optional[RawType] = None
             terms: list[RawTerm] = []
             if self.peek().kind != "rparen":
-                save = self.pos
-                try:
-                    ty = self.type_()
-                    self.expect("bar")
-                except ParseError:
-                    ty = None
-                    self.pos = save
+                ty = self.type_part()
                 terms.append(self.term())
                 while self.peek().kind == "comma":
                     self.next()
@@ -407,14 +380,7 @@ class _Parser:
             return RSubArgs(ty, tuple(terms), self.span_from(start))
         if t.kind == "langle":
             self.next()
-            ty = None
-            save = self.pos
-            try:
-                ty = self.type_()
-                self.expect("bar")
-            except ParseError:
-                ty = None
-                self.pos = save
+            ty = self.type_part()
             tree = self.tree(element="term")
             self.expect("rangle")
             return RLabelArgs(tree, ty, self.span_from(start))
@@ -422,6 +388,17 @@ class _Parser:
             tree = self.square_tree(element="term")
             return RLabelArgs(tree, None, self.span_from(start))
         raise ParseError("expected arguments", self.span_of(t))
+
+    def type_part(self) -> Optional[RawType]:
+        """An optional leading `type |` of an argument list."""
+        save = self.pos
+        try:
+            ty = self.type_()
+            self.expect("bar")
+            return ty
+        except ParseError:
+            self.pos = save
+            return None
 
     # -- trees --------------------------------------------------------------
 
@@ -519,8 +496,10 @@ class _Parser:
             if self.peek().kind == "bar":
                 self.next()
                 base = b
-            elif self.peek().kind in ("arrow",):
-                raise ParseError("atom followed by arrow", self.span_of(self.peek()))
+            elif self.peek().kind in ("arrow", "lparen", "langle"):
+                # an atom followed by an arrow or by arguments starts a
+                # term, as in `_(x) -> y`
+                raise ParseError("the start of a term", self.span_of(self.peek()))
             else:
                 return b
         except ParseError:
@@ -533,35 +512,22 @@ class _Parser:
 
     def type_atom(self) -> RawType:
         t = self.peek()
-        start = t.start
-        out: RawType
         if t.kind == "star":
             self.next()
-            out = RStar(self.span_of(t))
-        elif t.kind == "hole":
+            return RStar(self.span_of(t))
+        if t.kind == "hole":
             self.next()
-            out = RTyHole(self.span_of(t))
-        elif t.kind == "susp":
-            self.next()
-            self.expect("lparen")
-            inner = self.type_()
-            self.expect("rparen")
-            out = RTySusp(inner, self.span_from(start))
-        elif t.kind == "lparen":
+            return RTyHole(self.span_of(t))
+        if t.kind == "lparen":
             self.next()
             inner = self.type_()
             self.expect("rparen")
-            out = inner
-        else:
-            raise ParseError(
-                f"unexpected {t.value or 'end of input'!r}",
-                self.span_of(t),
-                frozenset({"type"}),
-            )
-        while self.peek().kind in ("lparen", "langle"):
-            args = self.args()
-            out = RTyApp(out, args, self.span_from(start))
-        return out
+            return inner
+        raise ParseError(
+            f"unexpected {t.value or 'end of input'!r}",
+            self.span_of(t),
+            frozenset({"type"}),
+        )
 
     # -- contexts -----------------------------------------------------------
 
@@ -680,8 +646,6 @@ def pretty(x) -> str:
         return "comp"
     if isinstance(x, RCoh):
         return f"coh [ {pretty_tree(x.tree)} : {pretty(x.ty)} ]"
-    if isinstance(x, RInc):
-        return f"inc<{x.low}-{x.high}>({pretty(x.term)})"
     if isinstance(x, RSusp):
         return f"S({pretty(x.term)})"
     if isinstance(x, RApp):
@@ -692,10 +656,6 @@ def pretty(x) -> str:
         if x.base is None:
             return f"{pretty(x.src)} -> {pretty(x.tgt)}"
         return f"{_pretty_base(x.base)} | {pretty(x.src)} -> {pretty(x.tgt)}"
-    if isinstance(x, RTySusp):
-        return f"S({pretty(x.ty)})"
-    if isinstance(x, RTyApp):
-        return f"{pretty(x.ty)}{pretty_args(x.args)}"
     if isinstance(x, RTreeCtx):
         return pretty_tree(x.tree)
     if isinstance(x, RListCtx):

@@ -562,10 +562,10 @@ def exterior_label(s: Tree, p: Branch, t: Tree) -> Labelling:
     return Labelling(LTree(elements, branches), STAR)
 
 
-def insert_label(lab: Labelling, p: Branch, m: Labelling) -> Labelling:
+def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
     """Splice the labelling of the inserted tree into the host labelling;
     the image of the branch itself is never read."""
-    _require_point(lab.shape(), p, m.shape())
+    _require_point(lt.shape(), p, m.shape())
 
     def go(l: LTree, q: Branch, mm: LTree) -> LTree:
         k = q[0]
@@ -580,4 +580,9 @@ def insert_label(lab: Labelling, p: Branch, m: Labelling) -> Labelling:
             )
         return LTree(elements, branches)
 
-    return Labelling(go(lab.lt, p, m.lt), lab.ty)
+    return go(lt, p, m)
+
+
+def insert_label(lab: Labelling, p: Branch, m: Labelling) -> Labelling:
+    """Insert on labellings; the type part is the host's."""
+    return Labelling(insert_ltree(lab.lt, p, m.lt), lab.ty)

@@ -137,15 +137,7 @@ class Checker:
 
     def elab_ctx(self, raw: R.RawCtx) -> Ctx:
         if isinstance(raw, R.RTreeCtx):
-            shape = _raw_shape(raw.tree)
-            names = _raw_names(raw.tree)
-            seen: set = set()
-            for nm in _ltree_values(names):
-                if nm is not None:
-                    if nm in seen:
-                        raise CheckError(f"duplicate variable {nm!r}", raw.span)
-                    seen.add(nm)
-            return TreeCtx(shape, names)
+            return _tree_ctx(raw.tree, raw.span)
         names: list = []
         types: list = []
         for name, raw_ty in raw.entries:
@@ -191,10 +183,10 @@ class Checker:
         raise CheckError("this term needs a context to be checked in", raw.span)
 
     def infer_coh(self, raw: R.RCoh) -> tuple:
-        shape = _raw_shape(raw.tree)
+        ctx = _tree_ctx(raw.tree, raw.tree.span)
+        shape = ctx.tree
         if shape == T.LEAF:
             raise CheckError("a coherence needs a non-trivial context", raw.span)
-        ctx = TreeCtx(shape, _raw_names(raw.tree))
         ty_core, ty_nf = self.check_ty(ctx, raw.ty)
         if not ty_nf:
             raise CheckError("a coherence needs an arrow type", raw.ty.span)
@@ -438,8 +430,6 @@ class Checker:
                     )
                 base_core = N.quote_ty(a)
             return C.CArrow(s, base_core, t), ((sv, tv),) + a
-        if isinstance(raw, R.RTySusp):
-            raise CheckError("a suspended type cannot be checked here", raw.span)
         raise CheckError("unsupported type", raw.span)
 
 
@@ -461,6 +451,19 @@ def _ltree_values(lt: LTree):
     yield from lt.elements
     for b in lt.branches:
         yield from _ltree_values(b)
+
+
+def _tree_ctx(raw: R.RawTree, span: Span) -> TreeCtx:
+    """The tree context a raw tree of names describes; each name is bound
+    at most once."""
+    names = _raw_names(raw)
+    seen: set = set()
+    for nm in _ltree_values(names):
+        if nm is not None:
+            if nm in seen:
+                raise CheckError(f"duplicate variable {nm!r}", span)
+            seen.add(nm)
+    return TreeCtx(_raw_shape(raw), names)
 
 
 def _sub_to_label(args: R.RSubArgs, shape: Tree) -> R.RLabelArgs:

@@ -75,7 +75,7 @@ def pruning_chain() -> tuple:
 
 def two_peak_term() -> tuple:
     """A binary composite whose both cells are identities on the same
-    point, admitting two distinct pruning steps."""
+    point, admitting two pruning steps with the same reduct."""
     ctx = FlatCtx((STAR,))
     x = Var(0)
     ident = F.canonical_identity(STAR, x)

@@ -40,7 +40,7 @@ def _named(sub: Tree, prefix: tuple) -> str:
 
 def ctx_text(t: Tree) -> str:
     """The tree context with every cell named after its path."""
-    return "[ " + _named(t, ()) + " ]"
+    return _named(t, ())
 
 
 def random_composite(rng: random.Random, t: Tree, depth: int = 3) -> str:

@@ -142,6 +142,15 @@ def test_parse_error_gives_exit_code_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ty", ["S(*)", "(x -> y)(x)"], ids=["susp", "app"])
+def test_types_are_not_suspended_or_applied(tmp_path, capsys, ty):
+    f = tmp_path / "a.catt"
+    f.write_text(f"def x (a : {ty}) = a\n")
+    assert X.main([str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_deep_nesting_gives_one_error_line(tmp_path):
     f = tmp_path / "deep.catt"
     deep = "comp[" * 1000 + "f" + ", g]" * 1000

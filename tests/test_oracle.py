@@ -12,11 +12,14 @@ from flat_cases import (
     two_peak_term,
 )
 
+from cattkernel import core as C
 from cattkernel import flat as F
 from cattkernel import oracle as O
+from cattkernel import surface as R
 from cattkernel import trees as T
 from cattkernel.flat import Arrow, Coh, FlatSub, STAR, Var
 from cattkernel.oracle import RuleSet
+from cattkernel.typecheck import Checker, Signature
 
 SU = RuleSet.SU_PRIME
 SUA = RuleSet.SUA_PRIME
@@ -225,6 +228,19 @@ def test_two_pruning_peaks_join():
 def test_chain_term_is_locally_confluent():
     _, term, _ = pruning_chain()
     assert O.local_confluence_sample(term, SU, depth=4) == []
+
+
+def test_distinct_reducts_join():
+    # the unit and the unary composite reduce in two different ways (prune
+    # or insert, and disc removal), so a join has to be searched for
+    ck = Checker(Signature())
+    ctx = ck.elab_ctx(R.parse_ctx("x{f}y"))
+    term, _ = ck.check(ctx, R.parse_term("comp[comp<{f}>, id(y)]"))
+    t = C.flatten_tm(term, ctx.tree)
+    for rules in (SU, SUA):
+        reducts = [st.term for st in O.step(t, rules)]
+        assert len(reducts) == len(set(reducts)) == 2
+        assert O.local_confluence_sample(t, rules, depth=2) == []
 
 
 def test_normal_forms_trivially_pass():

@@ -9,6 +9,7 @@ from cattkernel import cli as X
 from cattkernel import core as C
 from cattkernel import flat as F
 from cattkernel import nbe as N
+from cattkernel import oracle as O
 from cattkernel import surface as R
 from cattkernel import trees as T
 from cattkernel.core import path_name
@@ -89,9 +90,10 @@ def test_def_with_wrong_stated_type():
 
 
 def test_duplicate_context_names_rejected():
-    st = session()
-    with pytest.raises(CheckError):
-        run(st, "def dup [ x{f}x ] = f")
+    # a definition's context and a coherence's tree context alike
+    for text in ("def dup [ x{f}x ] = f", "def dup = coh [ x{f}x : f -> f ]"):
+        with pytest.raises(CheckError, match="duplicate variable 'x'"):
+            run(session(), text)
 
 
 def test_unknown_variable_rejected():
@@ -408,11 +410,12 @@ def test_elaborated_value_is_the_normal_form():
         ck = Checker(Signature(config=config))
         for tree, tree_text, term_text in cases:
             raw = R.parse_term(term_text)
-            # the context text parses to the suspension of the tree, so
-            # the term is applied one dimension up there
+            assert ck.elab_ctx(R.parse_ctx(tree_text)).tree == tree
+            # in square brackets the context is the suspension of the tree,
+            # so the term is applied one dimension up there
             ctxs = (
                 make_ctx(tree),
-                ck.elab_ctx(R.parse_ctx(tree_text)),
+                ck.elab_ctx(R.parse_ctx(f"[ {tree_text} ]")),
                 ck.elab_ctx(R.parse_ctx(list_ctx_text(tree))),
             )
             for ctx in ctxs:
@@ -484,3 +487,55 @@ def test_nested_composite_evaluates_each_argument_once(config, monkeypatch):
 
     count(64)  # fill the caches of standard types first
     assert count(64) / count(32) <= 2.5
+
+
+# ---------------------------------------------------------------------------
+# kernel paths that the random terms do not reach, checked against the oracle
+
+KERNEL_PATH_DEFS = (
+    "def c = coh [ x{f}y{g}z : x -> z ]\n"
+    "def u = coh [ x{f}y : f -> f ]\n"
+    "def vert (x : *), (y : *), (f : x -> y), (g : x -> y), (a : f -> g),"
+    " (h : x -> y), (b : g -> h) = comp[[a, b]]\n"
+)
+
+KERNEL_PATH_CASES = [
+    # explicit suspension: infer's suspension branch, suspended types
+    ("S(c)<x{a{m}b{n}d}y>", "a -> d", "x{a{m}b{n}d}y"),
+    ("S(u)(m)", "m -> m", "x{a{m}b}y"),
+    # a bare name in check position: check_by_infer, ctx_compatible
+    ("c", "x -> z", "x{f}y{g}z"),
+    # a list-context definition applied to a substitution: eval_tm's
+    # substitution branch
+    (
+        "vert(x, y, f, f, id(f), g, a)",
+        "f -> g",
+        "(x : *), (y : *), (f : x -> y), (g : x -> y), (a : f -> g)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, rules",
+    [(SU, O.RuleSet.SU_PRIME), (SUA, O.RuleSet.SUA_PRIME)],
+    ids=["su", "sua"],
+)
+def test_kernel_paths_agree_with_the_oracle(config, rules):
+    st = session(config=config)
+    run(st, KERNEL_PATH_DEFS)
+    ck = Checker(st.sig)
+    for term_text, ty_text, ctx_text in KERNEL_PATH_CASES:
+        ctx = ck.elab_ctx(R.parse_ctx(ctx_text))
+        term, ty, value = ck.elab(ctx, R.parse_term(term_text))
+        assert ty == ck.check_ty(ctx, R.parse_type(ty_text))[1], term_text
+        assert value == ck.nf(ctx, term)
+        amb = ctx.tree if isinstance(ctx, TreeCtx) else len(ctx)
+        nf, _ = O.normalise(C.flatten_tm(term, amb), rules)
+        assert N.flatten_nf(value, amb) == nf, term_text
+
+
+def test_name_over_a_different_context_rejected():
+    st = session()
+    run(st, KERNEL_PATH_DEFS)
+    with pytest.raises(CheckError, match="the term lives over a different context"):
+        run(st, "normalise c in x{f}y")
