@@ -92,13 +92,9 @@ def _oracle_trace(state: SessionState, ctx, term) -> list[str]:
     name = ORACLE_RULES[state.sig.config]
     if name is None:
         return lines
-    rules = O.RuleSet(name)
-    while True:
-        steps = O.step(t, rules)
-        if not steps:
-            return lines
-        t = steps[0].term
-        lines.append(f"oracle: {F.show_tm(t)}  [{steps[0].rule}]")
+    for st in O.first_steps(t, O.RuleSet(name)):
+        lines.append(f"oracle: {F.show_tm(st.term)}  [{st.rule}]")
+    return lines
 
 
 def resolve_import(path: str, base_dir: Optional[Path]) -> Path:

@@ -5,6 +5,12 @@ cross-validate the evaluator: it enumerates single-step reducts, measures
 syntactic complexity, and normalises by repeatedly picking a reduct
 (deterministically or at random; confluence makes the result agree).
 
+`reducts` finds the reducts lazily.  Deterministic normalisation
+(`first_steps`, `normalise` with no generator) builds only the first
+reduct at each step; at a normal form the search runs to its end, so a
+normal form is still certified by finding no reduct under any rule at any
+position.  `step` and random normalisation enumerate every reduct.
+
 Head rules:
   dr      a unary composite reduces to its argument
   ecr     an endo-coherence that is not an identity reduces to a canonical
@@ -60,16 +66,20 @@ class Step:
 
 def step(t: FlatTerm, rules: RuleSet) -> list[Step]:
     """Every single-step reduct of t, with the rule that fired."""
+    return list(reducts(t, rules))
+
+
+def reducts(t: FlatTerm, rules: RuleSet) -> Iterator[Step]:
+    """The reducts of t in the order `step` lists them, each built only
+    when it is asked for."""
     if isinstance(t, Var):
-        return []
+        return
     assert isinstance(t, Coh)
-    out: list[Step] = []
-    out.extend(_head_steps(t, rules))
+    yield from _head_steps(t, rules)
     for a, _, w in _ty_steps(t.ty, rules):
-        out.append(Step(Coh(t.ctx, a, t.sub), "cell", ("cell",) + w))
+        yield Step(Coh(t.ctx, a, t.sub), "cell", ("cell",) + w)
     for s, rule, w in _sub_steps(t.sub, rules):
-        out.append(Step(Coh(t.ctx, t.ty, s), rule, ("arg",) + w))
-    return out
+        yield Step(Coh(t.ctx, t.ty, s), rule, ("arg",) + w)
 
 
 def _head_steps(t: Coh, rules: RuleSet) -> Iterator[Step]:
@@ -150,29 +160,25 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
         yield Step(reduct, "insert", ("head",) + tuple(p))
 
 
-def _ty_steps(a: FlatType, rules: RuleSet) -> list[tuple]:
+def _ty_steps(a: FlatType, rules: RuleSet) -> Iterator[tuple]:
     if isinstance(a, Star):
-        return []
+        return
     assert isinstance(a, Arrow)
-    out = []
-    for st in step(a.src, rules):
-        out.append((Arrow(st.term, a.base, a.tgt), st.rule, ("src",) + st.where))
-    for st in step(a.tgt, rules):
-        out.append((Arrow(a.src, a.base, st.term), st.rule, ("tgt",) + st.where))
+    for st in reducts(a.src, rules):
+        yield Arrow(st.term, a.base, a.tgt), st.rule, ("src",) + st.where
+    for st in reducts(a.tgt, rules):
+        yield Arrow(a.src, a.base, st.term), st.rule, ("tgt",) + st.where
     for b, rule, w in _ty_steps(a.base, rules):
-        out.append((Arrow(a.src, b, a.tgt), rule, ("base",) + w))
-    return out
+        yield Arrow(a.src, b, a.tgt), rule, ("base",) + w
 
 
-def _sub_steps(s: FlatSub, rules: RuleSet) -> list[tuple]:
-    out = []
+def _sub_steps(s: FlatSub, rules: RuleSet) -> Iterator[tuple]:
     for i, t in enumerate(s.terms):
-        for st in step(t, rules):
+        for st in reducts(t, rules):
             terms = s.terms[:i] + (st.term,) + s.terms[i + 1 :]
-            out.append((FlatSub(s.ty, terms), st.rule, (i,) + st.where))
+            yield FlatSub(s.ty, terms), st.rule, (i,) + st.where
     for a, _, w in _ty_steps(s.ty, rules):
-        out.append((FlatSub(a, s.terms), "cell", ("ty",) + w))
-    return out
+        yield FlatSub(a, s.terms), "cell", ("ty",) + w
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +234,22 @@ class NonTermination(Exception):
 STEP_CAP = 10_000
 
 
+def first_steps(t: FlatTerm, rules: RuleSet) -> Iterator[Step]:
+    """The reduction sequence that always takes the first reduct.  It ends
+    at a normal form, once looking for a first reduct has tried every rule
+    at every position and found none."""
+    while (st := next(reducts(t, rules), None)) is not None:
+        yield st
+        t = st.term
+
+
+def _random_steps(t: FlatTerm, rules: RuleSet, rng: random.Random) -> Iterator[Step]:
+    while candidates := step(t, rules):
+        st = rng.choice(candidates)
+        yield st
+        t = st.term
+
+
 def normalise(
     t: FlatTerm, rules: RuleSet, rng: Optional[random.Random] = None
 ) -> tuple[FlatTerm, list[str]]:
@@ -236,14 +258,14 @@ def normalise(
     With no generator the first reduct is always taken; with one, a
     uniformly random reduct.  Confluence makes the result the same.
     """
+    steps = first_steps(t, rules) if rng is None else _random_steps(t, rules, rng)
     trace: list[str] = []
     for _ in range(STEP_CAP):
-        reducts = step(t, rules)
-        if not reducts:
+        st = next(steps, None)
+        if st is None:
             return t, trace
-        chosen = reducts[0] if rng is None else rng.choice(reducts)
-        trace.append(chosen.rule)
-        t = chosen.term
+        trace.append(st.rule)
+        t = st.term
     raise NonTermination(f"no normal form within {STEP_CAP} steps")
 
 

@@ -390,15 +390,18 @@ class _Parser:
         raise ParseError("expected arguments", self.span_of(t))
 
     def type_part(self) -> Optional[RawType]:
-        """An optional leading `type |` of an argument list."""
+        """An optional leading `type |` of an argument list.  A type atom
+        before the bar is tried last: `type_` reads `* |` as the start of
+        an annotated arrow type."""
         save = self.pos
-        try:
-            ty = self.type_()
-            self.expect("bar")
-            return ty
-        except ParseError:
-            self.pos = save
-            return None
+        for parse in (self.type_, self.type_atom):
+            try:
+                ty = parse()
+                self.expect("bar")
+                return ty
+            except ParseError:
+                self.pos = save
+        return None
 
     # -- trees --------------------------------------------------------------
 

@@ -26,8 +26,8 @@ class Tree:
 
     def __post_init__(self):
         # Computed once from the children's stored values.  They are plain
-        # attributes, not fields, so equality, hashing and repr still see
-        # the branches alone.
+        # attributes, not fields, so equality and repr still see the
+        # branches alone, and the hash is the hash of the branches.
         bs = self.branches
         height = max((b._height + 1 for b in bs), default=0)
         trunk = 1 + bs[0]._trunk_height if len(bs) == 1 else 0
@@ -35,6 +35,10 @@ class Tree:
         object.__setattr__(self, "_height", height)
         object.__setattr__(self, "_trunk_height", trunk)
         object.__setattr__(self, "_ctx_size", size)
+        object.__setattr__(self, "_hash", hash(bs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def height(self) -> int:
@@ -173,12 +177,20 @@ def zero_cell_pos(t: Tree, k: int) -> int:
 
 
 def path_pos(t: Tree, p: Path) -> int:
-    if not is_path(t, p):
+    """The position of path p in the realised context, found in one walk
+    down p."""
+    if not p:
         raise F.MalformedSyntax("not a path of the tree")
-    if len(p) == 1:
-        return zero_cell_pos(t, p[0])
-    k = p[0]
-    return _offsets(t)[k] + path_pos(t.branches[k], p[1:]) + 1
+    pos = 0
+    for k in p[:-1]:
+        if not 0 <= k < len(t.branches):
+            raise F.MalformedSyntax("not a path of the tree")
+        # component k's child starts after the component's two 0-cells
+        pos += zero_cell_pos(t, k + 1) + 1
+        t = t.branches[k]
+    if not 0 <= p[-1] <= len(t.branches):
+        raise F.MalformedSyntax("not a path of the tree")
+    return pos + zero_cell_pos(t, p[-1])
 
 
 def path_var(t: Tree, p: Path) -> FlatTerm:
@@ -215,7 +227,9 @@ def from_wedge(sigma: FlatSub, tau: FlatSub) -> FlatSub:
     return FlatSub(sigma.ty, sigma.terms + tau.terms[1:])
 
 
-@lru_cache(maxsize=None)
+# Bounded like standard_type below: the validation route keeps meeting new
+# trees, made by insertion, and each realisation is as large as its tree.
+@lru_cache(maxsize=128)
 def tree_to_ctx(t: Tree) -> FlatCtx:
     if not t.branches:
         return FlatCtx((STAR,))
@@ -427,6 +441,9 @@ def tree_boundary_set(t: Tree, n: int, eps: str) -> VarSet:
 # standard constructions
 
 
+# Bounded: the oracle asks for the same few (tree, n) at every step, and an
+# unbounded cache would keep every tree a long run meets.
+@lru_cache(maxsize=64)
 def standard_type(t: Tree, n: int) -> FlatType:
     if n == 0:
         return STAR

@@ -151,6 +151,18 @@ def test_types_are_not_suspended_or_applied(tmp_path, capsys, ty):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "term, out",
+    [("comp<* | {f}>", "normal form: f\n"), ("id(* | x)", "normal form: id<x>\n")],
+    ids=["label", "sub"],
+)
+def test_base_type_part_normalises(tmp_path, capsys, term, out):
+    f = tmp_path / "a.catt"
+    f.write_text(f"normalise {term} in x{{f}}y\n")
+    assert X.main(["--su", str(f)]) == 0
+    assert capsys.readouterr().out.startswith(out)
+
+
 def test_deep_nesting_gives_one_error_line(tmp_path):
     f = tmp_path / "deep.catt"
     deep = "comp[" * 1000 + "f" + ", g]" * 1000

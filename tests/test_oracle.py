@@ -4,17 +4,21 @@ import random
 
 import pytest
 
+import gen_typed
 from flat_cases import (
     CHAIN2,
     assoc_pair,
     binary_comp,
+    make_ctx,
     pruning_chain,
     two_peak_term,
 )
 
 from cattkernel import core as C
 from cattkernel import flat as F
+from cattkernel import nbe as N
 from cattkernel import oracle as O
+from cattkernel import pasting as P
 from cattkernel import surface as R
 from cattkernel import trees as T
 from cattkernel.flat import Arrow, Coh, FlatSub, STAR, Var
@@ -178,6 +182,93 @@ def test_step_cap_guards_against_divergence(monkeypatch):
     _, term, _ = pruning_chain()
     with pytest.raises(O.NonTermination):
         O.normalise(term, SU)
+
+
+# ---------------------------------------------------------------------------
+# the first reduct, found lazily
+
+
+def full_list_normalise(t, rules):
+    """Normalisation that builds every reduct and keeps the first, checking
+    at each term that the lazy search finds the same first reduct."""
+    trace = []
+    while steps := O.step(t, rules):
+        assert next(O.reducts(t, rules)) == steps[0]
+        trace.append(steps[0].rule)
+        t = steps[0].term
+    return t, trace
+
+
+def lazy_cases(config):
+    _, left, right, _ = assoc_pair()
+    yield pruning_chain()[1]
+    yield two_peak_term()[1]
+    yield left
+    yield right
+    rng = random.Random(17)
+    ck = Checker(Signature(config=config))
+    for _ in range(40):
+        tree, _, term_text = gen_typed.random_case(rng)
+        term, _ = ck.check(make_ctx(tree), R.parse_term(term_text))
+        yield C.flatten_tm(term, tree)
+
+
+@pytest.mark.parametrize("rules, config", [(SU, N.SU), (SUA, N.SUA)], ids=["su", "sua"])
+def test_lazy_first_reduct_gives_the_same_reduction(rules, config):
+    for t in lazy_cases(config):
+        nf, trace = full_list_normalise(t, rules)
+        assert O.normalise(t, rules) == (nf, trace)
+        assert [st.rule for st in O.first_steps(t, rules)] == trace
+        assert O.step(nf, rules) == []
+
+
+def test_first_reduct_ends_the_search(monkeypatch):
+    # the lazy search stops at the first reduct; the full list goes on to
+    # search the remaining positions
+    searched = []
+    head_steps = O._head_steps
+
+    def counted(t, rules):
+        searched.append(t)
+        return head_steps(t, rules)
+
+    monkeypatch.setattr(O, "_head_steps", counted)
+    v = lambda p: T.path_var(CHAIN2, p)
+    f_ty, g_ty = Arrow(v((0,)), STAR, v((1,))), Arrow(v((1,)), STAR, v((2,)))
+    inner = unary_comp(v((0, 0)), f_ty)
+    first = unary_comp(inner, f_ty)
+    # comp[comp<comp<f>>, comp<g>] has no head step under SU; its first
+    # reduct removes the outer disc of its first argument
+    nested = binary_comp(v((0,)), first, v((1,)), unary_comp(v((1, 0)), g_ty), v((2,)))
+    # (f*g)*h inserts its argument f*g at the head under SUA
+    _, left, _, _ = assoc_pair()
+    for t, rules, rule, lazy in [(nested, SU, "dr", [nested, first]), (left, SUA, "insert", [left])]:
+        searched.clear()
+        assert next(O.reducts(t, rules)).rule == rule
+        assert searched == lazy
+        searched.clear()
+        O.step(t, rules)
+        assert len(searched) > len(lazy)
+
+
+@pytest.mark.parametrize("rules", [SU, SUA], ids=["su", "sua"])
+def test_lazy_normalise_reads_fewer_contexts(rules, monkeypatch):
+    calls = 0
+    ctx_to_dyck = P.ctx_to_dyck
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return ctx_to_dyck(g)
+
+    monkeypatch.setattr(P, "ctx_to_dyck", counted)
+    _, term, _ = pruning_chain()
+    O.normalise(term, rules)
+    lazy, calls = calls, 0
+    t = term
+    while steps := O.step(t, rules):
+        t = steps[0].term
+    assert 0 < lazy < calls
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,11 @@ def test_labelling_args_with_type_part():
     assert t.args.ty == RArrow(RVar("f"), None, RVar("g"))
 
 
+@pytest.mark.parametrize("text", ["comp<* | {f}>", "comp(* | f)"], ids=["label", "sub"])
+def test_base_type_part(text):
+    assert strip_spans(parse_term(text)).args.ty == RStar()
+
+
 # ---------------------------------------------------------------------------
 # types
 

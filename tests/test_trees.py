@@ -191,9 +191,51 @@ def test_maximal_paths_are_locally_maximal():
         assert {T.path_pos(t, p) for p in T.maximal_paths(t)} == loc_max
 
 
+def recursive_path_pos(t: Tree, p) -> int:
+    if len(p) == 1:
+        return T.zero_cell_pos(t, p[0])
+    k = p[0]
+    return T._offsets(t)[k] + recursive_path_pos(t.branches[k], p[1:]) + 1
+
+
+def test_path_pos_matches_recursive_definition():
+    for t in all_trees(6):
+        for p in T.all_paths(t):
+            assert T.path_pos(t, p) == recursive_path_pos(t, p)
+
+
+def non_paths(t: Tree):
+    yield ()
+    yield (len(t.branches) + 1,)
+    yield (-1,)
+    for p in T.maximal_paths(t):
+        yield p + (0,)  # past a leaf
+        yield p[:-1] + (1,)
+    for k in range(len(t.branches)):
+        yield (k, len(t.branches[k].branches) + 1)
+        yield (-1 - k, 0)
+
+
 def test_invalid_path_rejected():
     with pytest.raises(F.MalformedSyntax):
         T.path_var(LEAF, (1, 0))
+    for t in all_trees(6):
+        for p in non_paths(t):
+            with pytest.raises(F.MalformedSyntax, match="not a path of the tree"):
+                T.path_pos(t, p)
+
+
+def test_equal_trees_share_one_cache_entry():
+    a = EXAMPLE_TREE
+    b = T.dyck_to_tree(T.tree_to_dyck(a))
+    assert a == b and a is not b and hash(a) == hash(b)
+    T.standard_type.cache_clear()
+    T.standard_type(a, 2)
+    before = T.standard_type.cache_info()
+    T.standard_type(b, 2)
+    after = T.standard_type.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
+    assert {a: 1}[b] == 1
 
 
 # ---------------------------------------------------------------------------
