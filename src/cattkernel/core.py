@@ -2,9 +2,9 @@
 consumed by evaluation.
 
 Terms over a list context use positions counted from the start; terms over
-a tree context use paths.  Standard types, composites and coherences, disc
-labellings, and the exterior labelling of an insertion are all built here
-in core syntax.
+a tree context use paths.  Standard types, composites and coherences are
+built here in core syntax; disc labellings and the exterior labelling of an
+insertion are built as values, in ``nbe``.
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ class CComp:
 
 
 @dataclass(frozen=True)
-class CInc:
-    low: int
-    high: int
-    term: "CoreTerm"
-
-
-@dataclass(frozen=True)
 class CSub:
     term: "CoreTerm"
     sub: "CoreSub"
@@ -74,7 +67,7 @@ class CSusp:
     term: "CoreTerm"
 
 
-CoreTerm = Union[CVar, CPath, CTop, CCoh, CId, CComp, CInc, CSub, CLabel, CSusp]
+CoreTerm = Union[CVar, CPath, CTop, CCoh, CId, CComp, CSub, CLabel, CSusp]
 
 
 @dataclass(frozen=True)
@@ -89,18 +82,7 @@ class CArrow:
     tgt: CoreTerm
 
 
-@dataclass(frozen=True)
-class CTyLabel:
-    ty: "CoreType"
-    label: "CoreLabel"
-
-
-@dataclass(frozen=True)
-class CTySusp:
-    ty: "CoreType"
-
-
-CoreType = Union[CStar, CArrow, CTyLabel, CTySusp]
+CoreType = Union[CStar, CArrow]
 
 CSTAR = CStar()
 
@@ -168,65 +150,6 @@ def std_term(t: Tree, n: int) -> CoreTerm:
 
 
 # ---------------------------------------------------------------------------
-# disc labellings
-
-
-def label_from_disc(a: CoreType, t: CoreTerm) -> CoreLabel:
-    """The labelling from the disc tree classifying a term and its type."""
-
-    def ext(lab: LTree, s: CoreTerm, u: CoreTerm) -> LTree:
-        if not lab.branches:
-            return LTree((lab.elements[0], s), (LTree((u,), ()),))
-        return LTree(lab.elements, (ext(lab.branches[0], s, u),))
-
-    if isinstance(a, CStar):
-        return CoreLabel(LTree((t,), ()), CSTAR)
-    if not isinstance(a, CArrow):
-        raise F.MalformedSyntax("disc labelling needs a syntactic arrow type")
-    inner = label_from_disc(a.base, a.src)
-    return CoreLabel(ext(inner.lt, a.tgt, t), CSTAR)
-
-
-# ---------------------------------------------------------------------------
-# insertion labellings
-
-
-def exterior_clabel(s: Tree, p: T.Branch, t: Tree) -> CoreLabel:
-    T._require_point(s, p, t)
-    k = p[0]
-    nt = len(t.branches)
-
-    def identity_branch(j: int, rj: int) -> LTree:
-        return LTree.from_fn(s.branches[j], lambda q: CPath((rj,) + q))
-
-    if len(p) == 1:
-        m = s.branches[k].height + 1
-        disc = label_from_disc(std_type(t, m), std_coh(t, m))
-        mid = disc.lt.map(lambda e: CInc(k, k + nt, e)).branches[0]
-        elements = tuple(
-            CPath((j,) if j <= k else (j + nt - 1,))
-            for j in range(len(s.branches) + 1)
-        )
-        branches = (
-            tuple(identity_branch(j, j) for j in range(k))
-            + (mid,)
-            + tuple(
-                identity_branch(j, j + nt - 1) for j in range(k + 1, len(s.branches))
-            )
-        )
-        return CoreLabel(LTree(elements, branches), CSTAR)
-    inner = exterior_clabel(s.branches[k], p[1:], t.branches[0])
-    mid = inner.lt.map(lambda e: CInc(k, k + 1, CSusp(e)))
-    elements = tuple(CPath((j,)) for j in range(len(s.branches) + 1))
-    branches = (
-        tuple(identity_branch(j, j) for j in range(k))
-        + (mid,)
-        + tuple(identity_branch(j, j) for j in range(k + 1, len(s.branches)))
-    )
-    return CoreLabel(LTree(elements, branches), CSTAR)
-
-
-# ---------------------------------------------------------------------------
 # flattening
 
 Ambient = Union[Tree, int]
@@ -250,12 +173,6 @@ def flatten_tm(x: CoreTerm, amb: Ambient) -> FlatTerm:
         return T.standard_coh(T.linear_tree(x.n), x.n + 1)
     if isinstance(x, CComp):
         return T.standard_coh(x.tree, x.tree.height)
-    if isinstance(x, CInc):
-        if not isinstance(amb, Tree):
-            raise F.MalformedSyntax("inclusion needs a tree context")
-        span = Tree(amb.branches[x.low : x.high])
-        inner = flatten_tm(x.term, span)
-        return F.substitute(inner, T._inclusion_sub(amb, x.low, x.high - x.low))
     if isinstance(x, CSub):
         inner = flatten_tm(x.term, len(x.sub.terms))
         return F.substitute(inner, flatten_sub(x.sub, amb))

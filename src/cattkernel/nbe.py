@@ -6,6 +6,11 @@ of definitional equality live here: disc removal, endo-coherence removal,
 and insertion (pruning is insertion of discs along identity arguments).
 Implicit suspension is resolved during evaluation via the type part of
 environments.
+
+Normal forms are also evaluated in place (``eval_nf``): substituting into a
+result type, suspending a term or a type (an environment whose type part is
+the arrow between the two poles), and transporting a coherence's type
+along an insertion's exterior labelling, which is built here as values.
 """
 
 from __future__ import annotations
@@ -131,15 +136,6 @@ def lower(env: Env) -> LTree:
     return lt
 
 
-def restrict(env: Env, low: int, high: int) -> Env:
-    if not isinstance(env.data, LTree):
-        raise F.MalformedSyntax("only tree environments can be restricted")
-    lt = env.data
-    return Env(
-        LTree(lt.elements[low : high + 1], lt.branches[low:high]), env.ty
-    )
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -152,14 +148,12 @@ def eval_tm(cfg: EvalConfig, x: CoreTerm, env: Env) -> NfTerm:
     if isinstance(x, C.CTop):
         return eval_tm(cfg, x.body, env)
     if isinstance(x, C.CCoh):
-        return _eval_head(cfg, x.tree, x.ty, env)
+        return _eval_head(cfg, x.tree, eval_ty(cfg, x.ty, id_env(x.tree)), env)
     if isinstance(x, C.CComp):
         return _eval_head(cfg, x.tree, None, env)
     if isinstance(x, C.CId):
         d = len(env.ty)
         return NApp(NId(x.n + d), lower(env))
-    if isinstance(x, C.CInc):
-        return eval_tm(cfg, x.term, restrict(env, x.low, x.high))
     if isinstance(x, C.CSub):
         return eval_tm(cfg, x.term, eval_args(cfg, x.sub, env))
     if isinstance(x, C.CLabel):
@@ -176,10 +170,6 @@ def eval_ty(cfg: EvalConfig, a: CoreType, env: Env) -> NfType:
         return ((eval_tm(cfg, a.src, env), eval_tm(cfg, a.tgt, env)),) + eval_ty(
             cfg, a.base, env
         )
-    if isinstance(a, C.CTyLabel):
-        return eval_ty(cfg, a.ty, eval_args(cfg, a.label, env))
-    if isinstance(a, C.CTySusp):
-        return eval_ty(cfg, a.ty, lift(env))
     raise TypeError(f"cannot evaluate {a!r}")
 
 
@@ -191,6 +181,29 @@ def eval_args(cfg: EvalConfig, args: Union[C.CoreSub, C.CoreLabel], env: Env) ->
     else:
         data = args.lt.map(lambda e: eval_tm(cfg, e, env))
     return Env(data, eval_ty(cfg, args.ty, env))
+
+
+def eval_nf(cfg: EvalConfig, x: NfTerm, env: Env) -> NfTerm:
+    """Evaluate a normal form in an environment: the same as evaluating
+    its quotation, without building core syntax."""
+    if isinstance(x, NVar):
+        return env.lookup(x.pos)
+    args = Env(x.label.map(lambda e: eval_nf(cfg, e, env)), env.ty)
+    head = x.head
+    if isinstance(head, NId):
+        return NApp(NId(head.n + len(env.ty)), lower(args))
+    ty = head.ty if isinstance(head, NCoh) else None
+    return _eval_head(cfg, head.tree, ty, args)
+
+
+def eval_nf_ty(cfg: EvalConfig, b: NfType, env: Env) -> NfType:
+    pairs = tuple((eval_nf(cfg, s, env), eval_nf(cfg, t, env)) for s, t in b)
+    return pairs + env.ty
+
+
+def disc_label(b: NfType, x: NfTerm) -> LTree:
+    """The labelling of the disc tree that classifies a term x of type b."""
+    return lower(Env(LTree((x,), ()), b))
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +247,56 @@ def _find_redex(cfg: EvalConfig, s: Tree, lt: LTree):
     return None
 
 
+def exterior(cfg: EvalConfig, s: Tree, p: T.Branch, t: Tree) -> LTree:
+    """The exterior labelling of inserting t into s along the branch p, as
+    values over the tree the insertion makes."""
+    k = p[0]
+    if len(p) == 1:
+        nt = len(t.branches)
+        # the inserted branch: the standard coherence of t, included as
+        # components k .. k+nt-1
+        b = standard_nf_type(cfg, t, s.branches[k].height + 1)
+        inc = Env(LTree.from_fn(t, lambda q: NVar((q[0] + k,) + q[1:])))
+        coh = _eval_head(cfg, t, b, inc)
+        mid = disc_label(eval_nf_ty(cfg, b, inc), coh).branches[0]
+    else:
+        nt = 1
+        # the inner exterior labelling, suspended into component k
+        r = T.insert_tree(s.branches[k], p[1:], t.branches[0])
+        up = Env(
+            LTree.from_fn(r, lambda q: NVar((k,) + q)),
+            ((NVar((k,)), NVar((k + 1,))),),
+        )
+        inner = exterior(cfg, s.branches[k], p[1:], t.branches[0])
+        mid = inner.map(lambda e: eval_nf(cfg, e, up))
+
+    def shifted(j: int):
+        return j if j <= k else j + nt - 1
+
+    elements = tuple(NVar((shifted(j),)) for j in range(len(s.branches) + 1))
+    branches = tuple(
+        mid if j == k else LTree.from_fn(sub, lambda q, j=j: NVar((shifted(j),) + q))
+        for j, sub in enumerate(s.branches)
+    )
+    return LTree(elements, branches)
+
+
 def _eval_head(
-    cfg: EvalConfig, tree: Tree, coh_ty: Optional[CoreType], env: Env
+    cfg: EvalConfig, tree: Tree, coh_ty: Optional[NfType], env: Env
 ) -> NfTerm:
+    """Evaluate a composite (coh_ty None) or a coherence, whose type is a
+    normal type over its own tree, in an environment."""
     d = len(env.ty)
     lt = lower(env)
     s = tree
-    a = coh_ty
     for _ in range(d):
         s = T.suspend_tree(s)
-        if a is not None:
-            a = C.CTySusp(a)
+    b = coh_ty
+    if b is not None and d:
+        up = id_env(s)
+        for _ in range(d):
+            up = lift(up)
+        b = eval_nf_ty(cfg, b, up)
     comp_dim = s.height
     if cfg.insertion != "none":
         while True:
@@ -252,24 +304,21 @@ def _eval_head(
             if redex is None:
                 break
             p, t, m = redex
-            if a is not None:
-                a = C.CTyLabel(a, C.exterior_clabel(s, p, t))
+            if b is not None:
+                b = eval_nf_ty(cfg, b, Env(exterior(cfg, s, p, t)))
             lt = T.insert_ltree(lt, p, m)
             s = T.insert_tree(s, p, t)
-    if a is None:
+    if b is None:
         b = standard_nf_type(cfg, s, comp_dim)
-    else:
-        b = eval_ty(cfg, a, id_env(s))
     return _classify(cfg, s, b, lt)
 
 
 def _classify(cfg: EvalConfig, s: Tree, b: NfType, lt: LTree) -> NfTerm:
     if cfg.ecr and b and b[0][0] == b[0][1]:
         rest = b[1:]
-        disc = C.label_from_disc(quote_ty(rest), quote_tm(b[0][0]))
-        env = Env(lt, ())
-        nf_label = disc.lt.map(lambda e: eval_tm(cfg, e, env))
-        return NApp(NId(len(rest)), nf_label)
+        env = Env(lt)
+        label = disc_label(rest, b[0][0]).map(lambda e: eval_nf(cfg, e, env))
+        return NApp(NId(len(rest)), label)
     linear = s == T.linear_tree(s.height)
     if (
         not cfg.ecr

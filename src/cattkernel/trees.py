@@ -72,7 +72,7 @@ def linear_tree(n: int) -> Tree:
 
 def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
     for k in p:
-        if k >= len(t.branches):
+        if not 0 <= k < len(t.branches):
             raise F.MalformedSyntax("path leaves the tree")
         t = t.branches[k]
     return t

@@ -100,23 +100,6 @@ class Signature:
     entries: dict = field(default_factory=dict)
 
 
-def _suspend_nf_tm(x):
-    if isinstance(x, N.NVar):
-        if isinstance(x.pos, tuple):
-            return N.NVar((0,) + x.pos)
-        return N.NVar(x.pos + 2)
-    return N.NApp(x.head, x.label.map(_suspend_nf_tm))
-
-
-def _suspend_nf_ty(b: NfType, tree_ctx: bool) -> NfType:
-    shifted = tuple((_suspend_nf_tm(s), _suspend_nf_tm(t)) for s, t in b)
-    if tree_ctx:
-        bottom = ((N.NVar((0,)), N.NVar((1,))),)
-    else:
-        bottom = ((N.NVar(0), N.NVar(1)),)
-    return shifted + bottom
-
-
 class Checker:
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -165,17 +148,23 @@ class Checker:
             ty = ((N.NVar((0,)), N.NVar((0,))),)
             return ctx, C.CId(0), ty
         if isinstance(raw, R.RSusp):
+            # the suspension environment sends each variable to its
+            # suspension, and the base type to the arrow between the poles
             ctx, t, ty = self.infer(raw.term)
             if isinstance(ctx, TreeCtx):
                 up: Ctx = TreeCtx(
                     T.suspend_tree(ctx.tree), LTree((None, None), (ctx.names,))
                 )
-                return up, C.CSusp(t), _suspend_nf_ty(ty, True)
-            up = ListCtx(
-                ("_north", "_south") + ctx.names,
-                (C.CSTAR, C.CSTAR) + tuple(C.CTySusp(a) for a in ctx.types),
-            )
-            return up, C.CSusp(t), _suspend_nf_ty(ty, False)
+                env = N.lift(ctx_id_env(up))
+            else:
+                env = N.lift(N.id_list_env(len(ctx) + 2))
+                types = tuple(
+                    N.quote_ty(N.eval_ty(self.config, a, env)) for a in ctx.types
+                )
+                up = ListCtx(
+                    ("_north", "_south") + ctx.names, (C.CSTAR, C.CSTAR) + types
+                )
+            return up, C.CSusp(t), N.eval_nf_ty(self.config, ty, env)
         if isinstance(raw, R.RComp):
             raise CheckError("cannot infer the shape of a bare composite", raw.span)
         if isinstance(raw, R.RHole):
@@ -296,7 +285,7 @@ class Checker:
         self, t, inner_ty, lab: C.CoreLabel, vals: LTree, lab_ty: NfType
     ):
         env = Env(vals, lab_ty)
-        out_ty = N.eval_ty(self.config, N.quote_ty(inner_ty), env)
+        out_ty = N.eval_nf_ty(self.config, inner_ty, env)
         return C.CLabel(t, lab), out_ty, N.eval_tm(self.config, t, env)
 
     def apply_sub(self, ctx, inner_ctx: ListCtx, t, inner_ty, args: R.RSubArgs):
@@ -328,7 +317,7 @@ class Checker:
                     "the type part does not match the arguments", args.ty.span
                 )
         sub = C.CoreSub(N.quote_ty(base_ty), tuple(terms))
-        out_ty = N.eval_ty(self.config, N.quote_ty(inner_ty), env)
+        out_ty = N.eval_nf_ty(self.config, inner_ty, env)
         return C.CSub(t, sub), out_ty, N.eval_tm(self.config, t, env)
 
     # -- labellings ---------------------------------------------------------

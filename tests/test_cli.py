@@ -151,6 +151,18 @@ def test_types_are_not_suspended_or_applied(tmp_path, capsys, ty):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_suspended_unitor_has_the_suspended_type(tmp_path, capsys):
+    # the composite in the unitor's type is suspended with the term
+    f = tmp_path / "a.catt"
+    f.write_text(
+        "def comp1 [f,g] = comp\n"
+        "def unitor = coh [ x{f}y : comp1(id(x), f) -> f ]\n"
+        "def chk x{a{m}b}y : comp1(id(a), m) -> m = S(unitor)(m)\n"
+    )
+    assert X.main([str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "defined chk"
+
+
 @pytest.mark.parametrize(
     "term, out",
     [("comp<* | {f}>", "normal form: f\n"), ("id(* | x)", "normal form: id<x>\n")],

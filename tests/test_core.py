@@ -1,14 +1,15 @@
-"""Core syntax: standard constructions, insertion labellings, flattening,
-and conversion to raw syntax."""
+"""Core syntax: standard constructions, flattening, and conversion to raw
+syntax; the disc and insertion labellings built as values are checked
+against the flat ones here too."""
 
 import pytest
 
 from cattkernel import core as C
 from cattkernel import flat as F
+from cattkernel import nbe as N
 from cattkernel import surface as R
 from cattkernel import trees as T
 from cattkernel.core import (
-    CArrow,
     CComp,
     CId,
     CLabel,
@@ -114,18 +115,18 @@ def test_std_coh_precondition():
 
 
 # ---------------------------------------------------------------------------
-# disc labellings
+# disc and exterior labellings, built as values, agree with the flat ones
 
 
 def _lift_tm(x, n: int):
     assert isinstance(x, F.Var)
-    return CVar(n - 1 - x.idx)
+    return N.NVar(n - 1 - x.idx)
 
 
 def _lift_ty(a, n: int):
     if isinstance(a, F.Star):
-        return CSTAR
-    return CArrow(_lift_tm(a.src, n), _lift_ty(a.base, n), _lift_tm(a.tgt, n))
+        return ()
+    return ((_lift_tm(a.src, n), _lift_tm(a.tgt, n)),) + _lift_ty(a.base, n)
 
 
 def test_label_from_disc_matches_flat():
@@ -137,18 +138,9 @@ def test_label_from_disc_matches_flat():
         (Arrow(Var(2), Arrow(Var(4), STAR, Var(3)), Var(1)), Var(0)),
     ]
     for a, t in cases:
-        got = C.label_from_disc(_lift_ty(a, n), _lift_tm(t, n))
+        got = N.disc_label(_lift_ty(a, n), _lift_tm(t, n))
         want = T.label_from_disc(a, t)
-        assert got.lt.map(lambda e: C.flatten_tm(e, n)) == want.lt
-
-
-def test_label_from_disc_rejects_opaque_type():
-    with pytest.raises(F.MalformedSyntax):
-        C.label_from_disc(C.CTySusp(CSTAR), CVar(0))
-
-
-# ---------------------------------------------------------------------------
-# insertion labellings agree with the flat ones
+        assert got.map(lambda e: N.flatten_nf(e, n)) == want.lt
 
 
 def insertion_points(max_nodes: int):
@@ -160,10 +152,12 @@ def insertion_points(max_nodes: int):
 
 
 def test_exterior_clabel_matches_flat():
+    # the weak theory leaves the standard coherence on the inserted branch
+    # as it is, so flattening must give the flat exterior labelling
     for s, p, t in insertion_points(4):
         r = T.insert_tree(s, p, t)
-        got = C.exterior_clabel(s, p, t)
-        flat = got.lt.map(lambda e: C.flatten_tm(e, r))
+        got = N.exterior(N.WEAK, s, p, t)
+        flat = got.map(lambda e: N.flatten_nf(e, r))
         assert flat == T.exterior_label(s, p, t).lt
 
 

@@ -57,16 +57,20 @@ def test_lower_folds_type_into_tree():
     assert lt == LTree((NVar((0,)), NVar((1,))), (LTree((NVar((0, 0)),), ()),))
 
 
-def test_restrict_keeps_a_component_range():
-    env = N.id_env(CHAIN3)
-    cut = N.restrict(env, 1, 2)
-    assert cut.lookup((0,)) == NVar((1,))
-    assert cut.lookup((0, 0)) == NVar((1, 0))
-
-
 def test_suspension_evaluates_via_lift():
     env = N.id_env(T.suspend_tree(LEAF))
     assert ev(WEAK, CSusp(CPath((0,))), env) == NVar((0, 0))
+
+
+def test_suspension_environment_suspends_normal_forms():
+    # lifting the identity environment of the suspended tree gives the
+    # suspension environment: heads move up a dimension, not only variables
+    sigma = T.suspend_tree(CHAIN2)
+    up = N.lift(N.id_env(sigma))
+    comp = NApp(NComp(CHAIN2), LTree.from_fn(CHAIN2, NVar))
+    assert N.eval_nf(WEAK, comp, up) == NApp(NComp(sigma), LTree.from_fn(sigma, NVar))
+    b = N.standard_nf_type(WEAK, CHAIN2, 1)
+    assert N.eval_nf_ty(WEAK, b, up) == N.standard_nf_type(WEAK, sigma, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -221,8 +221,11 @@ def test_invalid_path_rejected():
         T.path_var(LEAF, (1, 0))
     for t in all_trees(6):
         for p in non_paths(t):
+            assert not T.is_path(t, p) and not T.is_maximal_path(t, p)
             with pytest.raises(F.MalformedSyntax, match="not a path of the tree"):
                 T.path_pos(t, p)
+        for k in range(len(t.branches)):
+            assert not T.is_branch(t, (-1 - k,))
 
 
 def test_equal_trees_share_one_cache_entry():

@@ -12,6 +12,7 @@ from cattkernel import nbe as N
 from cattkernel import oracle as O
 from cattkernel import surface as R
 from cattkernel import trees as T
+from cattkernel import typecheck as TC
 from cattkernel.core import path_name
 from cattkernel.flat import VarSet
 from cattkernel.nbe import SU, SUA, WEAK, NApp, NCoh, NComp, NId, NVar
@@ -489,6 +490,47 @@ def test_nested_composite_evaluates_each_argument_once(config, monkeypatch):
     assert count(64) / count(32) <= 2.5
 
 
+def test_eval_nf_is_eval_of_the_quotation():
+    # eval_nf evaluates a normal form as evaluating its quotation would, in
+    # the suspension environments of tree and list contexts and in the
+    # argument environments of labellings, whose type part is not empty
+    # when the labelling lands in the suspended context
+    rng = random.Random(23)
+    cases = []
+    for _ in range(20):
+        tree, tree_text, term_text = gen_typed.random_case(rng)
+        raw = R.parse_term(term_text)
+        inner = None
+        if isinstance(raw.term, R.RComp):
+            shape = TC._raw_shape(raw.args.tree)
+            inner = (shape, gen_typed.random_composite(rng, shape))
+        cases.append((tree, tree_text, raw, inner))
+
+    def agree(config, x, b, env):
+        assert N.eval_nf(config, x, env) == N.eval_tm(config, N.quote_tm(x), env)
+        assert N.eval_nf_ty(config, b, env) == N.eval_ty(config, N.quote_ty(b), env)
+
+    for config in ALL_CONFIGS:
+        ck = Checker(Signature(config=config))
+        for tree, tree_text, raw, inner in cases:
+            tree_ctx = ck.elab_ctx(R.parse_ctx(tree_text))
+            list_ctx = ck.elab_ctx(R.parse_ctx(list_ctx_text(tree)))
+            for ctx, up in (
+                (tree_ctx, N.lift(N.id_env(T.suspend_tree(tree)))),
+                (list_ctx, N.lift(N.id_list_env(len(list_ctx) + 2))),
+            ):
+                _, b, x = ck.elab(ctx, raw)
+                agree(config, x, b, up)
+            if inner is None:
+                continue
+            shape, inner_text = inner
+            inner_ctx = ck.elab_ctx(R.parse_ctx(gen_typed.ctx_text(shape)))
+            _, b, x = ck.elab(inner_ctx, R.parse_term(inner_text))
+            for ctx in (tree_ctx, ck.elab_ctx(R.parse_ctx(f"[ {tree_text} ]"))):
+                _, vals, lab_ty = ck.check_label(ctx, raw.args, shape)
+                agree(config, x, b, N.Env(vals, lab_ty))
+
+
 # ---------------------------------------------------------------------------
 # kernel paths that the random terms do not reach, checked against the oracle
 
@@ -497,12 +539,20 @@ KERNEL_PATH_DEFS = (
     "def u = coh [ x{f}y : f -> f ]\n"
     "def vert (x : *), (y : *), (f : x -> y), (g : x -> y), (a : f -> g),"
     " (h : x -> y), (b : g -> h) = comp[[a, b]]\n"
+    "def comp1 [f,g] = comp\n"
+    "def unitor = coh [ x{f}y : comp1(id(x), f) -> f ]\n"
+    "def v (x : *), (y : *), (f : x -> y) = f\n"
 )
 
 KERNEL_PATH_CASES = [
     # explicit suspension: infer's suspension branch, suspended types
     ("S(c)<x{a{m}b{n}d}y>", "a -> d", "x{a{m}b{n}d}y"),
     ("S(u)(m)", "m -> m", "x{a{m}b}y"),
+    # a suspended type that holds a composite: the composite is suspended
+    # with the variables
+    ("S(unitor)(m)", "comp1(id(a), m) -> m", "x{a{m}b}y"),
+    # a bare suspension of a list-context definition
+    ("S(v)", "x -> y", "(n : *), (s : *), (x : n -> s), (y : n -> s), (f : x -> y)"),
     # a bare name in check position: check_by_infer, ctx_compatible
     ("c", "x -> z", "x{f}y{g}z"),
     # a list-context definition applied to a substitution: eval_tm's
@@ -532,6 +582,31 @@ def test_kernel_paths_agree_with_the_oracle(config, rules):
         amb = ctx.tree if isinstance(ctx, TreeCtx) else len(ctx)
         nf, _ = O.normalise(C.flatten_tm(term, amb), rules)
         assert N.flatten_nf(value, amb) == nf, term_text
+
+
+def test_kernel_paths_under_the_weak_theory():
+    # the weak theory only evaluates: types are the stated ones and
+    # flattening sees no change
+    st = session()
+    run(st, KERNEL_PATH_DEFS)
+    ck = Checker(st.sig)
+    for term_text, ty_text, ctx_text in KERNEL_PATH_CASES:
+        ctx = ck.elab_ctx(R.parse_ctx(ctx_text))
+        term, ty, value = ck.elab(ctx, R.parse_term(term_text))
+        assert ty == ck.check_ty(ctx, R.parse_type(ty_text))[1], term_text
+        assert value == ck.nf(ctx, term)
+        amb = ctx.tree if isinstance(ctx, TreeCtx) else len(ctx)
+        assert N.flatten_nf(value, amb) == C.flatten_tm(term, amb), term_text
+
+
+def test_bare_suspension_of_a_list_context_definition():
+    st = session()
+    run(st, KERNEL_PATH_DEFS)
+    out = run(
+        st,
+        "normalise S(v) in (n : *), (s : *), (x : n -> s), (y : n -> s), (f : x -> y)",
+    )
+    assert out == ["normal form: f", "of type: x -> y"]
 
 
 def test_name_over_a_different_context_rejected():
