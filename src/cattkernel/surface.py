@@ -289,8 +289,8 @@ class _Parser:
         self.toks = tokenize(text, source)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -457,36 +457,12 @@ class _Parser:
         return RawTree(elements, tuple(branches), self.span_from(start))
 
     def square_item(self, element: str) -> RawTree:
-        """An item of the square-bracket sugar: a nested tree, or a single
-        entry wrapped in a singleton tree."""
-        t = self.peek()
-        if t.kind == "lbracket":
+        """An item of the square-bracket sugar: a nested tree, or a curly
+        tree, which is a single entry wrapped in a singleton tree when no
+        brace follows it."""
+        if self.peek().kind == "lbracket":
             return self.square_tree(element)
-        # a curly tree if a brace appears before the item ends
-        depth = 0
-        ahead = 0
-        is_tree = False
-        while True:
-            k = self.peek(ahead).kind
-            if k == "eof":
-                break
-            if depth == 0 and k in ("comma", "rbracket"):
-                break
-            if k in ("lparen", "langle", "lbracket"):
-                depth += 1
-            elif k in ("rparen", "rangle"):
-                depth -= 1
-            elif k == "rbracket":
-                depth -= 1
-            elif k == "lbrace" and depth == 0:
-                is_tree = True
-                break
-            ahead += 1
-        if is_tree:
-            return self.curly_tree(element)
-        start = t.start
-        entry = self.tree_element(element)
-        return RawTree((entry,), (), self.span_from(start))
+        return self.curly_tree(element)
 
     # -- types --------------------------------------------------------------
 

@@ -296,7 +296,14 @@ class LTree:
             raise F.MalformedSyntax("labelling shape mismatch")
 
     def shape(self) -> Tree:
-        return Tree(tuple(b.shape() for b in self.branches))
+        # Built at the first call and kept, as Tree keeps its hash.  It is a
+        # plain attribute, not a field, so equality and repr still see the
+        # entries alone.
+        s = self.__dict__.get("_shape")
+        if s is None:
+            s = Tree(tuple(b.shape() for b in self.branches))
+            object.__setattr__(self, "_shape", s)
+        return s
 
     def lookup(self, p: Path):
         if len(p) == 1:

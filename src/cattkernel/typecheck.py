@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 from . import core as C
@@ -46,6 +47,17 @@ class TreeCtx:
     tree: Tree
     names: LTree  # of Optional[str]
 
+    @cached_property
+    def index(self) -> dict:
+        """Each bound name to the first path, in ``T.all_paths`` order,
+        that binds it.  Built at the first lookup; not a field, so equality
+        and hashing see the tree and the names alone."""
+        out: dict = {}
+        for p, nm in zip(T.all_paths(self.tree), _ltree_values(self.names)):
+            if nm is not None:
+                out.setdefault(nm, p)
+        return out
+
 
 Ctx = Union[ListCtx, TreeCtx]
 
@@ -54,14 +66,6 @@ def ctx_id_env(ctx: Ctx) -> Env:
     if isinstance(ctx, TreeCtx):
         return N.id_env(ctx.tree)
     return N.id_list_env(len(ctx))
-
-
-def ctx_compatible(a: Ctx, b: Ctx) -> bool:
-    if isinstance(a, TreeCtx) and isinstance(b, TreeCtx):
-        return a.tree == b.tree
-    if isinstance(a, ListCtx) and isinstance(b, ListCtx):
-        return a.types == b.types
-    return False
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,18 @@ class Checker:
 
     def nf_ty(self, ctx: Ctx, a: CoreType) -> NfType:
         return N.eval_ty(self.config, a, ctx_id_env(ctx))
+
+    def ctx_compatible(self, a: Ctx, b: Ctx) -> bool:
+        """Whether a term over a is a term over b: tree contexts of one
+        shape, or list contexts whose types have the same normal forms."""
+        if isinstance(a, TreeCtx) and isinstance(b, TreeCtx):
+            return a.tree == b.tree
+        if isinstance(a, ListCtx) and isinstance(b, ListCtx):
+            return len(a) == len(b) and all(
+                self.nf_ty(a, x) == self.nf_ty(b, y)
+                for x, y in zip(a.types, b.types)
+            )
+        return False
 
     # -- context elaboration ------------------------------------------------
 
@@ -226,7 +242,7 @@ class Checker:
 
     def check_by_infer(self, ctx: Ctx, raw: R.RawTerm) -> tuple:
         inner_ctx, t, ty = self.infer(raw)
-        if not ctx_compatible(inner_ctx, ctx):
+        if not self.ctx_compatible(inner_ctx, ctx):
             raise CheckError(
                 "the term lives over a different context", raw.span
             )
@@ -234,10 +250,10 @@ class Checker:
 
     def lookup(self, ctx: Ctx, name: str) -> Optional[tuple]:
         if isinstance(ctx, TreeCtx):
-            for p in T.all_paths(ctx.tree):
-                if ctx.names.lookup(p) == name:
-                    return C.CPath(p), self.path_type(ctx, p), N.NVar(p)
-            return None
+            p = ctx.index.get(name)
+            if p is None:
+                return None
+            return C.CPath(p), self.path_type(ctx, p), N.NVar(p)
         for i, nm in enumerate(ctx.names):
             if nm == name:
                 return C.CVar(i), self.nf_ty(ctx, ctx.types[i]), N.NVar(i)
@@ -325,7 +341,7 @@ class Checker:
     def check_label(self, ctx: Ctx, args: R.RLabelArgs, shape: Tree) -> tuple:
         """Elaborate a labelling; return it with the labelling of its
         values and the type of its zero cells."""
-        if _raw_shape(args.tree) != shape:
+        if not _has_shape(args.tree, shape):
             raise CheckError(
                 "the labelling does not match the shape of the context",
                 args.tree.span,
@@ -428,6 +444,13 @@ class Checker:
 
 def _raw_shape(raw: R.RawTree) -> Tree:
     return Tree(tuple(_raw_shape(b) for b in raw.branches))
+
+
+def _has_shape(raw: R.RawTree, shape: Tree) -> bool:
+    """Whether ``_raw_shape(raw) == shape``, building no tree."""
+    return len(raw.branches) == len(shape.branches) and all(
+        _has_shape(r, b) for r, b in zip(raw.branches, shape.branches)
+    )
 
 
 def _raw_names(raw: R.RawTree) -> LTree:

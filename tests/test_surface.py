@@ -128,6 +128,20 @@ def test_square_item_with_parenthesised_term_is_an_element():
     )
 
 
+def test_square_item_with_braces_inside_angle_brackets_is_an_element():
+    t = strip_spans(parse_term("comp[comp<x{f}y>]").args.tree)
+    inner = RApp(RComp(), RLabelArgs(tree([RVar("x"), RVar("y")], [leaf(RVar("f"))])))
+    assert t == tree([None, None], [leaf(inner)])
+
+
+@pytest.mark.parametrize("text, bad", [("comp[f g]", 7), ("comp[f{a}g h]", 11)])
+def test_malformed_square_item(text, bad):
+    with pytest.raises(ParseError) as e:
+        parse_term(text)
+    assert str(e.value) == f"unexpected {text[bad]!r} (expected one of: rbracket)"
+    assert e.value.span.start == bad
+
+
 def test_angle_bracket_labelling_args():
     t = strip_spans(parse_term("comp<x{f}y>"))
     assert t == RApp(
