@@ -2,9 +2,9 @@
 consumed by evaluation.
 
 Terms over a list context use positions counted from the start; terms over
-a tree context use paths.  Standard types, composites and coherences are
-built here in core syntax; disc labellings and the exterior labelling of an
-insertion are built as values, in ``nbe``.
+a tree context use paths.  Standard types, disc labellings and the exterior
+labelling of an insertion are built as values, in ``nbe``; the printer
+reads the core syntax that quotation builds.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional, Union
 from . import flat as F
 from . import trees as T
 from .flat import STAR, FlatTerm, FlatType, Var
-from .trees import LEAF, LTree, Labelling, Path, Tree
+from .trees import LTree, Labelling, Path, Tree
 
 
 @dataclass(frozen=True)
@@ -109,47 +109,6 @@ class CoreLabel:
 
 
 # ---------------------------------------------------------------------------
-# standard constructions
-
-
-def boundary_clabel(t: Tree, n: int, eps: str) -> CoreLabel:
-    """The inclusion of the n-boundary of t as a labelling with path
-    entries."""
-    return CoreLabel(
-        LTree.from_fn(
-            T.tree_boundary(t, n), lambda p: CPath(T.boundary_path(t, n, eps, p))
-        ),
-        CSTAR,
-    )
-
-
-def std_type(t: Tree, n: int) -> CoreType:
-    if n == 0:
-        return CSTAR
-    b = T.tree_boundary(t, n - 1)
-    inner = std_term(b, n - 1)
-    return CArrow(
-        CLabel(inner, boundary_clabel(t, n - 1, "-")),
-        std_type(t, n - 1),
-        CLabel(inner, boundary_clabel(t, n - 1, "+")),
-    )
-
-
-def std_coh(t: Tree, n: int) -> CCoh:
-    if n < t.height or (n == 0 and t != LEAF):
-        raise F.MalformedSyntax("standard coherence needs n >= h(T), n > 0")
-    return CCoh(t, std_type(t, n))
-
-
-def std_term(t: Tree, n: int) -> CoreTerm:
-    if t == LEAF and n == 0:
-        return CPath((0,))
-    if n > 0 and len(t.branches) == 1:
-        return CSusp(std_term(t.branches[0], n - 1))
-    return std_coh(t, n)
-
-
-# ---------------------------------------------------------------------------
 # flattening
 
 Ambient = Union[Tree, int]
@@ -230,11 +189,15 @@ def path_name(p: Path) -> str:
 
 
 class Names:
-    """Display names for the variables of a context."""
+    """Display names for the variables of a context.  A cell of a tree
+    context that has no name is shown by its path name, with ``_`` added
+    until no other cell uses it; ``fallback`` records each name so given."""
 
     def __init__(self, names=None):
         # names: a sequence for a list context, an LTree for a tree context
         self.names = names
+        self.fallback: dict = {}
+        self._taken = set(names.values()) if isinstance(names, LTree) else set()
 
     def var(self, idx: int) -> str:
         if self.names is not None and not isinstance(self.names, LTree):
@@ -246,7 +209,13 @@ class Names:
             n = self.names.lookup(p)
             if n is not None:
                 return n
-        return path_name(p)
+        if p not in self.fallback:
+            n = path_name(p)
+            while n in self._taken:
+                n += "_"
+            self.fallback[p] = n
+            self._taken.add(n)
+        return self.fallback[p]
 
 
 def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
@@ -255,29 +224,19 @@ def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
         return R.RVar(nm.var(x.idx))
     if isinstance(x, CPath):
         return R.RVar(nm.path(x.path))
-    if isinstance(x, CTop):
-        return R.RVar(x.name)
     if isinstance(x, CCoh):
-        tree = _raw_tree_ctx(x.tree)
+        tree = raw_tree_ctx(x.tree)
         inner = Names(LTree.from_fn(x.tree, path_name))
         return R.RCoh(tree, to_raw(x.ty, inner, keep_implicits))
     if isinstance(x, CId):
         return R.RId()
     if isinstance(x, CComp):
         return R.RComp()
-    if isinstance(x, CSub):
-        ty = to_raw(x.sub.ty, nm, keep_implicits) if keep_implicits else None
-        args = R.RSubArgs(
-            ty, tuple(to_raw(t, nm, keep_implicits) for t in x.sub.terms)
-        )
-        return R.RApp(to_raw(x.term, nm, keep_implicits), args)
     if isinstance(x, CLabel):
         return R.RApp(
             to_raw(x.term, nm, keep_implicits),
             _raw_label(x.label, nm, keep_implicits),
         )
-    if isinstance(x, CSusp):
-        return R.RSusp(to_raw(x.term, nm, keep_implicits))
     if isinstance(x, CStar):
         return R.RStar()
     if isinstance(x, CArrow):
@@ -292,11 +251,12 @@ def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
     raise TypeError(f"cannot convert {x!r}")
 
 
-def _raw_tree_ctx(t: Tree) -> R.RawTree:
+def raw_tree_ctx(t: Tree, name=path_name) -> R.RawTree:
+    """The tree context t as raw syntax, naming the cell at each path p
+    name(p)."""
+
     def build(sub: Tree, prefix: Path) -> R.RawTree:
-        elements = tuple(
-            path_name(prefix + (k,)) for k in range(len(sub.branches) + 1)
-        )
+        elements = tuple(name(prefix + (k,)) for k in range(len(sub.branches) + 1))
         branches = tuple(
             build(b, prefix + (k,)) for k, b in enumerate(sub.branches)
         )

@@ -10,7 +10,8 @@ environments.
 Normal forms are also evaluated in place (``eval_nf``): substituting into a
 result type, suspending a term or a type (an environment whose type part is
 the arrow between the two poles), and transporting a coherence's type
-along an insertion's exterior labelling, which is built here as values.
+along an insertion's exterior labelling.  Standard types, disc labellings
+and exterior labellings are built here as values.
 """
 
 from __future__ import annotations
@@ -103,12 +104,12 @@ class Env:
 
 # Environments are immutable, so one identity environment per tree or
 # length serves every caller.
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def id_env(t: Tree) -> Env:
     return Env(LTree.from_fn(t, NVar), ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def id_list_env(n: int) -> Env:
     return Env(tuple(NVar(i) for i in range(n)), ())
 
@@ -335,14 +336,29 @@ def _classify(cfg: EvalConfig, s: Tree, b: NfType, lt: LTree) -> NfTerm:
     return NApp(NCoh(s, b), lt)
 
 
-_STD_CACHE: dict = {}
-
-
+@lru_cache(maxsize=256)
 def standard_nf_type(cfg: EvalConfig, t: Tree, n: int) -> NfType:
-    key = (cfg, t, n)
-    if key not in _STD_CACHE:
-        _STD_CACHE[key] = eval_ty(cfg, C.std_type(t, n), id_env(t))
-    return _STD_CACHE[key]
+    """The standard type of dimension n over t, as a normal type: each
+    pair is the standard term over a boundary of t, included at its source
+    and at its target."""
+    if n == 0:
+        return ()
+    b = T.tree_boundary(t, n - 1)
+
+    def side(eps: str) -> NfTerm:
+        inc = LTree.from_fn(b, lambda p: NVar(T.boundary_path(t, n - 1, eps, p)))
+        return _std_term(cfg, b, n - 1, Env(inc))
+
+    return ((side("-"), side("+")),) + standard_nf_type(cfg, t, n - 1)
+
+
+def _std_term(cfg: EvalConfig, b: Tree, m: int, env: Env) -> NfTerm:
+    """The value of the standard term of dimension m over b in env."""
+    if b == T.LEAF and m == 0:
+        return env.lookup((0,))
+    if m > 0 and len(b.branches) == 1:
+        return _std_term(cfg, b.branches[0], m - 1, lift(env))
+    return _eval_head(cfg, b, standard_nf_type(cfg, b, m), env)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,12 @@ class LTree:
             return self.elements[p[0]]
         return self.branches[p[0]].lookup(p[1:])
 
+    def values(self):
+        """The entries, in ``all_paths`` order."""
+        yield from self.elements
+        for b in self.branches:
+            yield from b.values()
+
     def map(self, f: Callable) -> "LTree":
         return LTree(
             tuple(f(e) for e in self.elements),

@@ -20,7 +20,7 @@ from . import core as C
 from . import nbe as N
 from . import surface as R
 from . import trees as T
-from .core import CoreTerm, CoreType
+from .core import CoreTerm
 from .nbe import Env, EvalConfig, NfType
 from .surface import SYNTH, Span
 from .trees import LTree, Tree
@@ -36,7 +36,7 @@ class CheckError(Exception):
 @dataclass(frozen=True)
 class ListCtx:
     names: tuple  # of str
-    types: tuple  # of CoreType, positions from the start
+    types: tuple  # of NfType, positions from the start
 
     def __len__(self):
         return len(self.names)
@@ -53,7 +53,7 @@ class TreeCtx:
         that binds it.  Built at the first lookup; not a field, so equality
         and hashing see the tree and the names alone."""
         out: dict = {}
-        for p, nm in zip(T.all_paths(self.tree), _ltree_values(self.names)):
+        for p, nm in zip(T.all_paths(self.tree), self.names.values()):
             if nm is not None:
                 out.setdefault(nm, p)
         return out
@@ -117,19 +117,13 @@ class Checker:
     def nf(self, ctx: Ctx, t: CoreTerm):
         return N.eval_tm(self.config, t, ctx_id_env(ctx))
 
-    def nf_ty(self, ctx: Ctx, a: CoreType) -> NfType:
-        return N.eval_ty(self.config, a, ctx_id_env(ctx))
-
     def ctx_compatible(self, a: Ctx, b: Ctx) -> bool:
         """Whether a term over a is a term over b: tree contexts of one
         shape, or list contexts whose types have the same normal forms."""
         if isinstance(a, TreeCtx) and isinstance(b, TreeCtx):
             return a.tree == b.tree
         if isinstance(a, ListCtx) and isinstance(b, ListCtx):
-            return len(a) == len(b) and all(
-                self.nf_ty(a, x) == self.nf_ty(b, y)
-                for x, y in zip(a.types, b.types)
-            )
+            return a.types == b.types
         return False
 
     # -- context elaboration ------------------------------------------------
@@ -143,7 +137,7 @@ class Checker:
             if name in names:
                 raise CheckError(f"duplicate variable {name!r}", raw.span)
             prefix = ListCtx(tuple(names), tuple(types))
-            ty, _ = self.check_ty(prefix, raw_ty)
+            _, ty = self.check_ty(prefix, raw_ty)
             names.append(name)
             types.append(ty)
         return ListCtx(tuple(names), tuple(types))
@@ -174,12 +168,8 @@ class Checker:
                 env = N.lift(ctx_id_env(up))
             else:
                 env = N.lift(N.id_list_env(len(ctx) + 2))
-                types = tuple(
-                    N.quote_ty(N.eval_ty(self.config, a, env)) for a in ctx.types
-                )
-                up = ListCtx(
-                    ("_north", "_south") + ctx.names, (C.CSTAR, C.CSTAR) + types
-                )
+                types = tuple(N.eval_nf_ty(self.config, a, env) for a in ctx.types)
+                up = ListCtx(("_north", "_south") + ctx.names, ((), ()) + types)
             return up, C.CSusp(t), N.eval_nf_ty(self.config, ty, env)
         if isinstance(raw, R.RComp):
             raise CheckError("cannot infer the shape of a bare composite", raw.span)
@@ -256,7 +246,7 @@ class Checker:
             return C.CPath(p), self.path_type(ctx, p), N.NVar(p)
         for i, nm in enumerate(ctx.names):
             if nm == name:
-                return C.CVar(i), self.nf_ty(ctx, ctx.types[i]), N.NVar(i)
+                return C.CVar(i), ctx.types[i], N.NVar(i)
         return None
 
     def path_type(self, ctx: TreeCtx, p) -> NfType:
@@ -321,7 +311,7 @@ class Checker:
         base_ty = types[0] if types else ()
         env = Env(tuple(vals), base_ty)
         for i, (ti, bi) in enumerate(zip(terms, types)):
-            expected = N.eval_ty(self.config, inner_ctx.types[i], env)
+            expected = N.eval_nf_ty(self.config, inner_ctx.types[i], env)
             if bi != expected:
                 raise CheckError(
                     f"argument {i} has the wrong type", args.terms[i].span
@@ -459,18 +449,12 @@ def _raw_names(raw: R.RawTree) -> LTree:
     )
 
 
-def _ltree_values(lt: LTree):
-    yield from lt.elements
-    for b in lt.branches:
-        yield from _ltree_values(b)
-
-
 def _tree_ctx(raw: R.RawTree, span: Span) -> TreeCtx:
     """The tree context a raw tree of names describes; each name is bound
     at most once."""
     names = _raw_names(raw)
     seen: set = set()
-    for nm in _ltree_values(names):
+    for nm in names.values():
         if nm is not None:
             if nm in seen:
                 raise CheckError(f"duplicate variable {nm!r}", span)

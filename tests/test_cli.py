@@ -11,7 +11,7 @@ from cattkernel import cli as X
 from cattkernel import nbe as N
 from cattkernel import surface as R
 from cattkernel.nbe import EvalConfig
-from cattkernel.typecheck import CheckError, OperationSet
+from cattkernel.typecheck import CheckError, Checker, OperationSet
 
 ROOT = Path(__file__).resolve().parent.parent
 MONOIDAL = ROOT / "catt" / "monoidal.catt"
@@ -173,6 +173,93 @@ def test_base_type_part_normalises(tmp_path, capsys, term, out):
     f.write_text(f"normalise {term} in x{{f}}y\n")
     assert X.main(["--su", str(f)]) == 0
     assert capsys.readouterr().out.startswith(out)
+
+
+# each checks a branch of the checker that the shipped files do not reach;
+# the file first defines v over (x : *), (y : *), (f : x -> y)
+CHECKER_CASES = [
+    ("def a1 x{f}y : * | x -> y = f", 0, "defined a1"),
+    ("def a2 x{f{a}g}y : (x -> y) | f -> g = a", 0, "defined a2"),
+    ("normalise comp<(x -> y) | {a}> in x{f{a}g}y", 0, "of type: f -> g"),
+    ("normalise id in x{f}y", 0, "normal form: id<{f}>"),
+    ("normalise x in x{f}y", 0, "of type: *"),
+    (
+        "def r x{f{a}g}y : (x -> x) | f -> g = a",
+        1,
+        "the endpoints do not have the annotated type",
+    ),
+    (
+        "normalise v(x -> y | x, y, f) in (x : *), (y : *), (f : x -> y)",
+        1,
+        "the type part does not match the arguments",
+    ),
+    (
+        "normalise comp<* | {a}> in x{f{a}g}y",
+        1,
+        "the type part does not match the labelling",
+    ),
+    ("normalise v<{f}> in x{f}y", 1, "labelling arguments need a tree context"),
+    (
+        "normalise v(x, x, f) in (x : *), (y : *), (f : x -> y)",
+        1,
+        "argument 2 has the wrong type",
+    ),
+    ("normalise comp(f) in x{f}y", 1, "cannot infer the shape of a bare composite"),
+    ("normalise _(f) in x{f}y", 1, "cannot infer a hole"),
+    (
+        "normalise comp[x, f] in x{f}y",
+        1,
+        "a branch argument has a type of the wrong dimension",
+    ),
+    (
+        "normalise comp[f, a] in x{f{a}g}y",
+        1,
+        "the branch arguments live over different types",
+    ),
+    ("normalise id in [f, g]", 1, "the term lives over a different context"),
+]
+
+
+@pytest.mark.parametrize("cmd, code, line", CHECKER_CASES)
+def test_checker_branches(tmp_path, capsys, cmd, code, line):
+    f = tmp_path / "a.catt"
+    f.write_text(f"def v (x : *), (y : *), (f : x -> y) = f\n{cmd}\n")
+    assert X.main([str(f)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == f"error: {line}\n"
+    else:
+        assert line in captured.out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "ctx, term",
+    [
+        ("[f, g]", "comp[f, g]"),
+        ("[f, g, h]", "comp[f, g, h]"),
+        ("[[a, b]]", "comp[[a, b]]"),
+        ("[p1, f]", "comp[p1, f]"),
+    ],
+)
+def test_unnamed_cells_are_named_in_the_output(ctx, term):
+    # the output names every cell it shows, and reads back in the context
+    # it prints
+    state = X.SessionState()
+    (cmd,) = R.parse(f"normalise {term} in {ctx}\n")
+    nf_line, ty_line, ctx_line = X.run_command(state, cmd)
+    shown = nf_line.removeprefix("normal form: ")
+    shown_ty = ty_line.removeprefix("of type: ")
+    shown_ctx = ctx_line.removeprefix("in context: ")
+    ck = Checker(state.sig)
+    old = ck.elab_ctx(cmd.ctx)
+    _, ty, value = ck.elab(old, cmd.term)
+    new = ck.elab_ctx(R.parse_ctx(shown_ctx))
+    assert new.tree == old.tree
+    _, ty2, value2 = ck.elab(new, R.parse_term(shown))
+    assert (value2, ty2) == (value, ty)
+    assert ck.check_ty(new, R.parse_type(shown_ty))[1] == ty
+    (again,) = R.parse(f"normalise {shown} in {shown_ctx}\n")
+    assert X.run_command(state, again) == [nf_line, ty_line]
 
 
 def test_deep_nesting_gives_one_error_line(tmp_path):

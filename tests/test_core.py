@@ -1,6 +1,6 @@
-"""Core syntax: standard constructions, flattening, and conversion to raw
-syntax; the disc and insertion labellings built as values are checked
-against the flat ones here too."""
+"""Core syntax: flattening and conversion to raw syntax; the standard
+types, disc and insertion labellings built as values are checked against
+the flat ones here too."""
 
 import pytest
 
@@ -98,20 +98,12 @@ def test_flatten_identity_head():
 
 
 def test_std_type_flattens_to_standard_type():
+    # the standard type is built as values; its pairs hold the standard
+    # terms over the boundaries, so this checks those too
     for t in TREES:
         for n in range(t.height, t.height + 3):
-            assert C.flatten_ty(C.std_type(t, n), t) == T.standard_type(t, n)
-
-
-def test_std_term_flattens_to_standard_term():
-    for t in TREES:
-        for n in range(max(t.height, 1), t.height + 3):
-            assert C.flatten_tm(C.std_term(t, n), t) == T.standard_term(t, n)
-
-
-def test_std_coh_precondition():
-    with pytest.raises(F.MalformedSyntax):
-        C.std_coh(CHAIN2, 0)
+            b = N.quote_ty(N.standard_nf_type(N.WEAK, t, n))
+            assert C.flatten_ty(b, t) == T.standard_type(t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +206,7 @@ def test_to_raw_pretty_parses_back():
 
 
 def test_to_raw_coherence():
-    raw = C.to_raw(C.std_coh(CHAIN2, 1))
+    coh = C.CCoh(CHAIN2, N.quote_ty(N.standard_nf_type(N.WEAK, CHAIN2, 1)))
+    raw = C.to_raw(coh)
     printed = R.pretty(raw)
     assert printed.startswith("coh [ p0{p00}p1{p10}p2 :")

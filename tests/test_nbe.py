@@ -18,6 +18,10 @@ def ev(cfg, x, env):
     return N.eval_tm(cfg, x, env)
 
 
+def std_type(t: Tree, n: int):
+    return N.quote_ty(N.standard_nf_type(WEAK, t, n))
+
+
 def std_comp_term(t: Tree):
     return C.CLabel(
         C.CComp(t), CoreLabel(LTree.from_fn(t, CPath), C.CSTAR)
@@ -88,7 +92,7 @@ def test_weak_identity_head():
 
 
 def test_coherence_with_standard_type_becomes_comp():
-    coh = C.CCoh(CHAIN2, C.std_type(CHAIN2, 1))
+    coh = C.CCoh(CHAIN2, std_type(CHAIN2, 1))
     nf = ev(WEAK, coh, N.id_env(CHAIN2))
     assert isinstance(nf, NApp) and nf.head == NComp(CHAIN2)
 
@@ -96,14 +100,14 @@ def test_coherence_with_standard_type_becomes_comp():
 def test_identity_coherence_recognised_without_ecr():
     # coh [ D1 : U^2 ] is the identity on the top cell
     d1 = linear_tree(1)
-    coh = C.CCoh(d1, C.std_type(d1, 2))
+    coh = C.CCoh(d1, std_type(d1, 2))
     nf = ev(WEAK, coh, N.id_env(d1))
     assert isinstance(nf, NApp) and nf.head == NId(1)
 
 
 def test_plain_coherence_stays_a_coherence():
     for cfg in (WEAK, SU, SUA):
-        nf = ev(cfg, C.CCoh(CHAIN3, C.std_type(CHAIN3, 1)), N.id_env(CHAIN3))
+        nf = ev(cfg, C.CCoh(CHAIN3, std_type(CHAIN3, 1)), N.id_env(CHAIN3))
         assert isinstance(nf, NApp)
 
 
@@ -113,7 +117,7 @@ def test_plain_coherence_stays_a_coherence():
 
 def test_disc_removal_unary_composite():
     d1 = linear_tree(1)
-    unary = C.CCoh(d1, C.std_type(d1, 1))
+    unary = C.CCoh(d1, std_type(d1, 1))
     assert ev(SU, unary, N.id_env(d1)) == NVar((0, 0))
     nf = ev(WEAK, unary, N.id_env(d1))
     assert isinstance(nf, NApp) and nf.head == NComp(d1)
@@ -121,7 +125,7 @@ def test_disc_removal_unary_composite():
 
 def test_disc_removal_higher_disc():
     d2 = linear_tree(2)
-    unary = C.CCoh(d2, C.std_type(d2, 2))
+    unary = C.CCoh(d2, std_type(d2, 2))
     assert ev(SU, unary, N.id_env(d2)) == NVar((0, 0, 0))
 
 
@@ -131,7 +135,7 @@ def test_disc_removal_higher_disc():
 
 def test_ecr_reduces_endo_coherence_to_identity():
     src = std_comp_term(CHAIN2)
-    endo = C.CCoh(CHAIN2, C.CArrow(src, C.std_type(CHAIN2, 1), src))
+    endo = C.CCoh(CHAIN2, C.CArrow(src, std_type(CHAIN2, 1), src))
     nf = ev(SU, endo, N.id_env(CHAIN2))
     assert isinstance(nf, NApp) and nf.head == NId(1)
     # the disc labelling carries the composite and its endpoints
@@ -140,7 +144,7 @@ def test_ecr_reduces_endo_coherence_to_identity():
 
 def test_ecr_off_keeps_endo_coherence():
     src = std_comp_term(CHAIN2)
-    endo = C.CCoh(CHAIN2, C.CArrow(src, C.std_type(CHAIN2, 1), src))
+    endo = C.CCoh(CHAIN2, C.CArrow(src, std_type(CHAIN2, 1), src))
     nf = ev(WEAK, endo, N.id_env(CHAIN2))
     assert isinstance(nf, NApp) and isinstance(nf.head, NCoh)
 

@@ -455,7 +455,7 @@ def test_elaborated_values_in_the_monoidal_file():
             if isinstance(cmd, R.DefCmd) and cmd.ctx is None:
                 ctx, term, ty = ck.infer(cmd.term)
                 if isinstance(term, C.CCoh):
-                    assert ty == ck.nf_ty(ctx, term.ty)
+                    assert ty == N.eval_ty(config, term.ty, TC.ctx_id_env(ctx))
             else:
                 ctx = ck.elab_ctx(cmd.ctx)
                 raws = (cmd.lhs, cmd.rhs) if isinstance(cmd, R.AssertCmd) else (cmd.term,)
