@@ -98,12 +98,17 @@ def test_flatten_identity_head():
 
 
 def test_std_type_flattens_to_standard_type():
-    # the standard type is built as values; its pairs hold the standard
-    # terms over the boundaries, so this checks those too
     for t in TREES:
         for n in range(t.height, t.height + 3):
             b = N.quote_ty(N.standard_nf_type(N.WEAK, t, n))
             assert C.flatten_ty(b, t) == T.standard_type(t, n)
+
+
+def test_std_term_flattens_to_standard_term():
+    for t in TREES:
+        for n in range(max(t.height, 1), t.height + 3):
+            x = N._std_term(N.WEAK, t, n, N.id_env(t))
+            assert N.flatten_nf(x, t) == T.standard_term(t, n)
 
 
 # ---------------------------------------------------------------------------
