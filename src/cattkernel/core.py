@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import flat as F
+from . import surface as R
 from . import trees as T
 from .flat import STAR, FlatTerm, FlatType, Var
 from .trees import LTree, Labelling, Path, Tree
@@ -20,18 +21,9 @@ from .trees import LTree, Labelling, Path, Tree
 
 @dataclass(frozen=True)
 class CVar:
-    idx: int  # position from the start of a list context
-
-
-@dataclass(frozen=True)
-class CPath:
-    path: Path
-
-
-@dataclass(frozen=True)
-class CTop:
-    name: str
-    body: "CoreTerm"
+    # a position from the start of a list context, or a path of a tree
+    # context
+    pos: Union[int, Path]
 
 
 @dataclass(frozen=True)
@@ -51,15 +43,9 @@ class CComp:
 
 
 @dataclass(frozen=True)
-class CSub:
+class CApp:
     term: "CoreTerm"
-    sub: "CoreSub"
-
-
-@dataclass(frozen=True)
-class CLabel:
-    term: "CoreTerm"
-    label: "CoreLabel"
+    args: "CArgs"
 
 
 @dataclass(frozen=True)
@@ -67,7 +53,7 @@ class CSusp:
     term: "CoreTerm"
 
 
-CoreTerm = Union[CVar, CPath, CTop, CCoh, CId, CComp, CSub, CLabel, CSusp]
+CoreTerm = Union[CVar, CCoh, CId, CComp, CApp, CSusp]
 
 
 @dataclass(frozen=True)
@@ -88,24 +74,13 @@ CSTAR = CStar()
 
 
 @dataclass(frozen=True)
-class CoreSub:
-    """Substitution out of a list context; the type part is the image of
-    the base point and drives implicit suspension."""
+class CArgs:
+    """The arguments of an application: a tuple, a substitution out of a
+    list context, or an LTree, a labelling out of a tree context.  The type
+    part is the image of the base type and drives implicit suspension."""
 
-    ty: CoreType
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class CoreLabel:
-    """Labelling out of a tree context; the type part is the type of the
-    images of the zero cells."""
-
-    lt: LTree
+    data: Union[tuple, LTree]
     ty: CoreType = CSTAR
-
-    def shape(self) -> Tree:
-        return self.lt.shape()
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +95,9 @@ def _amb_size(amb: Ambient) -> int:
 
 def flatten_tm(x: CoreTerm, amb: Ambient) -> FlatTerm:
     if isinstance(x, CVar):
-        return Var(_amb_size(amb) - 1 - x.idx)
-    if isinstance(x, CPath):
-        return T.path_var(amb, x.path)
-    if isinstance(x, CTop):
-        return flatten_tm(x.body, amb)
+        if isinstance(x.pos, tuple):
+            return T.path_var(amb, x.pos)
+        return Var(_amb_size(amb) - 1 - x.pos)
     if isinstance(x, CCoh):
         g = T.tree_to_ctx(x.tree)
         return F.Coh(g, flatten_ty(x.ty, x.tree), F.identity_sub(g))
@@ -132,13 +105,10 @@ def flatten_tm(x: CoreTerm, amb: Ambient) -> FlatTerm:
         return T.standard_coh(T.linear_tree(x.n), x.n + 1)
     if isinstance(x, CComp):
         return T.standard_coh(x.tree, x.tree.height)
-    if isinstance(x, CSub):
-        inner = flatten_tm(x.term, len(x.sub.terms))
-        return F.substitute(inner, flatten_sub(x.sub, amb))
-    if isinstance(x, CLabel):
-        shape = x.label.shape()
-        inner = flatten_tm(x.term, shape)
-        return F.substitute(inner, T.label_to_sub(flatten_label(x.label, amb)))
+    if isinstance(x, CApp):
+        data = x.args.data
+        inner_amb = data.shape() if isinstance(data, LTree) else len(data)
+        return F.substitute(flatten_tm(x.term, inner_amb), flatten_args(x.args, amb))
     if isinstance(x, CSusp):
         inner_amb = _unsuspend(amb)
         return F.suspend_tm(flatten_tm(x.term, inner_amb), _amb_size(inner_amb))
@@ -165,23 +135,16 @@ def _unsuspend(amb: Ambient) -> Ambient:
     return amb - 2
 
 
-def flatten_sub(s: CoreSub, amb: Ambient) -> F.FlatSub:
-    return F.FlatSub(
-        flatten_ty(s.ty, amb), tuple(flatten_tm(t, amb) for t in s.terms)
-    )
-
-
-def flatten_label(lab: CoreLabel, amb: Ambient) -> Labelling:
-    return Labelling(
-        lab.lt.map(lambda e: flatten_tm(e, amb)),
-        flatten_ty(lab.ty, amb),
-    )
+def flatten_args(args: CArgs, amb: Ambient) -> F.FlatSub:
+    ty = flatten_ty(args.ty, amb)
+    if isinstance(args.data, LTree):
+        lab = Labelling(args.data.map(lambda e: flatten_tm(e, amb)), ty)
+        return T.label_to_sub(lab)
+    return F.FlatSub(ty, tuple(flatten_tm(t, amb) for t in args.data))
 
 
 # ---------------------------------------------------------------------------
 # conversion to raw syntax
-
-from . import surface as R
 
 
 def path_name(p: Path) -> str:
@@ -199,31 +162,26 @@ class Names:
         self.fallback: dict = {}
         self._taken = set(names.values()) if isinstance(names, LTree) else set()
 
-    def var(self, idx: int) -> str:
-        if self.names is not None and not isinstance(self.names, LTree):
-            return self.names[idx]
-        return f"v{idx}"
-
-    def path(self, p: Path) -> str:
+    def __call__(self, pos) -> str:
+        if not isinstance(pos, tuple):
+            return f"v{pos}" if self.names is None else self.names[pos]
         if isinstance(self.names, LTree):
-            n = self.names.lookup(p)
+            n = self.names.lookup(pos)
             if n is not None:
                 return n
-        if p not in self.fallback:
-            n = path_name(p)
+        if pos not in self.fallback:
+            n = path_name(pos)
             while n in self._taken:
                 n += "_"
-            self.fallback[p] = n
+            self.fallback[pos] = n
             self._taken.add(n)
-        return self.fallback[p]
+        return self.fallback[pos]
 
 
 def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
     nm = names or Names()
     if isinstance(x, CVar):
-        return R.RVar(nm.var(x.idx))
-    if isinstance(x, CPath):
-        return R.RVar(nm.path(x.path))
+        return R.RVar(nm(x.pos))
     if isinstance(x, CCoh):
         tree = raw_tree_ctx(x.tree)
         inner = Names(LTree.from_fn(x.tree, path_name))
@@ -232,10 +190,10 @@ def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
         return R.RId()
     if isinstance(x, CComp):
         return R.RComp()
-    if isinstance(x, CLabel):
+    if isinstance(x, CApp):
         return R.RApp(
             to_raw(x.term, nm, keep_implicits),
-            _raw_label(x.label, nm, keep_implicits),
+            _raw_label(x.args, nm, keep_implicits),
         )
     if isinstance(x, CStar):
         return R.RStar()
@@ -265,8 +223,8 @@ def raw_tree_ctx(t: Tree, name=path_name) -> R.RawTree:
     return build(t, ())
 
 
-def _raw_label(lab: CoreLabel, nm: Names, keep_implicits: bool) -> R.RLabelArgs:
-    shape = lab.shape()
+def _raw_label(lab: CArgs, nm: Names, keep_implicits: bool) -> R.RArgs:
+    shape = lab.data.shape()
     keep = (
         None
         if keep_implicits
@@ -291,4 +249,4 @@ def _raw_label(lab: CoreLabel, nm: Names, keep_implicits: bool) -> R.RLabelArgs:
         if keep_implicits and not isinstance(lab.ty, CStar)
         else None
     )
-    return R.RLabelArgs(build(lab.lt, ()), ty)
+    return R.RArgs(build(lab.data, ()), ty)

@@ -143,11 +143,7 @@ def lower(env: Env) -> LTree:
 
 def eval_tm(cfg: EvalConfig, x: CoreTerm, env: Env) -> NfTerm:
     if isinstance(x, C.CVar):
-        return env.lookup(x.idx)
-    if isinstance(x, C.CPath):
-        return env.lookup(x.path)
-    if isinstance(x, C.CTop):
-        return eval_tm(cfg, x.body, env)
+        return env.lookup(x.pos)
     if isinstance(x, C.CCoh):
         return _eval_head(cfg, x.tree, eval_ty(cfg, x.ty, id_env(x.tree)), env)
     if isinstance(x, C.CComp):
@@ -155,10 +151,8 @@ def eval_tm(cfg: EvalConfig, x: CoreTerm, env: Env) -> NfTerm:
     if isinstance(x, C.CId):
         d = len(env.ty)
         return NApp(NId(x.n + d), lower(env))
-    if isinstance(x, C.CSub):
-        return eval_tm(cfg, x.term, eval_args(cfg, x.sub, env))
-    if isinstance(x, C.CLabel):
-        return eval_tm(cfg, x.term, eval_args(cfg, x.label, env))
+    if isinstance(x, C.CApp):
+        return eval_tm(cfg, x.term, eval_args(cfg, x.args, env))
     if isinstance(x, C.CSusp):
         return eval_tm(cfg, x.term, lift(env))
     raise TypeError(f"cannot evaluate {x!r}")
@@ -174,13 +168,13 @@ def eval_ty(cfg: EvalConfig, a: CoreType, env: Env) -> NfType:
     raise TypeError(f"cannot evaluate {a!r}")
 
 
-def eval_args(cfg: EvalConfig, args: Union[C.CoreSub, C.CoreLabel], env: Env) -> Env:
+def eval_args(cfg: EvalConfig, args: C.CArgs, env: Env) -> Env:
     """The environment of the evaluated arguments of a substitution or a
     labelling."""
-    if isinstance(args, C.CoreSub):
-        data = tuple(eval_tm(cfg, t, env) for t in args.terms)
+    if isinstance(args.data, LTree):
+        data = args.data.map(lambda e: eval_tm(cfg, e, env))
     else:
-        data = args.lt.map(lambda e: eval_tm(cfg, e, env))
+        data = tuple(eval_tm(cfg, t, env) for t in args.data)
     return Env(data, eval_ty(cfg, args.ty, env))
 
 
@@ -367,8 +361,6 @@ def _std_term(cfg: EvalConfig, b: Tree, m: int, env: Env) -> NfTerm:
 
 def quote_tm(x: NfTerm) -> CoreTerm:
     if isinstance(x, NVar):
-        if isinstance(x.pos, tuple):
-            return C.CPath(x.pos)
         return C.CVar(x.pos)
     head = x.head
     if isinstance(head, NCoh):
@@ -377,7 +369,7 @@ def quote_tm(x: NfTerm) -> CoreTerm:
         inner = C.CId(head.n)
     else:
         inner = C.CComp(head.tree)
-    return C.CLabel(inner, C.CoreLabel(x.label.map(quote_tm), C.CSTAR))
+    return C.CApp(inner, C.CArgs(x.label.map(quote_tm)))
 
 
 def quote_ty(b: NfType) -> CoreType:

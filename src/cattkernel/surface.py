@@ -94,7 +94,7 @@ class RSusp:
 @dataclass(frozen=True)
 class RApp:
     term: "RawTerm"
-    args: "RawArgs"
+    args: "RArgs"
     span: Span = SYNTH
 
 
@@ -123,24 +123,14 @@ RawType = Union[RStar, RTyHole, RArrow]
 
 
 @dataclass(frozen=True)
-class RSubArgs:
-    """Substitution-style arguments with an optional type part."""
+class RArgs:
+    """The arguments of an application with an optional type part: a tuple
+    of terms in the substitution style, or a RawTree of optional terms in
+    the labelling style."""
 
-    ty: Optional[RawType]
-    terms: tuple
-    span: Span = SYNTH
-
-
-@dataclass(frozen=True)
-class RLabelArgs:
-    """Labelling-style arguments: a tree of optional terms."""
-
-    tree: RawTree
+    data: Union[tuple, RawTree]
     ty: Optional[RawType] = None
     span: Span = SYNTH
-
-
-RawArgs = Union[RSubArgs, RLabelArgs]
 
 
 @dataclass(frozen=True)
@@ -363,7 +353,7 @@ class _Parser:
 
     # -- arguments ----------------------------------------------------------
 
-    def args(self) -> RawArgs:
+    def args(self) -> RArgs:
         t = self.peek()
         start = t.start
         if t.kind == "lparen":
@@ -377,16 +367,16 @@ class _Parser:
                     self.next()
                     terms.append(self.term())
             self.expect("rparen")
-            return RSubArgs(ty, tuple(terms), self.span_from(start))
+            return RArgs(tuple(terms), ty, self.span_from(start))
         if t.kind == "langle":
             self.next()
             ty = self.type_part()
             tree = self.tree(element="term")
             self.expect("rangle")
-            return RLabelArgs(tree, ty, self.span_from(start))
+            return RArgs(tree, ty, self.span_from(start))
         if t.kind == "lbracket":
             tree = self.square_tree(element="term")
-            return RLabelArgs(tree, None, self.span_from(start))
+            return RArgs(tree, None, self.span_from(start))
         raise ParseError("expected arguments", self.span_of(t))
 
     def type_part(self) -> Optional[RawType]:
@@ -444,25 +434,19 @@ class _Parser:
         return self.term()
 
     def square_tree(self, element: str) -> RawTree:
+        """Square-bracket sugar: each item is a branch, written as a tree;
+        a single entry is the tree of that entry alone."""
         start = self.peek().start
         self.expect("lbracket")
         branches: list[RawTree] = []
         if self.peek().kind != "rbracket":
-            branches.append(self.square_item(element))
+            branches.append(self.tree(element))
             while self.peek().kind == "comma":
                 self.next()
-                branches.append(self.square_item(element))
+                branches.append(self.tree(element))
         self.expect("rbracket")
         elements = tuple([None] * (len(branches) + 1))
         return RawTree(elements, tuple(branches), self.span_from(start))
-
-    def square_item(self, element: str) -> RawTree:
-        """An item of the square-bracket sugar: a nested tree, or a curly
-        tree, which is a single entry wrapped in a singleton tree when no
-        brace follows it."""
-        if self.peek().kind == "lbracket":
-            return self.square_tree(element)
-        return self.curly_tree(element)
 
     # -- types --------------------------------------------------------------
 
@@ -666,15 +650,12 @@ def _pretty_entry(e) -> str:
     return pretty(e)
 
 
-def pretty_args(a: RawArgs) -> str:
-    if isinstance(a, RSubArgs):
-        inner = ", ".join(pretty(t) for t in a.terms)
-        if a.ty is not None:
-            return f"({pretty(a.ty)} | {inner})"
-        return f"({inner})"
+def pretty_args(a: RArgs) -> str:
+    labelling = isinstance(a.data, RawTree)
+    inner = pretty_tree(a.data) if labelling else ", ".join(map(pretty, a.data))
     if a.ty is not None:
-        return f"<{pretty(a.ty)} | {pretty_tree(a.tree)}>"
-    return f"<{pretty_tree(a.tree)}>"
+        inner = f"{pretty(a.ty)} | {inner}"
+    return f"<{inner}>" if labelling else f"({inner})"
 
 
 def pretty_command(c: Command) -> str:

@@ -150,7 +150,7 @@ class Checker:
             entry = self.sig.entries.get(raw.name)
             if entry is None:
                 raise CheckError(f"unknown name {raw.name!r}", raw.span)
-            return entry.ctx, C.CTop(raw.name, entry.term), entry.ty
+            return entry.ctx, entry.term, entry.ty
         if isinstance(raw, R.RCoh):
             return self.infer_coh(raw)
         if isinstance(raw, R.RId):
@@ -243,7 +243,7 @@ class Checker:
             p = ctx.index.get(name)
             if p is None:
                 return None
-            return C.CPath(p), self.path_type(ctx, p), N.NVar(p)
+            return C.CVar(p), self.path_type(ctx, p), N.NVar(p)
         for i, nm in enumerate(ctx.names):
             if nm == name:
                 return C.CVar(i), ctx.types[i], N.NVar(i)
@@ -268,42 +268,37 @@ class Checker:
         return out
 
     def check_app(self, ctx: Ctx, raw: R.RApp) -> tuple:
-        head = raw.term
-        if isinstance(head, R.RComp) and isinstance(raw.args, R.RLabelArgs):
-            shape = _raw_shape(raw.args.tree)
-            lab, vals, lab_ty = self.check_label(ctx, raw.args, shape)
+        head, args = raw.term, raw.args
+        if isinstance(head, R.RComp) and isinstance(args.data, R.RawTree):
+            shape = _raw_shape(args.data)
+            lab, vals, lab_ty = self.check_label(ctx, args, shape)
             inner_ty = N.standard_nf_type(self.config, shape, shape.height)
-            return self.apply_label(C.CComp(shape), inner_ty, lab, vals, lab_ty)
+            return self.apply(C.CComp(shape), inner_ty, lab, Env(vals, lab_ty))
         inner_ctx, t, ty = self.infer(head)
         if isinstance(inner_ctx, TreeCtx):
-            args = raw.args
-            if isinstance(args, R.RSubArgs):
+            if not isinstance(args.data, R.RawTree):
                 args = _sub_to_label(args, inner_ctx.tree)
             lab, vals, lab_ty = self.check_label(ctx, args, inner_ctx.tree)
-            return self.apply_label(t, ty, lab, vals, lab_ty)
-        if not isinstance(raw.args, R.RSubArgs):
-            raise CheckError(
-                "labelling arguments need a tree context", raw.args.span
-            )
-        return self.apply_sub(ctx, inner_ctx, t, ty, raw.args)
+            return self.apply(t, ty, lab, Env(vals, lab_ty))
+        if isinstance(args.data, R.RawTree):
+            raise CheckError("labelling arguments need a tree context", args.span)
+        return self.apply_sub(ctx, inner_ctx, t, ty, args)
 
-    def apply_label(
-        self, t, inner_ty, lab: C.CoreLabel, vals: LTree, lab_ty: NfType
-    ):
-        env = Env(vals, lab_ty)
+    def apply(self, t, inner_ty: NfType, args: C.CArgs, env: Env) -> tuple:
+        """Apply t, of type inner_ty, to args, whose values make env."""
         out_ty = N.eval_nf_ty(self.config, inner_ty, env)
-        return C.CLabel(t, lab), out_ty, N.eval_tm(self.config, t, env)
+        return C.CApp(t, args), out_ty, N.eval_tm(self.config, t, env)
 
-    def apply_sub(self, ctx, inner_ctx: ListCtx, t, inner_ty, args: R.RSubArgs):
-        if len(args.terms) != len(inner_ctx):
+    def apply_sub(self, ctx, inner_ctx: ListCtx, t, inner_ty, args: R.RArgs):
+        if len(args.data) != len(inner_ctx):
             raise CheckError(
-                f"expected {len(inner_ctx)} arguments, got {len(args.terms)}",
+                f"expected {len(inner_ctx)} arguments, got {len(args.data)}",
                 args.span,
             )
         terms = []
         types = []
         vals = []
-        for s in args.terms:
+        for s in args.data:
             ti, bi, vi = self.elab(ctx, s)
             terms.append(ti)
             types.append(bi)
@@ -314,7 +309,7 @@ class Checker:
             expected = N.eval_nf_ty(self.config, inner_ctx.types[i], env)
             if bi != expected:
                 raise CheckError(
-                    f"argument {i} has the wrong type", args.terms[i].span
+                    f"argument {i} has the wrong type", args.data[i].span
                 )
         if args.ty is not None:
             _, given = self.check_ty(ctx, args.ty)
@@ -322,28 +317,27 @@ class Checker:
                 raise CheckError(
                     "the type part does not match the arguments", args.ty.span
                 )
-        sub = C.CoreSub(N.quote_ty(base_ty), tuple(terms))
-        out_ty = N.eval_nf_ty(self.config, inner_ty, env)
-        return C.CSub(t, sub), out_ty, N.eval_tm(self.config, t, env)
+        sub = C.CArgs(tuple(terms), N.quote_ty(base_ty))
+        return self.apply(t, inner_ty, sub, env)
 
     # -- labellings ---------------------------------------------------------
 
-    def check_label(self, ctx: Ctx, args: R.RLabelArgs, shape: Tree) -> tuple:
+    def check_label(self, ctx: Ctx, args: R.RArgs, shape: Tree) -> tuple:
         """Elaborate a labelling; return it with the labelling of its
         values and the type of its zero cells."""
-        if not _has_shape(args.tree, shape):
+        if not _has_shape(args.data, shape):
             raise CheckError(
                 "the labelling does not match the shape of the context",
-                args.tree.span,
+                args.data.span,
             )
-        lt, vals, ty = self._label_tree(ctx, args.tree, shape)
+        lt, vals, ty = self._label_tree(ctx, args.data, shape)
         if args.ty is not None:
             _, given = self.check_ty(ctx, args.ty)
             if given != ty:
                 raise CheckError(
                     "the type part does not match the labelling", args.ty.span
                 )
-        return C.CoreLabel(lt, N.quote_ty(ty)), vals, ty
+        return C.CArgs(lt, N.quote_ty(ty)), vals, ty
 
     def _label_tree(self, ctx: Ctx, raw: R.RawTree, shape: Tree) -> tuple:
         """The core labelling, the labelling of its values, and the type of
@@ -462,15 +456,15 @@ def _tree_ctx(raw: R.RawTree, span: Span) -> TreeCtx:
     return TreeCtx(_raw_shape(raw), names)
 
 
-def _sub_to_label(args: R.RSubArgs, shape: Tree) -> R.RLabelArgs:
+def _sub_to_label(args: R.RArgs, shape: Tree) -> R.RArgs:
     """Assign substitution arguments to the locally maximal positions of a
     tree context."""
     mps = T.maximal_paths(shape)
-    if len(args.terms) != len(mps):
+    if len(args.data) != len(mps):
         raise CheckError(
-            f"expected {len(mps)} arguments, got {len(args.terms)}", args.span
+            f"expected {len(mps)} arguments, got {len(args.data)}", args.span
         )
-    terms = iter(args.terms)
+    terms = iter(args.data)
 
     def build(sub: Tree) -> R.RawTree:
         if not sub.branches:
@@ -478,5 +472,4 @@ def _sub_to_label(args: R.RSubArgs, shape: Tree) -> R.RLabelArgs:
         elements = tuple([None] * (len(sub.branches) + 1))
         return R.RawTree(elements, tuple(build(b) for b in sub.branches))
 
-    ty = args.ty
-    return R.RLabelArgs(build(shape), ty, args.span)
+    return R.RArgs(build(shape), args.ty, args.span)

@@ -217,6 +217,23 @@ CHECKER_CASES = [
         "the branch arguments live over different types",
     ),
     ("normalise id in [f, g]", 1, "the term lives over a different context"),
+    ("normalise x in (x : *), (x : *)", 1, "duplicate variable 'x'"),
+    ("def d = comp[f, g]", 1, "this term needs a context to be checked in"),
+    (
+        "normalise coh [ x{f}y : * ] in x{f}y",
+        1,
+        "a coherence needs an arrow type",
+    ),
+    ("normalise comp in (x : *)", 1, "a bare composite needs a tree context"),
+    ("normalise _ in x{f}y", 1, "a hole is not allowed here"),
+    ("normalise x in (x : _)", 1, "a type hole is not allowed here"),
+    # a list-context term over a tree context
+    ("normalise v in x{f}y", 1, "the term lives over a different context"),
+    (
+        "assert x = f in (x : *), (y : *), (f : x -> y)",
+        1,
+        "the two sides have different types",
+    ),
 ]
 
 

@@ -9,19 +9,7 @@ from cattkernel import flat as F
 from cattkernel import nbe as N
 from cattkernel import surface as R
 from cattkernel import trees as T
-from cattkernel.core import (
-    CComp,
-    CId,
-    CLabel,
-    CPath,
-    CSTAR,
-    CSub,
-    CSusp,
-    CTop,
-    CVar,
-    CoreLabel,
-    CoreSub,
-)
+from cattkernel.core import CSTAR, CApp, CArgs, CComp, CId, CSusp, CVar
 from cattkernel.flat import STAR, Arrow, Var
 from cattkernel.trees import LEAF, LTree, Tree, linear_tree
 
@@ -60,28 +48,24 @@ def test_flatten_list_variable():
 
 
 def test_flatten_path_variable():
-    assert C.flatten_tm(CPath((0,)), CHAIN2) == Var(4)
-    assert C.flatten_tm(CPath((0, 0)), CHAIN2) == Var(2)
-    assert C.flatten_tm(CPath((2,)), CHAIN2) == Var(1)
-
-
-def test_flatten_top_level_unfolds():
-    assert C.flatten_tm(CTop("a", CVar(1)), 3) == Var(1)
+    assert C.flatten_tm(CVar((0,)), CHAIN2) == Var(4)
+    assert C.flatten_tm(CVar((0, 0)), CHAIN2) == Var(2)
+    assert C.flatten_tm(CVar((2,)), CHAIN2) == Var(1)
 
 
 def test_flatten_sub_application():
-    s = CSub(CVar(0), CoreSub(CSTAR, (CVar(2),)))
+    s = CApp(CVar(0), CArgs((CVar(2),), CSTAR))
     assert C.flatten_tm(s, 4) == Var(1)
 
 
 def test_flatten_label_application():
-    lab = CoreLabel(LTree.from_fn(CHAIN2, CPath), CSTAR)
-    s = CLabel(CComp(CHAIN2), lab)
+    lab = CArgs(LTree.from_fn(CHAIN2, CVar))
+    s = CApp(CComp(CHAIN2), lab)
     assert C.flatten_tm(s, CHAIN2) == T.standard_coh(CHAIN2, 1)
 
 
 def test_flatten_suspension():
-    tm = CSusp(CPath((0,)))
+    tm = CSusp(CVar((0,)))
     assert C.flatten_tm(tm, T.suspend_tree(CHAIN2)) == F.suspend_tm(
         Var(4), T.ctx_size(CHAIN2)
     )
@@ -186,26 +170,26 @@ def test_label_from_sub_length_mismatch():
 def test_to_raw_variables():
     nm = C.Names(["x", "f"])
     assert C.to_raw(CVar(1), nm) == R.RVar("f")
-    assert C.to_raw(CPath((0, 0))) == R.RVar("p00")
+    assert C.to_raw(CVar((0, 0))) == R.RVar("p00")
 
 
 def test_to_raw_label_keeps_only_maximal_entries():
-    lab = CoreLabel(LTree.from_fn(CHAIN2, CPath), CSTAR)
-    raw = C.to_raw(CLabel(CComp(CHAIN2), lab))
-    tree = raw.args.tree
+    lab = CArgs(LTree.from_fn(CHAIN2, CVar))
+    raw = C.to_raw(CApp(CComp(CHAIN2), lab))
+    tree = raw.args.data
     assert tree.elements == (None, None, None)
     assert tree.branches[0].elements == (R.RVar("p00"),)
 
 
 def test_to_raw_keep_implicits():
-    lab = CoreLabel(LTree.from_fn(CHAIN2, CPath), CSTAR)
-    raw = C.to_raw(CLabel(CComp(CHAIN2), lab), keep_implicits=True)
-    assert raw.args.tree.elements == (R.RVar("p0"), R.RVar("p1"), R.RVar("p2"))
+    lab = CArgs(LTree.from_fn(CHAIN2, CVar))
+    raw = C.to_raw(CApp(CComp(CHAIN2), lab), keep_implicits=True)
+    assert raw.args.data.elements == (R.RVar("p0"), R.RVar("p1"), R.RVar("p2"))
 
 
 def test_to_raw_pretty_parses_back():
-    lab = CoreLabel(LTree.from_fn(CHAIN2, CPath), CSTAR)
-    raw = C.to_raw(CLabel(CComp(CHAIN2), lab))
+    lab = CArgs(LTree.from_fn(CHAIN2, CVar))
+    raw = C.to_raw(CApp(CComp(CHAIN2), lab))
     printed = R.pretty(raw)
     assert R.strip_spans(R.parse_term(printed)) == R.strip_spans(raw)
 

@@ -5,7 +5,7 @@ import pytest
 from cattkernel import core as C
 from cattkernel import nbe as N
 from cattkernel import trees as T
-from cattkernel.core import CPath, CSusp, CoreLabel
+from cattkernel.core import CArgs, CSusp, CVar
 from cattkernel.nbe import SU, SUA, WEAK, Env, NApp, NCoh, NComp, NId, NVar
 from cattkernel.trees import LEAF, LTree, Tree, linear_tree
 
@@ -23,13 +23,11 @@ def std_type(t: Tree, n: int):
 
 
 def std_comp_term(t: Tree):
-    return C.CLabel(
-        C.CComp(t), CoreLabel(LTree.from_fn(t, CPath), C.CSTAR)
-    )
+    return C.CApp(C.CComp(t), CArgs(LTree.from_fn(t, CVar)))
 
 
 def id_term(n: int, t: Tree):
-    return C.CLabel(C.CId(n), CoreLabel(LTree.from_fn(t, CPath), C.CSTAR))
+    return C.CApp(C.CId(n), CArgs(LTree.from_fn(t, CVar)))
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +36,7 @@ def id_term(n: int, t: Tree):
 
 def test_id_env_evaluates_paths_to_themselves():
     env = N.id_env(CHAIN2)
-    assert ev(WEAK, CPath((0, 0)), env) == NVar((0, 0))
+    assert ev(WEAK, CVar((0, 0)), env) == NVar((0, 0))
 
 
 def test_lift_tree_env():
@@ -63,7 +61,7 @@ def test_lower_folds_type_into_tree():
 
 def test_suspension_evaluates_via_lift():
     env = N.id_env(T.suspend_tree(LEAF))
-    assert ev(WEAK, CSusp(CPath((0,))), env) == NVar((0, 0))
+    assert ev(WEAK, CSusp(CVar((0,))), env) == NVar((0, 0))
 
 
 def test_suspension_environment_suspends_normal_forms():

@@ -14,16 +14,15 @@ from cattkernel.surface import (
     NormaliseCmd,
     ParseError,
     RApp,
+    RArgs,
     RArrow,
     RawTree,
     RCoh,
     RComp,
     RHole,
     RId,
-    RLabelArgs,
     RListCtx,
     RStar,
-    RSubArgs,
     RSusp,
     RTreeCtx,
     RTyHole,
@@ -71,13 +70,13 @@ def test_parse_suspension():
 
 def test_parse_substitution_args():
     t = strip_spans(parse_term("comp1(f, g)"))
-    assert t == RApp(RVar("comp1"), RSubArgs(None, (RVar("f"), RVar("g"))))
+    assert t == RApp(RVar("comp1"), RArgs((RVar("f"), RVar("g"))))
 
 
 def test_parse_nested_application():
     t = strip_spans(parse_term("comp1(id(x), f)"))
-    inner = RApp(RId(), RSubArgs(None, (RVar("x"),)))
-    assert t == RApp(RVar("comp1"), RSubArgs(None, (inner, RVar("f"))))
+    inner = RApp(RId(), RArgs((RVar("x"),)))
+    assert t == RApp(RVar("comp1"), RArgs((inner, RVar("f"))))
 
 
 def test_parse_coherence():
@@ -105,32 +104,32 @@ def test_underscore_allowed_inside_names():
 
 
 def test_square_sugar_equals_curly():
-    a = strip_spans(parse_term("comp<{f}{{a}{b}}>").args.tree)
-    b = strip_spans(parse_term("comp[f,[a,b]]").args.tree)
+    a = strip_spans(parse_term("comp<{f}{{a}{b}}>").args.data)
+    b = strip_spans(parse_term("comp[f,[a,b]]").args.data)
     assert a == b
 
 
 def test_square_sugar_structure():
-    t = strip_spans(parse_term("comp[f,g]").args.tree)
+    t = strip_spans(parse_term("comp[f,g]").args.data)
     assert t == tree([None, None, None], [leaf(RVar("f")), leaf(RVar("g"))])
 
 
 def test_square_item_nests_when_it_parses_as_a_tree():
-    t = strip_spans(parse_term("comp[x{a}y, h]").args.tree)
+    t = strip_spans(parse_term("comp[x{a}y, h]").args.data)
     assert t.branches[0] == tree([RVar("x"), RVar("y")], [leaf(RVar("a"))])
     assert t.branches[1] == leaf(RVar("h"))
 
 
 def test_square_item_with_parenthesised_term_is_an_element():
-    t = strip_spans(parse_term("comp[horiz(a, b), h]").args.tree)
+    t = strip_spans(parse_term("comp[horiz(a, b), h]").args.data)
     assert t.branches[0] == leaf(
-        RApp(RVar("horiz"), RSubArgs(None, (RVar("a"), RVar("b"))))
+        RApp(RVar("horiz"), RArgs((RVar("a"), RVar("b"))))
     )
 
 
 def test_square_item_with_braces_inside_angle_brackets_is_an_element():
-    t = strip_spans(parse_term("comp[comp<x{f}y>]").args.tree)
-    inner = RApp(RComp(), RLabelArgs(tree([RVar("x"), RVar("y")], [leaf(RVar("f"))])))
+    t = strip_spans(parse_term("comp[comp<x{f}y>]").args.data)
+    inner = RApp(RComp(), RArgs(tree([RVar("x"), RVar("y")], [leaf(RVar("f"))])))
     assert t == tree([None, None], [leaf(inner)])
 
 
@@ -146,7 +145,7 @@ def test_angle_bracket_labelling_args():
     t = strip_spans(parse_term("comp<x{f}y>"))
     assert t == RApp(
         RComp(),
-        RLabelArgs(tree([RVar("x"), RVar("y")], [leaf(RVar("f"))])),
+        RArgs(tree([RVar("x"), RVar("y")], [leaf(RVar("f"))])),
     )
 
 
@@ -341,10 +340,8 @@ def raw_terms(depth: int = 3):
         )
 
     args = st.one_of(
-        st.lists(sub, min_size=1, max_size=3).map(
-            lambda ts: RSubArgs(None, tuple(ts))
-        ),
-        trees_of(st.one_of(st.none(), sub)).map(RLabelArgs),
+        st.lists(sub, min_size=1, max_size=3).map(lambda ts: RArgs(tuple(ts))),
+        trees_of(st.one_of(st.none(), sub)).map(RArgs),
     )
     arrows = st.builds(
         RArrow, sub, st.one_of(st.none(), st.just(RStar())), sub

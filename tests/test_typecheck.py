@@ -573,7 +573,7 @@ def test_eval_nf_is_eval_of_the_quotation():
         raw = R.parse_term(term_text)
         inner = None
         if isinstance(raw.term, R.RComp):
-            shape = TC._raw_shape(raw.args.tree)
+            shape = TC._raw_shape(raw.args.data)
             inner = (shape, gen_typed.random_composite(rng, shape))
         cases.append((tree, tree_text, raw, inner))
 
