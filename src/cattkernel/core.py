@@ -16,7 +16,7 @@ from . import flat as F
 from . import surface as R
 from . import trees as T
 from .flat import STAR, FlatTerm, FlatType, Var
-from .trees import LTree, Labelling, Path, Tree
+from .trees import LTree, Path, Tree
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,15 @@ def _amb_size(amb: Ambient) -> int:
 def flatten_tm(x: CoreTerm, amb: Ambient) -> FlatTerm:
     if isinstance(x, CVar):
         if isinstance(x.pos, tuple):
-            return T.path_var(amb, x.pos)
+            return F.path_var(amb, x.pos)
         return Var(_amb_size(amb) - 1 - x.pos)
     if isinstance(x, CCoh):
-        g = T.tree_to_ctx(x.tree)
+        g = F.tree_to_ctx(x.tree)
         return F.Coh(g, flatten_ty(x.ty, x.tree), F.identity_sub(g))
     if isinstance(x, CId):
-        return T.standard_coh(T.linear_tree(x.n), x.n + 1)
+        return F.standard_coh(T.linear_tree(x.n), x.n + 1)
     if isinstance(x, CComp):
-        return T.standard_coh(x.tree, x.tree.height)
+        return F.standard_coh(x.tree, x.tree.height)
     if isinstance(x, CApp):
         data = x.args.data
         inner_amb = data.shape() if isinstance(data, LTree) else len(data)
@@ -138,8 +138,7 @@ def _unsuspend(amb: Ambient) -> Ambient:
 def flatten_args(args: CArgs, amb: Ambient) -> F.FlatSub:
     ty = flatten_ty(args.ty, amb)
     if isinstance(args.data, LTree):
-        lab = Labelling(args.data.map(lambda e: flatten_tm(e, amb)), ty)
-        return T.label_to_sub(lab)
+        return F.label_to_sub(args.data.map(lambda e: flatten_tm(e, amb)), ty)
     return F.FlatSub(ty, tuple(flatten_tm(t, amb) for t in args.data))
 
 

@@ -1,22 +1,27 @@
-"""Base de-Bruijn-indexed syntax: contexts, terms, types, extended substitutions.
+"""Base de-Bruijn-indexed syntax: contexts, terms, types, extended
+substitutions, and the realisation of trees and labellings in it.
 
 Variables are indexed from the *end* of the context: Var(0) is the most
 recently declared variable.  This makes suspension the identity on variable
 indices (the two new 0-cells go at the front) and weakening a uniform
 increment.  Positions counted from the start of the context are used for
-variable sets and substitution term lists; ``Var(k)`` in a context of length
-``n`` sits at position ``n - 1 - k``.
+substitution term lists; ``Var(k)`` in a context of length ``n`` sits at
+position ``n - 1 - k``.
+
+A tree realises as the context that glues the suspensions of the
+realisations of its children along their endpoint 0-cells, so trees
+present exactly the pasting contexts.  A labelling (an ``LTree`` of terms)
+realises as a substitution out of the realised context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Union
 
-
-class MalformedSyntax(Exception):
-    """Raised on out-of-scope indices or arity mismatches."""
+from . import trees as T
+from .trees import LEAF, LTree, MalformedSyntax, Path, Tree, ctx_size
 
 
 # ---------------------------------------------------------------------------
@@ -91,35 +96,6 @@ class FlatSub:
 EMPTY_CTX = FlatCtx(())
 
 
-@dataclass(frozen=True)
-class VarSet:
-    """Boolean-per-variable set over a fixed context; indexed by position
-    from the start of the context."""
-
-    members: tuple[bool, ...]
-
-    def union(self, other: "VarSet") -> "VarSet":
-        return VarSet(tuple(a or b for a, b in zip(self.members, other.members)))
-
-    def positions(self) -> list[int]:
-        return [i for i, m in enumerate(self.members) if m]
-
-    @staticmethod
-    def empty(n: int) -> "VarSet":
-        return VarSet((False,) * n)
-
-    @staticmethod
-    def full(n: int) -> "VarSet":
-        return VarSet((True,) * n)
-
-    @staticmethod
-    def of(n: int, positions: Iterable[int]) -> "VarSet":
-        mem = [False] * n
-        for p in positions:
-            mem[p] = True
-        return VarSet(tuple(mem))
-
-
 # ---------------------------------------------------------------------------
 # dimensions
 
@@ -130,10 +106,6 @@ def dim_ty(a: FlatType) -> int:
         a = a.base
         d += 1
     return d
-
-
-def dim_ctx(g: FlatCtx) -> int:
-    return max((dim_ty(e) for e in g.entries), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +189,6 @@ def unrestrict(sigma: FlatSub) -> FlatSub:
     return FlatSub(a.base, (a.src, a.tgt) + sigma.terms)
 
 
-def restrict(sigma: FlatSub) -> FlatSub:
-    if len(sigma.terms) < 2:
-        raise MalformedSyntax("restrict requires at least two terms")
-    return FlatSub(Arrow(sigma.terms[0], sigma.ty, sigma.terms[1]), sigma.terms[2:])
-
-
 # ---------------------------------------------------------------------------
 # weakening and identities
 
@@ -245,12 +211,6 @@ def _wk_tm(t: FlatTerm) -> FlatTerm:
     if isinstance(t, Var):
         return Var(t.idx + 1)
     return Coh(t.ctx, t.ty, weaken(t.sub))
-
-
-def weaken_n(x, k: int):
-    for _ in range(k):
-        x = weaken(x)
-    return x
 
 
 def identity_sub(g: FlatCtx) -> FlatSub:
@@ -279,10 +239,6 @@ def disc_family(n: int) -> tuple[FlatCtx, FlatCtx, FlatType]:
 
 def disc_ctx(n: int) -> FlatCtx:
     return disc_family(n)[0]
-
-
-def sphere_ctx(n: int) -> FlatCtx:
-    return disc_family(n)[1]
 
 
 def sphere_ty(n: int) -> FlatType:
@@ -332,70 +288,223 @@ def is_unary_comp(t: FlatTerm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# free variables, downward closure, support
+# realisation of trees
 
 
-def free_vars(x, ctx_len: int) -> VarSet:
-    mem = [False] * ctx_len
-    _fv(x, ctx_len, mem)
-    return VarSet(tuple(mem))
-
-
-def _fv(x, n: int, mem: list[bool]) -> None:
-    if isinstance(x, Var):
-        mem[n - 1 - x.idx] = True
-    elif isinstance(x, Coh):
-        _fv(x.sub, n, mem)
-    elif isinstance(x, Arrow):
-        _fv(x.src, n, mem)
-        _fv(x.base, n, mem)
-        _fv(x.tgt, n, mem)
-    elif isinstance(x, Star):
-        pass
-    elif isinstance(x, FlatSub):
-        _fv(x.ty, n, mem)
-        for t in x.terms:
-            _fv(t, n, mem)
-    else:
-        raise TypeError(f"cannot take free variables of {type(x).__name__}")
-
-
-def downward_close(g: FlatCtx, v: VarSet) -> VarSet:
-    n = len(g)
-    mem = list(v.members)
-    for i in reversed(range(n)):
-        if mem[i]:
-            # entry i's type lives over the prefix of length i; its variable
-            # with index j sits at position i - 1 - j of the full context
-            sub = free_vars(g.entries[i], i)
-            for p in sub.positions():
-                mem[p] = True
-    return VarSet(tuple(mem))
-
-
-def support(g: FlatCtx, x) -> VarSet:
-    return downward_close(g, free_vars(x, len(g)))
-
-
-def apply_set(v: VarSet, sigma: FlatSub, codomain_len: int) -> VarSet:
-    """Image of a variable set under a (regular) substitution."""
-    out = VarSet.empty(codomain_len)
-    for i in v.positions():
-        out = out.union(free_vars(sigma.terms[i], codomain_len))
+def _offsets(t: Tree) -> list[int]:
+    """Position offsets of the suspended components in the realised context;
+    component k occupies positions [offset(k) .. offset(k+1)] with its first
+    0-cell shared with the previous component."""
+    out = [1]
+    for b in t.branches:
+        out.append(out[-1] + ctx_size(b) + 1)
     return out
 
 
+def zero_cell_pos(t: Tree, k: int) -> int:
+    return 0 if k == 0 else _offsets(t)[k - 1]
+
+
+def path_pos(t: Tree, p: Path) -> int:
+    """The position of path p in the realised context, found in one walk
+    down p."""
+    if not p:
+        raise MalformedSyntax("not a path of the tree")
+    pos = 0
+    for k in p[:-1]:
+        if not 0 <= k < len(t.branches):
+            raise MalformedSyntax("not a path of the tree")
+        # component k's child starts after the component's two 0-cells
+        pos += zero_cell_pos(t, k + 1) + 1
+        t = t.branches[k]
+    if not 0 <= p[-1] <= len(t.branches):
+        raise MalformedSyntax("not a path of the tree")
+    return pos + zero_cell_pos(t, p[-1])
+
+
+def path_var(t: Tree, p: Path) -> FlatTerm:
+    return Var(ctx_size(t) - 1 - path_pos(t, p))
+
+
+def snd_var(g: FlatCtx) -> FlatTerm:
+    last = max(i for i, e in enumerate(g.entries) if e == STAR)
+    return Var(len(g) - 1 - last)
+
+
+def wedge(g: FlatCtx, d: FlatCtx) -> tuple[FlatCtx, FlatSub, FlatSub]:
+    """Glue the last 0-cell of g to the first variable of d; also return the
+    two inclusion substitutions."""
+    if len(g) == 0 or len(d) == 0:
+        raise MalformedSyntax("wedge of an empty context")
+    entries = list(g.entries)
+    inr_terms: list[FlatTerm] = [snd_var(g)]
+    for i in range(1, len(d)):
+        a = substitute(d.entries[i], FlatSub(STAR, tuple(inr_terms)))
+        entries.append(a)
+        inr_terms = [weaken(t) for t in inr_terms] + [Var(0)]
+    inl = identity_sub(g)
+    for _ in range(len(d) - 1):
+        inl = weaken(inl)
+    return FlatCtx(tuple(entries)), inl, FlatSub(STAR, tuple(inr_terms))
+
+
+# Bounded like standard_type below: the validation route keeps meeting new
+# trees, made by insertion, and each realisation is as large as its tree.
+@lru_cache(maxsize=128)
+def tree_to_ctx(t: Tree) -> FlatCtx:
+    if not t.branches:
+        return FlatCtx((STAR,))
+    ctx = suspend_ctx(tree_to_ctx(t.branches[0]))
+    for b in t.branches[1:]:
+        ctx, _, _ = wedge(ctx, suspend_ctx(tree_to_ctx(b)))
+    return ctx
+
+
 # ---------------------------------------------------------------------------
-# canonical types
+# realisation of labellings
 
 
-def canonical_type(g: FlatCtx, t: FlatTerm) -> FlatType:
-    if isinstance(t, Var):
-        pos = len(g) - 1 - t.idx
-        if not 0 <= pos < len(g):
-            raise MalformedSyntax(f"variable v{t.idx} out of scope")
-        return weaken_n(g.entries[pos], t.idx + 1)
-    return _sub_ty(t.ty, t.sub)
+def label_to_sub(lt: LTree, ty: FlatType = STAR) -> FlatSub:
+    """The substitution a labelling of terms realises as, with type part
+    ty."""
+    if not lt.branches:
+        return FlatSub(ty, (lt.elements[0],))
+    terms: list[FlatTerm] = []
+    for i, br in enumerate(lt.branches):
+        inner = label_to_sub(br, Arrow(lt.elements[i], ty, lt.elements[i + 1]))
+        part = unrestrict(inner).terms
+        terms.extend(part if i == 0 else part[1:])
+    return FlatSub(ty, tuple(terms))
+
+
+def label_from_sub(t: Tree, sigma: FlatSub) -> LTree:
+    """Reassemble the labelling over t whose flattening is sigma, up to
+    its type part."""
+    if len(sigma.terms) != ctx_size(t):
+        raise MalformedSyntax("substitution length does not match the tree")
+    return LTree.from_fn(t, lambda p: sigma.terms[path_pos(t, p)])
+
+
+def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
+    """The labelling from the disc tree classifying a term and its type."""
+
+    def ext(lab: LTree, s: FlatTerm, u: FlatTerm) -> LTree:
+        if not lab.branches:
+            return LTree((lab.elements[0], s), (LTree((u,), ()),))
+        return LTree(lab.elements, (ext(lab.branches[0], s, u),))
+
+    if isinstance(a, Star):
+        return LTree((t,), ())
+    return ext(label_from_disc(a.base, a.src), a.tgt, t)
+
+
+def boundary_inclusion(t: Tree, n: int, eps: str) -> LTree:
+    """The inclusion of the n-boundary of t, with variable entries over the
+    realised context."""
+    return LTree.from_fn(
+        T.tree_boundary(t, n), lambda p: path_var(t, T.boundary_path(t, n, eps, p))
+    )
+
+
+# ---------------------------------------------------------------------------
+# standard constructions
+
+
+# Bounded: the oracle asks for the same few (tree, n) at every step, and an
+# unbounded cache would keep every tree a long run meets.
+@lru_cache(maxsize=64)
+def standard_type(t: Tree, n: int) -> FlatType:
+    if n == 0:
+        return STAR
+    b = T.tree_boundary(t, n - 1)
+    src = substitute(
+        standard_term(b, n - 1), label_to_sub(boundary_inclusion(t, n - 1, "-"))
+    )
+    tgt = substitute(
+        standard_term(b, n - 1), label_to_sub(boundary_inclusion(t, n - 1, "+"))
+    )
+    return Arrow(src, standard_type(t, n - 1), tgt)
+
+
+def standard_coh(t: Tree, n: int) -> Coh:
+    if n < t.height or (n == 0 and t != LEAF):
+        raise MalformedSyntax("standard coherence needs n >= h(T), n > 0")
+    g = tree_to_ctx(t)
+    return Coh(g, standard_type(t, n), identity_sub(g))
+
+
+def standard_term(t: Tree, n: int) -> FlatTerm:
+    if t == LEAF and n == 0:
+        return Var(0)
+    if n > 0 and len(t.branches) == 1:
+        inner = t.branches[0]
+        return suspend_tm(standard_term(inner, n - 1), ctx_size(inner))
+    return standard_coh(t, n)
+
+
+# ---------------------------------------------------------------------------
+# the exterior labelling of an insertion
+
+
+def _inclusion_sub(r: Tree, k: int, m: int) -> FlatSub:
+    """Substitution including the realisation of components k..k+m-1 of r
+    into the realisation of r."""
+    span = Tree(r.branches[k : k + m])
+    size = ctx_size(span)
+    n = ctx_size(r)
+    offs = _offsets(r)
+    base = offs[k] - 1
+
+    def glob(pos: int) -> int:
+        return zero_cell_pos(r, k) if pos == 0 else pos + base
+
+    return FlatSub(STAR, tuple(Var(n - 1 - glob(pos)) for pos in range(size)))
+
+
+def _include_component(r: Tree, k: int, inner_size: int, e: FlatTerm) -> FlatTerm:
+    """Suspend a term over the realisation of component k's child and include
+    it into the realisation of r."""
+    return substitute(suspend_tm(e, inner_size), _inclusion_sub(r, k, 1))
+
+
+def exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
+    """The labelling of s over the realisation of the tree that inserting t
+    at the branch p makes."""
+    r = T.insert_tree(s, p, t)
+    k = p[0]
+    nt = len(t.branches)
+
+    def identity_branch(j: int, rj: int) -> LTree:
+        return LTree.from_fn(s.branches[j], lambda q: path_var(r, (rj,) + q))
+
+    if len(p) == 1:
+        m = s.branches[k].height + 1
+        inc = _inclusion_sub(r, k, nt)
+        disc = label_from_disc(
+            substitute(standard_type(t, m), inc),
+            substitute(standard_coh(t, m), inc),
+        )
+        mid = disc.branches[0]
+        elements = tuple(
+            path_var(r, (j,) if j <= k else (j + nt - 1,))
+            for j in range(len(s.branches) + 1)
+        )
+        branches = (
+            tuple(identity_branch(j, j) for j in range(k))
+            + (mid,)
+            + tuple(
+                identity_branch(j, j + nt - 1) for j in range(k + 1, len(s.branches))
+            )
+        )
+        return LTree(elements, branches)
+    inner = exterior_label(s.branches[k], p[1:], t.branches[0])
+    size = ctx_size(T.insert_tree(s.branches[k], p[1:], t.branches[0]))
+    mid = inner.map(lambda e: _include_component(r, k, size, e))
+    elements = tuple(path_var(r, (j,)) for j in range(len(s.branches) + 1))
+    branches = tuple(
+        mid if j == k else identity_branch(j, j) for j in range(len(s.branches))
+    )
+    return LTree(elements, branches)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from . import core as C
-from . import flat as F
 from . import trees as T
 from .core import CoreTerm, CoreType
 from .trees import LTree, Path, Tree
@@ -119,7 +118,7 @@ def lift(env: Env) -> Env:
     pair_ty: NfType
     if isinstance(env.data, LTree):
         if len(env.data.branches) != 1:
-            raise F.MalformedSyntax("environment is not a suspension")
+            raise T.MalformedSyntax("environment is not a suspension")
         pair = (env.data.elements[0], env.data.elements[1])
         return Env(env.data.branches[0], (pair,) + env.ty)
     pair = (env.data[0], env.data[1])
@@ -130,7 +129,7 @@ def lower(env: Env) -> LTree:
     """Fold the type part into the tree, yielding a labelling over the
     suspended shape with trivial type part."""
     if not isinstance(env.data, LTree):
-        raise F.MalformedSyntax("only tree environments can be lowered")
+        raise T.MalformedSyntax("only tree environments can be lowered")
     lt = env.data
     for s, t in env.ty:
         lt = LTree((s, t), (lt,))
@@ -383,7 +382,7 @@ def quote_ty(b: NfType) -> CoreType:
 # flattening of normal forms
 
 
-def flatten_nf(x: NfTerm, amb) -> F.FlatTerm:
+def flatten_nf(x: NfTerm, amb):
     return C.flatten_tm(quote_tm(x), amb)
 
 

@@ -1,15 +1,14 @@
 """Small-step reduction over the flat syntax.
 
 An independent engine for the two strict equality theories, used to
-cross-validate the evaluator: it enumerates single-step reducts, measures
-syntactic complexity, and normalises by repeatedly picking a reduct
-(deterministically or at random; confluence makes the result agree).
+cross-validate the evaluator: it enumerates single-step reducts and
+normalises by repeatedly taking the first reduct (confluence makes any
+other choice agree).
 
-`reducts` finds the reducts lazily.  Deterministic normalisation
-(`first_steps`, `normalise` with no generator) builds only the first
-reduct at each step; at a normal form the search runs to its end, so a
-normal form is still certified by finding no reduct under any rule at any
-position.  `step` and random normalisation enumerate every reduct.
+`reducts` finds the reducts lazily.  Normalisation (`first_steps`,
+`normalise`) builds only the first reduct at each step; at a normal form
+the search runs to its end, so a normal form is still certified by finding
+no reduct under any rule at any position.  `step` enumerates every reduct.
 
 Head rules:
   dr      a unary composite reduces to its argument
@@ -22,13 +21,13 @@ Head rules:
           set only)
 
 Congruence steps inside coherence types (and substitution type parts) are
-tagged "cell"; they do not decrease the complexity measure.  Congruence
-steps inside substitution arguments keep the tag of the rule that fired.
+tagged "cell"; they do not decrease the syntactic complexity measure.
+Congruence steps inside substitution arguments keep the tag of the rule
+that fired.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -126,36 +125,35 @@ def _insertable(arg: FlatTerm) -> Optional[tuple[Tree, FlatSub]]:
         return linear_tree(n), arg.sub
     if F.is_unary_comp(arg):
         return None
-    tree = T.ctx_to_tree(arg.ctx)
-    if tree is None or arg.ty != T.standard_type(tree, tree.height):
+    tree = P.ctx_to_tree(arg.ctx)
+    if tree is None or arg.ty != F.standard_type(tree, tree.height):
         return None
     return tree, arg.sub
 
 
 def _insert_steps(t: Coh) -> Iterator[Step]:
-    s = T.ctx_to_tree(t.ctx)
+    s = P.ctx_to_tree(t.ctx)
     if s is None:
         return
-    lab = T.label_from_sub(s, t.sub)
+    lab = F.label_from_sub(s, t.sub)
     for p in T.all_branches(s):
         mp = T.branch_path(s, p)
         if not T.is_maximal_path(s, mp):
             continue
-        arg = t.sub.terms[T.path_pos(s, mp)]
+        arg = t.sub.terms[F.path_pos(s, mp)]
         found = _insertable(arg)
         if found is None:
             continue
         tree, m_sub = found
         if not T.is_insertion_point(s, tuple(p), tree):
             continue
-        kappa = T.label_to_sub(T.exterior_label(s, tuple(p), tree))
-        m_lab = T.label_from_sub(tree, m_sub)
-        merged = T.insert_label(lab, tuple(p), m_lab)
+        kappa = F.label_to_sub(F.exterior_label(s, tuple(p), tree))
+        merged = T.insert_ltree(lab, tuple(p), F.label_from_sub(tree, m_sub))
         inserted = T.insert_tree(s, tuple(p), tree)
         reduct = Coh(
-            T.tree_to_ctx(inserted),
+            F.tree_to_ctx(inserted),
             F.substitute(t.ty, kappa),
-            T.label_to_sub(merged),
+            F.label_to_sub(merged, t.sub.ty),
         )
         yield Step(reduct, "insert", ("head",) + tuple(p))
 
@@ -182,48 +180,6 @@ def _sub_steps(s: FlatSub, rules: RuleSet) -> Iterator[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# syntactic complexity
-
-
-Complexity = tuple  # coefficient at index i counts coherences of dimension i
-
-
-def _add(a: Complexity, b: Complexity) -> Complexity:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def complexity(t: FlatTerm) -> Complexity:
-    if isinstance(t, Var):
-        return ()
-    assert isinstance(t, Coh)
-    d = F.dim_ty(t.ty)
-    weight = 1 if F.is_identity(t) else 2
-    head = (0,) * d + (weight,)
-    return _add(head, complexity_sub(t.sub))
-
-
-def complexity_sub(s: FlatSub) -> Complexity:
-    out: Complexity = ()
-    for t in s.terms:
-        out = _add(out, complexity(t))
-    return out
-
-
-def less_than(a: Complexity, b: Complexity) -> bool:
-    """Reverse-lexicographic comparison: higher dimensions dominate."""
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return x < y
-    return False
-
-
-# ---------------------------------------------------------------------------
 # normalisation
 
 
@@ -243,22 +199,10 @@ def first_steps(t: FlatTerm, rules: RuleSet) -> Iterator[Step]:
         t = st.term
 
 
-def _random_steps(t: FlatTerm, rules: RuleSet, rng: random.Random) -> Iterator[Step]:
-    while candidates := step(t, rules):
-        st = rng.choice(candidates)
-        yield st
-        t = st.term
-
-
-def normalise(
-    t: FlatTerm, rules: RuleSet, rng: Optional[random.Random] = None
-) -> tuple[FlatTerm, list[str]]:
-    """Reduce to normal form; return it with the trace of fired rules.
-
-    With no generator the first reduct is always taken; with one, a
-    uniformly random reduct.  Confluence makes the result the same.
-    """
-    steps = first_steps(t, rules) if rng is None else _random_steps(t, rules, rng)
+def normalise(t: FlatTerm, rules: RuleSet) -> tuple[FlatTerm, list[str]]:
+    """Reduce to normal form, always taking the first reduct; return the
+    normal form with the trace of fired rules."""
+    steps = first_steps(t, rules)
     trace: list[str] = []
     for _ in range(STEP_CAP):
         st = next(steps, None)
@@ -267,44 +211,3 @@ def normalise(
         trace.append(st.rule)
         t = st.term
     raise NonTermination(f"no normal form within {STEP_CAP} steps")
-
-
-def normalise_random(t: FlatTerm, rules: RuleSet, seed: int) -> FlatTerm:
-    return normalise(t, rules, random.Random(seed))[0]
-
-
-# ---------------------------------------------------------------------------
-# local confluence sampling
-
-
-def _descendants(t: FlatTerm, rules: RuleSet, depth: int) -> set:
-    seen = {t}
-    frontier = [t]
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            for st in step(u, rules):
-                if st.term not in seen:
-                    seen.add(st.term)
-                    nxt.append(st.term)
-        frontier = nxt
-    return seen
-
-
-def local_confluence_sample(
-    t: FlatTerm, rules: RuleSet, depth: int = 3
-) -> list[tuple[FlatTerm, FlatTerm]]:
-    """Unjoined pairs of one-step reducts, searching joins within depth
-    further steps; empty means no counterexample candidate found."""
-    reducts = [st.term for st in step(t, rules)]
-    bad = []
-    for i in range(len(reducts)):
-        for j in range(i + 1, len(reducts)):
-            a, b = reducts[i], reducts[j]
-            if a == b:
-                continue
-            if _descendants(a, rules, depth).isdisjoint(
-                _descendants(b, rules, depth)
-            ):
-                bad.append((a, b))
-    return bad

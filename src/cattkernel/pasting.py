@@ -1,12 +1,13 @@
-"""Pasting contexts: recognition, Dyck words, peaks, pruning, and boundary
-variable sets."""
+"""Pasting contexts: recognition, Dyck words and the trees they describe,
+peaks, and pruning."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import flat as F
-from .flat import STAR, Arrow, FlatCtx, FlatSub, FlatTerm, FlatType, Var, VarSet
+from .flat import STAR, Arrow, FlatCtx, FlatSub, FlatTerm, FlatType, Var
+from .trees import Tree
 
 UP = "U"
 DOWN = "D"
@@ -66,17 +67,6 @@ def _scan(g: FlatCtx) -> tuple[list[str] | None, int | None]:
     return moves, None
 
 
-def check_ps_detail(g: FlatCtx) -> tuple[bool, int | None]:
-    """Decide the ps-context judgement; on failure return the offending
-    entry position."""
-    moves, pos = _scan(g)
-    return moves is not None, pos
-
-
-def check_ps(g: FlatCtx) -> bool:
-    return check_ps_detail(g)[0]
-
-
 # ---------------------------------------------------------------------------
 # realisation
 
@@ -108,8 +98,25 @@ def ctx_to_dyck(g: FlatCtx) -> DyckWord | None:
     return None if moves is None else DyckWord(tuple(moves))
 
 
-def disc_word(n: int) -> DyckWord:
-    return DyckWord((UP,) * n + (DOWN,) * n)
+def dyck_to_tree(d: DyckWord) -> Tree:
+    stack: list[list[Tree]] = [[]]
+    for m in d.moves:
+        if m == UP:
+            stack.append([])
+        else:
+            top = stack.pop()
+            stack[-1].append(Tree(tuple(top)))
+    while len(stack) > 1:
+        top = stack.pop()
+        stack[-1].append(Tree(tuple(top)))
+    return Tree(tuple(stack[0]))
+
+
+def ctx_to_tree(g: FlatCtx) -> Tree | None:
+    """Invert the realisation of trees; None if g is not a pasting
+    context."""
+    d = ctx_to_dyck(g)
+    return None if d is None else dyck_to_tree(d)
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +165,3 @@ def prune_sub(sigma: FlatSub, d: DyckWord, p: Peak) -> FlatSub:
     pos = _peak_entry_pos(d, p)
     terms = sigma.terms[: pos - 1] + sigma.terms[pos + 1 :]
     return FlatSub(sigma.ty, terms)
-
-
-# ---------------------------------------------------------------------------
-# boundary variable sets
-
-
-def boundary_set(g: FlatCtx, n: int, eps: str) -> VarSet:
-    """The n-boundary variable set of a ps-context; eps is '-' or '+'."""
-    ok, _ = check_ps_detail(g)
-    if not ok:
-        raise F.MalformedSyntax("boundary_set requires a ps-context")
-    if eps not in ("-", "+"):
-        raise ValueError("eps must be '-' or '+'")
-    mem = [False] * len(g)
-    mem[0] = True
-    i = 1
-    while i < len(g):
-        d = F.dim_ty(g.entries[i])
-        if d < n:
-            mem[i] = True
-            mem[i + 1] = True
-        elif d == n and eps == "+":
-            f_ty = g.entries[i + 1]
-            src_pos = (i + 1) - 1 - f_ty.src.idx
-            mem[src_pos] = False
-            mem[i] = True
-        i += 2
-    return VarSet(tuple(mem))

@@ -658,41 +658,6 @@ def pretty_args(a: RArgs) -> str:
     return f"<{inner}>" if labelling else f"({inner})"
 
 
-def pretty_command(c: Command) -> str:
-    if isinstance(c, DefCmd):
-        out = f"def {c.name}"
-        if c.ctx is not None:
-            out += f" {pretty(c.ctx)}"
-        if c.ty is not None:
-            out += f" : {pretty(c.ty)}"
-        return out + f" = {pretty(c.term)}"
-    if isinstance(c, NormaliseCmd):
-        return f"normalise {pretty(c.term)} in {pretty(c.ctx)}"
-    if isinstance(c, AssertCmd):
-        return f"assert {pretty(c.lhs)} = {pretty(c.rhs)} in {pretty(c.ctx)}"
-    if isinstance(c, SizeCmd):
-        return f"size {pretty(c.term)} in {pretty(c.ctx)}"
-    if isinstance(c, ImportCmd):
-        return f"import {c.path}"
-    raise TypeError(f"cannot pretty-print {c!r}")
-
-
-def strip_spans(x):
-    """Rebuild a raw syntax value with every span replaced by the
-    synthesized span, for span-insensitive comparison."""
-    import dataclasses
-
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        kwargs = {}
-        for f in dataclasses.fields(x):
-            v = getattr(x, f.name)
-            kwargs[f.name] = SYNTH if f.name == "span" else strip_spans(v)
-        return type(x)(**kwargs)
-    if isinstance(x, tuple):
-        return tuple(strip_spans(v) for v in x)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 

@@ -1,20 +1,21 @@
-"""Trees as pasting diagrams: paths, branches, wedge sums, realisation as
-contexts, labellings, tree boundaries, standard coherences, and insertion.
+"""Trees as pasting diagrams: paths, branches, labellings, tree boundaries
+and insertion.
 
-A tree is a list of trees.  Its realisation as a context glues the
-suspensions of the realisations of its children along their endpoint
-0-cells, so trees present exactly the pasting contexts.  Labellings are
-trees of terms and realise to substitutions out of the realised context.
+A tree is a list of trees; it presents the pasting context that glues the
+suspensions of its children along their endpoint 0-cells.  A cell of that
+context is a path of the tree, and a labelling is a tree of entries, one
+per path.  Realising trees and labellings as flat contexts and
+substitutions belongs to the validation route, in ``flat``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable
 
-from . import flat as F
-from .flat import STAR, Arrow, Coh, FlatCtx, FlatSub, FlatTerm, FlatType, Var, VarSet
+
+class MalformedSyntax(Exception):
+    """Raised on out-of-scope indices or arity mismatches."""
 
 Path = tuple[int, ...]
 Branch = tuple[int, ...]
@@ -73,7 +74,7 @@ def linear_tree(n: int) -> Tree:
 def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
     for k in p:
         if not 0 <= k < len(t.branches):
-            raise F.MalformedSyntax("path leaves the tree")
+            raise MalformedSyntax("path leaves the tree")
         t = t.branches[k]
     return t
 
@@ -87,7 +88,7 @@ def is_path(t: Tree, p: Path) -> bool:
         return False
     try:
         prefix = subtree(t, p[:-1])
-    except F.MalformedSyntax:
+    except MalformedSyntax:
         return False
     return 0 <= p[-1] <= len(prefix.branches)
 
@@ -123,7 +124,7 @@ def is_branch(s: Tree, p: Branch) -> bool:
         return False
     try:
         return subtree(s, p).is_linear
-    except F.MalformedSyntax:
+    except MalformedSyntax:
         return False
 
 
@@ -155,128 +156,12 @@ def all_branches(s: Tree) -> list[Branch]:
 
 
 # ---------------------------------------------------------------------------
-# realisation
+# size
 
 
 def ctx_size(t: Tree) -> int:
+    """The number of paths of t: the length of the context it presents."""
     return t._ctx_size
-
-
-def _offsets(t: Tree) -> list[int]:
-    """Position offsets of the suspended components in the realised context;
-    component k occupies positions [offset(k) .. offset(k+1)] with its first
-    0-cell shared with the previous component."""
-    out = [1]
-    for b in t.branches:
-        out.append(out[-1] + ctx_size(b) + 1)
-    return out
-
-
-def zero_cell_pos(t: Tree, k: int) -> int:
-    return 0 if k == 0 else _offsets(t)[k - 1]
-
-
-def path_pos(t: Tree, p: Path) -> int:
-    """The position of path p in the realised context, found in one walk
-    down p."""
-    if not p:
-        raise F.MalformedSyntax("not a path of the tree")
-    pos = 0
-    for k in p[:-1]:
-        if not 0 <= k < len(t.branches):
-            raise F.MalformedSyntax("not a path of the tree")
-        # component k's child starts after the component's two 0-cells
-        pos += zero_cell_pos(t, k + 1) + 1
-        t = t.branches[k]
-    if not 0 <= p[-1] <= len(t.branches):
-        raise F.MalformedSyntax("not a path of the tree")
-    return pos + zero_cell_pos(t, p[-1])
-
-
-def path_var(t: Tree, p: Path) -> FlatTerm:
-    return Var(ctx_size(t) - 1 - path_pos(t, p))
-
-
-def snd_var(g: FlatCtx) -> FlatTerm:
-    last = max(i for i, e in enumerate(g.entries) if e == STAR)
-    return Var(len(g) - 1 - last)
-
-
-def wedge(g: FlatCtx, d: FlatCtx) -> tuple[FlatCtx, FlatSub, FlatSub]:
-    """Glue the last 0-cell of g to the first variable of d; also return the
-    two inclusion substitutions."""
-    if len(g) == 0 or len(d) == 0:
-        raise F.MalformedSyntax("wedge of an empty context")
-    entries = list(g.entries)
-    inr_terms: list[FlatTerm] = [snd_var(g)]
-    for i in range(1, len(d)):
-        a = F.substitute(d.entries[i], FlatSub(STAR, tuple(inr_terms)))
-        entries.append(a)
-        inr_terms = [F.weaken(t) for t in inr_terms] + [Var(0)]
-    inl = F.identity_sub(g)
-    for _ in range(len(d) - 1):
-        inl = F.weaken(inl)
-    return FlatCtx(tuple(entries)), inl, FlatSub(STAR, tuple(inr_terms))
-
-
-def from_wedge(sigma: FlatSub, tau: FlatSub) -> FlatSub:
-    """The glued substitution out of a wedge; the shared 0-cell takes its
-    image from sigma."""
-    if not tau.terms:
-        raise F.MalformedSyntax("wedge of an empty substitution")
-    return FlatSub(sigma.ty, sigma.terms + tau.terms[1:])
-
-
-# Bounded like standard_type below: the validation route keeps meeting new
-# trees, made by insertion, and each realisation is as large as its tree.
-@lru_cache(maxsize=128)
-def tree_to_ctx(t: Tree) -> FlatCtx:
-    if not t.branches:
-        return FlatCtx((STAR,))
-    ctx = F.suspend_ctx(tree_to_ctx(t.branches[0]))
-    for b in t.branches[1:]:
-        ctx, _, _ = wedge(ctx, F.suspend_ctx(tree_to_ctx(b)))
-    return ctx
-
-
-def ctx_to_tree(g: FlatCtx) -> Tree | None:
-    """Invert realisation; None if g is not a pasting context."""
-    from . import pasting
-
-    d = pasting.ctx_to_dyck(g)
-    if d is None:
-        return None
-    return dyck_to_tree(d)
-
-
-def dyck_to_tree(d: "Any") -> Tree:
-    from .pasting import UP
-
-    stack: list[list[Tree]] = [[]]
-    for m in d.moves:
-        if m == UP:
-            stack.append([])
-        else:
-            top = stack.pop()
-            stack[-1].append(Tree(tuple(top)))
-    while len(stack) > 1:
-        top = stack.pop()
-        stack[-1].append(Tree(tuple(top)))
-    return Tree(tuple(stack[0]))
-
-
-def tree_to_dyck(t: Tree) -> "Any":
-    from .pasting import DOWN, UP, DyckWord
-
-    def moves(s: Tree) -> list[str]:
-        out: list[str] = []
-        for b in s.branches:
-            out.append(UP)
-            out.extend(moves(b))
-            out.append(DOWN)
-        return out
-
-    return DyckWord(tuple(moves(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +178,7 @@ class LTree:
 
     def __post_init__(self):
         if len(self.elements) != len(self.branches) + 1:
-            raise F.MalformedSyntax("labelling shape mismatch")
+            raise MalformedSyntax("labelling shape mismatch")
 
     def shape(self) -> Tree:
         # Built at the first call and kept, as Tree keeps its hash.  It is a
@@ -333,76 +218,6 @@ class LTree:
         )
 
 
-@dataclass(frozen=True)
-class Labelling:
-    """A tree of terms together with the type over which it lives."""
-
-    lt: LTree
-    ty: FlatType = STAR
-
-    def shape(self) -> Tree:
-        return self.lt.shape()
-
-    def __call__(self, p: Path):
-        return self.lt.lookup(p)
-
-
-def label_to_sub(lab: Labelling) -> FlatSub:
-    def go(lt: LTree, ty: FlatType) -> FlatSub:
-        if not lt.branches:
-            return FlatSub(ty, (lt.elements[0],))
-        terms: list[FlatTerm] = []
-        for i, br in enumerate(lt.branches):
-            inner = go(br, Arrow(lt.elements[i], ty, lt.elements[i + 1]))
-            part = F.unrestrict(inner).terms
-            terms.extend(part if i == 0 else part[1:])
-        return FlatSub(ty, tuple(terms))
-
-    return go(lab.lt, lab.ty)
-
-
-def label_from_sub(t: Tree, sigma: FlatSub) -> Labelling:
-    """Reassemble the labelling over t whose flattening is sigma."""
-    if len(sigma.terms) != ctx_size(t):
-        raise F.MalformedSyntax("substitution length does not match the tree")
-    return Labelling(
-        LTree.from_fn(t, lambda p: sigma.terms[path_pos(t, p)]), sigma.ty
-    )
-
-
-def id_label(t: Tree) -> Labelling:
-    return Labelling(LTree.from_fn(t, lambda p: path_var(t, p)), STAR)
-
-
-def label_sub(lab: Labelling, sigma: FlatSub) -> Labelling:
-    """Post-compose a term-labelling with a substitution."""
-    return Labelling(
-        lab.lt.map(lambda e: F.substitute(e, sigma)), F.substitute(lab.ty, sigma)
-    )
-
-
-def label_eq_max(a: Labelling, b: Labelling) -> bool:
-    """Equality on maximal paths only."""
-    t = a.shape()
-    if t != b.shape():
-        return False
-    return all(a(p) == b(p) for p in maximal_paths(t))
-
-
-def label_from_disc(a: FlatType, t: FlatTerm) -> Labelling:
-    """The labelling from the disc tree classifying a term and its type."""
-
-    def ext(lab: LTree, s: FlatTerm, u: FlatTerm) -> LTree:
-        if not lab.branches:
-            return LTree((lab.elements[0], s), (LTree((u,), ()),))
-        return LTree(lab.elements, (ext(lab.branches[0], s, u),))
-
-    if isinstance(a, F.Star):
-        return Labelling(LTree((t,), ()), STAR)
-    inner = label_from_disc(a.base, a.src)
-    return Labelling(ext(inner.lt, a.tgt, t), STAR)
-
-
 # ---------------------------------------------------------------------------
 # boundaries
 
@@ -423,71 +238,9 @@ def boundary_path(t: Tree, n: int, eps: str, p: Path) -> Path:
     return (k,) + boundary_path(t.branches[k], n - 1, eps, p[1:])
 
 
-def boundary_label(t: Tree, n: int, eps: str) -> Labelling:
-    """The inclusion labelling from the n-boundary of t, with path entries."""
-    return Labelling(
-        LTree.from_fn(tree_boundary(t, n), lambda p: boundary_path(t, n, eps, p)),
-        STAR,
-    )
-
-
-def boundary_inclusion(t: Tree, n: int, eps: str) -> Labelling:
-    """The same inclusion with variable entries over the realised context."""
-    return Labelling(
-        LTree.from_fn(
-            tree_boundary(t, n), lambda p: path_var(t, boundary_path(t, n, eps, p))
-        ),
-        STAR,
-    )
-
-
 def boundary_paths(t: Tree, n: int, eps: str) -> set[Path]:
     """The paths of t in its n-boundary of side eps."""
     return {boundary_path(t, n, eps, p) for p in all_paths(tree_boundary(t, n))}
-
-
-def tree_boundary_set(t: Tree, n: int, eps: str) -> VarSet:
-    return VarSet.of(ctx_size(t), (path_pos(t, p) for p in boundary_paths(t, n, eps)))
-
-
-# ---------------------------------------------------------------------------
-# standard constructions
-
-
-# Bounded: the oracle asks for the same few (tree, n) at every step, and an
-# unbounded cache would keep every tree a long run meets.
-@lru_cache(maxsize=64)
-def standard_type(t: Tree, n: int) -> FlatType:
-    if n == 0:
-        return STAR
-    b = tree_boundary(t, n - 1)
-    src = F.substitute(
-        standard_term(b, n - 1), label_to_sub(boundary_inclusion(t, n - 1, "-"))
-    )
-    tgt = F.substitute(
-        standard_term(b, n - 1), label_to_sub(boundary_inclusion(t, n - 1, "+"))
-    )
-    return Arrow(src, standard_type(t, n - 1), tgt)
-
-
-def standard_coh(t: Tree, n: int) -> Coh:
-    if n < t.height or (n == 0 and t != LEAF):
-        raise F.MalformedSyntax("standard coherence needs n >= h(T), n > 0")
-    g = tree_to_ctx(t)
-    return Coh(g, standard_type(t, n), F.identity_sub(g))
-
-
-def standard_term(t: Tree, n: int) -> FlatTerm:
-    if t == LEAF and n == 0:
-        return Var(0)
-    if n > 0 and len(t.branches) == 1:
-        inner = t.branches[0]
-        return F.suspend_tm(standard_term(inner, n - 1), ctx_size(inner))
-    return standard_coh(t, n)
-
-
-def standard_comp(t: Tree) -> Coh:
-    return standard_coh(t, t.height)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +257,7 @@ def is_insertion_point(s: Tree, p: Branch, t: Tree) -> bool:
 
 def _require_point(s: Tree, p: Branch, t: Tree) -> None:
     if not is_insertion_point(s, p, t):
-        raise F.MalformedSyntax("not an insertion point")
+        raise MalformedSyntax("not an insertion point")
 
 
 def insert_tree(s: Tree, p: Branch, t: Tree) -> Tree:
@@ -514,82 +267,6 @@ def insert_tree(s: Tree, p: Branch, t: Tree) -> Tree:
         return Tree(s.branches[:k] + t.branches + s.branches[k + 1 :])
     inner = insert_tree(s.branches[k], p[1:], t.branches[0])
     return Tree(s.branches[:k] + (inner,) + s.branches[k + 1 :])
-
-
-def _inclusion_sub(r: Tree, k: int, m: int) -> FlatSub:
-    """Substitution including the realisation of components k..k+m-1 of r
-    into the realisation of r."""
-    span = Tree(r.branches[k : k + m])
-    size = ctx_size(span)
-    n = ctx_size(r)
-    offs = _offsets(r)
-    base = offs[k] - 1
-
-    def glob(pos: int) -> int:
-        return zero_cell_pos(r, k) if pos == 0 else pos + base
-
-    return FlatSub(STAR, tuple(Var(n - 1 - glob(pos)) for pos in range(size)))
-
-
-def _include_component(r: Tree, k: int, inner_size: int, e: FlatTerm) -> FlatTerm:
-    """Suspend a term over the realisation of component k's child and include
-    it into the realisation of r."""
-    return F.substitute(F.suspend_tm(e, inner_size), _inclusion_sub(r, k, 1))
-
-
-def interior_label(s: Tree, p: Branch, t: Tree) -> Labelling:
-    _require_point(s, p, t)
-    r = insert_tree(s, p, t)
-    k = p[0]
-    if len(p) == 1:
-
-        def inc(q: Path) -> Path:
-            return (q[0] + k,) + q[1:]
-
-        return Labelling(LTree.from_fn(t, lambda q: path_var(r, inc(q))), STAR)
-    inner = interior_label(s.branches[k], p[1:], t.branches[0])
-    size = ctx_size(insert_tree(s.branches[k], p[1:], t.branches[0]))
-    branch = inner.lt.map(lambda e: _include_component(r, k, size, e))
-    return Labelling(LTree((path_var(r, (k,)), path_var(r, (k + 1,))), (branch,)), STAR)
-
-
-def exterior_label(s: Tree, p: Branch, t: Tree) -> Labelling:
-    _require_point(s, p, t)
-    r = insert_tree(s, p, t)
-    k = p[0]
-    nt = len(t.branches)
-
-    def identity_branch(j: int, rj: int) -> LTree:
-        return LTree.from_fn(s.branches[j], lambda q: path_var(r, (rj,) + q))
-
-    if len(p) == 1:
-        m = s.branches[k].height + 1
-        inc = _inclusion_sub(r, k, nt)
-        disc = label_from_disc(
-            F.substitute(standard_type(t, m), inc),
-            F.substitute(standard_coh(t, m), inc),
-        )
-        mid = disc.lt.branches[0]
-        elements = tuple(
-            path_var(r, (j,) if j <= k else (j + nt - 1,))
-            for j in range(len(s.branches) + 1)
-        )
-        branches = (
-            tuple(identity_branch(j, j) for j in range(k))
-            + (mid,)
-            + tuple(
-                identity_branch(j, j + nt - 1) for j in range(k + 1, len(s.branches))
-            )
-        )
-        return Labelling(LTree(elements, branches), STAR)
-    inner = exterior_label(s.branches[k], p[1:], t.branches[0])
-    size = ctx_size(insert_tree(s.branches[k], p[1:], t.branches[0]))
-    mid = inner.lt.map(lambda e: _include_component(r, k, size, e))
-    elements = tuple(path_var(r, (j,)) for j in range(len(s.branches) + 1))
-    branches = tuple(
-        mid if j == k else identity_branch(j, j) for j in range(len(s.branches))
-    )
-    return Labelling(LTree(elements, branches), STAR)
 
 
 def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
@@ -611,8 +288,3 @@ def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
         return LTree(elements, branches)
 
     return go(lt, p, m)
-
-
-def insert_label(lab: Labelling, p: Branch, m: Labelling) -> Labelling:
-    """Insert on labellings; the type part is the host's."""
-    return Labelling(insert_ltree(lab.lt, p, m.lt), lab.ty)

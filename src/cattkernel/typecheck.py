@@ -41,6 +41,17 @@ class ListCtx:
     def __len__(self):
         return len(self.names)
 
+    @cached_property
+    def index(self) -> dict:
+        """Each bound name to the first position that binds it."""
+        out: dict = {}
+        for i, nm in enumerate(self.names):
+            out.setdefault(nm, i)
+        return out
+
+    def type_of(self, pos: int) -> NfType:
+        return self.types[pos]
+
 
 @dataclass(frozen=True)
 class TreeCtx:
@@ -57,6 +68,16 @@ class TreeCtx:
             if nm is not None:
                 out.setdefault(nm, p)
         return out
+
+    def type_of(self, p) -> NfType:
+        """The type of a path variable: pairs of endpoint paths, the
+        innermost pair first."""
+        pairs = []
+        q = p
+        while len(q) > 1:
+            q = q[:-1]
+            pairs.append((N.NVar(q), N.NVar(q[:-1] + (q[-1] + 1,))))
+        return tuple(pairs)
 
 
 Ctx = Union[ListCtx, TreeCtx]
@@ -239,32 +260,17 @@ class Checker:
         return t, ty, self.nf(ctx, t)
 
     def lookup(self, ctx: Ctx, name: str) -> Optional[tuple]:
-        if isinstance(ctx, TreeCtx):
-            p = ctx.index.get(name)
-            if p is None:
-                return None
-            return C.CVar(p), self.path_type(ctx, p), N.NVar(p)
-        for i, nm in enumerate(ctx.names):
-            if nm == name:
-                return C.CVar(i), ctx.types[i], N.NVar(i)
-        return None
-
-    def path_type(self, ctx: TreeCtx, p) -> NfType:
-        """The type of a path variable: pairs of endpoint paths, the
-        innermost pair first."""
-        pairs = []
-        q = p
-        while len(q) > 1:
-            q = q[:-1]
-            pairs.append((N.NVar(q), N.NVar(q[:-1] + (q[-1] + 1,))))
-        return tuple(pairs)
+        pos = ctx.index.get(name)
+        if pos is None:
+            return None
+        return C.CVar(pos), ctx.type_of(pos), N.NVar(pos)
 
     def support(self, ctx: TreeCtx, x) -> set:
         """The paths a normal form over a tree context mentions, closed
         under taking the endpoints in their types."""
         out = N.nf_vars(x)
         for p in tuple(out):
-            out |= N.nf_vars(self.path_type(ctx, p))
+            out |= N.nf_vars(ctx.type_of(p))
         return out
 
     def check_app(self, ctx: Ctx, raw: R.RApp) -> tuple:

@@ -1,7 +1,6 @@
 """Hand-built flat terms shared by the oracle and acceptance tests."""
 
 from cattkernel import flat as F
-from cattkernel import trees as T
 from cattkernel.core import path_name
 from cattkernel.flat import Arrow, Coh, FlatCtx, FlatSub, STAR, Var
 from cattkernel.trees import LEAF, LTree, Tree
@@ -20,22 +19,22 @@ def binary_comp(x, f, y, g, z) -> Coh:
     """The composite of two 1-cells, with the given boundary terms."""
     lt = LTree((x, y, z), (LTree((f,), ()), LTree((g,), ())))
     return Coh(
-        T.tree_to_ctx(CHAIN2),
-        T.standard_type(CHAIN2, 1),
-        T.label_to_sub(T.Labelling(lt, STAR)),
+        F.tree_to_ctx(CHAIN2),
+        F.standard_type(CHAIN2, 1),
+        F.label_to_sub(lt),
     )
 
 
 def assoc_pair() -> tuple:
     """(f*g)*h and f*(g*h) over the 4-point path, with the ternary
     composite they should both flatten to."""
-    v = lambda p: T.path_var(CHAIN3, p)
+    v = lambda p: F.path_var(CHAIN3, p)
     x0, x1, x2, x3 = v((0,)), v((1,)), v((2,)), v((3,))
     f, g, h = v((0, 0)), v((1, 0)), v((2, 0))
     left = binary_comp(x0, binary_comp(x0, f, x1, g, x2), x2, h, x3)
     right = binary_comp(x0, f, x1, binary_comp(x1, g, x2, h, x3), x3)
-    ctx = T.tree_to_ctx(CHAIN3)
-    ternary = Coh(ctx, T.standard_type(CHAIN3, 1), F.identity_sub(ctx))
+    ctx = F.tree_to_ctx(CHAIN3)
+    ternary = Coh(ctx, F.standard_type(CHAIN3, 1), F.identity_sub(ctx))
     return ctx, left, right, ternary
 
 
@@ -46,8 +45,8 @@ def pruning_chain() -> tuple:
     Context: the 3-point path (x, y, f, z, g) extended with h : x -> z
     and a : f*g -> h.  Returns (ctx, term, the variable a).
     """
-    chain2_ctx = T.tree_to_ctx(CHAIN2)
-    fg = T.standard_coh(CHAIN2, 1)
+    chain2_ctx = F.tree_to_ctx(CHAIN2)
+    fg = F.standard_coh(CHAIN2, 1)
     h_ty = Arrow(Var(4), STAR, Var(1))
     ctx = FlatCtx(chain2_ctx.entries + (h_ty,))
     fg_w = F.weaken(fg)
@@ -56,7 +55,7 @@ def pruning_chain() -> tuple:
     # over the extended context: x=v6 y=v5 f=v4 z=v3 g=v2 h=v1 a=v0
     endo = Coh(
         chain2_ctx,
-        Arrow(fg, T.standard_type(CHAIN2, 1), fg),
+        Arrow(fg, F.standard_type(CHAIN2, 1), fg),
         FlatSub(STAR, (Var(6), Var(5), Var(4), Var(3), Var(2))),
     )
     fg_outer = F.weaken(fg_w)
@@ -66,9 +65,9 @@ def pruning_chain() -> tuple:
     )
     outer = LTree((Var(6), Var(3)), (inner,))
     term = Coh(
-        T.tree_to_ctx(VERT),
-        T.standard_type(VERT, 2),
-        T.label_to_sub(T.Labelling(outer, STAR)),
+        F.tree_to_ctx(VERT),
+        F.standard_type(VERT, 2),
+        F.label_to_sub(outer),
     )
     return ctx, term, Var(0)
 

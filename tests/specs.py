@@ -1,0 +1,376 @@
+"""Specifications the tests compare the program against.
+
+These are definitions from the paper that the program itself never needs:
+variable sets and supports over flat contexts, the pasting-context
+judgement and its boundary sets, the oracle's complexity measure and
+random normalisation, labellings of trees built by hand, and round trips
+of the surface syntax.  The program decides the same things another way
+(on trees, on normal forms, by taking the first reduct); each test that
+uses a definition here checks that the two ways agree.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from dataclasses import dataclass
+from typing import Iterable
+
+from cattkernel import flat as F
+from cattkernel import oracle as O
+from cattkernel import pasting as P
+from cattkernel import surface as R
+from cattkernel import trees as T
+from cattkernel.flat import Arrow, Coh, FlatCtx, FlatSub, FlatTerm, FlatType, Star, Var
+from cattkernel.pasting import DOWN, UP, DyckWord
+from cattkernel.trees import LTree, Path, Tree
+
+
+# ---------------------------------------------------------------------------
+# variable sets over flat contexts
+
+
+@dataclass(frozen=True)
+class VarSet:
+    """Boolean-per-variable set over a fixed context; indexed by position
+    from the start of the context."""
+
+    members: tuple[bool, ...]
+
+    def union(self, other: "VarSet") -> "VarSet":
+        return VarSet(tuple(a or b for a, b in zip(self.members, other.members)))
+
+    def positions(self) -> list[int]:
+        return [i for i, m in enumerate(self.members) if m]
+
+    @staticmethod
+    def empty(n: int) -> "VarSet":
+        return VarSet((False,) * n)
+
+    @staticmethod
+    def full(n: int) -> "VarSet":
+        return VarSet((True,) * n)
+
+    @staticmethod
+    def of(n: int, positions: Iterable[int]) -> "VarSet":
+        mem = [False] * n
+        for p in positions:
+            mem[p] = True
+        return VarSet(tuple(mem))
+
+
+def free_vars(x, ctx_len: int) -> VarSet:
+    mem = [False] * ctx_len
+    _fv(x, ctx_len, mem)
+    return VarSet(tuple(mem))
+
+
+def _fv(x, n: int, mem: list[bool]) -> None:
+    if isinstance(x, Var):
+        mem[n - 1 - x.idx] = True
+    elif isinstance(x, Coh):
+        _fv(x.sub, n, mem)
+    elif isinstance(x, Arrow):
+        _fv(x.src, n, mem)
+        _fv(x.base, n, mem)
+        _fv(x.tgt, n, mem)
+    elif isinstance(x, Star):
+        pass
+    elif isinstance(x, FlatSub):
+        _fv(x.ty, n, mem)
+        for t in x.terms:
+            _fv(t, n, mem)
+    else:
+        raise TypeError(f"cannot take free variables of {type(x).__name__}")
+
+
+def downward_close(g: FlatCtx, v: VarSet) -> VarSet:
+    n = len(g)
+    mem = list(v.members)
+    for i in reversed(range(n)):
+        if mem[i]:
+            # entry i's type lives over the prefix of length i; its variable
+            # with index j sits at position i - 1 - j of the full context
+            sub = free_vars(g.entries[i], i)
+            for p in sub.positions():
+                mem[p] = True
+    return VarSet(tuple(mem))
+
+
+def support(g: FlatCtx, x) -> VarSet:
+    return downward_close(g, free_vars(x, len(g)))
+
+
+def apply_set(v: VarSet, sigma: FlatSub, codomain_len: int) -> VarSet:
+    """Image of a variable set under a (regular) substitution."""
+    out = VarSet.empty(codomain_len)
+    for i in v.positions():
+        out = out.union(free_vars(sigma.terms[i], codomain_len))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# flat syntax
+
+
+def weaken_n(x, k: int):
+    for _ in range(k):
+        x = F.weaken(x)
+    return x
+
+
+def canonical_type(g: FlatCtx, t: FlatTerm) -> FlatType:
+    if isinstance(t, Var):
+        pos = len(g) - 1 - t.idx
+        if not 0 <= pos < len(g):
+            raise F.MalformedSyntax(f"variable v{t.idx} out of scope")
+        return weaken_n(g.entries[pos], t.idx + 1)
+    return F.substitute(t.ty, t.sub)
+
+
+def restrict(sigma: FlatSub) -> FlatSub:
+    if len(sigma.terms) < 2:
+        raise F.MalformedSyntax("restrict requires at least two terms")
+    return FlatSub(Arrow(sigma.terms[0], sigma.ty, sigma.terms[1]), sigma.terms[2:])
+
+
+def sphere_ctx(n: int) -> FlatCtx:
+    return F.disc_family(n)[1]
+
+
+def dim_ctx(g: FlatCtx) -> int:
+    return max((F.dim_ty(e) for e in g.entries), default=0)
+
+
+# ---------------------------------------------------------------------------
+# pasting contexts
+
+
+def check_ps_detail(g: FlatCtx) -> tuple[bool, int | None]:
+    """Decide the ps-context judgement; on failure return the offending
+    entry position."""
+    moves, pos = P._scan(g)
+    return moves is not None, pos
+
+
+def check_ps(g: FlatCtx) -> bool:
+    return check_ps_detail(g)[0]
+
+
+def disc_word(n: int) -> DyckWord:
+    return DyckWord((UP,) * n + (DOWN,) * n)
+
+
+def boundary_set(g: FlatCtx, n: int, eps: str) -> VarSet:
+    """The n-boundary variable set of a ps-context; eps is '-' or '+'."""
+    ok, _ = check_ps_detail(g)
+    if not ok:
+        raise F.MalformedSyntax("boundary_set requires a ps-context")
+    if eps not in ("-", "+"):
+        raise ValueError("eps must be '-' or '+'")
+    mem = [False] * len(g)
+    mem[0] = True
+    i = 1
+    while i < len(g):
+        d = F.dim_ty(g.entries[i])
+        if d < n:
+            mem[i] = True
+            mem[i + 1] = True
+        elif d == n and eps == "+":
+            f_ty = g.entries[i + 1]
+            src_pos = (i + 1) - 1 - f_ty.src.idx
+            mem[src_pos] = False
+            mem[i] = True
+        i += 2
+    return VarSet(tuple(mem))
+
+
+# ---------------------------------------------------------------------------
+# the oracle's complexity measure and random normalisation
+
+
+Complexity = tuple  # coefficient at index i counts coherences of dimension i
+
+
+def _add(a: Complexity, b: Complexity) -> Complexity:
+    n = max(len(a), len(b))
+    a = a + (0,) * (n - len(a))
+    b = b + (0,) * (n - len(b))
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def complexity(t: FlatTerm) -> Complexity:
+    if isinstance(t, Var):
+        return ()
+    d = F.dim_ty(t.ty)
+    weight = 1 if F.is_identity(t) else 2
+    head = (0,) * d + (weight,)
+    out = head
+    for u in t.sub.terms:
+        out = _add(out, complexity(u))
+    return out
+
+
+def less_than(a: Complexity, b: Complexity) -> bool:
+    """Reverse-lexicographic comparison: higher dimensions dominate."""
+    n = max(len(a), len(b))
+    a = a + (0,) * (n - len(a))
+    b = b + (0,) * (n - len(b))
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return x < y
+    return False
+
+
+def normalise_random(t: FlatTerm, rules: O.RuleSet, seed: int) -> FlatTerm:
+    """Reduce to normal form taking a uniformly random reduct at each step;
+    confluence makes the result that of ``O.normalise``."""
+    rng = random.Random(seed)
+    for _ in range(O.STEP_CAP):
+        candidates = O.step(t, rules)
+        if not candidates:
+            return t
+        t = rng.choice(candidates).term
+    raise O.NonTermination(f"no normal form within {O.STEP_CAP} steps")
+
+
+def _descendants(t: FlatTerm, rules: O.RuleSet, depth: int) -> set:
+    seen = {t}
+    frontier = [t]
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            for st in O.step(u, rules):
+                if st.term not in seen:
+                    seen.add(st.term)
+                    nxt.append(st.term)
+        frontier = nxt
+    return seen
+
+
+def local_confluence_sample(
+    t: FlatTerm, rules: O.RuleSet, depth: int = 3
+) -> list[tuple[FlatTerm, FlatTerm]]:
+    """Unjoined pairs of one-step reducts, searching joins within depth
+    further steps; empty means no counterexample candidate found."""
+    reducts = [st.term for st in O.step(t, rules)]
+    bad = []
+    for i in range(len(reducts)):
+        for j in range(i + 1, len(reducts)):
+            a, b = reducts[i], reducts[j]
+            if a == b:
+                continue
+            if _descendants(a, rules, depth).isdisjoint(
+                _descendants(b, rules, depth)
+            ):
+                bad.append((a, b))
+    return bad
+
+
+# ---------------------------------------------------------------------------
+# trees and labellings
+
+
+def from_wedge(sigma: FlatSub, tau: FlatSub) -> FlatSub:
+    """The glued substitution out of a wedge; the shared 0-cell takes its
+    image from sigma."""
+    if not tau.terms:
+        raise F.MalformedSyntax("wedge of an empty substitution")
+    return FlatSub(sigma.ty, sigma.terms + tau.terms[1:])
+
+
+def tree_to_dyck(t: Tree) -> DyckWord:
+    def moves(s: Tree) -> list[str]:
+        out: list[str] = []
+        for b in s.branches:
+            out.append(UP)
+            out.extend(moves(b))
+            out.append(DOWN)
+        return out
+
+    return DyckWord(tuple(moves(t)))
+
+
+def id_label(t: Tree) -> LTree:
+    return LTree.from_fn(t, lambda p: F.path_var(t, p))
+
+
+def label_sub(lt: LTree, sigma: FlatSub) -> LTree:
+    """Post-compose a labelling of terms with a substitution; its type part
+    becomes sigma's."""
+    return lt.map(lambda e: F.substitute(e, sigma))
+
+
+def label_eq_max(a: LTree, b: LTree) -> bool:
+    """Equality on maximal paths only."""
+    t = a.shape()
+    if t != b.shape():
+        return False
+    return all(a.lookup(p) == b.lookup(p) for p in T.maximal_paths(t))
+
+
+def boundary_label(t: Tree, n: int, eps: str) -> LTree:
+    """The inclusion labelling from the n-boundary of t, with path entries."""
+    return LTree.from_fn(
+        T.tree_boundary(t, n), lambda p: T.boundary_path(t, n, eps, p)
+    )
+
+
+def tree_boundary_set(t: Tree, n: int, eps: str) -> VarSet:
+    return VarSet.of(
+        T.ctx_size(t), (F.path_pos(t, p) for p in T.boundary_paths(t, n, eps))
+    )
+
+
+def interior_label(s: Tree, p: Path, t: Tree) -> LTree:
+    """The labelling of t over the realisation of the tree that inserting t
+    at the branch p of s makes."""
+    r = T.insert_tree(s, p, t)
+    k = p[0]
+    if len(p) == 1:
+
+        def inc(q: Path) -> Path:
+            return (q[0] + k,) + q[1:]
+
+        return LTree.from_fn(t, lambda q: F.path_var(r, inc(q)))
+    inner = interior_label(s.branches[k], p[1:], t.branches[0])
+    size = T.ctx_size(T.insert_tree(s.branches[k], p[1:], t.branches[0]))
+    branch = inner.map(lambda e: F._include_component(r, k, size, e))
+    return LTree((F.path_var(r, (k,)), F.path_var(r, (k + 1,))), (branch,))
+
+
+# ---------------------------------------------------------------------------
+# surface syntax
+
+
+def pretty_command(c: R.Command) -> str:
+    if isinstance(c, R.DefCmd):
+        out = f"def {c.name}"
+        if c.ctx is not None:
+            out += f" {R.pretty(c.ctx)}"
+        if c.ty is not None:
+            out += f" : {R.pretty(c.ty)}"
+        return out + f" = {R.pretty(c.term)}"
+    if isinstance(c, R.NormaliseCmd):
+        return f"normalise {R.pretty(c.term)} in {R.pretty(c.ctx)}"
+    if isinstance(c, R.AssertCmd):
+        return f"assert {R.pretty(c.lhs)} = {R.pretty(c.rhs)} in {R.pretty(c.ctx)}"
+    if isinstance(c, R.SizeCmd):
+        return f"size {R.pretty(c.term)} in {R.pretty(c.ctx)}"
+    if isinstance(c, R.ImportCmd):
+        return f"import {c.path}"
+    raise TypeError(f"cannot pretty-print {c!r}")
+
+
+def strip_spans(x):
+    """Rebuild a raw syntax value with every span replaced by the
+    synthesized span, for span-insensitive comparison."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        kwargs = {}
+        for f in dataclasses.fields(x):
+            v = getattr(x, f.name)
+            kwargs[f.name] = R.SYNTH if f.name == "span" else strip_spans(v)
+        return type(x)(**kwargs)
+    if isinstance(x, tuple):
+        return tuple(strip_spans(v) for v in x)
+    return x

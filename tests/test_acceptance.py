@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gen_typed
+import specs as SP
 from flat_cases import CHAIN3, assoc_pair, make_ctx, pruning_chain
 
 from cattkernel import cli as X
@@ -24,7 +25,7 @@ from cattkernel import oracle as O
 from cattkernel import pasting as P
 from cattkernel import surface as R
 from cattkernel import trees as T
-from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var, VarSet
+from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var
 from cattkernel.nbe import SU, SUA, WEAK, NId
 from cattkernel.oracle import RuleSet
 from cattkernel.pasting import DOWN, UP, DyckWord, Peak
@@ -182,14 +183,14 @@ def random_suite():
                     break
                 chosen = steps[0]
                 stats["steps"] += 1
-                if chosen.rule != "cell" and not O.less_than(
-                    O.complexity(chosen.term), O.complexity(t)
+                if chosen.rule != "cell" and not SP.less_than(
+                    SP.complexity(chosen.term), SP.complexity(t)
                 ):
                     stats["violations"] += 1
                 t = chosen.term
             if t != nbe_nf:
                 stats["mismatches"] += 1
-            if O.normalise_random(start, rules, i + 1) != t:
+            if SP.normalise_random(start, rules, i + 1) != t:
                 stats["seed_mismatches"] += 1
             stats["checked"] += 1
     return stats
@@ -263,7 +264,7 @@ def test_08_full_disc_terms_normalise_to_iterated_identities():
                 if _coh_nodes(flat) > 3 or flat in seen:
                     continue
                 seen.add(flat)
-                assert F.support(disc, flat) == VarSet.full(len(disc))
+                assert SP.support(disc, flat) == SP.VarSet.full(len(disc))
                 nf = N.flatten_nf(ck.nf(ctx, term), len(ctx))
                 assert _iterated_identity_on_a_variable(nf)
                 assert O.normalise(flat, RuleSet.SU_PRIME)[0] == nf
@@ -383,31 +384,31 @@ def test_09_structural_laws_hold_exactly():
 
     # labellings: realisation is a homomorphism and round-trips
     for t in all_trees(5):
-        lab = T.id_label(t)
-        assert T.label_from_sub(t, T.label_to_sub(lab)).lt == lab.lt
+        lab = SP.id_label(t)
+        assert F.label_from_sub(t, F.label_to_sub(lab)) == lab
         tau = _rand_sub(rng, T.ctx_size(t), T.ctx_size(t))
-        assert T.label_to_sub(T.label_sub(lab, tau)) == F.compose(
-            T.label_to_sub(lab), tau
+        assert F.label_to_sub(SP.label_sub(lab, tau), tau.ty) == F.compose(
+            F.label_to_sub(lab), tau
         )
         for n in range(t.height + 1):
             for eps in ("-", "+"):
-                incl = T.boundary_inclusion(t, n, eps)
+                incl = F.boundary_inclusion(t, n, eps)
                 b = T.tree_boundary(t, n)
-                assert T.label_from_sub(b, T.label_to_sub(incl)).lt == incl.lt
-                assert T.label_to_sub(T.label_sub(incl, tau)) == F.compose(
-                    T.label_to_sub(incl), tau
+                assert F.label_from_sub(b, F.label_to_sub(incl)) == incl
+                assert F.label_to_sub(SP.label_sub(incl, tau), tau.ty) == F.compose(
+                    F.label_to_sub(incl), tau
                 )
 
     # insertion: the exterior labelling sends the branch to the standard
     # coherence over the interior, and gluing the two is the identity
     for s, p, t in insertion_points(6):
-        kappa = T.exterior_label(s, p, t)
-        iota = T.interior_label(s, p, t)
+        kappa = F.exterior_label(s, p, t)
+        iota = SP.interior_label(s, p, t)
         lh = T.leaf_height(s, p)
-        expect = F.substitute(T.standard_coh(t, lh), T.label_to_sub(iota))
-        assert kappa(T.branch_path(s, p)) == expect
+        expect = F.substitute(F.standard_coh(t, lh), F.label_to_sub(iota))
+        assert kappa.lookup(T.branch_path(s, p)) == expect
         r = T.insert_tree(s, p, t)
-        assert T.insert_label(kappa, p, iota).lt == T.id_label(r).lt
+        assert T.insert_ltree(kappa, p, iota) == SP.id_label(r)
 
     # disc unit laws for insertion
     for n in range(1, 4):
@@ -416,7 +417,7 @@ def test_09_structural_laws_hold_exactly():
             for t in all_trees(5):
                 if T.is_insertion_point(d, p, t):
                     assert T.insert_tree(d, p, t) == t
-                    assert T.interior_label(d, p, t).lt == T.id_label(t).lt
+                    assert SP.interior_label(d, p, t) == SP.id_label(t)
     for s, p, t in insertion_points(5):
         d = T.linear_tree(T.leaf_height(s, p))
         if T.is_insertion_point(s, p, d):
@@ -427,17 +428,17 @@ def test_09_structural_laws_hold_exactly():
     for s, p, t in insertion_points(5):
         r = T.insert_tree(s, p, t)
         n = T.ctx_size(r)
-        fv = F.free_vars(T.label_to_sub(T.exterior_label(s, p, t)), n).union(
-            F.free_vars(T.label_to_sub(T.interior_label(s, p, t)), n)
+        fv = SP.free_vars(F.label_to_sub(F.exterior_label(s, p, t)), n).union(
+            SP.free_vars(F.label_to_sub(SP.interior_label(s, p, t)), n)
         )
-        assert fv == VarSet.full(n)
+        assert fv == SP.VarSet.full(n)
 
     # tree and context boundary computations agree
     for t in all_trees(6):
-        g = T.tree_to_ctx(t)
+        g = F.tree_to_ctx(t)
         for n in range(0, t.height + 2):
             for eps in ("-", "+"):
-                assert T.tree_boundary_set(t, n, eps) == P.boundary_set(
+                assert SP.tree_boundary_set(t, n, eps) == SP.boundary_set(
                     g, n, eps
                 )
 

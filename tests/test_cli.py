@@ -1,5 +1,6 @@
 """Flag handling, file execution, imports, and exit codes."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -92,10 +93,21 @@ def test_validation_route_not_loaded_without_oracle():
     )
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
-    assert "cattkernel.cli" in loaded
-    assert "cattkernel.pasting" not in loaded
-    assert "cattkernel.oracle" not in loaded
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    kernel = ["cli", "core", "flat", "nbe", "surface", "trees", "typecheck"]
+    assert loaded == ["cattkernel"] + [f"cattkernel.{m}" for m in kernel]
+
+
+def test_trees_loads_no_other_module():
+    code = (
+        "import sys\n"
+        "import cattkernel.trees\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cattkernel')))\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert loaded == ["cattkernel", "cattkernel.trees"]
 
 
 def test_bad_flag_values():

@@ -13,6 +13,8 @@ from cattkernel.core import CSTAR, CApp, CArgs, CComp, CId, CSusp, CVar
 from cattkernel.flat import STAR, Arrow, Var
 from cattkernel.trees import LEAF, LTree, Tree, linear_tree
 
+import specs as SP
+
 CHAIN2 = Tree((LEAF, LEAF))
 EXAMPLE = Tree((Tree((LEAF, LEAF)), LEAF))
 
@@ -61,7 +63,7 @@ def test_flatten_sub_application():
 def test_flatten_label_application():
     lab = CArgs(LTree.from_fn(CHAIN2, CVar))
     s = CApp(CComp(CHAIN2), lab)
-    assert C.flatten_tm(s, CHAIN2) == T.standard_coh(CHAIN2, 1)
+    assert C.flatten_tm(s, CHAIN2) == F.standard_coh(CHAIN2, 1)
 
 
 def test_flatten_suspension():
@@ -72,7 +74,7 @@ def test_flatten_suspension():
 
 
 def test_flatten_identity_head():
-    assert C.flatten_tm(CId(0), LEAF) == T.standard_coh(linear_tree(0), 1)
+    assert C.flatten_tm(CId(0), LEAF) == F.standard_coh(linear_tree(0), 1)
     got = C.flatten_tm(CId(1), linear_tree(1))
     assert F.is_identity(got)
 
@@ -85,14 +87,14 @@ def test_std_type_flattens_to_standard_type():
     for t in TREES:
         for n in range(t.height, t.height + 3):
             b = N.quote_ty(N.standard_nf_type(N.WEAK, t, n))
-            assert C.flatten_ty(b, t) == T.standard_type(t, n)
+            assert C.flatten_ty(b, t) == F.standard_type(t, n)
 
 
 def test_std_term_flattens_to_standard_term():
     for t in TREES:
         for n in range(max(t.height, 1), t.height + 3):
             x = N._std_term(N.WEAK, t, n, N.id_env(t))
-            assert N.flatten_nf(x, t) == T.standard_term(t, n)
+            assert N.flatten_nf(x, t) == F.standard_term(t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +122,8 @@ def test_label_from_disc_matches_flat():
     ]
     for a, t in cases:
         got = N.disc_label(_lift_ty(a, n), _lift_tm(t, n))
-        want = T.label_from_disc(a, t)
-        assert got.map(lambda e: N.flatten_nf(e, n)) == want.lt
+        want = F.label_from_disc(a, t)
+        assert got.map(lambda e: N.flatten_nf(e, n)) == want
 
 
 def insertion_points(max_nodes: int):
@@ -139,7 +141,7 @@ def test_exterior_clabel_matches_flat():
         r = T.insert_tree(s, p, t)
         got = N.exterior(N.WEAK, s, p, t)
         flat = got.map(lambda e: N.flatten_nf(e, r))
-        assert flat == T.exterior_label(s, p, t).lt
+        assert flat == F.exterior_label(s, p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +150,19 @@ def test_exterior_clabel_matches_flat():
 
 def test_label_round_trip():
     for t in TREES:
-        lab = T.id_label(t)
-        assert T.label_from_sub(t, T.label_to_sub(lab)) == lab
+        lab = SP.id_label(t)
+        assert F.label_from_sub(t, F.label_to_sub(lab)) == lab
 
 
 def test_label_round_trip_after_substitution():
-    lab = T.id_label(EXAMPLE)
-    sigma = T.label_to_sub(lab)
-    assert T.label_from_sub(EXAMPLE, sigma).lt == lab.lt
+    lab = SP.id_label(EXAMPLE)
+    sigma = F.label_to_sub(lab)
+    assert F.label_from_sub(EXAMPLE, sigma) == lab
 
 
 def test_label_from_sub_length_mismatch():
     with pytest.raises(F.MalformedSyntax):
-        T.label_from_sub(CHAIN2, F.FlatSub(STAR, (Var(0),)))
+        F.label_from_sub(CHAIN2, F.FlatSub(STAR, (Var(0),)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def test_to_raw_pretty_parses_back():
     lab = CArgs(LTree.from_fn(CHAIN2, CVar))
     raw = C.to_raw(CApp(CComp(CHAIN2), lab))
     printed = R.pretty(raw)
-    assert R.strip_spans(R.parse_term(printed)) == R.strip_spans(raw)
+    assert SP.strip_spans(R.parse_term(printed)) == SP.strip_spans(raw)
 
 
 def test_to_raw_coherence():

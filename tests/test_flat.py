@@ -10,9 +10,9 @@ from cattkernel.flat import (
     FlatCtx,
     FlatSub,
     Var,
-    VarSet,
 )
 
+import specs as SP
 import strategies as S
 
 
@@ -102,7 +102,7 @@ def test_suspend_star():
 def test_suspend_disc():
     for n in range(4):
         assert F.suspend_ctx(F.disc_ctx(n)) == F.disc_ctx(n + 1)
-        assert F.suspend_ctx(F.sphere_ctx(n)) == F.sphere_ctx(n + 1)
+        assert F.suspend_ctx(SP.sphere_ctx(n)) == SP.sphere_ctx(n + 1)
         assert F.suspend_ty(F.sphere_ty(n), 2 * n) == F.sphere_ty(n + 1)
 
 
@@ -154,9 +154,9 @@ def test_unrestrict_literal():
 @given(S.subs(2, 3))
 def test_restrict_unrestrict_round_trip(sigma):
     if isinstance(sigma.ty, Arrow):
-        assert F.restrict(F.unrestrict(sigma)) == sigma
+        assert SP.restrict(F.unrestrict(sigma)) == sigma
     else:
-        assert F.unrestrict(F.restrict(FlatSub(sigma.ty, (Var(0), Var(1)) + sigma.terms))) == FlatSub(
+        assert F.unrestrict(SP.restrict(FlatSub(sigma.ty, (Var(0), Var(1)) + sigma.terms))) == FlatSub(
             sigma.ty, (Var(0), Var(1)) + sigma.terms
         )
 
@@ -217,7 +217,7 @@ def test_disc_base_case():
 
 def test_disc_dims():
     for n in range(7):
-        assert F.dim_ctx(F.disc_ctx(n)) == n
+        assert SP.dim_ctx(F.disc_ctx(n)) == n
         assert F.dim_ty(F.sphere_ty(n)) == n
 
 
@@ -246,19 +246,19 @@ def test_disc_sub_naturality(a, t, sigma):
 
 def test_canonical_type_variable():
     d1 = F.disc_ctx(1)
-    assert F.canonical_type(d1, Var(0)) == Arrow(Var(2), STAR, Var(1))
+    assert SP.canonical_type(d1, Var(0)) == Arrow(Var(2), STAR, Var(1))
 
 
 @given(S.types(2, dim=2), S.terms(2))
 def test_canonical_type_of_identity(a, t):
     ident = F.canonical_identity(a, t)
     ctx = FlatCtx((STAR, STAR))
-    assert F.canonical_type(ctx, ident) == Arrow(t, a, t)
+    assert SP.canonical_type(ctx, ident) == Arrow(t, a, t)
 
 
 def test_canonical_type_coherence():
     comp = _one_comp()
-    assert F.canonical_type(comp.ctx, comp) == F.substitute(comp.ty, comp.sub)
+    assert SP.canonical_type(comp.ctx, comp) == F.substitute(comp.ty, comp.sub)
 
 
 def test_identity_recognition():
@@ -274,31 +274,31 @@ def test_identity_recognition():
 
 def test_dc_empty():
     g = F.disc_ctx(2)
-    assert F.downward_close(g, VarSet.empty(len(g))) == VarSet.empty(len(g))
+    assert SP.downward_close(g, SP.VarSet.empty(len(g))) == SP.VarSet.empty(len(g))
 
 
 def test_support_of_disc_boundary():
     for n in range(3):
         d_next = F.disc_ctx(n + 1)
         # d_n^- is the entry at position 2n, i.e. index 2 from the end
-        supp = F.support(d_next, Var(2))
-        assert supp == VarSet.of(len(d_next), range(2 * n + 1))
+        supp = SP.support(d_next, Var(2))
+        assert supp == SP.VarSet.of(len(d_next), range(2 * n + 1))
 
 
 def test_fv_of_sphere_type():
     for n in range(1, 4):
-        fv = F.free_vars(F.sphere_ty(n), 2 * n)
-        assert fv == VarSet.full(2 * n)
+        fv = SP.free_vars(F.sphere_ty(n), 2 * n)
+        assert fv == SP.VarSet.full(2 * n)
 
 
 def test_apply_set_empty():
     sigma = FlatSub(STAR, (Var(0), Var(1)))
-    assert F.apply_set(VarSet.empty(2), sigma, 2) == VarSet.empty(2)
+    assert SP.apply_set(SP.VarSet.empty(2), sigma, 2) == SP.VarSet.empty(2)
 
 
 @given(S.subs(3, 2, extended=False))
 def test_apply_full_set_is_fv(sigma):
-    assert F.apply_set(VarSet.full(3), sigma, 2) == F.free_vars(
+    assert SP.apply_set(SP.VarSet.full(3), sigma, 2) == SP.free_vars(
         FlatSub(STAR, sigma.terms), 2
     )
 
@@ -310,22 +310,22 @@ def test_apply_set_composes(chain):
     if not isinstance(sigma.ty, F.Star):
         return
     m, n = len(sigma.terms), 3
-    v = VarSet.of(m, range(0, m, 2))
-    lhs = F.apply_set(v, F.compose(sigma, tau), n)
-    rhs = F.apply_set(F.apply_set(v, sigma, len(tau.terms) or 1), tau, n)
+    v = SP.VarSet.of(m, range(0, m, 2))
+    lhs = SP.apply_set(v, F.compose(sigma, tau), n)
+    rhs = SP.apply_set(SP.apply_set(v, sigma, len(tau.terms) or 1), tau, n)
     assert lhs == rhs
 
 
 def test_dc_idempotent_and_monotone():
     g = F.disc_ctx(3)
     n = len(g)
-    for v in [VarSet.of(n, [6]), VarSet.of(n, [4, 5]), VarSet.full(n)]:
-        dc = F.downward_close(g, v)
-        assert F.downward_close(g, dc) == dc
+    for v in [SP.VarSet.of(n, [6]), SP.VarSet.of(n, [4, 5]), SP.VarSet.full(n)]:
+        dc = SP.downward_close(g, v)
+        assert SP.downward_close(g, dc) == dc
         assert all(b or not a for a, b in zip(v.members, dc.members))
-    a, b = VarSet.of(n, [6]), VarSet.of(n, [5])
-    assert F.downward_close(g, a.union(b)) == F.downward_close(g, a).union(
-        F.downward_close(g, b)
+    a, b = SP.VarSet.of(n, [6]), SP.VarSet.of(n, [5])
+    assert SP.downward_close(g, a.union(b)) == SP.downward_close(g, a).union(
+        SP.downward_close(g, b)
     )
 
 
@@ -334,6 +334,6 @@ def test_dc_idempotent_and_monotone():
 def test_support_of_suspension(ct):
     ctx, t = ct
     n = len(ctx)
-    supp = F.support(ctx, t)
-    susp_supp = F.support(F.suspend_ctx(ctx), F.suspend_tm(t, n))
-    assert susp_supp == VarSet((True, True) + supp.members)
+    supp = SP.support(ctx, t)
+    susp_supp = SP.support(F.suspend_ctx(ctx), F.suspend_tm(t, n))
+    assert susp_supp == SP.VarSet((True, True) + supp.members)

@@ -18,6 +18,7 @@ GOLDEN = ROOT / "tests" / "golden"
 MONOIDAL = "catt/monoidal.catt"
 UNITAL = "bench/cli/unital.catt"
 ASSOCIATIVE = "bench/cli/associative.catt"
+LISTS = "catt/lists.catt"
 
 # name of the expected file -> command-line arguments
 RUNS = {
@@ -31,6 +32,9 @@ RUNS = {
     "unital_su": ["--su", UNITAL],
     "associative_sua": ["--sua", ASSOCIATIVE],
     "associative_sua_oracle": ["--sua", "--oracle", ASSOCIATIVE],
+    "lists": [LISTS],
+    "lists_su_oracle": ["--su", "--oracle", LISTS],
+    "lists_sua_oracle": ["--sua", "--oracle", LISTS],
 }
 
 

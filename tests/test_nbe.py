@@ -3,6 +3,7 @@
 import pytest
 
 from cattkernel import core as C
+from cattkernel import flat as F
 from cattkernel import nbe as N
 from cattkernel import trees as T
 from cattkernel.core import CArgs, CSusp, CVar
@@ -234,12 +235,12 @@ def test_quote_eval_round_trip():
 
 def test_flatten_nf_matches_standard_composite():
     nf = NApp(NComp(CHAIN2), LTree.from_fn(CHAIN2, NVar))
-    assert N.flatten_nf(nf, CHAIN2) == T.standard_coh(CHAIN2, 1)
+    assert N.flatten_nf(nf, CHAIN2) == F.standard_coh(CHAIN2, 1)
 
 
 def test_flatten_nf_type():
     b = N.standard_nf_type(WEAK, CHAIN2, 1)
-    assert C.flatten_ty(N.quote_ty(b), CHAIN2) == T.standard_type(CHAIN2, 1)
+    assert C.flatten_ty(N.quote_ty(b), CHAIN2) == F.standard_type(CHAIN2, 1)
 
 
 # ---------------------------------------------------------------------------

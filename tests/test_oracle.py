@@ -5,6 +5,7 @@ import random
 import pytest
 
 import gen_typed
+import specs as SP
 from flat_cases import (
     CHAIN2,
     assoc_pair,
@@ -20,7 +21,6 @@ from cattkernel import nbe as N
 from cattkernel import oracle as O
 from cattkernel import pasting as P
 from cattkernel import surface as R
-from cattkernel import trees as T
 from cattkernel.flat import Arrow, Coh, FlatSub, STAR, Var
 from cattkernel.oracle import RuleSet
 from cattkernel.typecheck import Checker, Signature
@@ -45,19 +45,19 @@ def test_variables_are_normal():
 
 
 def test_disc_removal_step():
-    g = T.tree_to_ctx(CHAIN2)
-    fg = T.standard_coh(CHAIN2, 1)
+    g = F.tree_to_ctx(CHAIN2)
+    fg = F.standard_coh(CHAIN2, 1)
     t = unary_comp(fg, Arrow(Var(4), STAR, Var(1)))
     steps = O.step(t, SU)
     assert any(s.rule == "dr" and s.term == fg for s in steps)
 
 
 def test_endo_coherence_step():
-    fg = T.standard_coh(CHAIN2, 1)
+    fg = F.standard_coh(CHAIN2, 1)
     endo = Coh(
-        T.tree_to_ctx(CHAIN2),
-        Arrow(fg, T.standard_type(CHAIN2, 1), fg),
-        F.identity_sub(T.tree_to_ctx(CHAIN2)),
+        F.tree_to_ctx(CHAIN2),
+        Arrow(fg, F.standard_type(CHAIN2, 1), fg),
+        F.identity_sub(F.tree_to_ctx(CHAIN2)),
     )
     steps = [s for s in O.step(endo, SU) if s.rule == "ecr"]
     assert len(steps) == 1
@@ -92,7 +92,7 @@ def test_insertion_of_identity_argument():
 
 
 def test_unary_composite_argument_is_not_inserted():
-    v = lambda p: T.path_var(CHAIN2, p)
+    v = lambda p: F.path_var(CHAIN2, p)
     inner = unary_comp(v((0, 0)), Arrow(v((0,)), STAR, v((1,))))
     t = binary_comp(v((0,)), inner, v((1,)), v((1, 0)), v((2,)))
     assert all(s.rule != "insert" for s in O.step(t, SUA))
@@ -103,7 +103,7 @@ def test_unary_composite_argument_is_not_inserted():
 
 
 def test_argument_steps_keep_the_rule_tag():
-    v = lambda p: T.path_var(CHAIN2, p)
+    v = lambda p: F.path_var(CHAIN2, p)
     inner = unary_comp(v((0, 0)), Arrow(v((0,)), STAR, v((1,))))
     t = binary_comp(v((0,)), inner, v((1,)), v((1, 0)), v((2,)))
     tags = [(s.rule, s.where[0]) for s in O.step(t, SU)]
@@ -111,15 +111,15 @@ def test_argument_steps_keep_the_rule_tag():
 
 
 def test_cell_steps_are_tagged_and_preserve_complexity():
-    g = T.tree_to_ctx(CHAIN2)
-    v = lambda p: T.path_var(CHAIN2, p)
+    g = F.tree_to_ctx(CHAIN2)
+    v = lambda p: F.path_var(CHAIN2, p)
     red_src = unary_comp(v((0, 0)), Arrow(v((0,)), STAR, v((1,))))
     a = Arrow(red_src, Arrow(v((0,)), STAR, v((1,))), v((0, 0)))
     t = Coh(g, a, F.identity_sub(g))
     cells = [s for s in O.step(t, SU) if s.where[0] == "cell"]
     assert cells and all(s.rule == "cell" for s in cells)
     for s in cells:
-        assert O.complexity(s.term) == O.complexity(t)
+        assert SP.complexity(s.term) == SP.complexity(t)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_chain_complexity_strictly_decreases():
             break
         nxt = steps[0]
         assert nxt.rule != "cell"
-        assert O.less_than(O.complexity(nxt.term), O.complexity(t))
+        assert SP.less_than(SP.complexity(nxt.term), SP.complexity(t))
         t = nxt.term
 
 
@@ -170,11 +170,11 @@ def test_normal_form_returns_itself():
 
 def test_seed_invariance():
     _, term, var = pruning_chain()
-    assert O.normalise_random(term, SU, 1) == var
-    assert O.normalise_random(term, SU, 2) == var
+    assert SP.normalise_random(term, SU, 1) == var
+    assert SP.normalise_random(term, SU, 2) == var
     _, left, _, ternary = assoc_pair()
     for seed in (1, 2, 3):
-        assert O.normalise_random(left, SUA, seed) == ternary
+        assert SP.normalise_random(left, SUA, seed) == ternary
 
 
 def test_step_cap_guards_against_divergence(monkeypatch):
@@ -233,7 +233,7 @@ def test_first_reduct_ends_the_search(monkeypatch):
         return head_steps(t, rules)
 
     monkeypatch.setattr(O, "_head_steps", counted)
-    v = lambda p: T.path_var(CHAIN2, p)
+    v = lambda p: F.path_var(CHAIN2, p)
     f_ty, g_ty = Arrow(v((0,)), STAR, v((1,))), Arrow(v((1,)), STAR, v((2,)))
     inner = unary_comp(v((0, 0)), f_ty)
     first = unary_comp(inner, f_ty)
@@ -276,30 +276,30 @@ def test_lazy_normalise_reads_fewer_contexts(rules, monkeypatch):
 
 
 def test_complexity_of_variables_and_heads():
-    assert O.complexity(Var(0)) == ()
+    assert SP.complexity(Var(0)) == ()
     ident = F.canonical_identity(STAR, Var(0))
-    assert O.complexity(ident) == (0, 1)
-    fg = T.standard_coh(CHAIN2, 1)
-    assert O.complexity(fg) == (0, 2)
+    assert SP.complexity(ident) == (0, 1)
+    fg = F.standard_coh(CHAIN2, 1)
+    assert SP.complexity(fg) == (0, 2)
 
 
 def test_complexity_sums_over_arguments():
     x = Var(0)
     ident = F.canonical_identity(STAR, x)
     t = binary_comp(x, ident, x, ident, x)
-    assert O.complexity(t) == (0, 4)
+    assert SP.complexity(t) == (0, 4)
 
 
 def test_reverse_lexicographic_order():
-    assert O.less_than((5, 1), (0, 2))
-    assert O.less_than((0, 1), (0, 0, 1))
-    assert not O.less_than((0, 0, 1), (9, 9))
-    assert not O.less_than((1, 1), (1, 1))
+    assert SP.less_than((5, 1), (0, 2))
+    assert SP.less_than((0, 1), (0, 0, 1))
+    assert not SP.less_than((0, 0, 1), (9, 9))
+    assert not SP.less_than((1, 1), (1, 1))
 
 
 def test_substitution_compatibility():
     # a reduct of s, substituted, is a reduct of s substituted
-    v = lambda p: T.path_var(CHAIN2, p)
+    v = lambda p: F.path_var(CHAIN2, p)
     s = unary_comp(v((0, 0)), Arrow(v((0,)), STAR, v((1,))))
     sigma = FlatSub(STAR, tuple(Var(9 - i) for i in range(5)))
     reducts = {st.term for st in O.step(s, SU)}
@@ -313,12 +313,12 @@ def test_substitution_compatibility():
 
 def test_two_pruning_peaks_join():
     _, t = two_peak_term()
-    assert O.local_confluence_sample(t, SU, depth=2) == []
+    assert SP.local_confluence_sample(t, SU, depth=2) == []
 
 
 def test_chain_term_is_locally_confluent():
     _, term, _ = pruning_chain()
-    assert O.local_confluence_sample(term, SU, depth=4) == []
+    assert SP.local_confluence_sample(term, SU, depth=4) == []
 
 
 def test_distinct_reducts_join():
@@ -331,8 +331,8 @@ def test_distinct_reducts_join():
     for rules in (SU, SUA):
         reducts = [st.term for st in O.step(t, rules)]
         assert len(reducts) == len(set(reducts)) == 2
-        assert O.local_confluence_sample(t, rules, depth=2) == []
+        assert SP.local_confluence_sample(t, rules, depth=2) == []
 
 
 def test_normal_forms_trivially_pass():
-    assert O.local_confluence_sample(Var(0), SU) == []
+    assert SP.local_confluence_sample(Var(0), SU) == []

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 
 from cattkernel import flat as F
 from cattkernel import pasting as P
-from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var, VarSet
+from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var
 from cattkernel.pasting import DOWN, UP, DyckWord, Peak
 
+import specs as SP
 import strategies as S
 
 
@@ -40,11 +41,11 @@ def all_dyck_words(max_len: int, trailing_zero: bool = False):
 
 
 def test_chain_is_ps():
-    assert P.check_ps(chain_ctx(2))
+    assert SP.check_ps(chain_ctx(2))
 
 
 def test_point_is_ps():
-    assert P.check_ps(FlatCtx((STAR,)))
+    assert SP.check_ps(FlatCtx((STAR,)))
 
 
 def test_reordered_context_is_not_ps():
@@ -58,14 +59,14 @@ def test_reordered_context_is_not_ps():
             Arrow(Var(2), STAR, Var(1)),
         )
     )
-    ok, pos = P.check_ps_detail(g)
+    ok, pos = SP.check_ps_detail(g)
     assert not ok and pos is not None
 
 
 def test_discs_are_ps():
     for n in range(5):
-        assert P.check_ps(F.disc_ctx(n))
-        assert not P.check_ps(F.sphere_ctx(n + 1))
+        assert SP.check_ps(F.disc_ctx(n))
+        assert not SP.check_ps(SP.sphere_ctx(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ EXAMPLE_WORD = DyckWord((UP, UP, DOWN, UP, DOWN, DOWN, UP, DOWN))
 def test_realise_example_word():
     ctx, ty, tm = P.dyck_realise(EXAMPLE_WORD)
     assert len(ctx) == 9
-    assert P.check_ps(ctx)
+    assert SP.check_ps(ctx)
     assert ty == STAR
     # dims of entries: x y f a? ... the word UUDUDDUD gives dims 0,0,1,1,2,1,2,0,1
     assert [F.dim_ty(e) for e in ctx.entries] == [0, 0, 1, 1, 2, 1, 2, 0, 1]
@@ -91,19 +92,19 @@ def test_realise_example_word():
 
 def test_realise_disc_word():
     for n in range(5):
-        ctx, ty, tm = P.dyck_realise(P.disc_word(n))
+        ctx, ty, tm = P.dyck_realise(SP.disc_word(n))
         assert ctx == F.disc_ctx(n)
 
 
 def test_ctx_to_dyck_round_trip():
     for d in all_dyck_words(8, trailing_zero=True):
         ctx, _, _ = P.dyck_realise(d)
-        assert P.check_ps(ctx)
+        assert SP.check_ps(ctx)
         assert P.ctx_to_dyck(ctx) == d
 
 
 def test_ctx_to_dyck_rejects_non_ps():
-    assert P.ctx_to_dyck(F.sphere_ctx(1)) is None
+    assert P.ctx_to_dyck(SP.sphere_ctx(1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,7 @@ def locally_maximal_positions(ctx: FlatCtx) -> set[int]:
     n = len(ctx)
     used = set()
     for i, e in enumerate(ctx.entries):
-        for p in F.free_vars(e, i).positions():
+        for p in SP.free_vars(e, i).positions():
             used.add(p)
     return {i for i in range(n) if i not in used}
 
@@ -133,9 +134,9 @@ def test_empty_word_has_no_peaks():
 
 def test_disc_word_peak():
     for n in range(1, 5):
-        pks = P.peaks(P.disc_word(n))
+        pks = P.peaks(SP.disc_word(n))
         assert len(pks) == 1
-        assert P.peak_var(P.disc_word(n), pks[0]) == Var(0)
+        assert P.peak_var(SP.disc_word(n), pks[0]) == Var(0)
 
 
 def test_peaks_are_locally_maximal_everywhere():
@@ -166,7 +167,7 @@ def test_prune_example():
 
 def test_prune_disc_word():
     for n in range(1, 5):
-        d2, _ = P.prune(P.disc_word(n), P.peaks(P.disc_word(n))[0])
+        d2, _ = P.prune(SP.disc_word(n), P.peaks(SP.disc_word(n))[0])
         ctx, _, _ = P.dyck_realise(d2)
         assert ctx == F.disc_ctx(n - 1)
 
@@ -175,7 +176,7 @@ def test_prune_disc_word():
 @given(S.types(2, dim=1), S.terms(2), S.terms(2))
 def test_prune_disc_sub(a, t, u):
     n = F.dim_ty(a) + 1
-    d = P.disc_word(n)
+    d = SP.disc_word(n)
     p = P.peaks(d)[0]
     sigma = F.sub_from_disc(Arrow(t, a, t), u)
     assert P.prune_sub(sigma, d, p) == F.sub_from_disc(a, t)
@@ -230,7 +231,7 @@ def test_projection_support_is_full():
         for p in P.peaks(d):
             d2, pi = P.prune(d, p)
             ctx2, _, _ = P.dyck_realise(d2)
-            assert F.free_vars(pi, len(ctx2)) == VarSet.full(len(ctx2))
+            assert SP.free_vars(pi, len(ctx2)) == SP.VarSet.full(len(ctx2))
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +255,18 @@ def example_237_ctx() -> FlatCtx:
 
 def test_example_boundaries():
     g = example_237_ctx()
-    assert P.check_ps(g)
-    assert P.boundary_set(g, 1, "-") == VarSet.of(7, [0, 1, 2, 3, 4])
-    assert P.boundary_set(g, 1, "+") == VarSet.of(7, [0, 1, 2, 3, 5])
-    assert P.boundary_set(g, 0, "-") == VarSet.of(7, [0])
-    assert P.boundary_set(g, 0, "+") == VarSet.of(7, [3])
+    assert SP.check_ps(g)
+    assert SP.boundary_set(g, 1, "-") == SP.VarSet.of(7, [0, 1, 2, 3, 4])
+    assert SP.boundary_set(g, 1, "+") == SP.VarSet.of(7, [0, 1, 2, 3, 5])
+    assert SP.boundary_set(g, 0, "-") == SP.VarSet.of(7, [0])
+    assert SP.boundary_set(g, 0, "+") == SP.VarSet.of(7, [3])
 
 
 def test_boundary_full_at_high_dim():
     g = example_237_ctx()
     for n in range(2, 5):
         for eps in ("-", "+"):
-            assert P.boundary_set(g, n, eps) == VarSet.full(7)
+            assert SP.boundary_set(g, n, eps) == SP.VarSet.full(7)
 
 
 def test_boundary_suspension():
@@ -274,12 +275,12 @@ def test_boundary_suspension():
         sg = F.suspend_ctx(g)
         for n in range(0, 3):
             for eps in ("-", "+"):
-                b = P.boundary_set(g, n, eps)
-                assert P.boundary_set(sg, n + 1, eps) == VarSet(
+                b = SP.boundary_set(g, n, eps)
+                assert SP.boundary_set(sg, n + 1, eps) == SP.VarSet(
                     (True, True) + b.members
                 )
 
 
 def test_boundary_requires_ps():
     with pytest.raises(F.MalformedSyntax):
-        P.boundary_set(F.sphere_ctx(1), 0, "-")
+        SP.boundary_set(SP.sphere_ctx(1), 0, "-")

@@ -34,9 +34,9 @@ from cattkernel.surface import (
     parse_term,
     parse_type,
     pretty,
-    pretty_command,
-    strip_spans,
 )
+
+from specs import pretty_command, strip_spans
 
 CATT_DIR = Path(__file__).resolve().parent.parent / "catt"
 

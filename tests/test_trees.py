@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from cattkernel import flat as F
 from cattkernel import pasting as P
 from cattkernel import trees as T
-from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var, VarSet
+from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var
 from cattkernel.nbe import NVar
-from cattkernel.trees import LEAF, LTree, Labelling, Tree
+from cattkernel.trees import LEAF, LTree, Tree
 from cattkernel.typecheck import Checker, Signature
 
+import specs as SP
 import strategies as S
 from flat_cases import make_ctx
 
@@ -70,56 +71,56 @@ EXAMPLE_TREE = Tree((Tree((LEAF, LEAF)), LEAF))
 
 
 def test_leaf_realises_to_point():
-    assert T.tree_to_ctx(LEAF) == FlatCtx((STAR,))
+    assert F.tree_to_ctx(LEAF) == FlatCtx((STAR,))
 
 
 def test_linear_trees_realise_to_discs():
     for n in range(5):
-        assert T.tree_to_ctx(T.linear_tree(n)) == F.disc_ctx(n)
+        assert F.tree_to_ctx(T.linear_tree(n)) == F.disc_ctx(n)
 
 
 def test_chain_tree():
-    assert T.tree_to_ctx(CHAIN2_TREE) == chain_ctx(2)
+    assert F.tree_to_ctx(CHAIN2_TREE) == chain_ctx(2)
 
 
 def test_example_tree_realisation():
-    g = T.tree_to_ctx(EXAMPLE_TREE)
+    g = F.tree_to_ctx(EXAMPLE_TREE)
     assert len(g) == 9
-    assert P.check_ps(g)
-    assert F.dim_ctx(g) == EXAMPLE_TREE.height == 2
+    assert SP.check_ps(g)
+    assert SP.dim_ctx(g) == EXAMPLE_TREE.height == 2
 
 
 def test_realisation_is_ps_and_dim_matches():
     for t in all_trees(6):
-        g = T.tree_to_ctx(t)
-        assert P.check_ps(g)
-        assert F.dim_ctx(g) == t.height
+        g = F.tree_to_ctx(t)
+        assert SP.check_ps(g)
+        assert SP.dim_ctx(g) == t.height
         assert len(g) == T.ctx_size(t)
 
 
 def test_suspension_commutes_with_realisation():
     for t in all_trees(6):
-        assert T.tree_to_ctx(T.suspend_tree(t)) == F.suspend_ctx(T.tree_to_ctx(t))
+        assert F.tree_to_ctx(T.suspend_tree(t)) == F.suspend_ctx(F.tree_to_ctx(t))
 
 
 def test_concat_realises_to_wedge():
     for s in all_trees(4):
         for t in all_trees(4):
-            lhs = T.tree_to_ctx(Tree(s.branches + t.branches))
-            rhs, _, _ = T.wedge(T.tree_to_ctx(s), T.tree_to_ctx(t))
+            lhs = F.tree_to_ctx(Tree(s.branches + t.branches))
+            rhs, _, _ = F.wedge(F.tree_to_ctx(s), F.tree_to_ctx(t))
             assert lhs == rhs
 
 
 def test_tree_dyck_ctx_round_trips():
     for t in all_trees(7):
-        d = T.tree_to_dyck(t)
-        assert T.dyck_to_tree(d) == t
-        assert P.dyck_realise(d)[0] == T.tree_to_ctx(t)
-        assert T.ctx_to_tree(T.tree_to_ctx(t)) == t
+        d = SP.tree_to_dyck(t)
+        assert P.dyck_to_tree(d) == t
+        assert P.dyck_realise(d)[0] == F.tree_to_ctx(t)
+        assert P.ctx_to_tree(F.tree_to_ctx(t)) == t
 
 
 def test_ctx_to_tree_rejects_non_ps():
-    assert T.ctx_to_tree(F.sphere_ctx(1)) is None
+    assert P.ctx_to_tree(SP.sphere_ctx(1)) is None
 
 
 def test_stored_metadata_matches_recursive_definitions():
@@ -151,57 +152,57 @@ def test_stored_metadata_matches_recursive_definitions():
 
 
 def test_leaf_path():
-    assert T.path_var(LEAF, (0,)) == Var(0)
+    assert F.path_var(LEAF, (0,)) == Var(0)
 
 
 def test_maximal_path_of_disc():
     for n in range(5):
-        assert T.path_var(T.linear_tree(n), T.max_path(n)) == Var(0)
+        assert F.path_var(T.linear_tree(n), T.max_path(n)) == Var(0)
 
 
 def test_chain_zero_cells():
     # x, y, z at positions 0, 1, 3 of the realised context
-    assert T.path_var(CHAIN2_TREE, (0,)) == Var(4)
-    assert T.path_var(CHAIN2_TREE, (1,)) == Var(3)
-    assert T.path_var(CHAIN2_TREE, (2,)) == Var(1)
+    assert F.path_var(CHAIN2_TREE, (0,)) == Var(4)
+    assert F.path_var(CHAIN2_TREE, (1,)) == Var(3)
+    assert F.path_var(CHAIN2_TREE, (2,)) == Var(1)
 
 
 def test_path_dim():
     for t in all_trees(6):
-        g = T.tree_to_ctx(t)
+        g = F.tree_to_ctx(t)
         for p in T.all_paths(t):
-            v = T.path_var(t, p)
+            v = F.path_var(t, p)
             assert F.dim_ty(g.entries[len(g) - 1 - v.idx]) == len(p) - 1
 
 
 def test_paths_enumerate_all_variables():
     for t in all_trees(6):
-        g = T.tree_to_ctx(t)
-        positions = {T.path_pos(t, p) for p in T.all_paths(t)}
+        g = F.tree_to_ctx(t)
+        positions = {F.path_pos(t, p) for p in T.all_paths(t)}
         assert positions == set(range(len(g)))
 
 
 def test_maximal_paths_are_locally_maximal():
     for t in all_trees(6):
-        g = T.tree_to_ctx(t)
+        g = F.tree_to_ctx(t)
         used = set()
         for i, e in enumerate(g.entries):
-            used.update(F.free_vars(e, i).positions())
+            used.update(SP.free_vars(e, i).positions())
         loc_max = {i for i in range(len(g)) if i not in used}
-        assert {T.path_pos(t, p) for p in T.maximal_paths(t)} == loc_max
+        assert {F.path_pos(t, p) for p in T.maximal_paths(t)} == loc_max
 
 
 def recursive_path_pos(t: Tree, p) -> int:
     if len(p) == 1:
-        return T.zero_cell_pos(t, p[0])
+        return F.zero_cell_pos(t, p[0])
     k = p[0]
-    return T._offsets(t)[k] + recursive_path_pos(t.branches[k], p[1:]) + 1
+    return F._offsets(t)[k] + recursive_path_pos(t.branches[k], p[1:]) + 1
 
 
 def test_path_pos_matches_recursive_definition():
     for t in all_trees(6):
         for p in T.all_paths(t):
-            assert T.path_pos(t, p) == recursive_path_pos(t, p)
+            assert F.path_pos(t, p) == recursive_path_pos(t, p)
 
 
 def non_paths(t: Tree):
@@ -218,25 +219,25 @@ def non_paths(t: Tree):
 
 def test_invalid_path_rejected():
     with pytest.raises(F.MalformedSyntax):
-        T.path_var(LEAF, (1, 0))
+        F.path_var(LEAF, (1, 0))
     for t in all_trees(6):
         for p in non_paths(t):
             assert not T.is_path(t, p) and not T.is_maximal_path(t, p)
             with pytest.raises(F.MalformedSyntax, match="not a path of the tree"):
-                T.path_pos(t, p)
+                F.path_pos(t, p)
         for k in range(len(t.branches)):
             assert not T.is_branch(t, (-1 - k,))
 
 
 def test_equal_trees_share_one_cache_entry():
     a = EXAMPLE_TREE
-    b = T.dyck_to_tree(T.tree_to_dyck(a))
+    b = P.dyck_to_tree(SP.tree_to_dyck(a))
     assert a == b and a is not b and hash(a) == hash(b)
-    T.standard_type.cache_clear()
-    T.standard_type(a, 2)
-    before = T.standard_type.cache_info()
-    T.standard_type(b, 2)
-    after = T.standard_type.cache_info()
+    F.standard_type.cache_clear()
+    F.standard_type(a, 2)
+    before = F.standard_type.cache_info()
+    F.standard_type(b, 2)
+    after = F.standard_type.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 1
     assert {a: 1}[b] == 1
 
@@ -247,43 +248,43 @@ def test_equal_trees_share_one_cache_entry():
 
 def test_wedge_unit():
     g = chain_ctx(2)
-    w, inl, inr = T.wedge(g, FlatCtx((STAR,)))
+    w, inl, inr = F.wedge(g, FlatCtx((STAR,)))
     assert w == g
     assert inl == F.identity_sub(g)
     assert inr == FlatSub(STAR, (Var(1),))
 
 
 def test_disc_wedge_is_chain():
-    w, _, _ = T.wedge(F.disc_ctx(1), F.disc_ctx(1))
+    w, _, _ = F.wedge(F.disc_ctx(1), F.disc_ctx(1))
     assert w == chain_ctx(2)
 
 
 def test_inl_wedge_inr_is_identity():
     for s in all_trees(4):
         for t in all_trees(4):
-            w, inl, inr = T.wedge(T.tree_to_ctx(s), T.tree_to_ctx(t))
-            assert T.from_wedge(inl, inr) == F.identity_sub(w)
+            w, inl, inr = F.wedge(F.tree_to_ctx(s), F.tree_to_ctx(t))
+            assert SP.from_wedge(inl, inr) == F.identity_sub(w)
 
 
 def test_wedge_associativity():
     for a, b, c in itertools.product(list(all_trees(3)), repeat=3):
-        ga, gb, gc = (T.tree_to_ctx(x) for x in (a, b, c))
-        left, _, _ = T.wedge(T.wedge(ga, gb)[0], gc)
-        right, _, _ = T.wedge(ga, T.wedge(gb, gc)[0])
+        ga, gb, gc = (F.tree_to_ctx(x) for x in (a, b, c))
+        left, _, _ = F.wedge(F.wedge(ga, gb)[0], gc)
+        right, _, _ = F.wedge(ga, F.wedge(gb, gc)[0])
         assert left == right
 
 
 @settings(max_examples=40)
 @given(S.subs(5, 3, extended=False), S.subs(3, 3, extended=False), S.subs(3, 2, extended=False))
 def test_wedge_sub_distributes(sigma, tau, mu):
-    lhs = F.compose(T.from_wedge(sigma, tau), mu)
-    rhs = T.from_wedge(F.compose(sigma, mu), F.compose(tau, mu))
+    lhs = F.compose(SP.from_wedge(sigma, tau), mu)
+    rhs = SP.from_wedge(F.compose(sigma, mu), F.compose(tau, mu))
     assert lhs == rhs
 
 
 def test_wedge_empty_rejected():
     with pytest.raises(F.MalformedSyntax):
-        T.wedge(F.EMPTY_CTX, F.disc_ctx(0))
+        F.wedge(F.EMPTY_CTX, F.disc_ctx(0))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,9 @@ def test_wedge_empty_rejected():
 def test_label_to_sub_example():
     # x{ff{a}f{id f}f}x{f}x  realises to <x,x,f*f,f,a,f,id(f),x,f>
     x, y, f = Var(2), Var(1), Var(0)
-    comp = F.substitute(T.standard_comp(CHAIN2_TREE), FlatSub(STAR, (x, y, f, x, f)))
+    comp = F.substitute(
+        F.standard_coh(CHAIN2_TREE, CHAIN2_TREE.height), FlatSub(STAR, (x, y, f, x, f))
+    )
     alpha = Var(0)
     idf = F.canonical_identity(Arrow(x, STAR, y), f)
     lt = LTree(
@@ -303,27 +306,27 @@ def test_label_to_sub_example():
             LTree((f,), ()),
         ),
     )
-    sub = T.label_to_sub(Labelling(lt, STAR))
+    sub = F.label_to_sub(lt)
     assert sub == FlatSub(STAR, (x, x, comp, f, alpha, f, idf, x, f))
 
 
 def test_label_to_sub_singleton():
-    assert T.label_to_sub(Labelling(LTree((Var(3),), ()), STAR)) == FlatSub(
+    assert F.label_to_sub(LTree((Var(3),), ())) == FlatSub(
         STAR, (Var(3),)
     )
 
 
 def test_id_label_realises_to_identity():
     for t in all_trees(6):
-        assert T.label_to_sub(T.id_label(t)) == F.identity_sub(T.tree_to_ctx(t))
+        assert F.label_to_sub(SP.id_label(t)) == F.identity_sub(F.tree_to_ctx(t))
 
 
 @settings(max_examples=60)
 @given(S.types(3, dim=3), S.terms(3))
 def test_label_from_disc_matches_sub_from_disc(a, t):
-    lab = T.label_from_disc(a, t)
+    lab = F.label_from_disc(a, t)
     assert lab.shape() == T.linear_tree(F.dim_ty(a))
-    assert T.label_to_sub(lab) == F.sub_from_disc(a, t)
+    assert F.label_to_sub(lab) == F.sub_from_disc(a, t)
 
 
 @settings(max_examples=40)
@@ -333,11 +336,11 @@ def test_unary_composite_via_disc_label(a, t):
     if n == 0:
         return
     comp = F.substitute(
-        T.standard_coh(T.linear_tree(n), n),
-        T.label_to_sub(T.label_from_disc(a, t)),
+        F.standard_coh(T.linear_tree(n), n),
+        F.label_to_sub(F.label_from_disc(a, t)),
     )
     ctx = FlatCtx((STAR, STAR, STAR))
-    assert F.canonical_type(ctx, comp) == a
+    assert SP.canonical_type(ctx, comp) == a
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +357,8 @@ def test_boundary_above_height_is_identity():
         for n in range(t.height, t.height + 2):
             assert T.tree_boundary(t, n) == t
             for eps in ("-", "+"):
-                lab = T.boundary_label(t, n, eps)
-                assert lab.lt == LTree.from_fn(t, lambda p: p)
+                lab = SP.boundary_label(t, n, eps)
+                assert lab == LTree.from_fn(t, lambda p: p)
 
 
 def test_boundary_globularity():
@@ -369,61 +372,61 @@ def test_boundary_globularity():
                     for om in ("-", "+"):
                         if n == m and eps != om:
                             continue
-                        inner = T.boundary_label(T.tree_boundary(t, m), n, eps)
-                        composed = inner.lt.map(
+                        inner = SP.boundary_label(T.tree_boundary(t, m), n, eps)
+                        composed = inner.map(
                             lambda p: T.boundary_path(t, m, om, p)
                         )
-                        assert composed == T.boundary_label(t, n, eps).lt
+                        assert composed == SP.boundary_label(t, n, eps)
 
 
 def test_tree_boundary_set_matches_pasting():
     for t in all_trees(6):
-        g = T.tree_to_ctx(t)
+        g = F.tree_to_ctx(t)
         for n in range(0, t.height + 2):
             for eps in ("-", "+"):
-                assert T.tree_boundary_set(t, n, eps) == P.boundary_set(g, n, eps)
+                assert SP.tree_boundary_set(t, n, eps) == SP.boundary_set(g, n, eps)
 
 
 def test_tree_supports_and_boundaries_match_pasting():
     ck = Checker(Signature())
     for t in all_trees(6):
-        g = T.tree_to_ctx(t)
+        g = F.tree_to_ctx(t)
 
         def positions(paths):
-            return VarSet.of(len(g), (T.path_pos(t, p) for p in paths))
+            return SP.VarSet.of(len(g), (F.path_pos(t, p) for p in paths))
 
         for p in T.all_paths(t):
             supp = ck.support(make_ctx(t), NVar(p))
-            assert positions(supp) == F.support(g, T.path_var(t, p))
+            assert positions(supp) == SP.support(g, F.path_var(t, p))
         for n in range(0, t.height + 2):
             for eps in ("-", "+"):
                 bdry = T.boundary_paths(t, n, eps)
-                assert positions(bdry) == P.boundary_set(g, n, eps)
+                assert positions(bdry) == SP.boundary_set(g, n, eps)
 
 
 def test_boundary_inclusion_support():
     for t in all_trees(6):
-        g = T.tree_to_ctx(t)
+        g = F.tree_to_ctx(t)
         for n in range(0, t.height + 1):
             for eps in ("-", "+"):
-                sub = T.label_to_sub(T.boundary_inclusion(t, n, eps))
-                supp = VarSet.empty(len(g))
+                sub = F.label_to_sub(F.boundary_inclusion(t, n, eps))
+                supp = SP.VarSet.empty(len(g))
                 for tm in sub.terms:
-                    supp = supp.union(F.support(g, tm))
-                assert supp == T.tree_boundary_set(t, n, eps)
+                    supp = supp.union(SP.support(g, tm))
+                assert supp == SP.tree_boundary_set(t, n, eps)
 
 
 def test_included_standard_term_support():
     for t in all_trees(5):
-        g = T.tree_to_ctx(t)
+        g = F.tree_to_ctx(t)
         for n in range(0, t.height + 1):
             for eps in ("-", "+"):
                 b = T.tree_boundary(t, n)
                 tm = F.substitute(
-                    T.standard_term(b, n),
-                    T.label_to_sub(T.boundary_inclusion(t, n, eps)),
+                    F.standard_term(b, n),
+                    F.label_to_sub(F.boundary_inclusion(t, n, eps)),
                 )
-                assert F.support(g, tm) == T.tree_boundary_set(t, n, eps)
+                assert SP.support(g, tm) == SP.tree_boundary_set(t, n, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +434,11 @@ def test_included_standard_term_support():
 
 
 def test_standard_type_zero():
-    assert T.standard_type(EXAMPLE_TREE, 0) == STAR
+    assert F.standard_type(EXAMPLE_TREE, 0) == STAR
 
 
 def test_standard_comp_of_chain_is_composition():
-    c = T.standard_comp(CHAIN2_TREE)
+    c = F.standard_coh(CHAIN2_TREE, CHAIN2_TREE.height)
     assert c.ctx == chain_ctx(2)
     assert c.ty == Arrow(Var(4), STAR, Var(1))
     assert c.sub == F.identity_sub(chain_ctx(2))
@@ -443,19 +446,19 @@ def test_standard_comp_of_chain_is_composition():
 
 def test_standard_term_of_disc_is_top_variable():
     for n in range(4):
-        assert T.standard_term(T.linear_tree(n), n) == Var(0)
+        assert F.standard_term(T.linear_tree(n), n) == Var(0)
 
 
 def test_standard_constructions_suspend():
     for t in all_trees(5):
-        g = T.tree_to_ctx(t)
+        g = F.tree_to_ctx(t)
         for n in range(t.height, t.height + 2):
             if n == 0 and t != LEAF:
                 continue
-            lhs = F.suspend_tm(T.standard_coh(t, n), len(g))
-            rhs = T.standard_coh(T.suspend_tree(t), n + 1)
+            lhs = F.suspend_tm(F.standard_coh(t, n), len(g))
+            rhs = F.standard_coh(T.suspend_tree(t), n + 1)
             assert lhs == rhs
-            assert F.suspend_ty(T.standard_type(t, n), len(g)) == T.standard_type(
+            assert F.suspend_ty(F.standard_type(t, n), len(g)) == F.standard_type(
                 T.suspend_tree(t), n + 1
             )
 
@@ -465,17 +468,17 @@ def test_standard_type_globularity():
         for m in range(0, t.height + 1):
             for n in range(0, m + 1):
                 for eps in ("-", "+"):
-                    lhs = T.standard_type(t, n)
+                    lhs = F.standard_type(t, n)
                     rhs = F.substitute(
-                        T.standard_type(T.tree_boundary(t, m), n),
-                        T.label_to_sub(T.boundary_inclusion(t, m, eps)),
+                        F.standard_type(T.tree_boundary(t, m), n),
+                        F.label_to_sub(F.boundary_inclusion(t, m, eps)),
                     )
                     assert lhs == rhs
 
 
 def test_standard_coh_precondition():
     with pytest.raises(F.MalformedSyntax):
-        T.standard_coh(CHAIN2_TREE, 0)
+        F.standard_coh(CHAIN2_TREE, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +507,7 @@ def test_disc_host_insertion():
                 if not T.is_insertion_point(d, p, t):
                     continue
                 assert T.insert_tree(d, p, t) == t
-                assert T.interior_label(d, p, t).lt == T.id_label(t).lt
+                assert SP.interior_label(d, p, t) == SP.id_label(t)
 
 
 def test_disc_insertion_is_trivial_on_trees():
@@ -517,51 +520,52 @@ def test_disc_insertion_is_trivial_on_trees():
 
 def test_disc_insertion_label_max_equal():
     for s in all_trees(5):
-        g = T.tree_to_ctx(s)
+        g = F.tree_to_ctx(s)
         for p in T.all_branches(s):
             lh = T.leaf_height(s, p)
             d = T.linear_tree(lh)
             if not T.is_insertion_point(s, p, d):
                 continue
-            pv = T.path_var(s, T.branch_path(s, p))
-            a = F.canonical_type(g, pv)
-            lab = T.id_label(s)
-            m = T.label_from_disc(a, pv)
-            out = T.insert_label(lab, p, m)
-            assert T.label_eq_max(out, lab)
+            pv = F.path_var(s, T.branch_path(s, p))
+            a = SP.canonical_type(g, pv)
+            lab = SP.id_label(s)
+            m = F.label_from_disc(a, pv)
+            out = T.insert_ltree(lab, p, m)
+            assert SP.label_eq_max(out, lab)
 
 
 def test_exterior_sends_branch_to_standard_coherence():
     for s, p, t in insertion_points(6):
-        kappa = T.exterior_label(s, p, t)
-        iota = T.interior_label(s, p, t)
+        kappa = F.exterior_label(s, p, t)
+        iota = SP.interior_label(s, p, t)
         lh = T.leaf_height(s, p)
-        expect = F.substitute(T.standard_coh(t, lh), T.label_to_sub(iota))
-        assert kappa(T.branch_path(s, p)) == expect
+        expect = F.substitute(F.standard_coh(t, lh), F.label_to_sub(iota))
+        assert kappa.lookup(T.branch_path(s, p)) == expect
 
 
 def test_exterior_is_full():
     for s, p, t in insertion_points(5):
         r = T.insert_tree(s, p, t)
         n = T.ctx_size(r)
-        assert F.free_vars(T.label_to_sub(T.exterior_label(s, p, t)), n) == VarSet.full(n)
+        kappa = F.label_to_sub(F.exterior_label(s, p, t))
+        assert SP.free_vars(kappa, n) == SP.VarSet.full(n)
 
 
 def test_exterior_insert_interior_is_identity():
     for s, p, t in insertion_points(5):
         r = T.insert_tree(s, p, t)
-        out = T.insert_label(T.exterior_label(s, p, t), p, T.interior_label(s, p, t))
-        assert out.lt == T.id_label(r).lt
+        out = T.insert_ltree(F.exterior_label(s, p, t), p, SP.interior_label(s, p, t))
+        assert out == SP.id_label(r)
 
 
 def test_interior_after_inserted_labelling():
     # iota • (L << M) == M when M is the interior labelling route
     for s, p, t in insertion_points(5):
-        kappa = T.exterior_label(s, p, t)
-        iota = T.interior_label(s, p, t)
-        glued = T.insert_label(kappa, p, iota)
-        composed = T.label_sub(iota, T.label_to_sub(glued))
-        assert composed.lt == iota.lt
+        kappa = F.exterior_label(s, p, t)
+        iota = SP.interior_label(s, p, t)
+        glued = T.insert_ltree(kappa, p, iota)
+        composed = SP.label_sub(iota, F.label_to_sub(glued))
+        assert composed == iota
 
 
 def test_branch_ambiguity():
@@ -576,8 +580,8 @@ def test_branch_ambiguity():
                 ):
                     continue
                 assert T.insert_tree(s, p, t) == T.insert_tree(s, q, t)
-                assert T.label_eq_max(
-                    T.exterior_label(s, p, t), T.exterior_label(s, q, t)
+                assert SP.label_eq_max(
+                    F.exterior_label(s, p, t), F.exterior_label(s, q, t)
                 )
 
 
@@ -588,7 +592,7 @@ def test_pushout_factorisation_unique_at_desk_scale():
     for s, p, t in insertion_points(5):
         r = T.insert_tree(s, p, t)
         n = T.ctx_size(r)
-        fv = F.free_vars(T.label_to_sub(T.exterior_label(s, p, t)), n).union(
-            F.free_vars(T.label_to_sub(T.interior_label(s, p, t)), n)
+        fv = SP.free_vars(F.label_to_sub(F.exterior_label(s, p, t)), n).union(
+            SP.free_vars(F.label_to_sub(SP.interior_label(s, p, t)), n)
         )
-        assert fv == VarSet.full(n)
+        assert fv == SP.VarSet.full(n)

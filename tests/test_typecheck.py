@@ -15,7 +15,6 @@ from cattkernel import surface as R
 from cattkernel import trees as T
 from cattkernel import typecheck as TC
 from cattkernel.core import path_name
-from cattkernel.flat import VarSet
 from cattkernel.nbe import SU, SUA, WEAK, NApp, NCoh, NComp, NId, NVar
 from cattkernel.trees import LEAF, Tree, linear_tree
 from cattkernel.typecheck import (
@@ -28,6 +27,7 @@ from cattkernel.typecheck import (
 )
 
 import gen_typed
+import specs as SP
 from flat_cases import make_ctx
 
 CHAIN2 = Tree((LEAF, LEAF))
@@ -125,16 +125,16 @@ def test_normal_form_supports_match_flat_supports():
     rng = random.Random(3)
     for _ in range(60):
         tree, _, term_text = gen_typed.random_case(rng)
-        g = T.tree_to_ctx(tree)
+        g = F.tree_to_ctx(tree)
         ctx = make_ctx(tree)
         for config in (WEAK, SU, SUA):
             ck = Checker(Signature(config=config))
             term, ty = ck.check(ctx, R.parse_term(term_text))
             for x in (ck.nf(ctx, term),) + ty[0]:
-                got = VarSet.of(
-                    len(g), (T.path_pos(tree, p) for p in ck.support(ctx, x))
+                got = SP.VarSet.of(
+                    len(g), (F.path_pos(tree, p) for p in ck.support(ctx, x))
                 )
-                assert got == F.support(g, N.flatten_nf(x, tree))
+                assert got == SP.support(g, N.flatten_nf(x, tree))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ def list_ctx_text(t: Tree) -> str:
     """The realisation of t as a list context, each cell named after its
     path as in gen_typed.ctx_text."""
     entries = []
-    for p in sorted(T.all_paths(t), key=lambda p: T.path_pos(t, p)):
+    for p in sorted(T.all_paths(t), key=lambda p: F.path_pos(t, p)):
         if len(p) == 1:
             ty = "*"
         else:
