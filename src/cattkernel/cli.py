@@ -7,7 +7,6 @@ running a file is the same as importing it into a fresh session.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -19,12 +18,18 @@ from .surface import ParseError
 from .typecheck import CheckError, Checker, OperationSet, SigEntry, Signature, TreeCtx
 
 
-@dataclass
 class SessionState:
-    sig: Signature = field(default_factory=Signature)
-    keep_implicits: bool = False
-    oracle_trace: bool = False
-    import_stack: tuple = ()
+    def __init__(
+        self,
+        sig: Optional[Signature] = None,
+        keep_implicits: bool = False,
+        oracle_trace: bool = False,
+        import_stack: tuple = (),
+    ):
+        self.sig = Signature() if sig is None else sig
+        self.keep_implicits = keep_implicits
+        self.oracle_trace = oracle_trace
+        self.import_stack = import_stack
 
 
 def run_command(
@@ -154,13 +159,20 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class Options:
-    config: EvalConfig = N.WEAK
-    ops: OperationSet = OperationSet.REGULAR
-    keep_implicits: bool = False
-    oracle_trace: bool = False
-    files: tuple = ()
+    def __init__(
+        self,
+        config: EvalConfig = N.WEAK,
+        ops: OperationSet = OperationSet.REGULAR,
+        keep_implicits: bool = False,
+        oracle_trace: bool = False,
+        files: tuple = (),
+    ):
+        self.config = config
+        self.ops = ops
+        self.keep_implicits = keep_implicits
+        self.oracle_trace = oracle_trace
+        self.files = files
 
 
 def parse_args(argv: list[str]) -> Options:

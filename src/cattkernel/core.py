@@ -9,60 +9,66 @@ reads the core syntax that quotation builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import flat as F
 from . import surface as R
 from . import trees as T
-from .flat import STAR, FlatTerm, FlatType, Var
-from .trees import LTree, Path, Tree
+from .trees import LTree, Path, Record, Tree
 
 
-@dataclass(frozen=True)
-class CVar:
+class CVar(Record):
     # a position from the start of a list context, or a path of a tree
     # context
+    __slots__ = ("pos",)
     pos: Union[int, Path]
 
+    def __init__(self, pos: Union[int, Path]):
+        object.__setattr__(self, "pos", pos)
 
-@dataclass(frozen=True)
-class CCoh:
+
+class CCoh(Record):
+    __slots__ = ("tree", "ty")
     tree: Tree
     ty: "CoreType"
 
 
-@dataclass(frozen=True)
-class CId:
+class CId(Record):
+    __slots__ = ("n",)
     n: int
 
 
-@dataclass(frozen=True)
-class CComp:
+class CComp(Record):
+    __slots__ = ("tree",)
     tree: Tree
 
+    def __init__(self, tree: Tree):
+        object.__setattr__(self, "tree", tree)
 
-@dataclass(frozen=True)
-class CApp:
+
+class CApp(Record):
+    __slots__ = ("term", "args")
     term: "CoreTerm"
     args: "CArgs"
 
+    def __init__(self, term: "CoreTerm", args: "CArgs"):
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "args", args)
 
-@dataclass(frozen=True)
-class CSusp:
+
+class CSusp(Record):
+    __slots__ = ("term",)
     term: "CoreTerm"
 
 
 CoreTerm = Union[CVar, CCoh, CId, CComp, CApp, CSusp]
 
 
-@dataclass(frozen=True)
-class CStar:
-    pass
+class CStar(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CArrow:
+class CArrow(Record):
+    __slots__ = ("src", "base", "tgt")
     src: CoreTerm
     base: "CoreType"
     tgt: CoreTerm
@@ -73,14 +79,18 @@ CoreType = Union[CStar, CArrow]
 CSTAR = CStar()
 
 
-@dataclass(frozen=True)
-class CArgs:
+class CArgs(Record):
     """The arguments of an application: a tuple, a substitution out of a
     list context, or an LTree, a labelling out of a tree context.  The type
     part is the image of the base type and drives implicit suspension."""
 
+    __slots__ = ("data", "ty")
     data: Union[tuple, LTree]
-    ty: CoreType = CSTAR
+    ty: CoreType
+
+    def __init__(self, data: Union[tuple, LTree], ty: CoreType = CSTAR):
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "ty", ty)
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +98,29 @@ class CArgs:
 
 Ambient = Union[Tree, int]
 
+# The flat module, imported at the first flattening: only the validation
+# route flattens, so a run without it never loads ``flat``.
+F = None
+
+
+def _import_flat() -> None:
+    global F
+    from . import flat
+
+    F = flat
+
 
 def _amb_size(amb: Ambient) -> int:
     return T.ctx_size(amb) if isinstance(amb, Tree) else amb
 
 
-def flatten_tm(x: CoreTerm, amb: Ambient) -> FlatTerm:
+def flatten_tm(x: CoreTerm, amb: Ambient) -> F.FlatTerm:
+    if F is None:
+        _import_flat()
     if isinstance(x, CVar):
         if isinstance(x.pos, tuple):
             return F.path_var(amb, x.pos)
-        return Var(_amb_size(amb) - 1 - x.pos)
+        return F.Var(_amb_size(amb) - 1 - x.pos)
     if isinstance(x, CCoh):
         g = F.tree_to_ctx(x.tree)
         return F.Coh(g, flatten_ty(x.ty, x.tree), F.identity_sub(g))
@@ -115,11 +138,13 @@ def flatten_tm(x: CoreTerm, amb: Ambient) -> FlatTerm:
     raise TypeError(f"cannot flatten {x!r}")
 
 
-def flatten_ty(a: CoreType, amb: Ambient) -> FlatType:
+def flatten_ty(a: CoreType, amb: Ambient) -> F.FlatType:
     """Flatten a type as elaboration and quotation produce it: a stack of
     arrows over the base type."""
+    if F is None:
+        _import_flat()
     if isinstance(a, CStar):
-        return STAR
+        return F.STAR
     if isinstance(a, CArrow):
         return F.Arrow(
             flatten_tm(a.src, amb), flatten_ty(a.base, amb), flatten_tm(a.tgt, amb)
@@ -130,7 +155,7 @@ def flatten_ty(a: CoreType, amb: Ambient) -> FlatType:
 def _unsuspend(amb: Ambient) -> Ambient:
     if isinstance(amb, Tree):
         if len(amb.branches) != 1:
-            raise F.MalformedSyntax("suspended term needs a suspension context")
+            raise T.MalformedSyntax("suspended term needs a suspension context")
         return amb.branches[0]
     return amb - 2
 

@@ -16,29 +16,34 @@ realises as a substitution out of the realised context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 from . import trees as T
-from .trees import LEAF, LTree, MalformedSyntax, Path, Tree, ctx_size
+from .trees import LEAF, LTree, MalformedSyntax, Path, Record, Tree, ctx_size
 
 
 # ---------------------------------------------------------------------------
 # data
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Record):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "*"
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
+    __slots__ = ("src", "base", "tgt")
     src: "FlatTerm"
     base: "FlatType"
     tgt: "FlatTerm"
+
+    def __init__(self, src: "FlatTerm", base: "FlatType", tgt: "FlatTerm"):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "tgt", tgt)
 
     def __repr__(self) -> str:
         return f"({self.src!r} ->[{self.base!r}] {self.tgt!r})"
@@ -48,19 +53,27 @@ FlatType = Union[Star, Arrow]
 STAR = Star()
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
+    __slots__ = ("idx",)
     idx: int
+
+    def __init__(self, idx: int):
+        object.__setattr__(self, "idx", idx)
 
     def __repr__(self) -> str:
         return f"v{self.idx}"
 
 
-@dataclass(frozen=True)
-class Coh:
+class Coh(Record):
+    __slots__ = ("ctx", "ty", "sub")
     ctx: "FlatCtx"
     ty: FlatType
     sub: "FlatSub"
+
+    def __init__(self, ctx: "FlatCtx", ty: FlatType, sub: "FlatSub"):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "sub", sub)
 
     def __repr__(self) -> str:
         return f"Coh({self.ty!r})[{self.sub!r}]"
@@ -69,8 +82,8 @@ class Coh:
 FlatTerm = Union[Var, Coh]
 
 
-@dataclass(frozen=True)
-class FlatCtx:
+class FlatCtx(Record):
+    __slots__ = ("entries",)
     entries: tuple[FlatType, ...]
 
     def __len__(self) -> int:
@@ -80,13 +93,17 @@ class FlatCtx:
         return "Ctx(" + ", ".join(repr(e) for e in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class FlatSub:
+class FlatSub(Record):
     """Extended substitution: a type part (the image of *) plus one term per
     domain variable, ordered by position from the start of the domain."""
 
+    __slots__ = ("ty", "terms")
     ty: FlatType
     terms: tuple[FlatTerm, ...]
+
+    def __init__(self, ty: FlatType, terms: tuple[FlatTerm, ...]):
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "terms", terms)
 
     def __repr__(self) -> str:
         parts = [repr(self.ty)] + [repr(t) for t in self.terms]

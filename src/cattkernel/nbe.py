@@ -16,25 +16,27 @@ and exterior labellings are built here as values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
 from . import core as C
 from . import trees as T
 from .core import CoreTerm, CoreType
-from .trees import LTree, Path, Tree
+from .trees import LTree, Path, Record, Tree
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    dr: bool = False
-    ecr: bool = False
-    insertion: str = "none"  # none | id | full
+class EvalConfig(Record):
+    __slots__ = ("dr", "ecr", "insertion")
+    dr: bool
+    ecr: bool
+    insertion: str  # none | id | full
 
-    def __post_init__(self):
-        if self.insertion not in ("none", "id", "full"):
+    def __init__(self, dr: bool = False, ecr: bool = False, insertion: str = "none"):
+        if insertion not in ("none", "id", "full"):
             raise ValueError("insertion must be none, id or full")
+        object.__setattr__(self, "dr", dr)
+        object.__setattr__(self, "ecr", ecr)
+        object.__setattr__(self, "insertion", insertion)
 
 
 WEAK = EvalConfig()
@@ -46,34 +48,47 @@ SUA = EvalConfig(dr=True, ecr=True, insertion="full")
 # normal forms
 
 
-@dataclass(frozen=True)
-class NVar:
+class NVar(Record):
+    __slots__ = ("pos",)
     pos: Union[int, Path]
 
+    def __init__(self, pos: Union[int, Path]):
+        object.__setattr__(self, "pos", pos)
 
-@dataclass(frozen=True)
-class NCoh:
+
+class NCoh(Record):
+    __slots__ = ("tree", "ty")
     tree: Tree
     ty: tuple  # NfType
 
 
-@dataclass(frozen=True)
-class NId:
+class NId(Record):
+    __slots__ = ("n",)
     n: int
 
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
 
-@dataclass(frozen=True)
-class NComp:
+
+class NComp(Record):
+    __slots__ = ("tree",)
     tree: Tree
+
+    def __init__(self, tree: Tree):
+        object.__setattr__(self, "tree", tree)
 
 
 Head = Union[NCoh, NId, NComp]
 
 
-@dataclass(frozen=True)
-class NApp:
+class NApp(Record):
+    __slots__ = ("head", "label")
     head: Head
     label: LTree  # of NfTerm
+
+    def __init__(self, head: Head, label: LTree):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "label", label)
 
 
 NfTerm = Union[NVar, NApp]
@@ -87,13 +102,17 @@ NfType = tuple
 # environments
 
 
-@dataclass(frozen=True)
-class Env:
+class Env(Record):
     """Evaluated images of the variables of a context, together with the
     image type of the base type."""
 
+    __slots__ = ("data", "ty")
     data: Union[LTree, tuple]
-    ty: NfType = ()
+    ty: NfType
+
+    def __init__(self, data: Union[LTree, tuple], ty: NfType = ()):
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "ty", ty)
 
     def lookup(self, key) -> NfTerm:
         if isinstance(key, tuple):

@@ -28,7 +28,6 @@ that fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -36,7 +35,7 @@ from . import flat as F
 from . import pasting as P
 from . import trees as T
 from .flat import Arrow, Coh, FlatSub, FlatTerm, FlatType, Star, Var
-from .trees import Tree, linear_tree
+from .trees import Record, Tree, linear_tree
 
 
 class RuleSet(Enum):
@@ -52,8 +51,8 @@ class RuleSet(Enum):
         return self is RuleSet.SUA_PRIME
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
+    __slots__ = ("term", "rule", "where")
     term: FlatTerm
     rule: str  # dr | ecr | prune | insert | cell
     where: tuple

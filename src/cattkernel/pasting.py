@@ -3,38 +3,40 @@ peaks, and pruning."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import flat as F
 from .flat import STAR, Arrow, FlatCtx, FlatSub, FlatTerm, FlatType, Var
-from .trees import Tree
+from .trees import Record, Tree
 
 UP = "U"
 DOWN = "D"
 
 
-@dataclass(frozen=True)
-class DyckWord:
+class DyckWord(Record):
     """Up/down move sequence; every prefix has at least as many ups as downs."""
 
+    __slots__ = ("moves",)
     moves: tuple[str, ...]
 
-    def __post_init__(self):
+    def __init__(self, moves: tuple[str, ...]):
         depth = 0
-        for m in self.moves:
+        for m in moves:
             depth += 1 if m == UP else -1
             if depth < 0:
                 raise F.MalformedSyntax("negative prefix in Dyck word")
+        object.__setattr__(self, "moves", moves)
 
     def __repr__(self) -> str:
         return "Dyck(" + "".join(self.moves) + ")"
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(Record):
     """Index of an up-move immediately followed by a down-move."""
 
+    __slots__ = ("pos",)
     pos: int
+
+    def __init__(self, pos: int):
+        object.__setattr__(self, "pos", pos)
 
 
 # ---------------------------------------------------------------------------

@@ -7,31 +7,36 @@ entries are allowed everywhere and legality is the typechecker's concern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
+
+from .trees import Record
 
 KEYWORDS = {"coh", "comp", "id", "def", "normalise", "assert", "size", "import", "in"}
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
+    __slots__ = ("source", "start", "end")
     source: Optional[str]
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.start > self.end:
+    def __init__(self, source: Optional[str], start: int, end: int):
+        if start > end:
             raise ValueError("backwards span")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
 SYNTH = Span(None, 0, 0)
 
 
-@dataclass
 class ParseError(Exception):
-    message: str
-    span: Span
-    expected: frozenset = frozenset()
+    def __init__(self, message: str, span: Span, expected: frozenset = frozenset()):
+        super().__init__(message)
+        self.message = message
+        self.span = span
+        self.expected = expected
 
     def __str__(self) -> str:
         if self.expected:
@@ -44,145 +49,180 @@ class ParseError(Exception):
 # raw syntax
 
 
-@dataclass(frozen=True)
-class RawTree:
+class RawNode(Record):
+    """A node of raw syntax: its last field is its span, SYNTH unless
+    given."""
+
+    __slots__ = ()
+    _defaults = {"span": SYNTH}
+
+
+class RawTree(RawNode):
     """A tree of optional entries; one more element than branches."""
 
+    __slots__ = ("elements", "branches", "span")
     elements: tuple
-    branches: tuple["RawTree", ...] = ()
-    span: Span = SYNTH
+    branches: tuple["RawTree", ...]
+    span: Span
 
-    def __post_init__(self):
-        if len(self.elements) != len(self.branches) + 1:
+    def __init__(
+        self, elements: tuple, branches: tuple["RawTree", ...] = (), span: Span = SYNTH
+    ):
+        if len(elements) != len(branches) + 1:
             raise ValueError("tree shape mismatch")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True)
-class RVar:
+class RVar(RawNode):
+    __slots__ = ("name", "span")
     name: str
-    span: Span = SYNTH
+    span: Span
+
+    def __init__(self, name: str, span: Span = SYNTH):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True)
-class RHole:
-    span: Span = SYNTH
+class RHole(RawNode):
+    __slots__ = ("span",)
+    span: Span
 
 
-@dataclass(frozen=True)
-class RId:
-    span: Span = SYNTH
+class RId(RawNode):
+    __slots__ = ("span",)
+    span: Span
 
 
-@dataclass(frozen=True)
-class RComp:
-    span: Span = SYNTH
+class RComp(RawNode):
+    __slots__ = ("span",)
+    span: Span
+
+    def __init__(self, span: Span = SYNTH):
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True)
-class RCoh:
+class RCoh(RawNode):
+    __slots__ = ("tree", "ty", "span")
     tree: RawTree
     ty: "RawType"
-    span: Span = SYNTH
+    span: Span
 
 
-@dataclass(frozen=True)
-class RSusp:
+class RSusp(RawNode):
+    __slots__ = ("term", "span")
     term: "RawTerm"
-    span: Span = SYNTH
+    span: Span
 
 
-@dataclass(frozen=True)
-class RApp:
+class RApp(RawNode):
+    __slots__ = ("term", "args", "span")
     term: "RawTerm"
     args: "RArgs"
-    span: Span = SYNTH
+    span: Span
+
+    def __init__(self, term: "RawTerm", args: "RArgs", span: Span = SYNTH):
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "span", span)
 
 
 RawTerm = Union[RVar, RHole, RId, RComp, RCoh, RSusp, RApp]
 
 
-@dataclass(frozen=True)
-class RStar:
-    span: Span = SYNTH
+class RStar(RawNode):
+    __slots__ = ("span",)
+    span: Span
 
 
-@dataclass(frozen=True)
-class RTyHole:
-    span: Span = SYNTH
+class RTyHole(RawNode):
+    __slots__ = ("span",)
+    span: Span
 
 
-@dataclass(frozen=True)
-class RArrow:
+class RArrow(RawNode):
+    __slots__ = ("src", "base", "tgt", "span")
     src: RawTerm
     base: Optional["RawType"]
     tgt: RawTerm
-    span: Span = SYNTH
+    span: Span
 
 
 RawType = Union[RStar, RTyHole, RArrow]
 
 
-@dataclass(frozen=True)
-class RArgs:
+class RArgs(RawNode):
     """The arguments of an application with an optional type part: a tuple
     of terms in the substitution style, or a RawTree of optional terms in
     the labelling style."""
 
+    __slots__ = ("data", "ty", "span")
     data: Union[tuple, RawTree]
-    ty: Optional[RawType] = None
-    span: Span = SYNTH
+    ty: Optional[RawType]
+    span: Span
+
+    def __init__(
+        self,
+        data: Union[tuple, RawTree],
+        ty: Optional[RawType] = None,
+        span: Span = SYNTH,
+    ):
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True)
-class RTreeCtx:
+class RTreeCtx(RawNode):
+    __slots__ = ("tree", "span")
     tree: RawTree  # entries are Optional[str]
-    span: Span = SYNTH
+    span: Span
 
 
-@dataclass(frozen=True)
-class RListCtx:
+class RListCtx(RawNode):
+    __slots__ = ("entries", "span")
     entries: tuple  # of (name, RawType)
-    span: Span = SYNTH
+    span: Span
 
 
 RawCtx = Union[RTreeCtx, RListCtx]
 
 
-@dataclass(frozen=True)
-class DefCmd:
+class DefCmd(RawNode):
+    __slots__ = ("name", "ctx", "ty", "term", "span")
     name: str
     ctx: Optional[RawCtx]
     ty: Optional[RawType]
     term: RawTerm
-    span: Span = SYNTH
+    span: Span
 
 
-@dataclass(frozen=True)
-class NormaliseCmd:
+class NormaliseCmd(RawNode):
+    __slots__ = ("term", "ctx", "span")
     term: RawTerm
     ctx: RawCtx
-    span: Span = SYNTH
+    span: Span
 
 
-@dataclass(frozen=True)
-class AssertCmd:
+class AssertCmd(RawNode):
+    __slots__ = ("lhs", "rhs", "ctx", "span")
     lhs: RawTerm
     rhs: RawTerm
     ctx: RawCtx
-    span: Span = SYNTH
+    span: Span
 
 
-@dataclass(frozen=True)
-class SizeCmd:
+class SizeCmd(RawNode):
+    __slots__ = ("term", "ctx", "span")
     term: RawTerm
     ctx: RawCtx
-    span: Span = SYNTH
+    span: Span
 
 
-@dataclass(frozen=True)
-class ImportCmd:
+class ImportCmd(RawNode):
+    __slots__ = ("path", "span")
     path: str
-    span: Span = SYNTH
+    span: Span
 
 
 Command = Union[DefCmd, NormaliseCmd, AssertCmd, SizeCmd, ImportCmd]
@@ -192,12 +232,18 @@ Command = Union[DefCmd, NormaliseCmd, AssertCmd, SizeCmd, ImportCmd]
 # tokenizer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
+    __slots__ = ("kind", "value", "start", "end")
     kind: str
     value: str
     start: int
     end: int
+
+    def __init__(self, kind: str, value: str, start: int, end: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
 _PUNCT = {

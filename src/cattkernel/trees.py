@@ -6,33 +6,100 @@ suspensions of its children along their endpoint 0-cells.  A cell of that
 context is a path of the tree, and a labelling is a tree of entries, one
 per path.  Realising trees and labellings as flat contexts and
 substitutions belongs to the validation route, in ``flat``.
+
+``Record``, the immutable base of every node class of the package, is
+defined here because this module imports no other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable
 
 
 class MalformedSyntax(Exception):
     """Raised on out-of-scope indices or arity mismatches."""
 
+
+class Record:
+    """An immutable node with a fixed tuple of fields.
+
+    A subclass lists its attributes in ``__slots__``.  Its fields are those
+    slots, or the ``_fields`` it names when further slots hold values
+    derived from the fields (as ``Tree`` keeps its height); equality, the
+    hash and the repr see the fields alone.  Records of different classes
+    are never equal.  The constructor takes the fields by position or by
+    keyword, with the values in ``_defaults`` for fields left out; classes
+    built on hot paths define a straight-line ``__init__`` instead.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+        # the field values, read in C: one value for one field, a tuple for
+        # several, and the class itself for none
+        cls._values = attrgetter(*cls._fields or ("__class__",))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__} needs a value for {name}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} has no field {min(kwargs)}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 Path = tuple[int, ...]
 Branch = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Tree:
-    branches: tuple[Tree, ...] = ()
+class Tree(Record):
+    __slots__ = ("branches", "_height", "_trunk_height", "_ctx_size", "_hash")
+    _fields = ("branches",)
+    branches: tuple[Tree, ...]
 
-    def __post_init__(self):
-        # Computed once from the children's stored values.  They are plain
-        # attributes, not fields, so equality and repr still see the
-        # branches alone, and the hash is the hash of the branches.
-        bs = self.branches
+    def __init__(self, branches: tuple[Tree, ...] = ()):
+        # Computed once from the children's stored values.  They are slots
+        # outside the fields, so equality and repr see the branches alone,
+        # and the hash is the hash of the branches.
+        bs = branches
         height = max((b._height + 1 for b in bs), default=0)
         trunk = 1 + bs[0]._trunk_height if len(bs) == 1 else 0
         size = 1 + sum(b._ctx_size + 1 for b in bs)
+        object.__setattr__(self, "branches", bs)
         object.__setattr__(self, "_height", height)
         object.__setattr__(self, "_trunk_height", trunk)
         object.__setattr__(self, "_ctx_size", size)
@@ -168,23 +235,27 @@ def ctx_size(t: Tree) -> int:
 # labellings
 
 
-@dataclass(frozen=True)
-class LTree:
+class LTree(Record):
     """A tree of entries: one entry per 0-cell slot, one sub-LTree per
     branch."""
 
+    __slots__ = ("elements", "branches", "_shape")
+    _fields = ("elements", "branches")
     elements: tuple
-    branches: tuple["LTree", ...] = ()
+    branches: tuple["LTree", ...]
 
-    def __post_init__(self):
-        if len(self.elements) != len(self.branches) + 1:
+    def __init__(self, elements: tuple, branches: tuple["LTree", ...] = ()):
+        if len(elements) != len(branches) + 1:
             raise MalformedSyntax("labelling shape mismatch")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "_shape", None)
 
     def shape(self) -> Tree:
         # Built at the first call and kept, as Tree keeps its hash.  It is a
-        # plain attribute, not a field, so equality and repr still see the
+        # slot outside the fields, so equality and repr still see the
         # entries alone.
-        s = self.__dict__.get("_shape")
+        s = self._shape
         if s is None:
             s = Tree(tuple(b.shape() for b in self.branches))
             object.__setattr__(self, "_shape", s)

@@ -11,9 +11,7 @@ by the applications that contain it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Union
 
 from . import core as C
@@ -23,7 +21,7 @@ from . import trees as T
 from .core import CoreTerm
 from .nbe import Env, EvalConfig, NfType
 from .surface import SYNTH, Span
-from .trees import LTree, Tree
+from .trees import LTree, Record, Tree
 
 
 class CheckError(Exception):
@@ -33,40 +31,49 @@ class CheckError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class ListCtx:
+class ListCtx(Record):
+    __slots__ = ("names", "types", "_index")
+    _fields = ("names", "types")
     names: tuple  # of str
     types: tuple  # of NfType, positions from the start
 
     def __len__(self):
         return len(self.names)
 
-    @cached_property
+    @property
     def index(self) -> dict:
-        """Each bound name to the first position that binds it."""
-        out: dict = {}
-        for i, nm in enumerate(self.names):
-            out.setdefault(nm, i)
+        """Each bound name to the first position that binds it.  Built at
+        the first lookup, in a slot outside the fields."""
+        out = getattr(self, "_index", None)
+        if out is None:
+            out = {}
+            for i, nm in enumerate(self.names):
+                out.setdefault(nm, i)
+            object.__setattr__(self, "_index", out)
         return out
 
     def type_of(self, pos: int) -> NfType:
         return self.types[pos]
 
 
-@dataclass(frozen=True)
-class TreeCtx:
+class TreeCtx(Record):
+    __slots__ = ("tree", "names", "_index")
+    _fields = ("tree", "names")
     tree: Tree
     names: LTree  # of Optional[str]
 
-    @cached_property
+    @property
     def index(self) -> dict:
         """Each bound name to the first path, in ``T.all_paths`` order,
-        that binds it.  Built at the first lookup; not a field, so equality
-        and hashing see the tree and the names alone."""
-        out: dict = {}
-        for p, nm in zip(T.all_paths(self.tree), self.names.values()):
-            if nm is not None:
-                out.setdefault(nm, p)
+        that binds it.  Built at the first lookup, in a slot outside the
+        fields, so equality and hashing see the tree and the names alone."""
+        out = getattr(self, "_index", None)
+        if out is None:
+            out = {}
+            for p, nm in zip(T.all_paths(self.tree), self.names.values()):
+                if nm is not None:
+                    out.setdefault(nm, p)
+            object.__setattr__(self, "_index", out)
         return out
 
     def type_of(self, p) -> NfType:
@@ -89,8 +96,8 @@ def ctx_id_env(ctx: Ctx) -> Env:
     return N.id_list_env(len(ctx))
 
 
-@dataclass(frozen=True)
-class SigEntry:
+class SigEntry(Record):
+    __slots__ = ("ctx", "term", "ty")
     ctx: Ctx
     term: CoreTerm
     ty: NfType
@@ -118,11 +125,16 @@ def op_allowed(ops: OperationSet, t: Tree, src: set, tgt: set) -> bool:
     )
 
 
-@dataclass
 class Signature:
-    config: EvalConfig = N.WEAK
-    ops: OperationSet = OperationSet.REGULAR
-    entries: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        config: EvalConfig = N.WEAK,
+        ops: OperationSet = OperationSet.REGULAR,
+        entries: Optional[dict] = None,
+    ):
+        self.config = config
+        self.ops = ops
+        self.entries = {} if entries is None else entries
 
 
 class Checker:

@@ -11,7 +11,6 @@ uses a definition here checks that the two ways agree.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -365,11 +364,11 @@ def pretty_command(c: R.Command) -> str:
 def strip_spans(x):
     """Rebuild a raw syntax value with every span replaced by the
     synthesized span, for span-insensitive comparison."""
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+    if isinstance(x, T.Record):
         kwargs = {}
-        for f in dataclasses.fields(x):
-            v = getattr(x, f.name)
-            kwargs[f.name] = R.SYNTH if f.name == "span" else strip_spans(v)
+        for f in x._fields:
+            v = getattr(x, f)
+            kwargs[f] = R.SYNTH if f == "span" else strip_spans(v)
         return type(x)(**kwargs)
     if isinstance(x, tuple):
         return tuple(strip_spans(v) for v in x)

@@ -94,8 +94,21 @@ def test_validation_route_not_loaded_without_oracle():
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
-    kernel = ["cli", "core", "flat", "nbe", "surface", "trees", "typecheck"]
+    kernel = ["cli", "core", "nbe", "surface", "trees", "typecheck"]
     assert loaded == ["cattkernel"] + [f"cattkernel.{m}" for m in kernel]
+
+
+def test_cli_imports_no_dataclasses():
+    # syntax nodes are slotted records: the dataclass decorator, and the
+    # inspect module that dataclasses imports, were most of the import time
+    code = (
+        "import sys\n"
+        "import cattkernel.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_trees_loads_no_other_module():

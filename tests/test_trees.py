@@ -1,20 +1,27 @@
 """Trees, wedges, labellings, tree boundaries, standard coherences, and
 insertion."""
 
-import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cattkernel import cli  # noqa: F401  (defines the remaining record classes)
+from cattkernel import core as C
 from cattkernel import flat as F
+from cattkernel import nbe as N
+from cattkernel import oracle  # noqa: F401
 from cattkernel import pasting as P
+from cattkernel import surface as R
 from cattkernel import trees as T
 from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var
 from cattkernel.nbe import NVar
 from cattkernel.trees import LEAF, LTree, Tree
 from cattkernel.typecheck import Checker, Signature
 
+import gen_typed
 import specs as SP
 import strategies as S
 from flat_cases import make_ctx
@@ -136,7 +143,11 @@ def test_stored_metadata_matches_recursive_definitions():
     def rebuild(t):
         return Tree(tuple(rebuild(b) for b in t.branches))
 
-    assert [f.name for f in dataclasses.fields(Tree)] == ["branches"]
+    # the stored metadata is outside the fields: equality, the hash and the
+    # repr see the branches alone
+    assert Tree._fields == ("branches",)
+    metadata = {"_height", "_trunk_height", "_ctx_size", "_hash"}
+    assert set(Tree.__slots__) - set(Tree._fields) == metadata
     for t in all_trees(6):
         assert t.height == height(t)
         assert t.trunk_height == trunk_height(t)
@@ -596,3 +607,108 @@ def test_pushout_factorisation_unique_at_desk_scale():
             SP.free_vars(F.label_to_sub(SP.interior_label(s, p, t)), n)
         )
         assert fv == SP.VarSet.full(n)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def record_classes() -> list:
+    out, todo = [], [T.Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            out.append(cls)
+            todo.append(cls)
+    return out
+
+
+# instances for the classes whose constructors check their fields; every
+# other class takes placeholder values
+CHECKED = {
+    Tree: Tree((LEAF,)),
+    LTree: LTree((0, 1), (LTree((2,)),)),
+    R.RawTree: R.RawTree((None, "x"), (R.RawTree(("f",)),)),
+    P.DyckWord: P.DyckWord((P.UP, P.DOWN)),
+    N.EvalConfig: N.SUA,
+}
+
+
+def example(cls):
+    if cls in CHECKED:
+        return CHECKED[cls]
+    return cls(*range(len(cls._fields)))
+
+
+def rebuild(x):
+    """A copy of x built again from the fields of every record in it."""
+    if isinstance(x, T.Record):
+        return type(x)(*(rebuild(getattr(x, f)) for f in x._fields))
+    if isinstance(x, tuple):
+        return tuple(rebuild(v) for v in x)
+    return x
+
+
+def test_records_are_immutable_and_slotted():
+    classes = record_classes()
+    assert len(classes) > 50
+    for cls in classes:
+        x = example(cls)
+        assert not hasattr(x, "__dict__"), cls
+        for name in x._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+        for name in x._fields:
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        y = rebuild(x)
+        assert y is not x and y == x and hash(y) == hash(x), cls
+
+
+def test_records_of_different_classes_are_unequal():
+    assert N.NVar((0,)) != C.CVar((0,))
+    assert F.Var(0) != C.CVar(0)
+    assert R.RHole() != R.RId()
+    examples = [example(cls) for cls in record_classes() if cls not in CHECKED]
+    for x, y in itertools.combinations(examples, 2):
+        assert x != y and not x == y, (x, y)
+
+
+def test_record_constructor_and_repr():
+    # ImportCmd has the generic constructor of the base class
+    x = R.ImportCmd("a.catt")
+    assert x == R.ImportCmd("a.catt", R.SYNTH)
+    assert x == R.ImportCmd(path="a.catt", span=R.SYNTH)
+    assert repr(N.NVar((0,))) == "NVar(pos=(0,))"
+    with pytest.raises(TypeError):
+        R.ImportCmd()
+    with pytest.raises(TypeError):
+        R.ImportCmd("a.catt", R.SYNTH, 0)
+    with pytest.raises(TypeError):
+        R.ImportCmd("a.catt", colour=0)
+
+
+def test_records_check_their_fields():
+    with pytest.raises(T.MalformedSyntax):
+        LTree((0,), (LTree((1,)),))
+    with pytest.raises(ValueError):
+        R.RawTree(("x", "y"))
+    with pytest.raises(F.MalformedSyntax):
+        P.DyckWord((P.DOWN, P.UP))
+
+
+@given(S.ctx_and_term())
+def test_flat_terms_rebuild_from_their_fields(ctx_term):
+    for x in ctx_term:
+        y = rebuild(x)
+        assert y == x and hash(y) == hash(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_normal_forms_rebuild_from_their_fields(seed):
+    tree, _, term_text = gen_typed.random_case(random.Random(seed))
+    for config in (N.SU, N.SUA):
+        ck = Checker(Signature(config=config))
+        for x in ck.elab(make_ctx(tree), R.parse_term(term_text)):
+            y = rebuild(x)
+            assert y == x and hash(y) == hash(x)

@@ -528,7 +528,7 @@ def test_nested_composite_elaborates_in_linear_work(config, monkeypatch):
         return g
 
     monkeypatch.setattr(T, "all_paths", counted("all_paths", T.all_paths))
-    monkeypatch.setattr(T.Tree, "__post_init__", counted("Tree", T.Tree.__post_init__))
+    monkeypatch.setattr(T.Tree, "__init__", counted("Tree", T.Tree.__init__))
     monkeypatch.setattr(R._Parser, "peek", counted("peek", R._Parser.peek))
 
     def count(n: int) -> dict:

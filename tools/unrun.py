@@ -74,6 +74,10 @@ ALLOWED = {
     "flat:FlatSub.__repr__": "for test-failure messages",
     "pasting:DyckWord.__repr__": "for test-failure messages",
     "trees:Tree.__repr__": "for test-failure messages",
+    "trees:Record.__repr__": "for test-failure messages",
+    "trees:Record.__init_subclass__": "runs at import, before the profile starts",
+    "trees:Record.__setattr__": "refuses assignment; the record test runs it",
+    "trees:Record.__delattr__": "refuses deletion; the record test runs it",
     "nbe:flatten_nf": "bench/spans.py wraps it by name",
     "surface:parse_type": "bench/spans.py wraps it by name",
     "surface:render_error": "waits for errors with a location on the command line",
