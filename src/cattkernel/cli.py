@@ -63,7 +63,7 @@ def run_command(
         out = [f"normal form: {shown}", f"of type: {shown_ty}"]
         if names.fallback:
             # name the unnamed cells the output shows, so it reads back
-            shown_ctx = R.pretty_tree(C.raw_tree_ctx(ctx.tree, names))
+            shown_ctx = R.pretty_tree(R.RawTree.from_fn(ctx.tree, names))
             out.append(f"in context: {shown_ctx}")
         if state.oracle_trace:
             out.extend(_oracle_trace(state, ctx, term))

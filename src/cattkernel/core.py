@@ -207,9 +207,8 @@ def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
     if isinstance(x, CVar):
         return R.RVar(nm(x.pos))
     if isinstance(x, CCoh):
-        tree = raw_tree_ctx(x.tree)
-        inner = Names(LTree.from_fn(x.tree, path_name))
-        return R.RCoh(tree, to_raw(x.ty, inner, keep_implicits))
+        tree = R.RawTree.from_fn(x.tree, path_name)
+        return R.RCoh(tree, to_raw(x.ty, Names(tree), keep_implicits))
     if isinstance(x, CId):
         return R.RId()
     if isinstance(x, CComp):
@@ -233,44 +232,19 @@ def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
     raise TypeError(f"cannot convert {x!r}")
 
 
-def raw_tree_ctx(t: Tree, name=path_name) -> R.RawTree:
-    """The tree context t as raw syntax, naming the cell at each path p
-    name(p)."""
-
-    def build(sub: Tree, prefix: Path) -> R.RawTree:
-        elements = tuple(name(prefix + (k,)) for k in range(len(sub.branches) + 1))
-        branches = tuple(
-            build(b, prefix + (k,)) for k, b in enumerate(sub.branches)
-        )
-        return R.RawTree(elements, branches)
-
-    return build(t, ())
-
-
 def _raw_label(lab: CArgs, nm: Names, keep_implicits: bool) -> R.RArgs:
-    shape = lab.data.shape()
-    keep = (
-        None
-        if keep_implicits
-        else {tuple(p) for p in T.maximal_paths(shape)}
-    )
+    data = lab.data
+    shape = data.shape()
+    keep = None if keep_implicits else set(T.maximal_paths(shape))
 
-    def build(lt: LTree, prefix: Path) -> R.RawTree:
-        elements = []
-        for k, e in enumerate(lt.elements):
-            p = prefix + (k,)
-            if keep is not None and p not in keep:
-                elements.append(None)
-            else:
-                elements.append(to_raw(e, nm, keep_implicits))
-        branches = tuple(
-            build(b, prefix + (k,)) for k, b in enumerate(lt.branches)
-        )
-        return R.RawTree(tuple(elements), branches)
+    def entry(p: Path):
+        if keep is not None and p not in keep:
+            return None
+        return to_raw(data.lookup(p), nm, keep_implicits)
 
     ty = (
         to_raw(lab.ty, nm, keep_implicits)
         if keep_implicits and not isinstance(lab.ty, CStar)
         else None
     )
-    return R.RArgs(build(lab.data, ()), ty)
+    return R.RArgs(R.RawTree.from_fn(shape, entry), ty)

@@ -528,16 +528,14 @@ def exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
 # display (debugging / oracle traces)
 
 
-def show_tm(t: FlatTerm, names: list[str] | None = None) -> str:
+def show_tm(t: FlatTerm) -> str:
     if isinstance(t, Var):
-        if names is not None:
-            return names[len(names) - 1 - t.idx]
         return f"v{t.idx}"
-    inner = ", ".join(show_tm(u, names) for u in t.sub.terms)
-    return f"coh[{show_ty(t.ty, None)}]({inner})"
+    inner = ", ".join(show_tm(u) for u in t.sub.terms)
+    return f"coh[{show_ty(t.ty)}]({inner})"
 
 
-def show_ty(a: FlatType, names: list[str] | None = None) -> str:
+def show_ty(a: FlatType) -> str:
     if isinstance(a, Star):
         return "*"
-    return f"{show_tm(a.src, names)} -> {show_tm(a.tgt, names)}"
+    return f"{show_tm(a.src)} -> {show_tm(a.tgt)}"

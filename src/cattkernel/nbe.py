@@ -225,11 +225,15 @@ def disc_label(b: NfType, x: NfTerm) -> LTree:
 
 def _branch_for(s: Tree, mp: Path, t: Tree) -> Optional[tuple]:
     """The shortest branch under the maximal path mp that accepts an
-    insertion of t."""
-    for cut in range(1, len(mp) + 1):
-        p = mp[:cut]
-        if T.is_branch(s, p) and T.is_insertion_point(s, p, t):
-            return p
+    insertion of t.  Only the first linear subtree on the way down can:
+    the deeper ones reach the same leaf from a higher branch point."""
+    sub = s
+    for cut in range(1, len(mp)):
+        sub = sub.branches[mp[cut - 1]]
+        if sub.is_linear:
+            if cut - 1 <= t.trunk_height and cut + sub.height >= t.height:
+                return mp[:cut]
+            return None
     return None
 
 
@@ -320,7 +324,7 @@ def _eval_head(
             if b is not None:
                 b = eval_nf_ty(cfg, b, Env(exterior(cfg, s, p, t)))
             lt = T.insert_ltree(lt, p, m)
-            s = T.insert_tree(s, p, t)
+            s = lt.shape()
     if b is None:
         b = standard_nf_type(cfg, s, comp_dim)
     return _classify(cfg, s, b, lt)
@@ -332,7 +336,7 @@ def _classify(cfg: EvalConfig, s: Tree, b: NfType, lt: LTree) -> NfTerm:
         env = Env(lt)
         label = disc_label(rest, b[0][0]).map(lambda e: eval_nf(cfg, e, env))
         return NApp(NId(len(rest)), label)
-    linear = s == T.linear_tree(s.height)
+    linear = s.is_linear
     if (
         not cfg.ecr
         and linear
@@ -422,8 +426,7 @@ def _size_head(h: Head) -> int:
 
 
 def _size_label(lt: LTree) -> int:
-    total = sum(size_tm(e) for e in lt.elements)
-    return total + sum(_size_label(b) for b in lt.branches)
+    return sum(size_tm(e) for e in lt.values())
 
 
 def size_ty(b: NfType) -> int:
@@ -442,10 +445,8 @@ def nf_vars(x) -> set:
         return nf_vars(x.label)
     if isinstance(x, LTree):
         out: set = set()
-        for e in x.elements:
+        for e in x.values():
             out |= nf_vars(e)
-        for b in x.branches:
-            out |= nf_vars(b)
         return out
     if isinstance(x, tuple):  # NfType
         out = set()

@@ -148,9 +148,8 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
             continue
         kappa = F.label_to_sub(F.exterior_label(s, tuple(p), tree))
         merged = T.insert_ltree(lab, tuple(p), F.label_from_sub(tree, m_sub))
-        inserted = T.insert_tree(s, tuple(p), tree)
         reduct = Coh(
-            F.tree_to_ctx(inserted),
+            F.tree_to_ctx(merged.shape()),
             F.substitute(t.ty, kappa),
             F.label_to_sub(merged, t.sub.ty),
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .trees import Record
+from .trees import LTree, Record
 
 KEYWORDS = {"coh", "comp", "id", "def", "normalise", "assert", "size", "import", "in"}
 
@@ -57,11 +57,11 @@ class RawNode(Record):
     _defaults = {"span": SYNTH}
 
 
-class RawTree(RawNode):
-    """A tree of optional entries; one more element than branches."""
+class RawTree(LTree):
+    """A labelling of optional entries, as written: an LTree with a span."""
 
-    __slots__ = ("elements", "branches", "span")
-    elements: tuple
+    __slots__ = ("span",)
+    _fields = ("elements", "branches", "span")
     branches: tuple["RawTree", ...]
     span: Span
 
@@ -73,6 +73,7 @@ class RawTree(RawNode):
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_shape", None)
 
 
 class RVar(RawNode):

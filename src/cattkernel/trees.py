@@ -273,17 +273,17 @@ class LTree(Record):
             yield from b.values()
 
     def map(self, f: Callable) -> "LTree":
-        return LTree(
+        return type(self)(
             tuple(f(e) for e in self.elements),
             tuple(b.map(f) for b in self.branches),
         )
 
-    @staticmethod
-    def from_fn(t: Tree, f: Callable[[Path], Any]) -> "LTree":
-        return LTree(
+    @classmethod
+    def from_fn(cls, t: Tree, f: Callable[[Path], Any]) -> "LTree":
+        return cls(
             tuple(f((k,)) for k in range(len(t.branches) + 1)),
             tuple(
-                LTree.from_fn(b, lambda q, k=k: f((k,) + q))
+                cls.from_fn(b, lambda q, k=k: f((k,) + q))
                 for k, b in enumerate(t.branches)
             ),
         )
@@ -326,13 +326,9 @@ def is_insertion_point(s: Tree, p: Branch, t: Tree) -> bool:
     )
 
 
-def _require_point(s: Tree, p: Branch, t: Tree) -> None:
+def insert_tree(s: Tree, p: Branch, t: Tree) -> Tree:
     if not is_insertion_point(s, p, t):
         raise MalformedSyntax("not an insertion point")
-
-
-def insert_tree(s: Tree, p: Branch, t: Tree) -> Tree:
-    _require_point(s, p, t)
     k = p[0]
     if len(p) == 1:
         return Tree(s.branches[:k] + t.branches + s.branches[k + 1 :])
@@ -342,8 +338,9 @@ def insert_tree(s: Tree, p: Branch, t: Tree) -> Tree:
 
 def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
     """Splice the labelling of the inserted tree into the host labelling;
-    the image of the branch itself is never read."""
-    _require_point(lt.shape(), p, m.shape())
+    the image of the branch itself is never read.  The result keeps its
+    shape, the insertion of the two shapes."""
+    shape = insert_tree(lt.shape(), p, m.shape())
 
     def go(l: LTree, q: Branch, mm: LTree) -> LTree:
         k = q[0]
@@ -358,4 +355,6 @@ def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
             )
         return LTree(elements, branches)
 
-    return go(lt, p, m)
+    out = go(lt, p, m)
+    object.__setattr__(out, "_shape", shape)
+    return out

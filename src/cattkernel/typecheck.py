@@ -57,16 +57,19 @@ class ListCtx(Record):
 
 
 class TreeCtx(Record):
-    __slots__ = ("tree", "names", "_index")
-    _fields = ("tree", "names")
-    tree: Tree
+    __slots__ = ("names", "_index")
+    _fields = ("names",)
     names: LTree  # of Optional[str]
+
+    @property
+    def tree(self) -> Tree:
+        return self.names.shape()
 
     @property
     def index(self) -> dict:
         """Each bound name to the first path, in ``T.all_paths`` order,
         that binds it.  Built at the first lookup, in a slot outside the
-        fields, so equality and hashing see the tree and the names alone."""
+        fields, so equality and hashing see the names alone."""
         out = getattr(self, "_index", None)
         if out is None:
             out = {}
@@ -187,7 +190,7 @@ class Checker:
         if isinstance(raw, R.RCoh):
             return self.infer_coh(raw)
         if isinstance(raw, R.RId):
-            ctx = TreeCtx(T.LEAF, LTree((None,), ()))
+            ctx = TreeCtx(LTree((None,), ()))
             ty = ((N.NVar((0,)), N.NVar((0,))),)
             return ctx, C.CId(0), ty
         if isinstance(raw, R.RSusp):
@@ -195,9 +198,7 @@ class Checker:
             # suspension, and the base type to the arrow between the poles
             ctx, t, ty = self.infer(raw.term)
             if isinstance(ctx, TreeCtx):
-                up: Ctx = TreeCtx(
-                    T.suspend_tree(ctx.tree), LTree((None, None), (ctx.names,))
-                )
+                up: Ctx = TreeCtx(LTree((None, None), (ctx.names,)))
                 env = N.lift(ctx_id_env(up))
             else:
                 env = N.lift(N.id_list_env(len(ctx) + 2))
@@ -288,7 +289,7 @@ class Checker:
     def check_app(self, ctx: Ctx, raw: R.RApp) -> tuple:
         head, args = raw.term, raw.args
         if isinstance(head, R.RComp) and isinstance(args.data, R.RawTree):
-            shape = _raw_shape(args.data)
+            shape = args.data.shape()
             lab, vals, lab_ty = self.check_label(ctx, args, shape)
             inner_ty = N.standard_nf_type(self.config, shape, shape.height)
             return self.apply(C.CComp(shape), inner_ty, lab, Env(vals, lab_ty))
@@ -444,34 +445,24 @@ class Checker:
 # raw helpers
 
 
-def _raw_shape(raw: R.RawTree) -> Tree:
-    return Tree(tuple(_raw_shape(b) for b in raw.branches))
-
-
 def _has_shape(raw: R.RawTree, shape: Tree) -> bool:
-    """Whether ``_raw_shape(raw) == shape``, building no tree."""
+    """Whether ``raw.shape() == shape``, building no tree."""
     return len(raw.branches) == len(shape.branches) and all(
         _has_shape(r, b) for r, b in zip(raw.branches, shape.branches)
-    )
-
-
-def _raw_names(raw: R.RawTree) -> LTree:
-    return LTree(
-        tuple(raw.elements), tuple(_raw_names(b) for b in raw.branches)
     )
 
 
 def _tree_ctx(raw: R.RawTree, span: Span) -> TreeCtx:
     """The tree context a raw tree of names describes; each name is bound
     at most once."""
-    names = _raw_names(raw)
+    names = LTree.from_fn(raw.shape(), raw.lookup)
     seen: set = set()
     for nm in names.values():
         if nm is not None:
             if nm in seen:
                 raise CheckError(f"duplicate variable {nm!r}", span)
             seen.add(nm)
-    return TreeCtx(_raw_shape(raw), names)
+    return TreeCtx(names)
 
 
 def _sub_to_label(args: R.RArgs, shape: Tree) -> R.RArgs:
@@ -482,12 +473,5 @@ def _sub_to_label(args: R.RArgs, shape: Tree) -> R.RArgs:
         raise CheckError(
             f"expected {len(mps)} arguments, got {len(args.data)}", args.span
         )
-    terms = iter(args.data)
-
-    def build(sub: Tree) -> R.RawTree:
-        if not sub.branches:
-            return R.RawTree((next(terms),), ())
-        elements = tuple([None] * (len(sub.branches) + 1))
-        return R.RawTree(elements, tuple(build(b) for b in sub.branches))
-
-    return R.RArgs(build(shape), args.ty, args.span)
+    data = R.RawTree.from_fn(shape, dict(zip(mps, args.data)).get)
+    return R.RArgs(data, args.ty, args.span)

@@ -12,7 +12,7 @@ VERT = Tree((CHAIN2,))
 
 
 def make_ctx(t: Tree) -> TreeCtx:
-    return TreeCtx(t, LTree.from_fn(t, path_name))
+    return TreeCtx(LTree.from_fn(t, path_name))
 
 
 def binary_comp(x, f, y, g, z) -> Coh:

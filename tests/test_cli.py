@@ -208,6 +208,9 @@ CHECKER_CASES = [
     ("normalise comp<(x -> y) | {a}> in x{f{a}g}y", 0, "of type: f -> g"),
     ("normalise id in x{f}y", 0, "normal form: id<{f}>"),
     ("normalise x in x{f}y", 0, "of type: *"),
+    # unnamed cells written `_` in a tree context
+    ("normalise comp in _{f}_", 0, "in context: p0{f}p1"),
+    ("def u = coh [ _{f}_ : f -> f ]", 0, "defined u"),
     (
         "def r x{f{a}g}y : (x -> x) | f -> g = a",
         1,

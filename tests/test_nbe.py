@@ -2,6 +2,8 @@
 
 import pytest
 
+from test_core import all_trees
+
 from cattkernel import core as C
 from cattkernel import flat as F
 from cattkernel import nbe as N
@@ -210,6 +212,30 @@ def test_full_insertion_flattens_nested_composites():
     assert isinstance(nf_sua, NApp) and nf_sua.head == NComp(CHAIN3)
     nf_su = ev(SU, C.CComp(CHAIN2), Env(data, ()))
     assert isinstance(nf_su, NApp) and nf_su.head == NComp(CHAIN2)
+
+
+def test_branch_for_is_the_shortest_insertion_branch():
+    # _branch_for walks down the maximal path once and stops at the first
+    # linear subtree; the definition tries every prefix of the path.  The
+    # trees are all those with at most 5 edges.
+    trees = all_trees(6)
+    assert len(trees) == 1 + 1 + 2 + 5 + 14 + 42
+    found = 0
+    for s in trees:
+        for mp in T.maximal_paths(s):
+            for t in trees:
+                prefixes = (mp[:cut] for cut in range(1, len(mp) + 1))
+                expected = next(
+                    (
+                        p
+                        for p in prefixes
+                        if T.is_branch(s, p) and T.is_insertion_point(s, p, t)
+                    ),
+                    None,
+                )
+                assert N._branch_for(s, mp, t) == expected, (s, mp, t)
+                found += expected is not None
+    assert found > 1000
 
 
 # ---------------------------------------------------------------------------

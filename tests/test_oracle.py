@@ -21,6 +21,7 @@ from cattkernel import nbe as N
 from cattkernel import oracle as O
 from cattkernel import pasting as P
 from cattkernel import surface as R
+from cattkernel import trees as T
 from cattkernel.flat import Arrow, Coh, FlatSub, STAR, Var
 from cattkernel.oracle import RuleSet
 from cattkernel.typecheck import Checker, Signature
@@ -96,6 +97,43 @@ def test_unary_composite_argument_is_not_inserted():
     inner = unary_comp(v((0, 0)), Arrow(v((0,)), STAR, v((1,))))
     t = binary_comp(v((0,)), inner, v((1,)), v((1, 0)), v((2,)))
     assert all(s.rule != "insert" for s in O.step(t, SUA))
+
+
+def test_pruning_is_insertion_of_an_identity(monkeypatch):
+    # pruning a peak whose argument is an identity gives the reduct that
+    # inserting the identity's disc along the branch of that peak gives
+    checked = 0
+    prune_steps = O._prune_steps
+
+    def checked_steps(t):
+        nonlocal checked
+        d = P.ctx_to_dyck(t.ctx)
+        s = P.dyck_to_tree(d)
+        lab = F.label_from_sub(s, t.sub)
+        for st in prune_steps(t):
+            var = P.peak_var(d, P.Peak(st.where[1]))
+            (mp,) = [q for q in T.maximal_paths(s) if F.path_var(s, q) == var]
+            disc = T.linear_tree(len(mp) - 2)
+            merged = T.insert_ltree(
+                lab, mp[:-1], F.label_from_sub(disc, lab.lookup(mp).sub)
+            )
+            kappa = F.label_to_sub(F.exterior_label(s, mp[:-1], disc))
+            assert st.term == Coh(
+                F.tree_to_ctx(merged.shape()),
+                F.substitute(t.ty, kappa),
+                F.label_to_sub(merged, t.sub.ty),
+            )
+            checked += 1
+            yield st
+
+    monkeypatch.setattr(O, "_prune_steps", checked_steps)
+    rng = random.Random(29)
+    ck = Checker(Signature())
+    for _ in range(120):
+        tree, _, term_text = gen_typed.random_case(rng)
+        term, _ = ck.check(make_ctx(tree), R.parse_term(term_text))
+        O.normalise(C.flatten_tm(term, tree), SU)
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

@@ -515,10 +515,11 @@ def test_nested_composite_evaluates_each_argument_once(config, monkeypatch):
 @pytest.mark.parametrize("config", [SU, SUA], ids=["su", "sua"])
 def test_nested_composite_elaborates_in_linear_work(config, monkeypatch):
     # Names are found in an index of the context, a labelling keeps its
-    # shape once built, and a square-bracket item is parsed without
-    # scanning ahead to its end; each of these grew quadratically in the
-    # nesting depth when done again at every level.
-    counts = {"all_paths": 0, "Tree": 0, "peek": 0}
+    # shape once built, an insertion builds its shape from the two shapes
+    # it joins, and a square-bracket item is parsed without scanning ahead
+    # to its end; each of these grew quadratically in the nesting depth
+    # when done again at every level.
+    counts = {"all_paths": 0, "Tree": 0, "shape": 0, "peek": 0}
 
     def counted(key, f):
         def g(*args):
@@ -529,6 +530,7 @@ def test_nested_composite_elaborates_in_linear_work(config, monkeypatch):
 
     monkeypatch.setattr(T, "all_paths", counted("all_paths", T.all_paths))
     monkeypatch.setattr(T.Tree, "__init__", counted("Tree", T.Tree.__init__))
+    monkeypatch.setattr(T.LTree, "shape", counted("shape", T.LTree.shape))
     monkeypatch.setattr(R._Parser, "peek", counted("peek", R._Parser.peek))
 
     def count(n: int) -> dict:
@@ -573,7 +575,7 @@ def test_eval_nf_is_eval_of_the_quotation():
         raw = R.parse_term(term_text)
         inner = None
         if isinstance(raw.term, R.RComp):
-            shape = TC._raw_shape(raw.args.data)
+            shape = raw.args.data.shape()
             inner = (shape, gen_typed.random_composite(rng, shape))
         cases.append((tree, tree_text, raw, inner))
 
