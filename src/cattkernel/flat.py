@@ -83,8 +83,19 @@ FlatTerm = Union[Var, Coh]
 
 
 class FlatCtx(Record):
-    __slots__ = ("entries",)
+    """A context.  ``_dyck`` and ``_tree`` keep what ``pasting`` recognises
+    in it, filled at the first ``ctx_to_dyck`` and ``ctx_to_tree``; they
+    are slots outside the fields, so equality and repr see the entries
+    alone."""
+
+    __slots__ = ("entries", "_dyck", "_tree")
+    _fields = ("entries",)
     entries: tuple[FlatType, ...]
+
+    def __init__(self, entries: tuple[FlatType, ...]):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_dyck", None)
+        object.__setattr__(self, "_tree", None)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -308,14 +319,17 @@ def is_unary_comp(t: FlatTerm) -> bool:
 # realisation of trees
 
 
-def _offsets(t: Tree) -> list[int]:
+# Bounded like tree_to_ctx below; trees are interned, so a hit is an
+# identity test.
+@lru_cache(maxsize=256)
+def _offsets(t: Tree) -> tuple[int, ...]:
     """Position offsets of the suspended components in the realised context;
     component k occupies positions [offset(k) .. offset(k+1)] with its first
     0-cell shared with the previous component."""
     out = [1]
     for b in t.branches:
         out.append(out[-1] + ctx_size(b) + 1)
-    return out
+    return tuple(out)
 
 
 def zero_cell_pos(t: Tree, k: int) -> int:

@@ -26,7 +26,10 @@ from .trees import LTree, Path, Record, Tree
 
 
 class EvalConfig(Record):
-    __slots__ = ("dr", "ecr", "insertion")
+    # the hash is kept, as Tree keeps its own: configurations key the cache
+    # of standard types
+    __slots__ = ("dr", "ecr", "insertion", "_hash")
+    _fields = ("dr", "ecr", "insertion")
     dr: bool
     ecr: bool
     insertion: str  # none | id | full
@@ -37,6 +40,10 @@ class EvalConfig(Record):
         object.__setattr__(self, "dr", dr)
         object.__setattr__(self, "ecr", ecr)
         object.__setattr__(self, "insertion", insertion)
+        object.__setattr__(self, "_hash", hash((dr, ecr, insertion)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 WEAK = EvalConfig()

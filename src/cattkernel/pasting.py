@@ -95,9 +95,14 @@ def dyck_realise(d: DyckWord) -> tuple[FlatCtx, FlatType, FlatTerm]:
 
 def ctx_to_dyck(g: FlatCtx) -> DyckWord | None:
     """Invert realisation: the unique Dyck word whose context is g, or None
-    if g is not a ps-context."""
-    moves, _ = _scan(g)
-    return None if moves is None else DyckWord(tuple(moves))
+    if g is not a ps-context.  The answer is kept in g, as False for None,
+    so each context is scanned once."""
+    d = g._dyck
+    if d is None:
+        moves, _ = _scan(g)
+        d = False if moves is None else DyckWord(tuple(moves))
+        object.__setattr__(g, "_dyck", d)
+    return None if d is False else d
 
 
 def dyck_to_tree(d: DyckWord) -> Tree:
@@ -116,9 +121,15 @@ def dyck_to_tree(d: DyckWord) -> Tree:
 
 def ctx_to_tree(g: FlatCtx) -> Tree | None:
     """Invert the realisation of trees; None if g is not a pasting
-    context."""
+    context.  The tree is kept in g, next to its Dyck word."""
     d = ctx_to_dyck(g)
-    return None if d is None else dyck_to_tree(d)
+    if d is None:
+        return None
+    t = g._tree
+    if t is None:
+        t = dyck_to_tree(d)
+        object.__setattr__(g, "_tree", t)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 from typing import Any, Callable
+from weakref import WeakValueDictionary
 
 
 class MalformedSyntax(Exception):
@@ -30,7 +31,8 @@ class Record:
     hash and the repr see the fields alone.  Records of different classes
     are never equal.  The constructor takes the fields by position or by
     keyword, with the values in ``_defaults`` for fields left out; classes
-    built on hot paths define a straight-line ``__init__`` instead.
+    built on hot paths define a straight-line ``__init__`` instead, and
+    ``Tree``, which is interned, a ``__new__``.
     """
 
     __slots__ = ()
@@ -86,24 +88,46 @@ Path = tuple[int, ...]
 Branch = tuple[int, ...]
 
 
+# Every live tree, by its branches; a tree leaves the table when the last
+# reference to it goes.
+_TREES: WeakValueDictionary = WeakValueDictionary()
+
+
 class Tree(Record):
-    __slots__ = ("branches", "_height", "_trunk_height", "_ctx_size", "_hash")
+    """A tree, interned: equal trees are one object, so equality is
+    identity and a cache keyed by trees finds its entry by an identity
+    test."""
+
+    __slots__ = (
+        "branches", "_height", "_trunk_height", "_ctx_size", "_hash", "__weakref__"
+    )
     _fields = ("branches",)
     branches: tuple[Tree, ...]
 
-    def __init__(self, branches: tuple[Tree, ...] = ()):
-        # Computed once from the children's stored values.  They are slots
-        # outside the fields, so equality and repr see the branches alone,
-        # and the hash is the hash of the branches.
-        bs = branches
-        height = max((b._height + 1 for b in bs), default=0)
-        trunk = 1 + bs[0]._trunk_height if len(bs) == 1 else 0
-        size = 1 + sum(b._ctx_size + 1 for b in bs)
-        object.__setattr__(self, "branches", bs)
-        object.__setattr__(self, "_height", height)
-        object.__setattr__(self, "_trunk_height", trunk)
-        object.__setattr__(self, "_ctx_size", size)
-        object.__setattr__(self, "_hash", hash(bs))
+    def __new__(cls, branches: tuple[Tree, ...] = ()):
+        # The children are interned already, so the key hashes from their
+        # stored hashes and compares child by child by identity.
+        t = _TREES.get(branches)
+        if t is None:
+            # Computed once from the children's stored values.  They are
+            # slots outside the fields, so the repr sees the branches alone,
+            # and the hash is the hash of the branches.
+            bs = branches
+            height = max((b._height + 1 for b in bs), default=0)
+            trunk = 1 + bs[0]._trunk_height if len(bs) == 1 else 0
+            size = 1 + sum(b._ctx_size + 1 for b in bs)
+            t = object.__new__(cls)
+            object.__setattr__(t, "branches", bs)
+            object.__setattr__(t, "_height", height)
+            object.__setattr__(t, "_trunk_height", trunk)
+            object.__setattr__(t, "_ctx_size", size)
+            object.__setattr__(t, "_hash", hash(bs))
+            _TREES[bs] = t
+        return t
+
+    # __new__ finds or makes the tree, and equal trees are one object
+    __init__ = object.__init__
+    __eq__ = object.__eq__
 
     def __hash__(self) -> int:
         return self._hash
@@ -273,20 +297,28 @@ class LTree(Record):
             yield from b.values()
 
     def map(self, f: Callable) -> "LTree":
-        return type(self)(
+        """The labelling of the images; it keeps the source's shape, if
+        built."""
+        out = type(self)(
             tuple(f(e) for e in self.elements),
             tuple(b.map(f) for b in self.branches),
         )
+        object.__setattr__(out, "_shape", self._shape)
+        return out
 
     @classmethod
     def from_fn(cls, t: Tree, f: Callable[[Path], Any]) -> "LTree":
-        return cls(
+        """The labelling of t whose entry at each path p is f(p); its shape
+        is t."""
+        out = cls(
             tuple(f((k,)) for k in range(len(t.branches) + 1)),
             tuple(
                 cls.from_fn(b, lambda q, k=k: f((k,) + q))
                 for k, b in enumerate(t.branches)
             ),
         )
+        object.__setattr__(out, "_shape", t)
+        return out
 
 
 # ---------------------------------------------------------------------------

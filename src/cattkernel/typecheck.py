@@ -344,7 +344,7 @@ class Checker:
     def check_label(self, ctx: Ctx, args: R.RArgs, shape: Tree) -> tuple:
         """Elaborate a labelling; return it with the labelling of its
         values and the type of its zero cells."""
-        if not _has_shape(args.data, shape):
+        if args.data.shape() is not shape:
             raise CheckError(
                 "the labelling does not match the shape of the context",
                 args.data.span,
@@ -443,13 +443,6 @@ class Checker:
 
 # ---------------------------------------------------------------------------
 # raw helpers
-
-
-def _has_shape(raw: R.RawTree, shape: Tree) -> bool:
-    """Whether ``raw.shape() == shape``, building no tree."""
-    return len(raw.branches) == len(shape.branches) and all(
-        _has_shape(r, b) for r, b in zip(raw.branches, shape.branches)
-    )
 
 
 def _tree_ctx(raw: R.RawTree, span: Span) -> TreeCtx:

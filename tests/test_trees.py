@@ -1,8 +1,10 @@
 """Trees, wedges, labellings, tree boundaries, standard coherences, and
 insertion."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -144,9 +146,10 @@ def test_stored_metadata_matches_recursive_definitions():
         return Tree(tuple(rebuild(b) for b in t.branches))
 
     # the stored metadata is outside the fields: equality, the hash and the
-    # repr see the branches alone
+    # repr see the branches alone; trees are interned, so rebuilding one
+    # gives the same object
     assert Tree._fields == ("branches",)
-    metadata = {"_height", "_trunk_height", "_ctx_size", "_hash"}
+    metadata = {"_height", "_trunk_height", "_ctx_size", "_hash", "__weakref__"}
     assert set(Tree.__slots__) - set(Tree._fields) == metadata
     for t in all_trees(6):
         assert t.height == height(t)
@@ -154,7 +157,7 @@ def test_stored_metadata_matches_recursive_definitions():
         assert T.ctx_size(t) == ctx_size(t)
         assert t.is_linear == (height(t) == trunk_height(t))
         u = rebuild(t)
-        assert u is not t
+        assert u is t
         assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
 
 
@@ -243,7 +246,7 @@ def test_invalid_path_rejected():
 def test_equal_trees_share_one_cache_entry():
     a = EXAMPLE_TREE
     b = P.dyck_to_tree(SP.tree_to_dyck(a))
-    assert a == b and a is not b and hash(a) == hash(b)
+    assert a == b and a is b and hash(a) == hash(b)
     F.standard_type.cache_clear()
     F.standard_type(a, 2)
     before = F.standard_type.cache_info()
@@ -251,6 +254,95 @@ def test_equal_trees_share_one_cache_entry():
     after = F.standard_type.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 1
     assert {a: 1}[b] == 1
+
+
+def nested(t: Tree) -> tuple:
+    """The tree as nested tuples, which are not interned."""
+    return tuple(nested(b) for b in t.branches)
+
+
+def canonical(n: tuple) -> Tree:
+    return Tree(tuple(canonical(c) for c in n))
+
+
+def unshaped(lt: LTree) -> LTree:
+    """A copy of a labelling that has not built its shape."""
+    return LTree(lt.elements, tuple(unshaped(b) for b in lt.branches))
+
+
+def test_every_construction_returns_the_one_canonical_tree():
+    def check(t: Tree) -> None:
+        assert canonical(nested(t)) is t
+
+    for t in all_trees(6):
+        check(t)
+        assert P.dyck_to_tree(SP.tree_to_dyck(t)) is t
+        assert T.suspend_tree(t) is canonical((nested(t),))
+        for n in range(t.height + 1):
+            check(T.tree_boundary(t, n))
+        assert T.tree_boundary(t, t.height) is t
+        lt = LTree.from_fn(t, lambda p: p)
+        assert lt.shape() is t and unshaped(lt).shape() is t
+    for s, p, t in insertion_points(6):
+        check(T.insert_tree(s, p, t))
+
+
+def test_intern_table_holds_trees_weakly():
+    # a shape that no other test builds
+    t = Tree((T.linear_tree(9), LEAF, T.linear_tree(9), LEAF, T.linear_tree(9)))
+    key, ref = t.branches, weakref.ref(t)
+    assert T._TREES[key] is t
+    del t
+    gc.collect()
+    assert ref() is None and key not in T._TREES
+
+
+def test_labelling_keeps_the_tree_it_was_built_on(monkeypatch):
+    requests = 0
+    new = Tree.__new__
+
+    def counted(cls, *args):
+        nonlocal requests
+        requests += 1
+        return new(cls, *args)
+
+    for t in all_trees(6):
+        lt = LTree.from_fn(t, lambda p: len(p))
+        monkeypatch.setattr(Tree, "__new__", counted)
+        # neither the labelling nor its image asks for a tree again
+        assert lt.shape() is t and lt.map(str).shape() is lt.shape()
+        assert requests == 0
+        monkeypatch.undo()
+        # an image of a labelling that has not built its shape builds it
+        # when asked
+        raw = unshaped(lt)
+        assert raw.map(str).shape() is raw.shape() is t
+
+
+def test_a_flat_context_is_recognised_once(monkeypatch):
+    calls = {"_scan": 0, "dyck_to_tree": 0}
+    for name in calls:
+        f = getattr(P, name)
+
+        def counted(x, name=name, f=f):
+            calls[name] += 1
+            return f(x)
+
+        monkeypatch.setattr(P, name, counted)
+    for t in all_trees(6):
+        assert P.ctx_to_tree(F.tree_to_ctx(t)) is t
+        g = FlatCtx(F.tree_to_ctx(t).entries)
+        calls.update(dict.fromkeys(calls, 0))
+        assert P.ctx_to_tree(g) is t
+        assert calls == {"_scan": 1, "dyck_to_tree": 1}
+        # the second time reads what the first kept
+        assert P.ctx_to_tree(g) is t and P.ctx_to_dyck(g) == SP.tree_to_dyck(t)
+        assert calls == {"_scan": 1, "dyck_to_tree": 1}
+    # a context that is not a pasting context is also scanned once
+    g = FlatCtx((STAR, STAR))
+    calls.update(dict.fromkeys(calls, 0))
+    assert P.ctx_to_tree(g) is None and P.ctx_to_dyck(g) is None
+    assert calls == {"_scan": 1, "dyck_to_tree": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +753,9 @@ def test_records_are_immutable_and_slotted():
             with pytest.raises(AttributeError):
                 delattr(x, name)
         y = rebuild(x)
-        assert y is not x and y == x and hash(y) == hash(x), cls
+        # trees are interned: an equal tree is the same object
+        assert (y is x) if cls is Tree else (y is not x), cls
+        assert y == x and hash(y) == hash(x), cls
 
 
 def test_records_of_different_classes_are_unequal():

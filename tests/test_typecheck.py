@@ -529,7 +529,8 @@ def test_nested_composite_elaborates_in_linear_work(config, monkeypatch):
         return g
 
     monkeypatch.setattr(T, "all_paths", counted("all_paths", T.all_paths))
-    monkeypatch.setattr(T.Tree, "__init__", counted("Tree", T.Tree.__init__))
+    # a tree is asked for at Tree.__new__, which finds or makes it
+    monkeypatch.setattr(T.Tree, "__new__", counted("Tree", T.Tree.__new__))
     monkeypatch.setattr(T.LTree, "shape", counted("shape", T.LTree.shape))
     monkeypatch.setattr(R._Parser, "peek", counted("peek", R._Parser.peek))
 

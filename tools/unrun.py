@@ -78,6 +78,8 @@ ALLOWED = {
     "trees:Record.__init_subclass__": "runs at import, before the profile starts",
     "trees:Record.__setattr__": "refuses assignment; the record test runs it",
     "trees:Record.__delattr__": "refuses deletion; the record test runs it",
+    "trees:Record.__hash__": "records stay hashable; the program hashes only trees and "
+    "configurations, which keep their hashes, and the record test hashes every class",
     "nbe:flatten_nf": "bench/spans.py wraps it by name",
     "surface:parse_type": "bench/spans.py wraps it by name",
     "surface:render_error": "waits for errors with a location on the command line",
