@@ -83,12 +83,14 @@ FlatTerm = Union[Var, Coh]
 
 
 class FlatCtx(Record):
-    """A context.  ``_dyck`` and ``_tree`` keep what ``pasting`` recognises
-    in it, filled at the first ``ctx_to_dyck`` and ``ctx_to_tree``; they
-    are slots outside the fields, so equality and repr see the entries
+    """A context.  Three slots outside the fields keep facts of it, each
+    worked out at its first use: ``_dyck`` and ``_tree``, what ``pasting``
+    recognises in it (at the first ``ctx_to_dyck`` and ``ctx_to_tree``),
+    and ``_disc``, n if it is the disc context D^n and ``False`` if it is
+    no disc (at the first ``disc_dim``).  Equality and repr see the entries
     alone."""
 
-    __slots__ = ("entries", "_dyck", "_tree")
+    __slots__ = ("entries", "_dyck", "_tree", "_disc")
     _fields = ("entries",)
     entries: tuple[FlatType, ...]
 
@@ -96,6 +98,7 @@ class FlatCtx(Record):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_dyck", None)
         object.__setattr__(self, "_tree", None)
+        object.__setattr__(self, "_disc", None)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -251,18 +254,26 @@ def identity_sub(g: FlatCtx) -> FlatSub:
 
 
 @lru_cache(maxsize=None)
+def _discs(n: int) -> tuple[FlatCtx, FlatCtx, FlatType, FlatType, FlatType]:
+    """disc_family(n), then the type wk(U^n) of the unary n-composite over
+    D^n and the type of the identity over D^n, each built once."""
+    if n == 0:
+        disc, sphere, u = FlatCtx((STAR,)), EMPTY_CTX, STAR
+    else:
+        d_prev, _, u_prev, _, _ = _discs(n - 1)
+        sphere = FlatCtx(d_prev.entries + (_wk_ty(u_prev),))
+        u = Arrow(Var(1), _wk_ty(_wk_ty(u_prev)), Var(0))
+        disc = FlatCtx(sphere.entries + (u,))
+    unary = _wk_ty(u)
+    return disc, sphere, u, unary, Arrow(Var(0), unary, Var(0))
+
+
 def disc_family(n: int) -> tuple[FlatCtx, FlatCtx, FlatType]:
     """Return (disc context D^n, sphere context S^n, sphere type U^n).
 
     U^n lives over S^n; the disc adds one entry of type U^n.
     """
-    if n == 0:
-        return FlatCtx((STAR,)), EMPTY_CTX, STAR
-    d_prev, _, u_prev = disc_family(n - 1)
-    sphere = FlatCtx(d_prev.entries + (_wk_ty(u_prev),))
-    u = Arrow(Var(1), _wk_ty(_wk_ty(u_prev)), Var(0))
-    disc = FlatCtx(sphere.entries + (u,))
-    return disc, sphere, u
+    return _discs(n)[:3]
 
 
 def disc_ctx(n: int) -> FlatCtx:
@@ -271,6 +282,17 @@ def disc_ctx(n: int) -> FlatCtx:
 
 def sphere_ty(n: int) -> FlatType:
     return disc_family(n)[2]
+
+
+def disc_dim(g: FlatCtx) -> int | bool:
+    """n if g is the disc context D^n, False if it is no disc; kept in g,
+    so each context is compared with a disc once."""
+    d = g._disc
+    if d is None:
+        n = (len(g) - 1) // 2
+        d = n if len(g) % 2 == 1 and g == disc_ctx(n) else False
+        object.__setattr__(g, "_disc", d)
+    return d
 
 
 def sub_from_sphere(a: FlatType) -> FlatSub:
@@ -287,32 +309,29 @@ def sub_from_disc(a: FlatType, t: FlatTerm) -> FlatSub:
 
 def unary_comp_ty(n: int) -> FlatType:
     """The type of the unary n-composite over D^n: wk(U^n)."""
-    return _wk_ty(sphere_ty(n))
+    return _discs(n)[3]
 
 
 def canonical_identity(a: FlatType, t: FlatTerm) -> FlatTerm:
     """id(A, t): the canonical identity coherence on t."""
-    n = dim_ty(a)
-    ident_ty = Arrow(Var(0), unary_comp_ty(n), Var(0))
-    return Coh(disc_ctx(n), ident_ty, sub_from_disc(a, t))
+    disc, _, _, _, ident_ty = _discs(dim_ty(a))
+    return Coh(disc, ident_ty, sub_from_disc(a, t))
 
 
 def is_identity(t: FlatTerm) -> bool:
     """Recognise the canonical-identity coherence shape syntactically."""
     if not isinstance(t, Coh):
         return False
-    n = (len(t.ctx) - 1) // 2
-    if t.ctx != disc_ctx(n):
-        return False
-    return t.ty == Arrow(Var(0), unary_comp_ty(n), Var(0))
+    n = disc_dim(t.ctx)
+    return n is not False and t.ty == _discs(n)[4]
 
 
 def is_unary_comp(t: FlatTerm) -> bool:
     """Recognise the unary composite coherence shape syntactically."""
     if not isinstance(t, Coh):
         return False
-    n = (len(t.ctx) - 1) // 2
-    return t.ctx == disc_ctx(n) and t.ty == unary_comp_ty(n)
+    n = disc_dim(t.ctx)
+    return n is not False and t.ty == unary_comp_ty(n)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +372,19 @@ def path_pos(t: Tree, p: Path) -> int:
     return pos + zero_cell_pos(t, p[-1])
 
 
+# Bounded and keyed like _offsets.
+@lru_cache(maxsize=64)
+def _path_vars(t: Tree) -> dict[Path, Var]:
+    """The variable of every path of t in the realised context."""
+    n = ctx_size(t)
+    return {p: Var(n - 1 - path_pos(t, p)) for p in T.all_paths(t)}
+
+
 def path_var(t: Tree, p: Path) -> FlatTerm:
-    return Var(ctx_size(t) - 1 - path_pos(t, p))
+    """The variable of path p, read from t's table; a path that is not in
+    it goes to path_pos, which rejects it."""
+    v = _path_vars(t).get(p)
+    return v if v is not None else Var(ctx_size(t) - 1 - path_pos(t, p))
 
 
 def snd_var(g: FlatCtx) -> FlatTerm:
@@ -457,6 +487,9 @@ def standard_type(t: Tree, n: int) -> FlatType:
     return Arrow(src, standard_type(t, n - 1), tgt)
 
 
+# Bounded like standard_type: every flattened comp or id over one tree
+# shares one Coh, and so one FlatCtx with the facts it keeps.
+@lru_cache(maxsize=64)
 def standard_coh(t: Tree, n: int) -> Coh:
     if n < t.height or (n == 0 and t != LEAF):
         raise MalformedSyntax("standard coherence needs n >= h(T), n > 0")

@@ -6,9 +6,13 @@ normalises by repeatedly taking the first reduct (confluence makes any
 other choice agree).
 
 `reducts` finds the reducts lazily.  Normalisation (`first_steps`,
-`normalise`) builds only the first reduct at each step; at a normal form
-the search runs to its end, so a normal form is still certified by finding
-no reduct under any rule at any position.  `step` enumerates every reduct.
+`normalise`) builds only the first reduct at each step, and a step keeps
+every subterm it does not rewrite.  Within one run, a subterm whose search
+went to its end without finding a reduct is normal and is not searched
+again.  At a normal form the search runs to its end, skipping only those
+subterms, so a normal form is still certified by finding no reduct under
+any rule at any position.  `step` enumerates every reduct with no subterm
+skipped.
 
 Head rules:
   dr      a unary composite reduces to its argument
@@ -67,17 +71,30 @@ def step(t: FlatTerm, rules: RuleSet) -> list[Step]:
     return list(reducts(t, rules))
 
 
-def reducts(t: FlatTerm, rules: RuleSet) -> Iterator[Step]:
+def reducts(t: FlatTerm, rules: RuleSet, normal: Optional[dict] = None) -> Iterator[Step]:
     """The reducts of t in the order `step` lists them, each built only
-    when it is asked for."""
-    if isinstance(t, Var):
+    when it is asked for.
+
+    ``normal`` holds the subterms that a search in the same run went
+    through to its end without finding a reduct, keyed by ``id`` and
+    holding the subterm itself so that its id stays its own.  Such a
+    subterm is normal, so its search is skipped; a search of a subterm
+    that ends here having yielded nothing adds it."""
+    if isinstance(t, Var) or (normal is not None and id(t) in normal):
         return
     assert isinstance(t, Coh)
-    yield from _head_steps(t, rules)
-    for a, _, w in _ty_steps(t.ty, rules):
+    yielded = False
+    for st in _head_steps(t, rules):
+        yielded = True
+        yield st
+    for a, _, w in _ty_steps(t.ty, rules, normal):
+        yielded = True
         yield Step(Coh(t.ctx, a, t.sub), "cell", ("cell",) + w)
-    for s, rule, w in _sub_steps(t.sub, rules):
+    for s, rule, w in _sub_steps(t.sub, rules, normal):
+        yielded = True
         yield Step(Coh(t.ctx, t.ty, s), rule, ("arg",) + w)
+    if normal is not None and not yielded:
+        normal[id(t)] = t
 
 
 def _head_steps(t: Coh, rules: RuleSet) -> Iterator[Step]:
@@ -134,7 +151,7 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
     s = P.ctx_to_tree(t.ctx)
     if s is None:
         return
-    lab = F.label_from_sub(s, t.sub)
+    lab = None
     for p in T.all_branches(s):
         mp = T.branch_path(s, p)
         if not T.is_maximal_path(s, mp):
@@ -146,6 +163,8 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
         tree, m_sub = found
         if not T.is_insertion_point(s, tuple(p), tree):
             continue
+        if lab is None:
+            lab = F.label_from_sub(s, t.sub)
         kappa = F.label_to_sub(F.exterior_label(s, tuple(p), tree))
         merged = T.insert_ltree(lab, tuple(p), F.label_from_sub(tree, m_sub))
         reduct = Coh(
@@ -156,24 +175,24 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
         yield Step(reduct, "insert", ("head",) + tuple(p))
 
 
-def _ty_steps(a: FlatType, rules: RuleSet) -> Iterator[tuple]:
+def _ty_steps(a: FlatType, rules: RuleSet, normal: Optional[dict]) -> Iterator[tuple]:
     if isinstance(a, Star):
         return
     assert isinstance(a, Arrow)
-    for st in reducts(a.src, rules):
+    for st in reducts(a.src, rules, normal):
         yield Arrow(st.term, a.base, a.tgt), st.rule, ("src",) + st.where
-    for st in reducts(a.tgt, rules):
+    for st in reducts(a.tgt, rules, normal):
         yield Arrow(a.src, a.base, st.term), st.rule, ("tgt",) + st.where
-    for b, rule, w in _ty_steps(a.base, rules):
+    for b, rule, w in _ty_steps(a.base, rules, normal):
         yield Arrow(a.src, b, a.tgt), rule, ("base",) + w
 
 
-def _sub_steps(s: FlatSub, rules: RuleSet) -> Iterator[tuple]:
+def _sub_steps(s: FlatSub, rules: RuleSet, normal: Optional[dict]) -> Iterator[tuple]:
     for i, t in enumerate(s.terms):
-        for st in reducts(t, rules):
+        for st in reducts(t, rules, normal):
             terms = s.terms[:i] + (st.term,) + s.terms[i + 1 :]
             yield FlatSub(s.ty, terms), st.rule, (i,) + st.where
-    for a, _, w in _ty_steps(s.ty, rules):
+    for a, _, w in _ty_steps(s.ty, rules, normal):
         yield FlatSub(a, s.terms), "cell", ("ty",) + w
 
 
@@ -189,10 +208,13 @@ STEP_CAP = 10_000
 
 
 def first_steps(t: FlatTerm, rules: RuleSet) -> Iterator[Step]:
-    """The reduction sequence that always takes the first reduct.  It ends
-    at a normal form, once looking for a first reduct has tried every rule
-    at every position and found none."""
-    while (st := next(reducts(t, rules), None)) is not None:
+    """The reduction sequence that always takes the first reduct.  A step
+    keeps the subterms it does not rewrite, so a subterm that an earlier
+    search of this run found normal is not searched again.  The sequence
+    ends at a normal form, once looking for a first reduct has tried every
+    rule at every position not already found normal, and found none."""
+    normal: dict = {}
+    while (st := next(reducts(t, rules, normal), None)) is not None:
         yield st
         t = st.term
 

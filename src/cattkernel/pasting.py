@@ -151,9 +151,17 @@ def _peak_entry_pos(d: DyckWord, p: Peak) -> int:
     return 2 * k
 
 
-def peak_var(d: DyckWord, p: Peak) -> FlatTerm:
-    if p not in peaks(d):
+def _require_peak(d: DyckWord, p: Peak) -> None:
+    """Check that p is a peak of d: an up move followed by a down move."""
+    moves = d.moves
+    if not (
+        0 <= p.pos < len(moves) - 1 and moves[p.pos] == UP and moves[p.pos + 1] == DOWN
+    ):
         raise F.MalformedSyntax("not a peak")
+
+
+def peak_var(d: DyckWord, p: Peak) -> FlatTerm:
+    _require_peak(d, p)
     n = 1 + 2 * sum(1 for m in d.moves if m == UP)
     return Var(n - 1 - _peak_entry_pos(d, p))
 
@@ -161,8 +169,7 @@ def peak_var(d: DyckWord, p: Peak) -> FlatTerm:
 def prune(d: DyckWord, p: Peak) -> tuple[DyckWord, FlatSub]:
     """Remove the peak; return the pruned word and the projection
     substitution from the original context to the pruned one."""
-    if p not in peaks(d):
-        raise F.MalformedSyntax("not a peak")
+    _require_peak(d, p)
     prefix = d.moves[: p.pos]
     suffix = d.moves[p.pos + 2 :]
     ctx_e, ty_e, tm_e = dyck_realise(DyckWord(prefix))

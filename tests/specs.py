@@ -2,11 +2,12 @@
 
 These are definitions from the paper that the program itself never needs:
 variable sets and supports over flat contexts, the pasting-context
-judgement and its boundary sets, the oracle's complexity measure and
-random normalisation, labellings of trees built by hand, and round trips
-of the surface syntax.  The program decides the same things another way
-(on trees, on normal forms, by taking the first reduct); each test that
-uses a definition here checks that the two ways agree.
+judgement and its boundary sets, the oracle's complexity measure, random
+normalisation and the reduction sequence of its full search, labellings of
+trees built by hand, and round trips of the surface syntax.  The program
+decides the same things another way (on trees, on normal forms, by taking
+the first reduct); each test that uses a definition here checks that the
+two ways agree.
 """
 
 from __future__ import annotations
@@ -230,6 +231,20 @@ def normalise_random(t: FlatTerm, rules: O.RuleSet, seed: int) -> FlatTerm:
         if not candidates:
             return t
         t = rng.choice(candidates).term
+    raise O.NonTermination(f"no normal form within {O.STEP_CAP} steps")
+
+
+def first_steps_reference(t: FlatTerm, rules: O.RuleSet) -> list:
+    """The steps of ``O.first_steps`` as the full search finds them: each
+    step is the first of every reduct of the term, with no subterm skipped
+    for having been found normal before."""
+    out = []
+    for _ in range(O.STEP_CAP):
+        candidates = O.step(t, rules)
+        if not candidates:
+            return out
+        out.append(candidates[0])
+        t = candidates[0].term
     raise O.NonTermination(f"no normal form within {O.STEP_CAP} steps")
 
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen_typed
 import specs as SP
@@ -307,6 +309,136 @@ def test_lazy_normalise_reads_fewer_contexts(rules, monkeypatch):
     while steps := O.step(t, rules):
         t = steps[0].term
     assert 0 < lazy < calls
+
+
+# ---------------------------------------------------------------------------
+# no second search of a normal subterm
+
+
+def typed_flat_term(seed, config):
+    """A random well-typed composite, elaborated under config, flattened."""
+    tree, _, term_text = gen_typed.random_case(random.Random(seed))
+    term, _ = Checker(Signature(config=config)).check(make_ctx(tree), R.parse_term(term_text))
+    return C.flatten_tm(term, tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([(SU, N.SU), (SUA, N.SUA)]),
+)
+def test_first_steps_match_the_full_search(seed, case):
+    rules, config = case
+    t = typed_flat_term(seed, config)
+    assert list(O.first_steps(t, rules)) == SP.first_steps_reference(t, rules)
+
+
+@pytest.mark.parametrize("rules, config", [(SU, N.SU), (SUA, N.SUA)], ids=["su", "sua"])
+def test_a_normal_subterm_is_searched_once_per_run(rules, config, monkeypatch):
+    searched = []
+    head_steps = O._head_steps
+
+    def counted(t, rules):
+        searched.append(t)  # keeps t, so ids stay its own
+        return head_steps(t, rules)
+
+    monkeypatch.setattr(O, "_head_steps", counted)
+    fewer = 0
+    for t in lazy_cases(config):
+        searched.clear()
+        steps = list(O.first_steps(t, rules))
+        seen = {}
+        for u in searched:
+            seen.setdefault(id(u), []).append(u)
+        for (u, *again) in seen.values():
+            assert not again or O.step(u, rules), "a normal subterm was searched twice"
+        memo = len(searched)
+        searched.clear()
+        assert SP.first_steps_reference(t, rules) == steps
+        fewer += memo < len(searched)
+    assert fewer > 0
+
+
+def test_only_a_search_that_found_nothing_marks_its_term():
+    _, left, _, ternary = assoc_pair()
+    normal = {}
+    assert list(O.reducts(left, SUA, normal)) == O.step(left, SUA) != []
+    assert id(left) not in normal
+    assert list(O.reducts(ternary, SUA, normal)) == []
+    assert normal[id(ternary)] is ternary
+    # a marked term is not searched again, unless no memo is passed
+    assert list(O.reducts(left, SUA, {id(left): left})) == []
+    assert O.step(left, SUA) != []
+
+
+def test_a_subterm_met_again_after_a_step_is_searched_again():
+    # one object in two argument positions: the first step rewrites it in
+    # the first, and it is still to be reduced in the second
+    x, f = Var(1), Var(0)
+    u = unary_comp(f, Arrow(x, STAR, x))
+    t = binary_comp(x, u, x, u, x)
+    steps = list(O.first_steps(t, SU))
+    assert steps == SP.first_steps_reference(t, SU)
+    assert [(st.rule, st.where) for st in steps] == [
+        ("dr", ("arg", 2, "head")),
+        ("dr", ("arg", 4, "head")),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# facts of the validation route worked out once
+
+
+def test_disc_test_compares_a_context_once(monkeypatch):
+    calls = 0
+    eq = F.FlatCtx.__eq__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return eq(a, b)
+
+    monkeypatch.setattr(F.FlatCtx, "__eq__", counted)
+    x = Var(0)
+    canon = F.canonical_identity(Arrow(x, STAR, x), x)
+    # fresh contexts, equal to D^1 and to the realised 3-point path
+    disc = F.FlatCtx(F.disc_ctx(1).entries)
+    chain = F.FlatCtx(F.tree_to_ctx(CHAIN2).entries)
+    ident = Coh(disc, canon.ty, canon.sub)
+    unary = Coh(disc, F.unary_comp_ty(1), canon.sub)
+    other = Coh(chain, F.standard_type(CHAIN2, 1), F.identity_sub(chain))
+    for t, is_id, is_unary in [(ident, True, False), (unary, False, True), (other, False, False)]:
+        for _ in range(3):
+            assert F.is_identity(t) is is_id
+            assert F.is_unary_comp(t) is is_unary
+    assert calls <= 2
+    assert disc._disc == 1 and chain._disc is False
+
+
+def test_insertion_search_builds_no_labelling_without_an_insertable_argument(monkeypatch):
+    calls = 0
+    label_from_sub = F.label_from_sub
+
+    def counted(t, sigma):
+        nonlocal calls
+        calls += 1
+        return label_from_sub(t, sigma)
+
+    monkeypatch.setattr(F, "label_from_sub", counted)
+    _, left, _, ternary = assoc_pair()
+    assert list(O._insert_steps(ternary)) == []
+    assert calls == 0
+    # the composite argument of (f*g)*h is insertable: the host labelling
+    # and the argument's are built
+    assert len(list(O._insert_steps(left))) == 1
+    assert calls == 2
+
+
+def test_flattened_composites_share_one_coherence():
+    for t in [CHAIN2, T.Tree((CHAIN2, T.LEAF))]:
+        a, b = C.flatten_tm(C.CComp(t), t), C.flatten_tm(C.CComp(t), t)
+        assert a is b and a.ctx is b.ctx
+        assert a == F.standard_coh(t, t.height)
 
 
 # ---------------------------------------------------------------------------

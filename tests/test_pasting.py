@@ -193,6 +193,23 @@ def test_pruning_projection_compatible_with_realisation():
             assert F.substitute(tm, pi) == tm2
 
 
+def test_only_a_peak_is_taken():
+    # EXAMPLE_WORD ends in an up and a down move, so Peak(-2) would pass a
+    # check that indexed the moves from the end
+    d = EXAMPLE_WORD
+    peak_positions = {p.pos for p in P.peaks(d)}
+    assert peak_positions == {1, 3, 6}
+    n = len(d.moves)
+    for pos in range(-n - 2, n + 2):
+        if pos in peak_positions:
+            P.peak_var(d, Peak(pos))
+            P.prune(d, Peak(pos))
+            continue
+        for op in (P.peak_var, P.prune):
+            with pytest.raises(F.MalformedSyntax, match="not a peak"):
+                op(d, Peak(pos))
+
+
 @settings(max_examples=60)
 @given(S.subs(5, 3, extended=False), S.subs(3, 2, extended=False))
 def test_prune_sub_commutes_with_composition(sigma, tau):

@@ -72,6 +72,8 @@ ALLOWED = {
     "flat:Coh.__repr__": "for test-failure messages",
     "flat:FlatCtx.__repr__": "for test-failure messages",
     "flat:FlatSub.__repr__": "for test-failure messages",
+    "flat:sphere_ty": "U^n alone, for the tests; the program reads it from flat._discs "
+    "together with the types built on it",
     "pasting:DyckWord.__repr__": "for test-failure messages",
     "trees:Tree.__repr__": "for test-failure messages",
     "trees:Record.__repr__": "for test-failure messages",
