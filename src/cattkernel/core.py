@@ -233,18 +233,19 @@ def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
 
 
 def _raw_label(lab: CArgs, nm: Names, keep_implicits: bool) -> R.RArgs:
-    data = lab.data
-    shape = data.shape()
-    keep = None if keep_implicits else set(T.maximal_paths(shape))
+    def raw(x):
+        return to_raw(x, nm, keep_implicits)
 
-    def entry(p: Path):
-        if keep is not None and p not in keep:
-            return None
-        return to_raw(data.lookup(p), nm, keep_implicits)
+    def walk(lt: LTree) -> R.RawTree:
+        # the one entry of a leaf node sits at a maximal path and is always
+        # shown; the entries of other nodes are implicit
+        if not lt.branches:
+            return R.RawTree((raw(lt.elements[0]),))
+        if keep_implicits:
+            elements = tuple(map(raw, lt.elements))
+        else:
+            elements = (None,) * len(lt.elements)
+        return R.RawTree(elements, tuple(map(walk, lt.branches)))
 
-    ty = (
-        to_raw(lab.ty, nm, keep_implicits)
-        if keep_implicits and not isinstance(lab.ty, CStar)
-        else None
-    )
-    return R.RArgs(R.RawTree.from_fn(shape, entry), ty)
+    ty = raw(lab.ty) if keep_implicits and not isinstance(lab.ty, CStar) else None
+    return R.RArgs(walk(lab.data), ty)

@@ -8,16 +8,22 @@ increment.  Positions counted from the start of the context are used for
 substitution term lists; ``Var(k)`` in a context of length ``n`` sits at
 position ``n - 1 - k``.
 
-A tree realises as the context that glues the suspensions of the
-realisations of its children along their endpoint 0-cells, so trees
+A tree realises as the pasting context whose cells are its paths, in the
+order ``(0,)``, ``(1,)``, the cells of branch 0, ``(2,)``, the cells of
+branch 1, and so on, each branch's cells in this same order below its
+index.  A cell ``q + (j,)`` above dimension 0 is an arrow over the type of
+``q``, from ``q`` to the sibling that follows ``q`` (its last index plus
+one); both come before it, so every cell's type is written directly over
+the cells before it.  This is the context that glues the suspensions of
+the children's realisations along their endpoint 0-cells, and trees
 present exactly the pasting contexts.  A labelling (an ``LTree`` of terms)
-realises as a substitution out of the realised context.
+realises as the substitution of its entries in that order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Union
 
 from . import trees as T
 from .trees import LEAF, LTree, MalformedSyntax, Path, Record, Tree, ctx_size
@@ -335,107 +341,69 @@ def is_unary_comp(t: FlatTerm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# realisation of trees
+# realisation of trees and labellings
 
 
-# Bounded like tree_to_ctx below; trees are interned, so a hit is an
-# identity test.
-@lru_cache(maxsize=256)
-def _offsets(t: Tree) -> tuple[int, ...]:
-    """Position offsets of the suspended components in the realised context;
-    component k occupies positions [offset(k) .. offset(k+1)] with its first
-    0-cell shared with the previous component."""
-    out = [1]
-    for b in t.branches:
-        out.append(out[-1] + ctx_size(b) + 1)
-    return tuple(out)
+def _cell_order(lt: LTree) -> Iterator:
+    """The entries of a labelling in the order of the cells of the realised
+    context: its first 0-cell, then each further 0-cell followed by the
+    cells of the branch that ends there."""
+    yield lt.elements[0]
+    for e, b in zip(lt.elements[1:], lt.branches):
+        yield e
+        yield from _cell_order(b)
 
 
-def zero_cell_pos(t: Tree, k: int) -> int:
-    return 0 if k == 0 else _offsets(t)[k - 1]
-
-
-def path_pos(t: Tree, p: Path) -> int:
-    """The position of path p in the realised context, found in one walk
-    down p."""
-    if not p:
-        raise MalformedSyntax("not a path of the tree")
-    pos = 0
-    for k in p[:-1]:
-        if not 0 <= k < len(t.branches):
-            raise MalformedSyntax("not a path of the tree")
-        # component k's child starts after the component's two 0-cells
-        pos += zero_cell_pos(t, k + 1) + 1
-        t = t.branches[k]
-    if not 0 <= p[-1] <= len(t.branches):
-        raise MalformedSyntax("not a path of the tree")
-    return pos + zero_cell_pos(t, p[-1])
-
-
-# Bounded and keyed like _offsets.
-@lru_cache(maxsize=64)
-def _path_vars(t: Tree) -> dict[Path, Var]:
-    """The variable of every path of t in the realised context."""
-    n = ctx_size(t)
-    return {p: Var(n - 1 - path_pos(t, p)) for p in T.all_paths(t)}
+# Bounded like tree_to_ctx below, which reads it: each table is as large as
+# its tree.  Trees are interned, so a hit is an identity test.
+@lru_cache(maxsize=128)
+def _cells(t: Tree) -> dict[Path, Var]:
+    """The paths of t in the order of the realised context, each with its
+    variable there; every use of a path shares the one variable."""
+    paths = tuple(_cell_order(LTree.from_fn(t, lambda p: p)))
+    n = len(paths)
+    return {p: Var(n - 1 - i) for i, p in enumerate(paths)}
 
 
 def path_var(t: Tree, p: Path) -> FlatTerm:
-    """The variable of path p, read from t's table; a path that is not in
-    it goes to path_pos, which rejects it."""
-    v = _path_vars(t).get(p)
-    return v if v is not None else Var(ctx_size(t) - 1 - path_pos(t, p))
+    """The variable of path p in the realised context."""
+    v = _cells(t).get(p)
+    if v is None:
+        raise MalformedSyntax("not a path of the tree")
+    return v
 
 
-def snd_var(g: FlatCtx) -> FlatTerm:
-    last = max(i for i, e in enumerate(g.entries) if e == STAR)
-    return Var(len(g) - 1 - last)
+def path_pos(t: Tree, p: Path) -> int:
+    """The position of path p in the realised context."""
+    return ctx_size(t) - 1 - path_var(t, p).idx
 
 
-def wedge(g: FlatCtx, d: FlatCtx) -> tuple[FlatCtx, FlatSub, FlatSub]:
-    """Glue the last 0-cell of g to the first variable of d; also return the
-    two inclusion substitutions."""
-    if len(g) == 0 or len(d) == 0:
-        raise MalformedSyntax("wedge of an empty context")
-    entries = list(g.entries)
-    inr_terms: list[FlatTerm] = [snd_var(g)]
-    for i in range(1, len(d)):
-        a = substitute(d.entries[i], FlatSub(STAR, tuple(inr_terms)))
-        entries.append(a)
-        inr_terms = [weaken(t) for t in inr_terms] + [Var(0)]
-    inl = identity_sub(g)
-    for _ in range(len(d) - 1):
-        inl = weaken(inl)
-    return FlatCtx(tuple(entries)), inl, FlatSub(STAR, tuple(inr_terms))
+def _cell_type(cells: dict[Path, Var], p: Path, d: int) -> FlatType:
+    """The type of cell p over the cells before it, where each variable of
+    cells drops by the d cells from p on: a cell q + (j,) goes from q to the
+    sibling that follows q."""
+    if len(p) == 1:
+        return STAR
+    q = p[:-1]
+    src, tgt = cells[q], cells[q[:-1] + (q[-1] + 1,)]
+    return Arrow(Var(src.idx - d), _cell_type(cells, q, d), Var(tgt.idx - d))
 
 
 # Bounded like standard_type below: the validation route keeps meeting new
 # trees, made by insertion, and each realisation is as large as its tree.
 @lru_cache(maxsize=128)
 def tree_to_ctx(t: Tree) -> FlatCtx:
-    if not t.branches:
-        return FlatCtx((STAR,))
-    ctx = suspend_ctx(tree_to_ctx(t.branches[0]))
-    for b in t.branches[1:]:
-        ctx, _, _ = wedge(ctx, suspend_ctx(tree_to_ctx(b)))
-    return ctx
-
-
-# ---------------------------------------------------------------------------
-# realisation of labellings
+    """The pasting context t presents, each cell's type written over the
+    cells before it."""
+    cells = _cells(t)
+    n = len(cells)
+    return FlatCtx(tuple(_cell_type(cells, p, n - i) for i, p in enumerate(cells)))
 
 
 def label_to_sub(lt: LTree, ty: FlatType = STAR) -> FlatSub:
     """The substitution a labelling of terms realises as, with type part
     ty."""
-    if not lt.branches:
-        return FlatSub(ty, (lt.elements[0],))
-    terms: list[FlatTerm] = []
-    for i, br in enumerate(lt.branches):
-        inner = label_to_sub(br, Arrow(lt.elements[i], ty, lt.elements[i + 1]))
-        part = unrestrict(inner).terms
-        terms.extend(part if i == 0 else part[1:])
-    return FlatSub(ty, tuple(terms))
+    return FlatSub(ty, tuple(_cell_order(lt)))
 
 
 def label_from_sub(t: Tree, sigma: FlatSub) -> LTree:
@@ -443,7 +411,7 @@ def label_from_sub(t: Tree, sigma: FlatSub) -> LTree:
     its type part."""
     if len(sigma.terms) != ctx_size(t):
         raise MalformedSyntax("substitution length does not match the tree")
-    return LTree.from_fn(t, lambda p: sigma.terms[path_pos(t, p)])
+    return LTree.from_fn(t, dict(zip(_cells(t), sigma.terms)).__getitem__)
 
 
 def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
@@ -514,15 +482,9 @@ def _inclusion_sub(r: Tree, k: int, m: int) -> FlatSub:
     """Substitution including the realisation of components k..k+m-1 of r
     into the realisation of r."""
     span = Tree(r.branches[k : k + m])
-    size = ctx_size(span)
-    n = ctx_size(r)
-    offs = _offsets(r)
-    base = offs[k] - 1
-
-    def glob(pos: int) -> int:
-        return zero_cell_pos(r, k) if pos == 0 else pos + base
-
-    return FlatSub(STAR, tuple(Var(n - 1 - glob(pos)) for pos in range(size)))
+    return FlatSub(
+        STAR, tuple(path_var(r, (p[0] + k,) + p[1:]) for p in _cells(span))
+    )
 
 
 def _include_component(r: Tree, k: int, inner_size: int, e: FlatTerm) -> FlatTerm:

@@ -153,10 +153,7 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
         return
     lab = None
     for p in T.all_branches(s):
-        mp = T.branch_path(s, p)
-        if not T.is_maximal_path(s, mp):
-            continue
-        arg = t.sub.terms[F.path_pos(s, mp)]
+        arg = t.sub.terms[F.path_pos(s, T.branch_path(s, p))]
         found = _insertable(arg)
         if found is None:
             continue

@@ -174,20 +174,6 @@ def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
 # paths
 
 
-def is_path(t: Tree, p: Path) -> bool:
-    if not p:
-        return False
-    try:
-        prefix = subtree(t, p[:-1])
-    except MalformedSyntax:
-        return False
-    return 0 <= p[-1] <= len(prefix.branches)
-
-
-def is_maximal_path(t: Tree, p: Path) -> bool:
-    return is_path(t, p) and subtree(t, p[:-1]).branches == () and p[-1] == 0
-
-
 def all_paths(t: Tree) -> list[Path]:
     out: list[Path] = [(k,) for k in range(len(t.branches) + 1)]
     for k, b in enumerate(t.branches):

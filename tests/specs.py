@@ -3,10 +3,12 @@
 These are definitions from the paper that the program itself never needs:
 variable sets and supports over flat contexts, the pasting-context
 judgement and its boundary sets, the oracle's complexity measure, random
-normalisation and the reduction sequence of its full search, labellings of
-trees built by hand, and round trips of the surface syntax.  The program
-decides the same things another way (on trees, on normal forms, by taking
-the first reduct); each test that uses a definition here checks that the
+normalisation and the reduction sequence of its full search, paths of a
+tree, the realisation of trees by suspension and wedge and of labellings
+by unrestriction, labellings of trees built by hand, and round trips of
+the surface syntax.  The program decides the same things another way (on
+trees, on normal forms, by taking the first reduct, by reading a table of
+a tree's cells); each test that uses a definition here checks that the
 two ways agree.
 """
 
@@ -21,7 +23,9 @@ from cattkernel import oracle as O
 from cattkernel import pasting as P
 from cattkernel import surface as R
 from cattkernel import trees as T
-from cattkernel.flat import Arrow, Coh, FlatCtx, FlatSub, FlatTerm, FlatType, Star, Var
+from cattkernel.flat import (
+    STAR, Arrow, Coh, FlatCtx, FlatSub, FlatTerm, FlatType, Star, Var
+)
 from cattkernel.pasting import DOWN, UP, DyckWord
 from cattkernel.trees import LTree, Path, Tree
 
@@ -283,6 +287,66 @@ def local_confluence_sample(
 
 # ---------------------------------------------------------------------------
 # trees and labellings
+
+
+def is_path(t: Tree, p: Path) -> bool:
+    if not p:
+        return False
+    try:
+        prefix = T.subtree(t, p[:-1])
+    except F.MalformedSyntax:
+        return False
+    return 0 <= p[-1] <= len(prefix.branches)
+
+
+def is_maximal_path(t: Tree, p: Path) -> bool:
+    return is_path(t, p) and T.subtree(t, p[:-1]).branches == () and p[-1] == 0
+
+
+def snd_var(g: FlatCtx) -> FlatTerm:
+    """The variable of the last 0-cell of g."""
+    last = max(i for i, e in enumerate(g.entries) if e == STAR)
+    return Var(len(g) - 1 - last)
+
+
+def wedge(g: FlatCtx, d: FlatCtx) -> tuple[FlatCtx, FlatSub, FlatSub]:
+    """Glue the last 0-cell of g to the first variable of d; also return the
+    two inclusion substitutions."""
+    if len(g) == 0 or len(d) == 0:
+        raise F.MalformedSyntax("wedge of an empty context")
+    entries = list(g.entries)
+    inr_terms: list[FlatTerm] = [snd_var(g)]
+    for i in range(1, len(d)):
+        a = F.substitute(d.entries[i], FlatSub(STAR, tuple(inr_terms)))
+        entries.append(a)
+        inr_terms = [F.weaken(t) for t in inr_terms] + [Var(0)]
+    inl = weaken_n(F.identity_sub(g), len(d) - 1)
+    return FlatCtx(tuple(entries)), inl, FlatSub(STAR, tuple(inr_terms))
+
+
+def tree_to_ctx(t: Tree) -> FlatCtx:
+    """The realisation of t: the suspensions of the realisations of its
+    children, glued along their endpoint 0-cells."""
+    if not t.branches:
+        return FlatCtx((STAR,))
+    ctx = F.suspend_ctx(tree_to_ctx(t.branches[0]))
+    for b in t.branches[1:]:
+        ctx, _, _ = wedge(ctx, F.suspend_ctx(tree_to_ctx(b)))
+    return ctx
+
+
+def label_to_sub(lt: LTree, ty: FlatType = STAR) -> FlatSub:
+    """The realisation of a labelling: each branch realises with the arrow
+    between its two 0-cells as type part, and is unrestricted into the
+    whole."""
+    if not lt.branches:
+        return FlatSub(ty, (lt.elements[0],))
+    terms: list[FlatTerm] = []
+    for i, br in enumerate(lt.branches):
+        inner = label_to_sub(br, Arrow(lt.elements[i], ty, lt.elements[i + 1]))
+        part = F.unrestrict(inner).terms
+        terms.extend(part if i == 0 else part[1:])
+    return FlatSub(ty, tuple(terms))
 
 
 def from_wedge(sigma: FlatSub, tau: FlatSub) -> FlatSub:

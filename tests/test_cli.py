@@ -318,6 +318,22 @@ def test_deep_nesting_gives_one_error_line(tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["--su"]], ids=["weak", "su"])
+def test_long_left_nested_composite_normalises(tmp_path, flags):
+    # the normal form nests its composites about 150 deep, and printing it
+    # must fit under the default recursion limit
+    term = "f0"
+    for i in range(1, 150):
+        term = f"comp[{term}, f{i}]"
+    ctx = "[" + ", ".join(f"f{i}" for i in range(150)) + "]"
+    f = tmp_path / "long.catt"
+    f.write_text(f"normalise {term} in {ctx}\n")
+    code = "import sys\nfrom cattkernel import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    proc = run_python(code, *flags, str(f))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("normal form: comp<{comp<") and proc.stderr == ""
+
+
 def test_unexpected_exception_reported_as_internal_error(tmp_path, monkeypatch, capsys):
     def broken(*args):
         raise ValueError("boom")

@@ -1,5 +1,5 @@
-"""Trees, wedges, labellings, tree boundaries, standard coherences, and
-insertion."""
+"""Trees, their realisation, wedges, labellings, tree boundaries, standard
+coherences, and insertion."""
 
 import gc
 import itertools
@@ -116,8 +116,14 @@ def test_concat_realises_to_wedge():
     for s in all_trees(4):
         for t in all_trees(4):
             lhs = F.tree_to_ctx(Tree(s.branches + t.branches))
-            rhs, _, _ = F.wedge(F.tree_to_ctx(s), F.tree_to_ctx(t))
+            rhs, _, _ = SP.wedge(F.tree_to_ctx(s), F.tree_to_ctx(t))
             assert lhs == rhs
+
+
+def test_realisation_matches_suspension_and_wedge():
+    # every tree with at most 7 edges
+    for t in all_trees(8):
+        assert F.tree_to_ctx(t) == SP.tree_to_ctx(t)
 
 
 def test_tree_dyck_ctx_round_trips():
@@ -207,14 +213,19 @@ def test_maximal_paths_are_locally_maximal():
 
 
 def recursive_path_pos(t: Tree, p) -> int:
+    def zero_cell(k: int) -> int:
+        # (k,) follows the k 0-cells before it and the cells of branches
+        # 0 .. k-2; the cells of branch k-1 follow (k,)
+        return k + sum(T.ctx_size(b) for b in t.branches[: max(k - 1, 0)])
+
     if len(p) == 1:
-        return F.zero_cell_pos(t, p[0])
+        return zero_cell(p[0])
     k = p[0]
-    return F._offsets(t)[k] + recursive_path_pos(t.branches[k], p[1:]) + 1
+    return zero_cell(k + 1) + 1 + recursive_path_pos(t.branches[k], p[1:])
 
 
 def test_path_pos_matches_recursive_definition():
-    for t in all_trees(6):
+    for t in all_trees(8):
         for p in T.all_paths(t):
             assert F.path_pos(t, p) == recursive_path_pos(t, p)
 
@@ -236,7 +247,7 @@ def test_invalid_path_rejected():
         F.path_var(LEAF, (1, 0))
     for t in all_trees(6):
         for p in non_paths(t):
-            assert not T.is_path(t, p) and not T.is_maximal_path(t, p)
+            assert not SP.is_path(t, p) and not SP.is_maximal_path(t, p)
             with pytest.raises(F.MalformedSyntax, match="not a path of the tree"):
                 F.path_pos(t, p)
         for k in range(len(t.branches)):
@@ -351,29 +362,29 @@ def test_a_flat_context_is_recognised_once(monkeypatch):
 
 def test_wedge_unit():
     g = chain_ctx(2)
-    w, inl, inr = F.wedge(g, FlatCtx((STAR,)))
+    w, inl, inr = SP.wedge(g, FlatCtx((STAR,)))
     assert w == g
     assert inl == F.identity_sub(g)
     assert inr == FlatSub(STAR, (Var(1),))
 
 
 def test_disc_wedge_is_chain():
-    w, _, _ = F.wedge(F.disc_ctx(1), F.disc_ctx(1))
+    w, _, _ = SP.wedge(F.disc_ctx(1), F.disc_ctx(1))
     assert w == chain_ctx(2)
 
 
 def test_inl_wedge_inr_is_identity():
     for s in all_trees(4):
         for t in all_trees(4):
-            w, inl, inr = F.wedge(F.tree_to_ctx(s), F.tree_to_ctx(t))
+            w, inl, inr = SP.wedge(F.tree_to_ctx(s), F.tree_to_ctx(t))
             assert SP.from_wedge(inl, inr) == F.identity_sub(w)
 
 
 def test_wedge_associativity():
     for a, b, c in itertools.product(list(all_trees(3)), repeat=3):
         ga, gb, gc = (F.tree_to_ctx(x) for x in (a, b, c))
-        left, _, _ = F.wedge(F.wedge(ga, gb)[0], gc)
-        right, _, _ = F.wedge(ga, F.wedge(gb, gc)[0])
+        left, _, _ = SP.wedge(SP.wedge(ga, gb)[0], gc)
+        right, _, _ = SP.wedge(ga, SP.wedge(gb, gc)[0])
         assert left == right
 
 
@@ -387,7 +398,7 @@ def test_wedge_sub_distributes(sigma, tau, mu):
 
 def test_wedge_empty_rejected():
     with pytest.raises(F.MalformedSyntax):
-        F.wedge(F.EMPTY_CTX, F.disc_ctx(0))
+        SP.wedge(F.EMPTY_CTX, F.disc_ctx(0))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +428,21 @@ def test_label_to_sub_singleton():
     assert F.label_to_sub(LTree((Var(3),), ())) == FlatSub(
         STAR, (Var(3),)
     )
+
+
+def test_label_to_sub_matches_recursive_definition():
+    # every tree with at most 7 edges, with random entries and type parts
+    rng = random.Random(0)
+    x, y, f = Var(2), Var(1), Var(0)
+    ids = (F.canonical_identity(STAR, x), F.canonical_identity(Arrow(x, STAR, y), f))
+    pool = (x, y, f) + ids
+    for t in all_trees(8):
+        for _ in range(3):
+            lt = LTree.from_fn(t, lambda p: rng.choice(pool))
+            ty = rng.choice((STAR, Arrow(x, STAR, y)))
+            sub = F.label_to_sub(lt, ty)
+            assert sub == SP.label_to_sub(lt, ty)
+            assert F.label_from_sub(t, sub) == lt
 
 
 def test_id_label_realises_to_identity():

@@ -1,7 +1,8 @@
 """List the functions in src/ that the program never runs.
 
-Runs a fixed program set in process under ``sys.setprofile`` and records
-every function of the package that is entered:
+Runs a fixed program set in process under ``sys.settrace`` and records
+every function of the package that is entered and every line of it that
+runs:
 
 - the command line on ``catt/*.catt`` and ``bench/cli/*.catt`` under each
   flag set in FLAG_SETS;
@@ -15,6 +16,10 @@ status: 0 if the unrun functions are exactly the allowed ones, 1 if a
 function is unrun without a reason or an allowed function ran or no longer
 exists.
 
+Then the lines of function bodies (lambdas and comprehensions included)
+that the program set never runs are listed, per module.  That list only
+reports: it does not change the exit status.
+
     python3 tools/unrun.py
 """
 
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import inspect
 import io
 import random
 import sys
@@ -77,7 +83,7 @@ ALLOWED = {
     "pasting:DyckWord.__repr__": "for test-failure messages",
     "trees:Tree.__repr__": "for test-failure messages",
     "trees:Record.__repr__": "for test-failure messages",
-    "trees:Record.__init_subclass__": "runs at import, before the profile starts",
+    "trees:Record.__init_subclass__": "runs at import, before the trace starts",
     "trees:Record.__setattr__": "refuses assignment; the record test runs it",
     "trees:Record.__delattr__": "refuses deletion; the record test runs it",
     "trees:Record.__hash__": "records stay hashable; the program hashes only trees and "
@@ -112,6 +118,39 @@ def functions() -> dict:
     return out
 
 
+def body_lines() -> dict:
+    """file name -> the lines of the module that hold code of a function
+    body, read from the compiled code objects: module and class bodies do
+    not count, and neither does the line of a def, whose code only starts
+    the call (a lambda or a comprehension has no def line)."""
+    out = {}
+    for path in sorted(PKG.glob("*.py")):
+        lines: set[int] = set()
+        todo = [compile(path.read_text(), str(path), "exec")]
+        while todo:
+            code = todo.pop()
+            todo.extend(c for c in code.co_consts if inspect.iscode(c))
+            if code.co_flags & inspect.CO_NEWLOCALS:
+                lines.update(
+                    line for _, _, line in code.co_lines()
+                    if line is not None
+                    and (line != code.co_firstlineno or code.co_name.startswith("<"))
+                )
+        out[str(path)] = lines
+    return out
+
+
+def line_runs(lines: list[int]) -> str:
+    """Sorted line numbers as comma-separated runs: 3-5, 9."""
+    runs: list[list[int]] = []
+    for n in lines:
+        if runs and n == runs[-1][1] + 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
 def run_program_set() -> None:
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -134,19 +173,28 @@ def run_program_set() -> None:
 def main() -> int:
     defs = functions()
     entered = set()
+    ran = set()
     pkg = str(PKG)
 
-    def profile(frame, event, arg):
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    # traces the lines of the package's frames alone
+    def call(frame, event, arg):
         if event == "call":
             code = frame.f_code
             if code.co_filename.startswith(pkg):
                 entered.add((code.co_filename, code.co_firstlineno))
+                return line
+        return None
 
-    sys.setprofile(profile)
+    sys.settrace(call)
     try:
         run_program_set()
     finally:
-        sys.setprofile(None)
+        sys.settrace(None)
 
     unrun = {name for key, name in defs.items() if key not in entered}
     status = 0
@@ -159,6 +207,10 @@ def main() -> int:
     for name in sorted(set(ALLOWED) - unrun):
         print(f"allowed but not unrun (runs, or is gone): {name}")
         status = 1
+    print("lines of function bodies never run, per module:")
+    for path, lines in body_lines().items():
+        unran = sorted(n for n in lines if (path, n) not in ran)
+        print(f"  {Path(path).name} ({len(unran)}): {line_runs(unran) or '-'}")
     return status
 
 
