@@ -233,19 +233,18 @@ def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
 
 
 def _raw_label(lab: CArgs, nm: Names, keep_implicits: bool) -> R.RArgs:
-    def raw(x):
-        return to_raw(x, nm, keep_implicits)
-
-    def walk(lt: LTree) -> R.RawTree:
-        # the one entry of a leaf node sits at a maximal path and is always
-        # shown; the entries of other nodes are implicit
-        if not lt.branches:
-            return R.RawTree((raw(lt.elements[0]),))
-        if keep_implicits:
-            elements = tuple(map(raw, lt.elements))
-        else:
-            elements = (None,) * len(lt.elements)
-        return R.RawTree(elements, tuple(map(walk, lt.branches)))
-
-    ty = raw(lab.ty) if keep_implicits and not isinstance(lab.ty, CStar) else None
-    return R.RArgs(walk(lab.data), ty)
+    ty = None
+    if keep_implicits and not isinstance(lab.ty, CStar):
+        ty = to_raw(lab.ty, nm, True)
+    lt = lab.data
+    es = lt.values()
+    if keep_implicits:
+        entries = tuple(to_raw(e, nm, True) for e in es)
+    else:
+        # only the entries at maximal paths are shown; every other entry
+        # of a labelling is implicit
+        shown = [None] * len(es)
+        for i in T.path_table(lt.shape()).maximal:
+            shown[i] = to_raw(es[i], nm, False)
+        entries = tuple(shown)
+    return R.RArgs(R.RawTree.from_entries(lt.shape(), entries), ty)

@@ -23,7 +23,7 @@ realises as the substitution of its entries in that order.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from . import trees as T
 from .trees import LEAF, LTree, MalformedSyntax, Path, Record, Tree, ctx_size
@@ -89,14 +89,15 @@ FlatTerm = Union[Var, Coh]
 
 
 class FlatCtx(Record):
-    """A context.  Three slots outside the fields keep facts of it, each
+    """A context.  Four slots outside the fields keep facts of it, each
     worked out at its first use: ``_dyck`` and ``_tree``, what ``pasting``
     recognises in it (at the first ``ctx_to_dyck`` and ``ctx_to_tree``),
-    and ``_disc``, n if it is the disc context D^n and ``False`` if it is
-    no disc (at the first ``disc_dim``).  Equality and repr see the entries
-    alone."""
+    ``_disc``, n if it is the disc context D^n and ``False`` if it is no
+    disc (at the first ``disc_dim``), and ``_susp``, its suspension (at the
+    first ``suspend_ctx``), which keeps facts of its own.  Equality and
+    repr see the entries alone."""
 
-    __slots__ = ("entries", "_dyck", "_tree", "_disc")
+    __slots__ = ("entries", "_dyck", "_tree", "_disc", "_susp")
     _fields = ("entries",)
     entries: tuple[FlatType, ...]
 
@@ -105,6 +106,7 @@ class FlatCtx(Record):
         object.__setattr__(self, "_dyck", None)
         object.__setattr__(self, "_tree", None)
         object.__setattr__(self, "_disc", None)
+        object.__setattr__(self, "_susp", None)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -191,7 +193,14 @@ def compose(tau: FlatSub, sigma: FlatSub) -> FlatSub:
 
 
 def suspend_ctx(g: FlatCtx) -> FlatCtx:
-    return FlatCtx((STAR, STAR) + tuple(suspend_ty(e, i) for i, e in enumerate(g.entries)))
+    """The suspension of g, built once and kept in g."""
+    s = g._susp
+    if s is None:
+        s = FlatCtx(
+            (STAR, STAR) + tuple(suspend_ty(e, i) for i, e in enumerate(g.entries))
+        )
+        object.__setattr__(g, "_susp", s)
+    return s
 
 
 def suspend_ty(a: FlatType, n: int) -> FlatType:
@@ -344,25 +353,27 @@ def is_unary_comp(t: FlatTerm) -> bool:
 # realisation of trees and labellings
 
 
-def _cell_order(lt: LTree) -> Iterator:
-    """The entries of a labelling in the order of the cells of the realised
-    context: its first 0-cell, then each further 0-cell followed by the
-    cells of the branch that ends there."""
-    yield lt.elements[0]
-    for e, b in zip(lt.elements[1:], lt.branches):
-        yield e
-        yield from _cell_order(b)
-
-
 # Bounded like tree_to_ctx below, which reads it: each table is as large as
 # its tree.  Trees are interned, so a hit is an identity test.
+@lru_cache(maxsize=128)
+def _cell_order(t: Tree) -> tuple[int, ...]:
+    """The indices, in ``all_paths`` order, of the cells of the realised
+    context: its first 0-cell, then each further 0-cell followed by the
+    cells of the branch that ends there."""
+    order = [0]
+    for k, (b, o) in enumerate(zip(t.branches, T.path_table(t).offsets)):
+        order.append(k + 1)
+        order.extend(o + i for i in _cell_order(b))
+    return tuple(order)
+
+
 @lru_cache(maxsize=128)
 def _cells(t: Tree) -> dict[Path, Var]:
     """The paths of t in the order of the realised context, each with its
     variable there; every use of a path shares the one variable."""
-    paths = tuple(_cell_order(LTree.from_fn(t, lambda p: p)))
+    paths = T.path_table(t).paths
     n = len(paths)
-    return {p: Var(n - 1 - i) for i, p in enumerate(paths)}
+    return {paths[i]: Var(n - 1 - j) for j, i in enumerate(_cell_order(t))}
 
 
 def path_var(t: Tree, p: Path) -> FlatTerm:
@@ -403,7 +414,8 @@ def tree_to_ctx(t: Tree) -> FlatCtx:
 def label_to_sub(lt: LTree, ty: FlatType = STAR) -> FlatSub:
     """The substitution a labelling of terms realises as, with type part
     ty."""
-    return FlatSub(ty, tuple(_cell_order(lt)))
+    es = lt.entries
+    return FlatSub(ty, tuple([es[i] for i in _cell_order(lt.shape())]))
 
 
 def label_from_sub(t: Tree, sigma: FlatSub) -> LTree:
@@ -411,20 +423,20 @@ def label_from_sub(t: Tree, sigma: FlatSub) -> LTree:
     its type part."""
     if len(sigma.terms) != ctx_size(t):
         raise MalformedSyntax("substitution length does not match the tree")
-    return LTree.from_fn(t, dict(zip(_cells(t), sigma.terms)).__getitem__)
+    entries = [None] * len(sigma.terms)
+    for i, e in zip(_cell_order(t), sigma.terms):
+        entries[i] = e
+    return LTree.from_entries(t, tuple(entries))
 
 
 def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
     """The labelling from the disc tree classifying a term and its type."""
 
-    def ext(lab: LTree, s: FlatTerm, u: FlatTerm) -> LTree:
-        if not lab.branches:
-            return LTree((lab.elements[0], s), (LTree((u,), ()),))
-        return LTree(lab.elements, (ext(lab.branches[0], s, u),))
-
-    if isinstance(a, Star):
-        return LTree((t,), ())
-    return ext(label_from_disc(a.base, a.src), a.tgt, t)
+    entries = (t,)
+    while isinstance(a, Arrow):
+        entries = (a.src, a.tgt) + entries
+        a = a.base
+    return LTree.from_entries(T.linear_tree(len(entries) // 2), entries)
 
 
 def boundary_inclusion(t: Tree, n: int, eps: str) -> LTree:
@@ -498,39 +510,34 @@ def exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
     at the branch p makes."""
     r = T.insert_tree(s, p, t)
     k = p[0]
-    nt = len(t.branches)
-
-    def identity_branch(j: int, rj: int) -> LTree:
-        return LTree.from_fn(s.branches[j], lambda q: path_var(r, (rj,) + q))
-
     if len(p) == 1:
+        nt = len(t.branches)
         m = s.branches[k].height + 1
         inc = _inclusion_sub(r, k, nt)
         disc = label_from_disc(
             substitute(standard_type(t, m), inc),
             substitute(standard_coh(t, m), inc),
         )
-        mid = disc.branches[0]
-        elements = tuple(
-            path_var(r, (j,) if j <= k else (j + nt - 1,))
-            for j in range(len(s.branches) + 1)
-        )
-        branches = (
-            tuple(identity_branch(j, j) for j in range(k))
-            + (mid,)
-            + tuple(
-                identity_branch(j, j + nt - 1) for j in range(k + 1, len(s.branches))
-            )
-        )
-        return LTree(elements, branches)
-    inner = exterior_label(s.branches[k], p[1:], t.branches[0])
-    size = ctx_size(T.insert_tree(s.branches[k], p[1:], t.branches[0]))
-    mid = inner.map(lambda e: _include_component(r, k, size, e))
-    elements = tuple(path_var(r, (j,)) for j in range(len(s.branches) + 1))
-    branches = tuple(
-        mid if j == k else identity_branch(j, j) for j in range(len(s.branches))
-    )
-    return LTree(elements, branches)
+        mid = disc.entries[2:]
+    else:
+        nt = 1
+        inner = exterior_label(s.branches[k], p[1:], t.branches[0])
+        size = ctx_size(T.insert_tree(s.branches[k], p[1:], t.branches[0]))
+        mid = tuple(_include_component(r, k, size, e) for e in inner.entries)
+
+    def shifted(j: int) -> int:
+        return j if j <= k else j + nt - 1
+
+    # the 0-cells, then the block of each branch: the identity on the
+    # other branches, moved past the inserted ones
+    entries = [path_var(r, (shifted(j),)) for j in range(len(s.branches) + 1)]
+    for j, sub in enumerate(s.branches):
+        if j == k:
+            entries.extend(mid)
+        else:
+            sj = shifted(j)
+            entries.extend(path_var(r, (sj,) + q) for q in T.path_table(sub).paths)
+    return LTree.from_entries(s, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

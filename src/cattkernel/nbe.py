@@ -141,14 +141,16 @@ def id_list_env(n: int) -> Env:
 
 def lift(env: Env) -> Env:
     """The environment for the unsuspended context."""
-    pair_ty: NfType
     if isinstance(env.data, LTree):
-        if len(env.data.branches) != 1:
+        t = env.data.shape()
+        if len(t.branches) != 1:
             raise T.MalformedSyntax("environment is not a suspension")
-        pair = (env.data.elements[0], env.data.elements[1])
-        return Env(env.data.branches[0], (pair,) + env.ty)
-    pair = (env.data[0], env.data[1])
-    return Env(env.data[2:], (pair,) + env.ty)
+        es = env.data.entries
+        inner = LTree.from_entries(t.branches[0], es[2:])
+    else:
+        es = env.data
+        inner = es[2:]
+    return Env(inner, ((es[0], es[1]),) + env.ty)
 
 
 def lower(env: Env) -> LTree:
@@ -157,9 +159,12 @@ def lower(env: Env) -> LTree:
     if not isinstance(env.data, LTree):
         raise T.MalformedSyntax("only tree environments can be lowered")
     lt = env.data
+    if not env.ty:
+        return lt
+    tree, pairs = lt.shape(), ()
     for s, t in env.ty:
-        lt = LTree((s, t), (lt,))
-    return lt
+        tree, pairs = T.suspend_tree(tree), (s, t) + pairs
+    return LTree.from_entries(tree, pairs + lt.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +228,7 @@ def eval_nf_ty(cfg: EvalConfig, b: NfType, env: Env) -> NfType:
 
 def disc_label(b: NfType, x: NfTerm) -> LTree:
     """The labelling of the disc tree that classifies a term x of type b."""
-    return lower(Env(LTree((x,), ()), b))
+    return lower(Env(LTree.from_entries(T.LEAF, (x,)), b))
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +253,12 @@ def _find_redex(cfg: EvalConfig, s: Tree, lt: LTree):
     """A branch of s whose locally maximal argument allows insertion."""
     id_candidates = []
     full_candidates = []
-    for mp in T.maximal_paths(s):
-        arg = lt.lookup(mp)
+    tb = T.path_table(s)
+    for i in tb.maximal:
+        arg = lt.entries[i]
         if not isinstance(arg, NApp):
             continue
+        mp = tb.paths[i]
         if isinstance(arg.head, NId):
             t = T.linear_tree(arg.head.n)
             p = _branch_for(s, mp, t)
@@ -282,7 +289,7 @@ def exterior(cfg: EvalConfig, s: Tree, p: T.Branch, t: Tree) -> LTree:
         b = standard_nf_type(cfg, t, s.branches[k].height + 1)
         inc = Env(LTree.from_fn(t, lambda q: NVar((q[0] + k,) + q[1:])))
         coh = _eval_head(cfg, t, b, inc)
-        mid = disc_label(eval_nf_ty(cfg, b, inc), coh).branches[0]
+        mid = disc_label(eval_nf_ty(cfg, b, inc), coh).entries[2:]
     else:
         nt = 1
         # the inner exterior labelling, suspended into component k
@@ -292,17 +299,21 @@ def exterior(cfg: EvalConfig, s: Tree, p: T.Branch, t: Tree) -> LTree:
             ((NVar((k,)), NVar((k + 1,))),),
         )
         inner = exterior(cfg, s.branches[k], p[1:], t.branches[0])
-        mid = inner.map(lambda e: eval_nf(cfg, e, up))
+        mid = tuple(eval_nf(cfg, e, up) for e in inner.entries)
 
     def shifted(j: int):
         return j if j <= k else j + nt - 1
 
-    elements = tuple(NVar((shifted(j),)) for j in range(len(s.branches) + 1))
-    branches = tuple(
-        mid if j == k else LTree.from_fn(sub, lambda q, j=j: NVar((shifted(j),) + q))
-        for j, sub in enumerate(s.branches)
-    )
-    return LTree(elements, branches)
+    # the 0-cells, then the block of each branch: the identity on the
+    # other branches, moved past the inserted ones
+    entries = [NVar((shifted(j),)) for j in range(len(s.branches) + 1)]
+    for j, sub in enumerate(s.branches):
+        if j == k:
+            entries.extend(mid)
+        else:
+            sj = shifted(j)
+            entries.extend(NVar((sj,) + q) for q in T.path_table(sub).paths)
+    return LTree.from_entries(s, tuple(entries))
 
 
 def _eval_head(

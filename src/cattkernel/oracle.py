@@ -33,6 +33,7 @@ that fired.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import flat as F
@@ -147,29 +148,36 @@ def _insertable(arg: FlatTerm) -> Optional[tuple[Tree, FlatSub]]:
     return tree, arg.sub
 
 
+# Bounded like the tables of flat: each is as large as its tree.
+@lru_cache(maxsize=128)
+def _branch_args(s: Tree) -> tuple[tuple[T.Branch, int], ...]:
+    """Each branch of s with the position, in the realised context, of the
+    argument at its maximal path."""
+    return tuple((p, F.path_pos(s, T.branch_path(s, p))) for p in T.all_branches(s))
+
+
 def _insert_steps(t: Coh) -> Iterator[Step]:
     s = P.ctx_to_tree(t.ctx)
     if s is None:
         return
     lab = None
-    for p in T.all_branches(s):
-        arg = t.sub.terms[F.path_pos(s, T.branch_path(s, p))]
-        found = _insertable(arg)
+    for p, pos in _branch_args(s):
+        found = _insertable(t.sub.terms[pos])
         if found is None:
             continue
         tree, m_sub = found
-        if not T.is_insertion_point(s, tuple(p), tree):
+        if not T.is_insertion_point(s, p, tree):
             continue
         if lab is None:
             lab = F.label_from_sub(s, t.sub)
-        kappa = F.label_to_sub(F.exterior_label(s, tuple(p), tree))
-        merged = T.insert_ltree(lab, tuple(p), F.label_from_sub(tree, m_sub))
+        kappa = F.label_to_sub(F.exterior_label(s, p, tree))
+        merged = T.insert_ltree(lab, p, F.label_from_sub(tree, m_sub))
         reduct = Coh(
             F.tree_to_ctx(merged.shape()),
             F.substitute(t.ty, kappa),
             F.label_to_sub(merged, t.sub.ty),
         )
-        yield Step(reduct, "insert", ("head",) + tuple(p))
+        yield Step(reduct, "insert", ("head",) + p)
 
 
 def _ty_steps(a: FlatType, rules: RuleSet, normal: Optional[dict]) -> Iterator[tuple]:

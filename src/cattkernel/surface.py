@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .trees import LTree, Record
+from .trees import LTree, Record, Tree, path_table
 
 KEYWORDS = {"coh", "comp", "id", "def", "normalise", "assert", "size", "import", "in"}
 
@@ -58,22 +58,57 @@ class RawNode(Record):
 
 
 class RawTree(LTree):
-    """A labelling of optional entries, as written: an LTree with a span."""
+    """A labelling of optional entries, as written: an LTree with its own
+    span and its branches' spans.  The spans are kept beside the entries,
+    the span of each labelling at the index where its block starts and
+    SYNTH at every other index."""
 
-    __slots__ = ("span",)
+    __slots__ = ("_spans",)
     _fields = ("elements", "branches", "span")
     branches: tuple["RawTree", ...]
-    span: Span
 
     def __init__(
         self, elements: tuple, branches: tuple["RawTree", ...] = (), span: Span = SYNTH
     ):
         if len(elements) != len(branches) + 1:
             raise ValueError("tree shape mismatch")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "_shape", None)
+        LTree.__init__(self, elements, branches)
+        spans = (span,) + (SYNTH,) * len(branches)
+        for b in branches:
+            spans += b._spans
+        object.__setattr__(self, "_spans", spans)
+
+    @classmethod
+    def from_entries(
+        cls, t: Tree, entries: tuple, spans: Optional[tuple] = None
+    ) -> "RawTree":
+        out = super().from_entries(t, entries)
+        object.__setattr__(out, "_spans", spans or (SYNTH,) * len(entries))
+        return out
+
+    @property
+    def span(self) -> Span:
+        return self.span_at(0)
+
+    def span_at(self, o: int) -> Span:
+        """The span of the labelling whose block starts at index o."""
+        return self._spans[o]
+
+    def _block(self, b: Tree, o: int) -> "RawTree":
+        end = o + b._ctx_size
+        return self.from_entries(b, self.entries[o:end], self._spans[o:end])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self._shape is other._shape
+                and self.entries == other.entries
+                and self._spans == other._spans
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._shape, self.entries, self._spans))
 
 
 class RVar(RawNode):
@@ -681,12 +716,19 @@ def _pretty_base(a: RawType) -> str:
 
 
 def pretty_tree(t: RawTree) -> str:
-    out = []
-    for i, e in enumerate(t.elements):
-        out.append(_pretty_entry(e))
-        if i < len(t.branches):
-            out.append("{" + pretty_tree(t.branches[i]) + "}")
-    return "".join(out)
+    es = t.values()
+
+    def block(s: Tree, o: int) -> str:
+        # the block of the subtree s starts at index o of the entries
+        out = []
+        offsets = path_table(s).offsets
+        for i, b in enumerate(s.branches):
+            out.append(_pretty_entry(es[o + i]))
+            out.append("{" + block(b, o + offsets[i]) + "}")
+        out.append(_pretty_entry(es[o + len(s.branches)]))
+        return "".join(out)
+
+    return block(t.shape(), 0)
 
 
 def _pretty_entry(e) -> str:

@@ -3,8 +3,8 @@ and insertion.
 
 A tree is a list of trees; it presents the pasting context that glues the
 suspensions of its children along their endpoint 0-cells.  A cell of that
-context is a path of the tree, and a labelling is a tree of entries, one
-per path.  Realising trees and labellings as flat contexts and
+context is a path of the tree, and a labelling is a tree with one entry
+per path, kept as one tuple in the order of the tree's paths.  Realising trees and labellings as flat contexts and
 substitutions belongs to the validation route, in ``flat``.
 
 ``Record``, the immutable base of every node class of the package, is
@@ -96,10 +96,12 @@ _TREES: WeakValueDictionary = WeakValueDictionary()
 class Tree(Record):
     """A tree, interned: equal trees are one object, so equality is
     identity and a cache keyed by trees finds its entry by an identity
-    test."""
+    test.  Its ``PathTable`` is built at the first ``path_table`` call and
+    kept in a slot outside the fields."""
 
     __slots__ = (
-        "branches", "_height", "_trunk_height", "_ctx_size", "_hash", "__weakref__"
+        "branches", "_height", "_trunk_height", "_ctx_size", "_hash", "_table",
+        "__weakref__",
     )
     _fields = ("branches",)
     branches: tuple[Tree, ...]
@@ -122,6 +124,7 @@ class Tree(Record):
             object.__setattr__(t, "_trunk_height", trunk)
             object.__setattr__(t, "_ctx_size", size)
             object.__setattr__(t, "_hash", hash(bs))
+            object.__setattr__(t, "_table", None)
             _TREES[bs] = t
         return t
 
@@ -174,17 +177,52 @@ def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
 # paths
 
 
+class PathTable:
+    """The facts of a tree that its labellings read: its paths in
+    ``all_paths`` order, the index of each path in that order, the index at
+    which each branch's block of paths starts, and the indices of the
+    maximal paths, in ``maximal_paths`` order."""
+
+    __slots__ = ("paths", "index", "offsets", "maximal")
+
+    def __init__(self, paths: tuple, offsets: tuple, maximal: tuple):
+        self.paths = paths
+        self.index = {p: i for i, p in enumerate(paths)}
+        self.offsets = offsets
+        self.maximal = maximal
+
+
+def path_table(t: Tree) -> PathTable:
+    """The table of t, built from its children's at the first call."""
+    tb = t._table
+    if tb is None:
+        paths: list[Path] = [(k,) for k in range(len(t.branches) + 1)]
+        offsets = []
+        maximal = [] if t.branches else [0]
+        for k, b in enumerate(t.branches):
+            o = len(paths)
+            offsets.append(o)
+            if b.branches:
+                sub = path_table(b)
+                paths += [(k,) + q for q in sub.paths]
+                maximal += [o + i for i in sub.maximal]
+            else:  # a leaf, the most common branch, has the one path (0,)
+                paths.append((k, 0))
+                maximal.append(o)
+        tb = PathTable(tuple(paths), tuple(offsets), tuple(maximal))
+        object.__setattr__(t, "_table", tb)
+    return tb
+
+
 def all_paths(t: Tree) -> list[Path]:
-    out: list[Path] = [(k,) for k in range(len(t.branches) + 1)]
-    for k, b in enumerate(t.branches):
-        out.extend((k,) + q for q in all_paths(b))
-    return out
+    """The paths of t: its 0-cells (k,), then each branch's paths below
+    its index."""
+    return list(path_table(t).paths)
 
 
 def maximal_paths(t: Tree) -> list[Path]:
-    if not t.branches:
-        return [(0,)]
-    return [(k,) + q for k, b in enumerate(t.branches) for q in maximal_paths(b)]
+    tb = path_table(t)
+    return [tb.paths[i] for i in tb.maximal]
 
 
 def max_path(n: int) -> Path:
@@ -246,65 +284,89 @@ def ctx_size(t: Tree) -> int:
 
 
 class LTree(Record):
-    """A tree of entries: one entry per 0-cell slot, one sub-LTree per
-    branch."""
+    """A labelling of a tree: one entry per path.  It holds its tree (the
+    shape) and the tuple of its entries in ``all_paths`` order, so each
+    branch's entries are one block of that tuple, which starts at the
+    branch's offset in the tree's ``PathTable``.
 
-    __slots__ = ("elements", "branches", "_shape")
+    The fields are the nested view: ``elements``, the entries of the
+    0-cells, and ``branches``, one labelling per branch, built at the first
+    read and kept.  ``LTree(elements, branches)`` builds a labelling from
+    that view; ``from_entries``, ``from_fn`` and ``map`` build one from a
+    tree and its entries.  Equality and the hash see the shape, by
+    identity, and the entries.
+    """
+
+    __slots__ = ("_shape", "entries", "_branches")
     _fields = ("elements", "branches")
-    elements: tuple
-    branches: tuple["LTree", ...]
+    entries: tuple
 
     def __init__(self, elements: tuple, branches: tuple["LTree", ...] = ()):
         if len(elements) != len(branches) + 1:
             raise MalformedSyntax("labelling shape mismatch")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "_shape", None)
+        entries = tuple(elements)
+        for b in branches:
+            entries += b.entries
+        object.__setattr__(self, "_shape", Tree(tuple(b._shape for b in branches)))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_branches", branches)
 
-    def shape(self) -> Tree:
-        # Built at the first call and kept, as Tree keeps its hash.  It is a
-        # slot outside the fields, so equality and repr still see the
-        # entries alone.
-        s = self._shape
-        if s is None:
-            s = Tree(tuple(b.shape() for b in self.branches))
-            object.__setattr__(self, "_shape", s)
-        return s
-
-    def lookup(self, p: Path):
-        if len(p) == 1:
-            return self.elements[p[0]]
-        return self.branches[p[0]].lookup(p[1:])
-
-    def values(self):
-        """The entries, in ``all_paths`` order."""
-        yield from self.elements
-        for b in self.branches:
-            yield from b.values()
-
-    def map(self, f: Callable) -> "LTree":
-        """The labelling of the images; it keeps the source's shape, if
-        built."""
-        out = type(self)(
-            tuple(f(e) for e in self.elements),
-            tuple(b.map(f) for b in self.branches),
-        )
-        object.__setattr__(out, "_shape", self._shape)
+    @classmethod
+    def from_entries(cls, t: Tree, entries: tuple) -> "LTree":
+        """The labelling of t with these entries, in ``all_paths`` order."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_shape", t)
+        object.__setattr__(out, "entries", entries)
         return out
 
     @classmethod
     def from_fn(cls, t: Tree, f: Callable[[Path], Any]) -> "LTree":
-        """The labelling of t whose entry at each path p is f(p); its shape
-        is t."""
-        out = cls(
-            tuple(f((k,)) for k in range(len(t.branches) + 1)),
-            tuple(
-                cls.from_fn(b, lambda q, k=k: f((k,) + q))
-                for k, b in enumerate(t.branches)
-            ),
+        """The labelling of t whose entry at each path p is f(p)."""
+        return cls.from_entries(t, tuple(map(f, path_table(t).paths)))
+
+    def shape(self) -> Tree:
+        return self._shape
+
+    @property
+    def elements(self) -> tuple:
+        return self.entries[: len(self._shape.branches) + 1]
+
+    @property
+    def branches(self) -> tuple["LTree", ...]:
+        try:
+            return self._branches
+        except AttributeError:
+            pass
+        t = self._shape
+        out = tuple(
+            self._block(b, o) for b, o in zip(t.branches, path_table(t).offsets)
         )
-        object.__setattr__(out, "_shape", t)
+        object.__setattr__(self, "_branches", out)
         return out
+
+    def _block(self, b: Tree, o: int) -> "LTree":
+        """The labelling of the branch b whose block starts at o."""
+        return self.from_entries(b, self.entries[o : o + b._ctx_size])
+
+    def lookup(self, p: Path):
+        t = self._shape
+        return self.entries[(t._table or path_table(t)).index[p]]
+
+    def values(self) -> tuple:
+        """The entries, in ``all_paths`` order."""
+        return self.entries
+
+    def map(self, f: Callable) -> "LTree":
+        """The labelling of the images; it keeps the shape."""
+        return self.from_entries(self._shape, tuple(map(f, self.entries)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._shape is other._shape and self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._shape, self.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +418,21 @@ def insert_tree(s: Tree, p: Branch, t: Tree) -> Tree:
 
 def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
     """Splice the labelling of the inserted tree into the host labelling;
-    the image of the branch itself is never read.  The result keeps its
-    shape, the insertion of the two shapes."""
-    shape = insert_tree(lt.shape(), p, m.shape())
+    the image of the branch itself is never read.  The result's shape is
+    the insertion of the two shapes."""
+    shape = insert_tree(lt._shape, p, m._shape)
 
-    def go(l: LTree, q: Branch, mm: LTree) -> LTree:
-        k = q[0]
-        elements = l.elements[:k] + mm.elements + l.elements[k + 2 :]
+    def splice(es: tuple, s: Tree, q: Branch, ms: tuple, t: Tree) -> tuple:
+        # es is the block of s and ms that of t: the 0-cells of t take the
+        # places of the 0-cells k, k+1 of s and the block of branch k takes
+        # t's branches, or the insertion into it further down the branch
+        k, nb, nt = q[0], len(s.branches), len(t.branches)
+        o = path_table(s).offsets[k]
+        end = o + s.branches[k]._ctx_size
         if len(q) == 1:
-            branches = l.branches[:k] + mm.branches + l.branches[k + 1 :]
+            mid = ms[nt + 1 :]
         else:
-            branches = (
-                l.branches[:k]
-                + (go(l.branches[k], q[1:], mm.branches[0]),)
-                + l.branches[k + 1 :]
-            )
-        return LTree(elements, branches)
+            mid = splice(es[o:end], s.branches[k], q[1:], ms[2:], t.branches[0])
+        return es[:k] + ms[: nt + 1] + es[k + 2 : o] + mid + es[end:]
 
-    out = go(lt, p, m)
-    object.__setattr__(out, "_shape", shape)
-    return out
+    return LTree.from_entries(shape, splice(lt.entries, lt._shape, p, m.entries, m._shape))

@@ -73,7 +73,7 @@ class TreeCtx(Record):
         out = getattr(self, "_index", None)
         if out is None:
             out = {}
-            for p, nm in zip(T.all_paths(self.tree), self.names.values()):
+            for p, nm in zip(T.path_table(self.tree).paths, self.names.values()):
                 if nm is not None:
                     out.setdefault(nm, p)
             object.__setattr__(self, "_index", out)
@@ -362,56 +362,67 @@ class Checker:
         """The core labelling, the labelling of its values, and the type of
         its zero cells; an omitted argument takes the endpoint value found
         in its neighbours' types."""
-        if not shape.branches:
-            x = raw.elements[0]
-            if x is None or isinstance(x, R.RHole):
-                raise CheckError(
-                    "a locally maximal argument cannot be omitted", raw.span
-                )
-            t, ty, v = self.elab(ctx, x)
-            return LTree((t,), ()), LTree((v,), ()), ty
-        branches = []
-        branch_vals = []
-        pairs = []
-        tails = []
-        for i, sub in enumerate(shape.branches):
-            m, mv, b = self._label_tree(ctx, raw.branches[i], sub)
-            if not b:
-                raise CheckError(
-                    "a branch argument has a type of the wrong dimension",
-                    raw.branches[i].span,
-                )
-            branches.append(m)
-            branch_vals.append(mv)
-            pairs.append(b[0])
-            tails.append(b[1:])
-        for i in range(len(tails) - 1):
-            if tails[i] != tails[i + 1]:
-                raise CheckError(
-                    "the branch arguments live over different types", raw.span
-                )
-        for i in range(len(pairs) - 1):
-            if pairs[i][1] != pairs[i + 1][0]:
-                raise CheckError(
-                    "consecutive arguments do not share an endpoint", raw.span
-                )
-        endpoints = [p[0] for p in pairs] + [pairs[-1][1]]
-        elements = []
-        for i, x in enumerate(raw.elements):
-            if x is None or isinstance(x, R.RHole):
-                elements.append(N.quote_tm(endpoints[i]))
-            else:
-                t, _, v = self.elab(ctx, x)
-                if v != endpoints[i]:
+        es = raw.values()
+
+        def block(s: Tree, o: int) -> tuple:
+            # the core entries and the values of the block of the subtree s,
+            # which starts at index o, and the type of its zero cells
+            if not s.branches:
+                x = es[o]
+                if x is None or isinstance(x, R.RHole):
                     raise CheckError(
-                        "an explicit argument disagrees with the inferred one",
-                        x.span,
+                        "a locally maximal argument cannot be omitted", raw.span_at(o)
                     )
-                elements.append(t)
+                t, ty, v = self.elab(ctx, x)
+                return [t], [v], ty
+            nb = len(s.branches)
+            terms: list = [None] * (nb + 1)
+            vals: list = [None] * (nb + 1)
+            pairs = []
+            tails = []
+            for sub, so in zip(s.branches, T.path_table(s).offsets):
+                m, mv, b = block(sub, o + so)
+                if not b:
+                    raise CheckError(
+                        "a branch argument has a type of the wrong dimension",
+                        raw.span_at(o + so),
+                    )
+                terms += m
+                vals += mv
+                pairs.append(b[0])
+                tails.append(b[1:])
+            for i in range(nb - 1):
+                if tails[i] != tails[i + 1]:
+                    raise CheckError(
+                        "the branch arguments live over different types",
+                        raw.span_at(o),
+                    )
+            for i in range(nb - 1):
+                if pairs[i][1] != pairs[i + 1][0]:
+                    raise CheckError(
+                        "consecutive arguments do not share an endpoint",
+                        raw.span_at(o),
+                    )
+            vals[: nb + 1] = [p[0] for p in pairs] + [pairs[-1][1]]
+            for i in range(nb + 1):
+                x = es[o + i]
+                if x is None or isinstance(x, R.RHole):
+                    terms[i] = N.quote_tm(vals[i])
+                else:
+                    t, _, v = self.elab(ctx, x)
+                    if v != vals[i]:
+                        raise CheckError(
+                            "an explicit argument disagrees with the inferred one",
+                            x.span,
+                        )
+                    terms[i] = t
+            return terms, vals, tails[0]
+
+        terms, vals, ty = block(shape, 0)
         return (
-            LTree(tuple(elements), tuple(branches)),
-            LTree(tuple(endpoints), tuple(branch_vals)),
-            tails[0],
+            LTree.from_entries(shape, tuple(terms)),
+            LTree.from_entries(shape, tuple(vals)),
+            ty,
         )
 
     # -- types --------------------------------------------------------------
@@ -448,7 +459,7 @@ class Checker:
 def _tree_ctx(raw: R.RawTree, span: Span) -> TreeCtx:
     """The tree context a raw tree of names describes; each name is bound
     at most once."""
-    names = LTree.from_fn(raw.shape(), raw.lookup)
+    names = LTree.from_entries(raw.shape(), raw.values())
     seen: set = set()
     for nm in names.values():
         if nm is not None:

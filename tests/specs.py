@@ -4,12 +4,12 @@ These are definitions from the paper that the program itself never needs:
 variable sets and supports over flat contexts, the pasting-context
 judgement and its boundary sets, the oracle's complexity measure, random
 normalisation and the reduction sequence of its full search, paths of a
-tree, the realisation of trees by suspension and wedge and of labellings
-by unrestriction, labellings of trees built by hand, and round trips of
-the surface syntax.  The program decides the same things another way (on
-trees, on normal forms, by taking the first reduct, by reading a table of
-a tree's cells); each test that uses a definition here checks that the
-two ways agree.
+tree, labellings as nested trees of entries, the realisation of trees by
+suspension and wedge and of labellings by unrestriction, labellings of
+trees built by hand, and round trips of the surface syntax.  The program
+decides the same things another way (on trees, on normal forms, by taking
+the first reduct, by reading a table of a tree's cells or paths); each
+test that uses a definition here checks that the two ways agree.
 """
 
 from __future__ import annotations
@@ -301,6 +301,87 @@ def is_path(t: Tree, p: Path) -> bool:
 
 def is_maximal_path(t: Tree, p: Path) -> bool:
     return is_path(t, p) and T.subtree(t, p[:-1]).branches == () and p[-1] == 0
+
+
+def all_paths(t: Tree) -> list[Path]:
+    """The paths of t: its 0-cells (k,), then each branch's paths below its
+    index."""
+    out: list[Path] = [(k,) for k in range(len(t.branches) + 1)]
+    for k, b in enumerate(t.branches):
+        out.extend((k,) + q for q in all_paths(b))
+    return out
+
+
+def maximal_paths(t: Tree) -> list[Path]:
+    if not t.branches:
+        return [(0,)]
+    return [(k,) + q for k, b in enumerate(t.branches) for q in maximal_paths(b)]
+
+
+class NestedLabel:
+    """A labelling as a tree of entries: the entries of the 0-cells and one
+    labelling per branch.  Every operation recurses over the branches; the
+    flat ``LTree`` must agree with it."""
+
+    __slots__ = ("elements", "branches")
+
+    def __init__(self, elements: tuple, branches: tuple = ()):
+        assert len(elements) == len(branches) + 1
+        self.elements = elements
+        self.branches = branches
+
+    @classmethod
+    def from_fn(cls, t: Tree, f) -> "NestedLabel":
+        return cls(
+            tuple(f((k,)) for k in range(len(t.branches) + 1)),
+            tuple(
+                cls.from_fn(b, lambda q, k=k: f((k,) + q))
+                for k, b in enumerate(t.branches)
+            ),
+        )
+
+    @classmethod
+    def of(cls, lt: LTree) -> "NestedLabel":
+        """The nested view of a labelling, read off its fields."""
+        return cls(lt.elements, tuple(cls.of(b) for b in lt.branches))
+
+    def to_ltree(self) -> LTree:
+        return LTree(self.elements, tuple(b.to_ltree() for b in self.branches))
+
+    def __eq__(self, other) -> bool:
+        return (self.elements, self.branches) == (other.elements, other.branches)
+
+    def shape(self) -> Tree:
+        return Tree(tuple(b.shape() for b in self.branches))
+
+    def lookup(self, p: Path):
+        if len(p) == 1:
+            return self.elements[p[0]]
+        return self.branches[p[0]].lookup(p[1:])
+
+    def values(self) -> list:
+        out = list(self.elements)
+        for b in self.branches:
+            out.extend(b.values())
+        return out
+
+    def map(self, f) -> "NestedLabel":
+        return NestedLabel(
+            tuple(f(e) for e in self.elements), tuple(b.map(f) for b in self.branches)
+        )
+
+    def insert(self, p: T.Branch, m: "NestedLabel") -> "NestedLabel":
+        """Splice m in at the branch p: m's 0-cells replace the two 0-cells
+        around the branch, and m's branches replace it, or the insertion
+        goes on into it along the rest of p."""
+        k = p[0]
+        elements = self.elements[:k] + m.elements + self.elements[k + 2 :]
+        if len(p) == 1:
+            branches = self.branches[:k] + m.branches + self.branches[k + 1 :]
+        else:
+            inner = self.branches[k].insert(p[1:], m.branches[0])
+            branches = self.branches[:k] + (inner,) + self.branches[k + 1 :]
+        return NestedLabel(elements, branches)
 
 
 def snd_var(g: FlatCtx) -> FlatTerm:

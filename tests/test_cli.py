@@ -318,10 +318,9 @@ def test_deep_nesting_gives_one_error_line(tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("flags", [[], ["--su"]], ids=["weak", "su"])
-def test_long_left_nested_composite_normalises(tmp_path, flags):
-    # the normal form nests its composites about 150 deep, and printing it
-    # must fit under the default recursion limit
+def run_long_left_nested_composite(tmp_path, flags) -> subprocess.CompletedProcess:
+    """Normalise a left-nested composite of 150 arguments through the CLI
+    in a fresh interpreter, at the default recursion limit."""
     term = "f0"
     for i in range(1, 150):
         term = f"comp[{term}, f{i}]"
@@ -329,9 +328,28 @@ def test_long_left_nested_composite_normalises(tmp_path, flags):
     f = tmp_path / "long.catt"
     f.write_text(f"normalise {term} in {ctx}\n")
     code = "import sys\nfrom cattkernel import cli\nsys.exit(cli.main(sys.argv[1:]))"
-    proc = run_python(code, *flags, str(f))
+    return run_python(code, *flags, str(f))
+
+
+@pytest.mark.parametrize("flags", [[], ["--su"]], ids=["weak", "su"])
+def test_long_left_nested_composite_normalises(tmp_path, flags):
+    # the normal form nests its composites about 150 deep, and printing it
+    # must fit under the default recursion limit
+    proc = run_long_left_nested_composite(tmp_path, flags)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("normal form: comp<{comp<") and proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "flags", [["--su", "--oracle"], ["--sua", "--oracle"]], ids=["su", "sua"]
+)
+def test_long_left_nested_composite_normalises_under_the_oracle(tmp_path, flags):
+    # flattening the term for the oracle recurses once per nesting level of
+    # the term, through one map over each labelling's entries
+    proc = run_long_left_nested_composite(tmp_path, flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert any(line.startswith("oracle: ") for line in proc.stdout.splitlines())
 
 
 def test_unexpected_exception_reported_as_internal_error(tmp_path, monkeypatch, capsys):

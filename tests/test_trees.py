@@ -155,7 +155,9 @@ def test_stored_metadata_matches_recursive_definitions():
     # repr see the branches alone; trees are interned, so rebuilding one
     # gives the same object
     assert Tree._fields == ("branches",)
-    metadata = {"_height", "_trunk_height", "_ctx_size", "_hash", "__weakref__"}
+    metadata = {
+        "_height", "_trunk_height", "_ctx_size", "_hash", "_table", "__weakref__"
+    }
     assert set(Tree.__slots__) - set(Tree._fields) == metadata
     for t in all_trees(6):
         assert t.height == height(t)
@@ -356,6 +358,28 @@ def test_a_flat_context_is_recognised_once(monkeypatch):
     assert calls == {"_scan": 1, "dyck_to_tree": 0}
 
 
+def test_a_suspension_is_built_once(monkeypatch):
+    scans = 0
+    scan = P._scan
+
+    def counted(x):
+        nonlocal scans
+        scans += 1
+        return scan(x)
+
+    monkeypatch.setattr(P, "_scan", counted)
+    for t in all_trees(6):
+        g = FlatCtx(F.tree_to_ctx(t).entries)
+        s = F.suspend_ctx(g)
+        assert F.suspend_ctx(g) is s and s == SP.tree_to_ctx(T.suspend_tree(t))
+        scans = 0
+        assert P.ctx_to_tree(F.suspend_ctx(g)) is T.suspend_tree(t)
+        assert scans == 1
+        # the second suspension is the first, with the tree it keeps
+        assert P.ctx_to_tree(F.suspend_ctx(g)) is T.suspend_tree(t)
+        assert scans == 1
+
+
 # ---------------------------------------------------------------------------
 # wedges
 
@@ -403,6 +427,97 @@ def test_wedge_empty_rejected():
 
 # ---------------------------------------------------------------------------
 # labellings
+
+
+def test_path_table_matches_recursive_definitions():
+    for t in all_trees(7):
+        tb = T.path_table(t)
+        assert T.path_table(t) is tb
+        assert list(tb.paths) == T.all_paths(t) == SP.all_paths(t)
+        assert [tb.paths[i] for i in tb.maximal] == SP.maximal_paths(t)
+        assert T.maximal_paths(t) == SP.maximal_paths(t)
+        assert all(tb.paths[tb.index[p]] == p for p in tb.paths)
+        # each branch's block of paths starts at its offset
+        for k, (b, o) in enumerate(zip(t.branches, tb.offsets)):
+            block = tb.paths[o : o + T.ctx_size(b)]
+            assert block == tuple((k,) + q for q in SP.all_paths(b))
+
+
+def test_flat_labellings_agree_with_the_nested_reference():
+    def f(p):
+        return "e" + "".join(map(str, p))
+
+    for t in all_trees(6):
+        lt = LTree.from_fn(t, f)
+        ref = SP.NestedLabel.from_fn(t, f)
+        assert lt.shape() is t and ref.shape() is t
+        assert list(lt.values()) == ref.values() == [f(p) for p in SP.all_paths(t)]
+        assert all(lt.lookup(p) == ref.lookup(p) for p in SP.all_paths(t))
+        assert SP.NestedLabel.of(lt) == ref
+        assert lt.elements == ref.elements
+        assert SP.NestedLabel.of(lt.map(len)) == ref.map(len)
+        assert lt.map(len).shape() is t
+        # built again from its nested view, it is equal, with the same hash
+        again = ref.to_ltree()
+        assert again == lt and hash(again) == hash(lt) and again.shape() is t
+        # a labelling differs from one that differs in any entry
+        es = lt.values()
+        for i in range(len(es)):
+            other = LTree.from_entries(t, es[:i] + ("x",) + es[i + 1 :])
+            assert other != lt and other.lookup(SP.all_paths(t)[i]) == "x"
+    # the same entries over another tree are another labelling
+    chain, disc = Tree((LEAF, LEAF)), T.linear_tree(2)
+    assert T.ctx_size(chain) == T.ctx_size(disc)
+    es = tuple(range(T.ctx_size(chain)))
+    assert LTree.from_entries(chain, es) != LTree.from_entries(disc, es)
+
+
+def test_insert_ltree_agrees_with_the_nested_reference():
+    for s, p, t in insertion_points(6):
+        host = SP.NestedLabel.from_fn(s, lambda q: ("s",) + q)
+        m = SP.NestedLabel.from_fn(t, lambda q: ("t",) + q)
+        got = T.insert_ltree(host.to_ltree(), p, m.to_ltree())
+        assert got.shape() is T.insert_tree(s, p, t)
+        assert SP.NestedLabel.of(got) == host.insert(p, m)
+
+
+def test_labelling_operations_do_not_recurse(monkeypatch):
+    calls = {"map": 0, "from_fn": 0, "from_entries": 0, "branches": 0}
+    map_, from_fn, from_entries = LTree.map, LTree.from_fn, LTree.from_entries
+    branches = LTree.branches
+
+    def counted_map(self, f):
+        calls["map"] += 1
+        return map_(self, f)
+
+    def counted_from_fn(cls, t, f):
+        calls["from_fn"] += 1
+        return from_fn.__func__(cls, t, f)
+
+    def counted_from_entries(cls, t, entries):
+        calls["from_entries"] += 1
+        return from_entries.__func__(cls, t, entries)
+
+    def counted_branches(self):
+        calls["branches"] += 1
+        return branches.fget(self)
+
+    monkeypatch.setattr(LTree, "map", counted_map)
+    monkeypatch.setattr(LTree, "from_fn", classmethod(counted_from_fn))
+    monkeypatch.setattr(LTree, "from_entries", classmethod(counted_from_entries))
+    monkeypatch.setattr(LTree, "branches", property(counted_branches))
+    for t in all_trees(6):
+        calls.update(dict.fromkeys(calls, 0))
+        lt = LTree.from_fn(t, len)
+        assert calls == {"map": 0, "from_fn": 1, "from_entries": 1, "branches": 0}
+        image = lt.map(str)
+        assert calls == {"map": 1, "from_fn": 1, "from_entries": 2, "branches": 0}
+        # reading, comparing and hashing read no branch either
+        for p in SP.all_paths(t):
+            lt.lookup(p)
+        assert image == lt.map(str) and hash(image) == hash(lt.map(str))
+        assert lt.values() and lt.elements
+        assert calls["branches"] == 0
 
 
 def test_label_to_sub_example():

@@ -206,6 +206,31 @@ def test_labelling_of_another_shape_rejected(ctx, args):
         run(st, f"normalise h{args} in x{{f}}y{{g}}z")
 
 
+@pytest.mark.parametrize(
+    "text, at, message",
+    [
+        ("normalise comp[x, f] in x{f}y", "x", "a type of the wrong dimension"),
+        ("normalise comp[f, a] in x{f{a}g}y", "[f, a]", "live over different types"),
+        ("normalise comp<x{f}y{_}z> in x{f}y{g}z", "_", "cannot be omitted"),
+        ("normalise comp<x{f{_}g}y> in x{f{a}g}y", "_", "cannot be omitted"),
+        (
+            "normalise comp<x{f}y{g{x}h}z> in x{f}y{g{a}h}z",
+            "x",
+            "a type of the wrong dimension",
+        ),
+        ("normalise comp<x{f}y{g}x> in x{f}y{g}z", "x", "disagrees with the inferred"),
+    ],
+)
+def test_labelling_errors_point_at_the_labelling_at_fault(text, at, message):
+    # the span is that of the part of the labelling at fault, nested or not:
+    # a whole labelling, one of its branches, or one entry
+    with pytest.raises(CheckError, match=message) as err:
+        run(session(SU), text)
+    span = err.value.span
+    assert text[span.start : span.end] == at
+    assert text.rfind(at, 0, text.index(" in ")) == span.start
+
+
 def test_singleton_labelling_must_be_explicit():
     st = session()
     with pytest.raises(CheckError):
