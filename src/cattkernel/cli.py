@@ -6,6 +6,7 @@ running a file is the same as importing it into a fresh session.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -243,6 +244,8 @@ def _reported(run) -> bool:
         print(f"error: {e}", file=sys.stderr)
     except RecursionError:
         print("error: the input is nested too deeply", file=sys.stderr)
+    except BrokenPipeError:
+        raise  # the reader closed stdout: main stops quietly
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
     else:
@@ -263,7 +266,21 @@ def repl(state: SessionState) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    try:
+        status = _main(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout, as `head` does: no fault of the input,
+        # so no message.  Output still buffered would fail again at the
+        # interpreter's final flush, so stdout now writes to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _main(argv: list[str]) -> int:
     try:
         opts = parse_args(argv)
     except UsageError as e:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .trees import LTree, Record, Tree, path_table
+from .trees import LEAF, LTree, Record, Tree, path_table
 
 KEYWORDS = {"coh", "comp", "id", "def", "normalise", "assert", "size", "import", "in"}
 
@@ -267,20 +267,8 @@ Command = Union[DefCmd, NormaliseCmd, AssertCmd, SizeCmd, ImportCmd]
 # ---------------------------------------------------------------------------
 # tokenizer
 
-
-class Token(Record):
-    __slots__ = ("kind", "value", "start", "end")
-    kind: str
-    value: str
-    start: int
-    end: int
-
-    def __init__(self, kind: str, value: str, start: int, end: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-
+# A token is a tuple (kind, value, start, end).  These are its fields.
+KIND, VALUE, START, END = range(4)
 
 _PUNCT = {
     "{": "lbrace",
@@ -301,10 +289,13 @@ _PUNCT = {
     "⋆": "star",
     "_": "hole",
 }
+# the tokens of one character, read before words, since Σ is a letter
+_SINGLE = {**_PUNCT, "→": "arrow", "Σ": "susp"}
 
 
-def tokenize(text: str, source: Optional[str] = None) -> list[Token]:
-    toks: list[Token] = []
+def tokenize(text: str, source: Optional[str] = None) -> list[tuple]:
+    toks: list[tuple] = []
+    push = toks.append
     i = 0
     n = len(text)
     while i < n:
@@ -312,46 +303,72 @@ def tokenize(text: str, source: Optional[str] = None) -> list[Token]:
         if c in " \t\r\n":
             i += 1
             continue
+        kind = _SINGLE.get(c)
+        if kind is not None:
+            push((kind, c, i, i + 1))
+            i += 1
+            continue
+        if c.isalnum() or c in "./":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "_./"):
+                j += 1
+            word = text[i:j]
+            if word == "S":
+                push(("susp", word, i, j))
+            elif word in KEYWORDS:
+                push((word, word, i, j))
+            else:
+                push(("name", word, i, j))
+            i = j
+            continue
         if c == "#":
             while i < n and text[i] != "\n":
                 i += 1
             continue
         if text.startswith("->", i):
-            toks.append(Token("arrow", "->", i, i + 2))
+            push(("arrow", "->", i, i + 2))
             i += 2
             continue
-        if c == "→":
-            toks.append(Token("arrow", "→", i, i + 1))
-            i += 1
-            continue
-        if c == "Σ":
-            toks.append(Token("susp", "Σ", i, i + 1))
-            i += 1
-            continue
-        if c in _PUNCT:
-            toks.append(Token(_PUNCT[c], c, i, i + 1))
-            i += 1
-            continue
-        if c.isalnum() or c in "./":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_./"):
-                j += 1
-            word = text[i:j]
-            if word == "S":
-                toks.append(Token("susp", word, i, j))
-            elif word in KEYWORDS:
-                toks.append(Token(word, word, i, j))
-            else:
-                toks.append(Token("name", word, i, j))
-            i = j
-            continue
         raise ParseError(f"unexpected character {c!r}", Span(source, i, i + 1))
-    toks.append(Token("eof", "", n, n))
+    push(("eof", "", n, n))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+_ARGS_OPEN = ("lparen", "langle", "lbracket")
+_ELEMENT_STOPS = (
+    "lbrace",
+    "rbrace",
+    "rangle",
+    "rbracket",
+    "colon",
+    "comma",
+    "equals",
+    "in",
+    "eof",
+)
+
+
+def _block(elements: list, branches: list, span: Span) -> tuple:
+    """The shape, entries and spans of a labelling in ``all_paths`` order,
+    from the entries of its 0-cells and the blocks of its branches: its own
+    span at the start and each branch's span where the branch's block
+    starts, as ``RawTree`` keeps them."""
+    if not branches:
+        return LEAF, elements, [span]
+    entries = elements
+    spans = [span] + [SYNTH] * len(branches)
+    for _, es, ss in branches:
+        entries += es
+        spans += ss
+    return Tree(tuple(b[0] for b in branches)), entries, spans
+
+
+def _raw_tree(block: tuple) -> RawTree:
+    shape, entries, spans = block
+    return RawTree.from_entries(shape, tuple(entries), tuple(spans))
 
 
 class _Parser:
@@ -360,75 +377,92 @@ class _Parser:
         self.source = source
         self.toks = tokenize(text, source)
         self.pos = 0
+        # token position -> (term, end position), or the ParseError that
+        # parsing a term there raised
+        self.terms_at: dict = {}
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[KIND] != "eof":
             self.pos += 1
         return t
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> tuple:
         t = self.peek()
-        if t.kind != kind:
+        if t[KIND] != kind:
             raise ParseError(
-                f"unexpected {t.value or 'end of input'!r}",
+                f"unexpected {t[VALUE] or 'end of input'!r}",
                 self.span_of(t),
                 frozenset({kind}),
             )
         return self.next()
 
-    def span_of(self, t: Token) -> Span:
-        return Span(self.source, t.start, t.end)
+    def span_of(self, t: tuple) -> Span:
+        return Span(self.source, t[START], t[END])
 
     def span_from(self, start: int) -> Span:
-        end = self.toks[self.pos - 1].end if self.pos > 0 else start
+        end = self.toks[self.pos - 1][END] if self.pos > 0 else start
         return Span(self.source, start, max(start, end))
 
     # -- terms --------------------------------------------------------------
 
     def term(self) -> RawTerm:
-        start = self.peek().start
-        t = self.term_atom()
-        while self.peek().kind in ("lparen", "langle", "lbracket"):
-            args = self.args()
-            t = RApp(t, args, self.span_from(start))
+        """The term at the current token, parsed once per position: a
+        second call there (after an argument list's leading type part was
+        tried) returns the first call's term, or raises its error again."""
+        pos = self.pos
+        done = self.terms_at.get(pos)
+        if done is not None:
+            if isinstance(done, ParseError):
+                raise done.with_traceback(None)
+            t, self.pos = done
+            return t
+        try:
+            start = self.peek()[START]
+            t = self.term_atom()
+            while self.peek()[KIND] in _ARGS_OPEN:
+                args = self.args()
+                t = RApp(t, args, self.span_from(start))
+        except ParseError as e:
+            self.terms_at[pos] = e
+            raise
+        self.terms_at[pos] = (t, self.pos)
         return t
 
     def term_atom(self) -> RawTerm:
         t = self.peek()
-        if t.kind == "name":
+        kind = t[KIND]
+        if kind == "name":
             self.next()
-            return RVar(t.value, self.span_of(t))
-        if t.kind == "hole":
+            return RVar(t[VALUE], self.span_of(t))
+        if kind == "hole":
             self.next()
             return RHole(self.span_of(t))
-        if t.kind == "id":
+        if kind == "id":
             self.next()
             return RId(self.span_of(t))
-        if t.kind == "comp":
+        if kind == "comp":
             self.next()
             return RComp(self.span_of(t))
-        if t.kind == "susp":
-            start = t.start
+        if kind == "susp":
             self.next()
             self.expect("lparen")
             inner = self.term()
             self.expect("rparen")
-            return RSusp(inner, self.span_from(start))
-        if t.kind == "coh":
-            start = t.start
+            return RSusp(inner, self.span_from(t[START]))
+        if kind == "coh":
             self.next()
             self.expect("lbracket")
             tree = self.tree(element="name")
             self.expect("colon")
             ty = self.type_()
             self.expect("rbracket")
-            return RCoh(tree, ty, self.span_from(start))
+            return RCoh(tree, ty, self.span_from(t[START]))
         raise ParseError(
-            f"unexpected {t.value or 'end of input'!r}",
+            f"unexpected {t[VALUE] or 'end of input'!r}",
             self.span_of(t),
             frozenset({"term"}),
         )
@@ -437,34 +471,37 @@ class _Parser:
 
     def args(self) -> RArgs:
         t = self.peek()
-        start = t.start
-        if t.kind == "lparen":
+        kind = t[KIND]
+        start = t[START]
+        if kind == "lparen":
             self.next()
             ty: Optional[RawType] = None
             terms: list[RawTerm] = []
-            if self.peek().kind != "rparen":
+            if self.peek()[KIND] != "rparen":
                 ty = self.type_part()
                 terms.append(self.term())
-                while self.peek().kind == "comma":
+                while self.peek()[KIND] == "comma":
                     self.next()
                     terms.append(self.term())
             self.expect("rparen")
             return RArgs(tuple(terms), ty, self.span_from(start))
-        if t.kind == "langle":
+        if kind == "langle":
             self.next()
             ty = self.type_part()
             tree = self.tree(element="term")
             self.expect("rangle")
             return RArgs(tree, ty, self.span_from(start))
-        if t.kind == "lbracket":
-            tree = self.square_tree(element="term")
+        if kind == "lbracket":
+            tree = _raw_tree(self.square_block(element="term"))
             return RArgs(tree, None, self.span_from(start))
         raise ParseError("expected arguments", self.span_of(t))
 
     def type_part(self) -> Optional[RawType]:
         """An optional leading `type |` of an argument list.  A type atom
         before the bar is tried last: `type_` reads `* |` as the start of
-        an annotated arrow type."""
+        an annotated arrow type.  The term that `type_` reads as the
+        source of an arrow is kept, so the arguments do not parse it
+        again."""
         save = self.pos
         for parse in (self.type_, self.type_atom):
             try:
@@ -478,70 +515,65 @@ class _Parser:
     # -- trees --------------------------------------------------------------
 
     def tree(self, element: str) -> RawTree:
-        if self.peek().kind == "lbracket":
-            return self.square_tree(element)
-        return self.curly_tree(element)
+        block = self.square_block if self.peek()[KIND] == "lbracket" else self.curly_block
+        return _raw_tree(block(element))
 
-    def curly_tree(self, element: str) -> RawTree:
-        start = self.peek().start
+    def curly_block(self, element: str) -> tuple:
+        """A labelling in braces, as the shape, entries and spans of
+        `_block`; a branch in braces is again in braces."""
+        start = self.peek()[START]
         elements = [self.tree_element(element)]
-        branches: list[RawTree] = []
-        while self.peek().kind == "lbrace":
+        branches: list[tuple] = []
+        while self.peek()[KIND] == "lbrace":
             self.next()
-            branches.append(self.curly_tree(element))
+            branches.append(self.curly_block(element))
             self.expect("rbrace")
             elements.append(self.tree_element(element))
-        return RawTree(tuple(elements), tuple(branches), self.span_from(start))
+        return _block(elements, branches, self.span_from(start))
 
     def tree_element(self, element: str):
         t = self.peek()
-        stops = (
-            "lbrace",
-            "rbrace",
-            "rangle",
-            "rbracket",
-            "colon",
-            "comma",
-            "equals",
-            "in",
-            "eof",
-        )
-        if t.kind in stops:
+        if t[KIND] in _ELEMENT_STOPS:
             return None
         if element == "name":
-            if t.kind == "hole":
+            if t[KIND] == "hole":
                 self.next()
                 return None
-            return self.expect("name").value
+            return self.expect("name")[VALUE]
         return self.term()
 
-    def square_tree(self, element: str) -> RawTree:
-        """Square-bracket sugar: each item is a branch, written as a tree;
-        a single entry is the tree of that entry alone."""
-        start = self.peek().start
-        self.expect("lbracket")
-        branches: list[RawTree] = []
-        if self.peek().kind != "rbracket":
-            branches.append(self.tree(element))
-            while self.peek().kind == "comma":
+    def square_block(self, element: str) -> tuple:
+        """Square-bracket sugar, as the shape, entries and spans of
+        `_block`: each item is a branch, written as a tree; a single entry
+        is the tree of that entry alone."""
+        start = self.peek()[START]
+        self.next()  # the opening bracket, which the caller has seen
+        branches: list[tuple] = []
+        if self.peek()[KIND] != "rbracket":
+            while True:
+                if self.peek()[KIND] == "lbracket":
+                    branches.append(self.square_block(element))
+                else:
+                    branches.append(self.curly_block(element))
+                if self.peek()[KIND] != "comma":
+                    break
                 self.next()
-                branches.append(self.tree(element))
         self.expect("rbracket")
-        elements = tuple([None] * (len(branches) + 1))
-        return RawTree(elements, tuple(branches), self.span_from(start))
+        elements = [None] * (len(branches) + 1)
+        return _block(elements, branches, self.span_from(start))
 
     # -- types --------------------------------------------------------------
 
     def type_(self) -> RawType:
-        start = self.peek().start
+        start = self.peek()[START]
         save = self.pos
         base: Optional[RawType] = None
         try:
             b = self.type_atom()
-            if self.peek().kind == "bar":
+            if self.peek()[KIND] == "bar":
                 self.next()
                 base = b
-            elif self.peek().kind in ("arrow", "lparen", "langle"):
+            elif self.peek()[KIND] in ("arrow", "lparen", "langle"):
                 # an atom followed by an arrow or by arguments starts a
                 # term, as in `_(x) -> y`
                 raise ParseError("the start of a term", self.span_of(self.peek()))
@@ -557,19 +589,19 @@ class _Parser:
 
     def type_atom(self) -> RawType:
         t = self.peek()
-        if t.kind == "star":
+        if t[KIND] == "star":
             self.next()
             return RStar(self.span_of(t))
-        if t.kind == "hole":
+        if t[KIND] == "hole":
             self.next()
             return RTyHole(self.span_of(t))
-        if t.kind == "lparen":
+        if t[KIND] == "lparen":
             self.next()
             inner = self.type_()
             self.expect("rparen")
             return inner
         raise ParseError(
-            f"unexpected {t.value or 'end of input'!r}",
+            f"unexpected {t[VALUE] or 'end of input'!r}",
             self.span_of(t),
             frozenset({"type"}),
         )
@@ -578,10 +610,10 @@ class _Parser:
 
     def ctx(self) -> RawCtx:
         t = self.peek()
-        start = t.start
-        if t.kind == "lparen":
+        start = t[START]
+        if t[KIND] == "lparen":
             entries = [self.ctx_entry()]
-            while self.peek().kind == "comma":
+            while self.peek()[KIND] == "comma":
                 self.next()
                 entries.append(self.ctx_entry())
             return RListCtx(tuple(entries), self.span_from(start))
@@ -590,7 +622,7 @@ class _Parser:
 
     def ctx_entry(self) -> tuple:
         self.expect("lparen")
-        name = self.expect("name").value
+        name = self.expect("name")[VALUE]
         self.expect("colon")
         ty = self.type_()
         self.expect("rparen")
@@ -600,53 +632,54 @@ class _Parser:
 
     def command(self) -> Command:
         t = self.peek()
-        start = t.start
-        if t.kind == "def":
+        kind = t[KIND]
+        start = t[START]
+        if kind == "def":
             self.next()
-            name = self.expect("name").value
+            name = self.expect("name")[VALUE]
             ctx: Optional[RawCtx] = None
             ty: Optional[RawType] = None
-            if self.peek().kind != "equals":
+            if self.peek()[KIND] != "equals":
                 ctx = self.ctx()
-                if self.peek().kind == "colon":
+                if self.peek()[KIND] == "colon":
                     self.next()
                     ty = self.type_()
             self.expect("equals")
             term = self.term()
             return DefCmd(name, ctx, ty, term, self.span_from(start))
-        if t.kind == "normalise":
+        if kind == "normalise":
             self.next()
             term = self.term()
             self.expect("in")
             return NormaliseCmd(term, self.ctx(), self.span_from(start))
-        if t.kind == "assert":
+        if kind == "assert":
             self.next()
             lhs = self.term()
             self.expect("equals")
             rhs = self.term()
             self.expect("in")
             return AssertCmd(lhs, rhs, self.ctx(), self.span_from(start))
-        if t.kind == "size":
+        if kind == "size":
             self.next()
             term = self.term()
             self.expect("in")
             return SizeCmd(term, self.ctx(), self.span_from(start))
-        if t.kind == "import":
+        if kind == "import":
             self.next()
             p = self.peek()
-            if p.kind not in ("name",):
+            if p[KIND] != "name":
                 raise ParseError("expected a file path", self.span_of(p))
             self.next()
-            return ImportCmd(p.value, self.span_from(start))
+            return ImportCmd(p[VALUE], self.span_from(start))
         raise ParseError(
-            f"unexpected {t.value or 'end of input'!r}",
+            f"unexpected {t[VALUE] or 'end of input'!r}",
             self.span_of(t),
             frozenset({"def", "normalise", "assert", "size", "import"}),
         )
 
     def commands(self) -> list[Command]:
         out = []
-        while self.peek().kind != "eof":
+        while self.peek()[KIND] != "eof":
             out.append(self.command())
         return out
 

@@ -6,10 +6,11 @@ judgement and its boundary sets, the oracle's complexity measure, random
 normalisation and the reduction sequence of its full search, paths of a
 tree, labellings as nested trees of entries, the realisation of trees by
 suspension and wedge and of labellings by unrestriction, labellings of
-trees built by hand, and round trips of the surface syntax.  The program
-decides the same things another way (on trees, on normal forms, by taking
-the first reduct, by reading a table of a tree's cells or paths); each
-test that uses a definition here checks that the two ways agree.
+trees built by hand, and the tokens and round trips of the surface syntax.
+The program decides the same things another way (on trees, on normal
+forms, by taking the first reduct, by reading a table of a tree's cells or
+paths, by one table of the tokens of one character); each test that uses a
+definition here checks that the two ways agree.
 """
 
 from __future__ import annotations
@@ -500,6 +501,56 @@ def interior_label(s: Tree, p: Path, t: Tree) -> LTree:
 
 # ---------------------------------------------------------------------------
 # surface syntax
+
+
+def tokenize(text: str, source=None) -> list[tuple]:
+    """The tokens of text as (kind, value, start, end), one test per
+    kind of token in a fixed order; ``surface.tokenize`` reads the tokens
+    of one character from one table first."""
+    toks: list[tuple] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("->", i):
+            toks.append(("arrow", "->", i, i + 2))
+            i += 2
+            continue
+        if c == "→":
+            toks.append(("arrow", "→", i, i + 1))
+            i += 1
+            continue
+        if c == "Σ":
+            toks.append(("susp", "Σ", i, i + 1))
+            i += 1
+            continue
+        if c in R._PUNCT:
+            toks.append((R._PUNCT[c], c, i, i + 1))
+            i += 1
+            continue
+        if c.isalnum() or c in "./":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_./"):
+                j += 1
+            word = text[i:j]
+            if word == "S":
+                toks.append(("susp", word, i, j))
+            elif word in R.KEYWORDS:
+                toks.append((word, word, i, j))
+            else:
+                toks.append(("name", word, i, j))
+            i = j
+            continue
+        raise R.ParseError(f"unexpected character {c!r}", R.Span(source, i, i + 1))
+    toks.append(("eof", "", n, n))
+    return toks
 
 
 def pretty_command(c: R.Command) -> str:

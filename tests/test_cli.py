@@ -18,13 +18,17 @@ ROOT = Path(__file__).resolve().parent.parent
 MONOIDAL = ROOT / "catt" / "monoidal.catt"
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+def src_env() -> dict:
+    """The environment with the package's source first on the path."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def run_python(code: str, *args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code, *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -350,6 +354,47 @@ def test_long_left_nested_composite_normalises_under_the_oracle(tmp_path, flags)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert any(line.startswith("oracle: ") for line in proc.stdout.splitlines())
+
+
+def test_long_left_nested_application_normalises(tmp_path):
+    # each argument of comp1(…) is parsed once; parsing the first argument
+    # again at every level took hours at this depth
+    term = "f0"
+    for i in range(1, 41):
+        term = f"comp1({term}, f{i})"
+    ctx = "[" + ", ".join(f"f{i}" for i in range(41)) + "]"
+    f = tmp_path / "applied.catt"
+    f.write_text(f"def comp1 [f,g] = comp\nnormalise {term} in {ctx}\n")
+    code = "import sys\nfrom cattkernel import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    proc = run_python(code, "--su", str(f), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("normal form: comp<")
+    assert proc.stderr == ""
+
+
+def test_closed_stdout_is_not_an_internal_error(tmp_path):
+    # the output outgrows the pipe's buffer, so the program is still
+    # writing when the reader closes the pipe after the first line, as
+    # `catt-kernel FILE | head -1` does
+    f = tmp_path / "many.catt"
+    f.write_text(
+        "def comp1 [f,g] = comp\n"
+        + "normalise comp1(comp1(f, g), h) in [f, g, h]\n" * 2000
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cattkernel.cli", str(f)],
+        cwd=ROOT, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"defined comp1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_unexpected_exception_reported_as_internal_error(tmp_path, monkeypatch, capsys):

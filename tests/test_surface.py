@@ -1,5 +1,8 @@
 """Tokenizer, parser, pretty-printer and raw syntax round trips."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cattkernel import surface as S
+from cattkernel.trees import Tree, path_table
 from cattkernel.surface import (
     AssertCmd,
     DefCmd,
@@ -36,9 +40,11 @@ from cattkernel.surface import (
     pretty,
 )
 
+import specs
 from specs import pretty_command, strip_spans
 
-CATT_DIR = Path(__file__).resolve().parent.parent / "catt"
+ROOT = Path(__file__).resolve().parent.parent
+CATT_DIR = ROOT / "catt"
 
 
 def leaf(entry=None) -> RawTree:
@@ -47,6 +53,32 @@ def leaf(entry=None) -> RawTree:
 
 def tree(elements, branches) -> RawTree:
     return RawTree(tuple(elements), tuple(branches))
+
+
+# ---------------------------------------------------------------------------
+# tokens
+
+# pieces of text: every token of one character, the arrows and the
+# suspension, letters and digits (some not ASCII), the characters words
+# are made of, comments, blanks, and characters that start no token
+TOKEN_PIECES = sorted(S._PUNCT) + [
+    "->", "→", "Σ", "S", "comp", "in", "x", "Z", "é", "²", "٣", "0", "7",
+    "_", ".", "/", "#", "# note\n", " ", "\t", "\r", "\n",
+    "-", "@", "\x0b",
+]
+
+
+def tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text, "t")
+    except ParseError as e:
+        return (e.message, e.span, e.expected)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=12).map("".join))
+def test_tokens_agree_with_the_reference(text):
+    assert tokens_or_error(S.tokenize, text) == tokens_or_error(specs.tokenize, text)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +189,143 @@ def test_labelling_args_with_type_part():
 @pytest.mark.parametrize("text", ["comp<* | {f}>", "comp(* | f)"], ids=["label", "sub"])
 def test_base_type_part(text):
     assert strip_spans(parse_term(text)).args.ty == RStar()
+
+
+def block_spans(t: RawTree, text: str) -> list[str]:
+    """The text under the span of each labelling block of t, the whole
+    labelling first and then its branches' blocks depth first; every other
+    index of t must carry the synthesized span."""
+    out = []
+    starts = set()
+
+    def walk(s: Tree, o: int) -> None:
+        starts.add(o)
+        span = t.span_at(o)
+        out.append(text[span.start : span.end])
+        for b, off in zip(s.branches, path_table(s).offsets):
+            walk(b, o + off)
+
+    walk(t.shape(), 0)
+    assert all(t.span_at(o) == S.SYNTH for o in range(len(t.entries)) if o not in starts)
+    return out
+
+
+@pytest.mark.parametrize(
+    "text, blocks",
+    [
+        ("comp<x{f{a}g}y{h}z>", ["x{f{a}g}y{h}z", "f{a}g", "a", "h"]),
+        ("comp<{}{{a}{b}}>", ["{}{{a}{b}}", "", "{a}{b}", "a", "b"]),
+        ("comp[f, [a, b], x{g}y]", ["[f, [a, b], x{g}y]", "f", "[a, b]", "a", "b", "x{g}y", "g"]),
+        ("comp[[[f]], g]", ["[[[f]], g]", "[[f]]", "[f]", "f", "g"]),
+        ("comp[]", ["[]"]),
+    ],
+)
+def test_parsed_labellings_keep_the_span_of_each_block(text, blocks):
+    t = parse_term(text).args.data
+    assert block_spans(t, text) == blocks
+
+
+def nested_application(depth: int, inner: str = "f(x, y)") -> str:
+    """f(f(…f(x, y)…, y), y), the innermost argument list written inner."""
+    t = inner
+    for _ in range(depth - 1):
+        t = f"f({t}, y)"
+    return t
+
+
+def count_term_atoms(monkeypatch, text: str, depth: int) -> tuple:
+    """The result or error of parsing text and the number of terms parsed;
+    past 100 terms per nesting level the parse stops with an assertion."""
+    calls = 0
+    atom = S._Parser.term_atom
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        assert calls <= 100 * depth, f"over {100 * depth} terms parsed at depth {depth}"
+        return atom(self)
+
+    monkeypatch.setattr(S._Parser, "term_atom", counted)
+    try:
+        out = parse_term(text)
+    except ParseError as e:
+        out = e
+    return out, calls
+
+
+def test_nested_application_parses_in_linear_work(monkeypatch):
+    # the leading type part of an argument list is tried first and reads
+    # the first argument as the source of an arrow; parsing that argument
+    # again at every level made the work double per level
+    counts = {}
+    for depth in (32, 64):
+        t, counts[depth] = count_term_atoms(monkeypatch, nested_application(depth), depth)
+        assert isinstance(t, RApp)
+    assert counts[64] / counts[32] <= 2.5
+
+
+def test_malformed_nested_application_fails_in_linear_work(monkeypatch):
+    counts = {}
+    for depth in (32, 64):
+        text = nested_application(depth, "f(x,)")
+        e, counts[depth] = count_term_atoms(monkeypatch, text, depth)
+        assert isinstance(e, ParseError)
+        assert str(e) == "unexpected ')' (expected one of: term)"
+        bad = text.index("x,)") + 2
+        assert (e.span.start, e.span.end) == (bad, bad + 1)
+    assert counts[64] / counts[32] <= 2.5
+
+
+# the least recursion limit at which parse_term reads each text, found by
+# bisection in a fresh interpreter
+PARSE_DEPTH = """
+import sys
+from cattkernel import surface as R
+
+def least_limit(text):
+    lo, hi = 30, 5000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        sys.setrecursionlimit(mid)
+        try:
+            R.parse_term(text)
+            hi = mid
+        except RecursionError:
+            lo = mid + 1
+        finally:
+            sys.setrecursionlimit(5000)
+    return lo
+
+for text in sys.argv[1:]:
+    print(least_limit(text))
+"""
+
+
+def test_parse_depth_budget():
+    # frames per nesting level of a left-nested composite, written with a
+    # square-bracket labelling and as an application of a binary composite
+    def square(n: int) -> str:
+        t = "f0"
+        for i in range(1, n):
+            t = f"comp[{t}, f{i}]"
+        return t
+
+    def applied(n: int) -> str:
+        t = "f0"
+        for i in range(1, n):
+            t = f"comp1({t}, f{i})"
+        return t
+
+    texts = [square(64), square(128), applied(64), applied(128)]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSE_DEPTH, *texts],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sq64, sq128, app64, app128 = map(int, proc.stdout.split())
+    assert (sq128 - sq64) / 64 <= 5
+    assert (app128 - app64) / 64 <= 4
 
 
 # ---------------------------------------------------------------------------
