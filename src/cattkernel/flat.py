@@ -89,15 +89,16 @@ FlatTerm = Union[Var, Coh]
 
 
 class FlatCtx(Record):
-    """A context.  Four slots outside the fields keep facts of it, each
+    """A context.  Five slots outside the fields keep facts of it, each
     worked out at its first use: ``_dyck`` and ``_tree``, what ``pasting``
     recognises in it (at the first ``ctx_to_dyck`` and ``ctx_to_tree``),
     ``_disc``, n if it is the disc context D^n and ``False`` if it is no
-    disc (at the first ``disc_dim``), and ``_susp``, its suspension (at the
-    first ``suspend_ctx``), which keeps facts of its own.  Equality and
+    disc (at the first ``disc_dim``), ``_susp``, its suspension (at the
+    first ``suspend_ctx``), which keeps facts of its own, and ``_id``, its
+    identity substitution (at the first ``identity_sub``).  Equality and
     repr see the entries alone."""
 
-    __slots__ = ("entries", "_dyck", "_tree", "_disc", "_susp")
+    __slots__ = ("entries", "_dyck", "_tree", "_disc", "_susp", "_id")
     _fields = ("entries",)
     entries: tuple[FlatType, ...]
 
@@ -107,6 +108,7 @@ class FlatCtx(Record):
         object.__setattr__(self, "_tree", None)
         object.__setattr__(self, "_disc", None)
         object.__setattr__(self, "_susp", None)
+        object.__setattr__(self, "_id", None)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -171,6 +173,10 @@ def _sub_tm(t: FlatTerm, sigma: FlatSub) -> FlatTerm:
             raise MalformedSyntax(f"variable v{t.idx} out of range for substitution of arity {n}")
         return sigma.terms[n - 1 - t.idx]
     if isinstance(sigma.ty, Star):
+        # the identity of its context, as flattening makes every head:
+        # composing it with sigma gives sigma back
+        if t.sub is t.ctx._id and len(sigma.terms) == len(t.sub.terms):
+            return Coh(t.ctx, t.ty, sigma)
         return Coh(t.ctx, t.ty, compose(t.sub, sigma))
     # extended substitution: suspend the head and unrestrict the argument
     susp = Coh(
@@ -259,9 +265,24 @@ def _wk_tm(t: FlatTerm) -> FlatTerm:
     return Coh(t.ctx, t.ty, weaken(t.sub))
 
 
+# Var(k) at index k, shared by every identity substitution.
+_VARS: list[Var] = []
+
+
+def variables(n: int) -> tuple[Var, ...]:
+    """The variables of a context of length n, by position: Var(n - 1) to
+    Var(0)."""
+    _VARS.extend(Var(k) for k in range(len(_VARS), n))
+    return tuple(reversed(_VARS[:n]))
+
+
 def identity_sub(g: FlatCtx) -> FlatSub:
-    n = len(g)
-    return FlatSub(STAR, tuple(Var(n - 1 - p) for p in range(n)))
+    """The identity substitution of g, built once and kept in g."""
+    s = g._id
+    if s is None:
+        s = FlatSub(STAR, variables(len(g)))
+        object.__setattr__(g, "_id", s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +526,17 @@ def _include_component(r: Tree, k: int, inner_size: int, e: FlatTerm) -> FlatTer
     return substitute(suspend_tm(e, inner_size), _inclusion_sub(r, k, 1))
 
 
+# Bounded like standard_type: it depends on three interned trees alone, so
+# the oracle's insertions and the recursion below build each once.
+@lru_cache(maxsize=128)
 def exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
     """The labelling of s over the realisation of the tree that inserting t
     at the branch p makes."""
+    return _exterior_label(s, p, t)
+
+
+def _exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
+    """Build ``exterior_label(s, p, t)``."""
     r = T.insert_tree(s, p, t)
     k = p[0]
     if len(p) == 1:

@@ -62,6 +62,11 @@ class Step(Record):
     rule: str  # dr | ecr | prune | insert | cell
     where: tuple
 
+    def __init__(self, term: FlatTerm, rule: str, where: tuple):
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "where", where)
+
 
 # ---------------------------------------------------------------------------
 # single steps
@@ -120,15 +125,12 @@ def _prune_steps(t: Coh) -> Iterator[Step]:
     d = P.ctx_to_dyck(t.ctx)
     if d is None:
         return
-    for p in P.peaks(d):
-        if not F.is_identity(F.substitute(P.peak_var(d, p), t.sub)):
+    terms = t.sub.terms
+    for p, pos in P.peak_table(d):
+        if not F.is_identity(terms[pos]):
             continue
-        d2, proj = P.prune(d, p)
-        reduct = Coh(
-            P.dyck_realise(d2)[0],
-            F.substitute(t.ty, proj),
-            P.prune_sub(t.sub, d, p),
-        )
+        ctx, proj = P.pruned(d, p)
+        reduct = Coh(ctx, F.substitute(t.ty, proj), P.prune_sub(t.sub, d, p))
         yield Step(reduct, "prune", ("head", p.pos))
 
 

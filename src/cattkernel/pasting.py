@@ -1,5 +1,9 @@
 """Pasting contexts: recognition, Dyck words and the trees they describe,
-peaks, and pruning."""
+peaks, and pruning.
+
+A Dyck word keeps the table of its peaks and, for each peak pruned once,
+the pruned context and its projection, so the oracle builds each at most
+once per word."""
 
 from __future__ import annotations
 
@@ -12,9 +16,13 @@ DOWN = "D"
 
 
 class DyckWord(Record):
-    """Up/down move sequence; every prefix has at least as many ups as downs."""
+    """Up/down move sequence; every prefix has at least as many ups as downs.
+    Two slots outside the fields keep its peak table (at the first
+    ``peak_table``) and its pruned contexts, by peak (at each first
+    ``pruned``)."""
 
-    __slots__ = ("moves",)
+    __slots__ = ("moves", "_peaks", "_pruned")
+    _fields = ("moves",)
     moves: tuple[str, ...]
 
     def __init__(self, moves: tuple[str, ...]):
@@ -24,6 +32,8 @@ class DyckWord(Record):
             if depth < 0:
                 raise F.MalformedSyntax("negative prefix in Dyck word")
         object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "_peaks", None)
+        object.__setattr__(self, "_pruned", None)
 
     def __repr__(self) -> str:
         return "Dyck(" + "".join(self.moves) + ")"
@@ -173,11 +183,47 @@ def prune(d: DyckWord, p: Peak) -> tuple[DyckWord, FlatSub]:
     prefix = d.moves[: p.pos]
     suffix = d.moves[p.pos + 2 :]
     ctx_e, ty_e, tm_e = dyck_realise(DyckWord(prefix))
-    terms = F.identity_sub(ctx_e).terms + (tm_e, F.canonical_identity(ty_e, tm_e))
-    for m in suffix:
-        if m == UP:
-            terms = tuple(F.weaken(F.weaken(t)) for t in terms) + (Var(1), Var(0))
+    # the cells of the prefix and of the suffix keep their variables, and
+    # the peak's two go to the peak's target and its identity, each
+    # weakened past the k cells that the suffix adds
+    m, k = len(ctx_e), 2 * suffix.count(UP)
+    for _ in range(k):
+        ty_e, tm_e = F.weaken(ty_e), F.weaken(tm_e)
+    cells = F.variables(m + k)
+    terms = cells[:m] + (tm_e, F.canonical_identity(ty_e, tm_e)) + cells[m:]
     return DyckWord(prefix + suffix), FlatSub(STAR, terms)
+
+
+def peak_table(d: DyckWord) -> tuple[tuple[Peak, int], ...]:
+    """Each peak of d with the position of its argument in a substitution
+    out of the realised context; built once and kept in d."""
+    table = d._peaks
+    if table is None:
+        table = tuple((p, _peak_entry_pos(d, p)) for p in peaks(d))
+        object.__setattr__(d, "_peaks", table)
+    return table
+
+
+def pruned(d: DyckWord, p: Peak) -> tuple[FlatCtx, FlatSub]:
+    """The context of the word that pruning p from d leaves, with the
+    projection from d's context to it; built once per peak and kept in d.
+    The context is the realisation of the pruned word's tree, shared with
+    ``flat.tree_to_ctx``, and is given the word and the tree it presents."""
+    kept = d._pruned
+    if kept is None:
+        kept = {}
+        object.__setattr__(d, "_pruned", kept)
+    hit = kept.get(p.pos)
+    if hit is None:
+        d2, proj = prune(d, p)
+        tree = dyck_to_tree(d2)
+        g = F.tree_to_ctx(tree)
+        if g._dyck is None:
+            object.__setattr__(g, "_dyck", d2)
+        if g._tree is None:
+            object.__setattr__(g, "_tree", tree)
+        hit = kept[p.pos] = (g, proj)
+    return hit
 
 
 def prune_sub(sigma: FlatSub, d: DyckWord, p: Peak) -> FlatSub:

@@ -28,11 +28,12 @@ class Record:
     A subclass lists its attributes in ``__slots__``.  Its fields are those
     slots, or the ``_fields`` it names when further slots hold values
     derived from the fields (as ``Tree`` keeps its height); equality, the
-    hash and the repr see the fields alone.  Records of different classes
-    are never equal.  The constructor takes the fields by position or by
-    keyword, with the values in ``_defaults`` for fields left out; classes
-    built on hot paths define a straight-line ``__init__`` instead, and
-    ``Tree``, which is interned, a ``__new__``.
+    hash and the repr see the fields alone.  A record equals itself without
+    a look at its fields, and records of different classes are never equal.
+    The constructor takes the fields by position or by keyword, with the
+    values in ``_defaults`` for fields left out; classes built on hot paths
+    define a straight-line ``__init__`` instead, and ``Tree``, which is
+    interned, a ``__new__``.
     """
 
     __slots__ = ()
@@ -65,6 +66,8 @@ class Record:
             raise TypeError(f"{type(self).__name__} has no field {min(kwargs)}")
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             values = self._values
             return values(self) == values(other)

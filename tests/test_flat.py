@@ -1,5 +1,6 @@
 """Substitution calculus, suspension, discs, and supports."""
 
+import pytest
 from hypothesis import given, settings
 
 from cattkernel import flat as F
@@ -198,6 +199,40 @@ def test_identity_sub_is_unit(ct):
 def test_identity_left_unit(sigma):
     ident = F.identity_sub(FlatCtx((STAR, STAR, STAR)))
     assert F.compose(ident, sigma) == sigma
+
+
+def test_identity_sub_is_kept_in_its_context():
+    ctx = _chain_ctx(2)
+    assert F.identity_sub(ctx) is F.identity_sub(ctx)
+    assert F.identity_sub(FlatCtx(ctx.entries)) == F.identity_sub(ctx)
+
+
+@settings(max_examples=60)
+@given(S.subs(5, 3, extended=False), S.terms(3))
+def test_substituting_into_an_identity_head_skips_composition(sigma, extra):
+    # a head over its context's kept identity takes sigma as it is, where
+    # composing the identity with sigma gives the same coherence
+    comp = _one_comp()
+    composed = Coh(comp.ctx, comp.ty, F.compose(comp.sub, sigma))
+    compose = F.compose
+    try:
+        F.compose = None  # the shortcut composes nothing
+        out = F.substitute(comp, sigma)
+    finally:
+        F.compose = compose
+    assert out == composed and out.sub is sigma
+    # an equal identity that is not the kept one takes the old path
+    fresh = Coh(comp.ctx, comp.ty, FlatSub(STAR, comp.sub.terms))
+    assert F.substitute(fresh, sigma) == composed
+    # a longer sigma composes as before, and a shorter one still fails
+    longer = FlatSub(STAR, (extra,) + sigma.terms)
+    assert F.substitute(comp, longer) == Coh(
+        comp.ctx, comp.ty, F.compose(comp.sub, longer)
+    ) == composed
+    shorter = FlatSub(STAR, sigma.terms[1:])
+    for bad in (comp, fresh):
+        with pytest.raises(F.MalformedSyntax):
+            F.substitute(bad, shorter)
 
 
 @settings(max_examples=100)

@@ -1,6 +1,7 @@
 """Small-step reduction: rules, traces, complexity, confluence sampling."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -432,6 +433,42 @@ def test_insertion_search_builds_no_labelling_without_an_insertable_argument(mon
     # and the argument's are built
     assert len(list(O._insert_steps(left))) == 1
     assert calls == 2
+
+
+def test_normalising_again_builds_no_pasting_construction(monkeypatch):
+    # a second normalisation of the same terms finds every pruned context,
+    # projection and exterior labelling built by the first; the caches
+    # start empty, so the first builds some whatever ran before
+    for cache in (F.tree_to_ctx, F.standard_coh, F.exterior_label):
+        cache.cache_clear()
+    built = Counter()
+
+    def counting(module, name):
+        f = getattr(module, name)
+
+        def counted(*args):
+            built[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [
+        (P, "prune"), (P, "dyck_realise"), (P, "dyck_to_tree"), (P, "_scan"),
+        (F, "_exterior_label"),
+    ]:
+        counting(module, name)
+    _, chain, _ = pruning_chain()
+    cases = [(chain, SU)] + [
+        (typed_flat_term(seed, config), rules)
+        for seed in range(6)
+        for rules, config in [(SU, N.SU), (SUA, N.SUA)]
+    ]
+    for t, rules in cases:
+        first = O.normalise(t, rules)
+        before = built.copy()
+        assert O.normalise(t, rules) == first
+        assert built == before, t
+    assert built["prune"] > 0 and built["_exterior_label"] > 0
 
 
 def test_flattened_composites_share_one_coherence():

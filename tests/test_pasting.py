@@ -243,6 +243,25 @@ def test_pruning_commutes():
             )
 
 
+def test_peak_table_and_pruned_contexts_agree_with_pruning():
+    # every tree with at most 5 edges, by its Dyck word
+    for d in all_dyck_words(10, trailing_zero=True):
+        ctx = P.dyck_realise(d)[0]
+        table = P.peak_table(d)
+        assert P.peak_table(d) is table
+        assert [p for p, _ in table] == P.peaks(d)
+        for p, pos in table:
+            assert pos == len(ctx) - 1 - P.peak_var(d, p).idx
+            g, proj = P.pruned(d, p)
+            assert P.pruned(d, p) == (g, proj) and P.pruned(d, p)[0] is g
+            d2, pi = P.prune(d, p)
+            assert g == P.dyck_realise(d2)[0] and proj == pi
+            # the context is the shared realisation of its tree, and it
+            # keeps the word and the tree it presents
+            assert g is F.tree_to_ctx(P.dyck_to_tree(d2))
+            assert P.ctx_to_dyck(g) == d2 and P.ctx_to_tree(g) == P.dyck_to_tree(d2)
+
+
 def test_projection_support_is_full():
     for d in all_dyck_words(8):
         for p in P.peaks(d):

@@ -812,6 +812,19 @@ def test_interior_after_inserted_labelling():
         assert composed == iota
 
 
+def test_kept_exterior_labelling_equals_a_fresh_build(monkeypatch):
+    # every insertion point of a tree with at most 5 edges; the fresh build
+    # recurses through the builder, with nothing kept
+    points = list(insertion_points(6))
+    kept = []
+    for s, p, t in points:
+        kept.append(F.exterior_label(s, p, t))
+        assert F.exterior_label(s, p, t) is kept[-1]
+    monkeypatch.setattr(F, "exterior_label", F._exterior_label)
+    for (s, p, t), k in zip(points, kept):
+        assert F._exterior_label(s, p, t) == k
+
+
 def test_branch_ambiguity():
     for s in all_trees(6):
         branches = T.all_branches(s)
@@ -906,6 +919,18 @@ def test_records_of_different_classes_are_unequal():
     examples = [example(cls) for cls in record_classes() if cls not in CHECKED]
     for x, y in itertools.combinations(examples, 2):
         assert x != y and not x == y, (x, y)
+
+
+def test_a_record_equals_itself_without_reading_its_fields():
+    class Unequal:
+        def __eq__(self, other):
+            raise AssertionError("compared")
+
+    # one field, so equality would compare the field values themselves
+    x = F.Var(Unequal())
+    assert x == x and not x != x
+    with pytest.raises(AssertionError):
+        x == F.Var(Unequal())
 
 
 def test_record_constructor_and_repr():
