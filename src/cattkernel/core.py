@@ -130,7 +130,7 @@ def flatten_tm(x: CoreTerm, amb: Ambient) -> F.FlatTerm:
         return F.standard_coh(x.tree, x.tree.height)
     if isinstance(x, CApp):
         data = x.args.data
-        inner_amb = data.shape() if isinstance(data, LTree) else len(data)
+        inner_amb = data.shape if isinstance(data, LTree) else len(data)
         return F.substitute(flatten_tm(x.term, inner_amb), flatten_args(x.args, amb))
     if isinstance(x, CSusp):
         inner_amb = _unsuspend(amb)
@@ -184,7 +184,7 @@ class Names:
         # names: a sequence for a list context, an LTree for a tree context
         self.names = names
         self.fallback: dict = {}
-        self._taken = set(names.values()) if isinstance(names, LTree) else set()
+        self._taken = set(names.entries) if isinstance(names, LTree) else set()
 
     def __call__(self, pos) -> str:
         if not isinstance(pos, tuple):
@@ -237,14 +237,14 @@ def _raw_label(lab: CArgs, nm: Names, keep_implicits: bool) -> R.RArgs:
     if keep_implicits and not isinstance(lab.ty, CStar):
         ty = to_raw(lab.ty, nm, True)
     lt = lab.data
-    es = lt.values()
+    es = lt.entries
     if keep_implicits:
         entries = tuple(to_raw(e, nm, True) for e in es)
     else:
         # only the entries at maximal paths are shown; every other entry
         # of a labelling is implicit
         shown = [None] * len(es)
-        for i in T.path_table(lt.shape()).maximal:
+        for i in T.path_table(lt.shape).maximal:
             shown[i] = to_raw(es[i], nm, False)
         entries = tuple(shown)
-    return R.RArgs(R.RawTree.from_entries(lt.shape(), entries), ty)
+    return R.RArgs(R.RawTree(lt.shape, entries), ty)

@@ -178,13 +178,14 @@ def _sub_tm(t: FlatTerm, sigma: FlatSub) -> FlatTerm:
         if t.sub is t.ctx._id and len(sigma.terms) == len(t.sub.terms):
             return Coh(t.ctx, t.ty, sigma)
         return Coh(t.ctx, t.ty, compose(t.sub, sigma))
-    # extended substitution: suspend the head and unrestrict the argument
-    susp = Coh(
-        suspend_ctx(t.ctx),
-        suspend_ty(t.ty, len(t.ctx)),
-        suspend_sub(t.sub, len(sigma.terms)),
-    )
-    return _sub_tm(susp, unrestrict(sigma))
+    # extended substitution: suspend the head and unrestrict the argument;
+    # the kept identity suspends to the suspended context's kept identity
+    g = suspend_ctx(t.ctx)
+    if t.sub is t.ctx._id and len(sigma.terms) == len(t.ctx):
+        sub = identity_sub(g)
+    else:
+        sub = suspend_sub(t.sub, len(sigma.terms))
+    return _sub_tm(Coh(g, suspend_ty(t.ty, len(t.ctx)), sub), unrestrict(sigma))
 
 
 def compose(tau: FlatSub, sigma: FlatSub) -> FlatSub:
@@ -436,7 +437,7 @@ def label_to_sub(lt: LTree, ty: FlatType = STAR) -> FlatSub:
     """The substitution a labelling of terms realises as, with type part
     ty."""
     es = lt.entries
-    return FlatSub(ty, tuple([es[i] for i in _cell_order(lt.shape())]))
+    return FlatSub(ty, tuple([es[i] for i in _cell_order(lt.shape)]))
 
 
 def label_from_sub(t: Tree, sigma: FlatSub) -> LTree:
@@ -447,7 +448,7 @@ def label_from_sub(t: Tree, sigma: FlatSub) -> LTree:
     entries = [None] * len(sigma.terms)
     for i, e in zip(_cell_order(t), sigma.terms):
         entries[i] = e
-    return LTree.from_entries(t, tuple(entries))
+    return LTree(t, tuple(entries))
 
 
 def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
@@ -457,7 +458,7 @@ def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
     while isinstance(a, Arrow):
         entries = (a.src, a.tgt) + entries
         a = a.base
-    return LTree.from_entries(T.linear_tree(len(entries) // 2), entries)
+    return LTree(T.linear_tree(len(entries) // 2), entries)
 
 
 def boundary_inclusion(t: Tree, n: int, eps: str) -> LTree:
@@ -566,7 +567,7 @@ def _exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
         else:
             sj = shifted(j)
             entries.extend(path_var(r, (sj,) + q) for q in T.path_table(sub).paths)
-    return LTree.from_entries(s, tuple(entries))
+    return LTree(s, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -142,11 +142,11 @@ def id_list_env(n: int) -> Env:
 def lift(env: Env) -> Env:
     """The environment for the unsuspended context."""
     if isinstance(env.data, LTree):
-        t = env.data.shape()
+        t = env.data.shape
         if len(t.branches) != 1:
             raise T.MalformedSyntax("environment is not a suspension")
         es = env.data.entries
-        inner = LTree.from_entries(t.branches[0], es[2:])
+        inner = LTree(t.branches[0], es[2:])
     else:
         es = env.data
         inner = es[2:]
@@ -161,10 +161,10 @@ def lower(env: Env) -> LTree:
     lt = env.data
     if not env.ty:
         return lt
-    tree, pairs = lt.shape(), ()
+    tree, pairs = lt.shape, ()
     for s, t in env.ty:
         tree, pairs = T.suspend_tree(tree), (s, t) + pairs
-    return LTree.from_entries(tree, pairs + lt.entries)
+    return LTree(tree, pairs + lt.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def eval_nf_ty(cfg: EvalConfig, b: NfType, env: Env) -> NfType:
 
 def disc_label(b: NfType, x: NfTerm) -> LTree:
     """The labelling of the disc tree that classifies a term x of type b."""
-    return lower(Env(LTree.from_entries(T.LEAF, (x,)), b))
+    return lower(Env(LTree(T.LEAF, (x,)), b))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def exterior(cfg: EvalConfig, s: Tree, p: T.Branch, t: Tree) -> LTree:
         else:
             sj = shifted(j)
             entries.extend(NVar((sj,) + q) for q in T.path_table(sub).paths)
-    return LTree.from_entries(s, tuple(entries))
+    return LTree(s, tuple(entries))
 
 
 def _eval_head(
@@ -342,7 +342,7 @@ def _eval_head(
             if b is not None:
                 b = eval_nf_ty(cfg, b, Env(exterior(cfg, s, p, t)))
             lt = T.insert_ltree(lt, p, m)
-            s = lt.shape()
+            s = lt.shape
     if b is None:
         b = standard_nf_type(cfg, s, comp_dim)
     return _classify(cfg, s, b, lt)
@@ -444,7 +444,7 @@ def _size_head(h: Head) -> int:
 
 
 def _size_label(lt: LTree) -> int:
-    return sum(size_tm(e) for e in lt.values())
+    return sum(size_tm(e) for e in lt.entries)
 
 
 def size_ty(b: NfType) -> int:
@@ -463,7 +463,7 @@ def nf_vars(x) -> set:
         return nf_vars(x.label)
     if isinstance(x, LTree):
         out: set = set()
-        for e in x.values():
+        for e in x.entries:
             out |= nf_vars(e)
         return out
     if isinstance(x, tuple):  # NfType

@@ -175,7 +175,7 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
         kappa = F.label_to_sub(F.exterior_label(s, p, tree))
         merged = T.insert_ltree(lab, p, F.label_from_sub(tree, m_sub))
         reduct = Coh(
-            F.tree_to_ctx(merged.shape()),
+            F.tree_to_ctx(merged.shape),
             F.substitute(t.ty, kappa),
             F.label_to_sub(merged, t.sub.ty),
         )

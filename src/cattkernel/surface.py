@@ -58,33 +58,23 @@ class RawNode(Record):
 
 
 class RawTree(LTree):
-    """A labelling of optional entries, as written: an LTree with its own
-    span and its branches' spans.  The spans are kept beside the entries,
-    the span of each labelling at the index where its block starts and
-    SYNTH at every other index."""
+    """A labelling of optional entries, as written: an LTree whose third
+    field, ``spans``, keeps the span of each labelling at the index where
+    its block starts and SYNTH at every other index (every index if no
+    spans are given).  ``RawTree(shape, entries, spans=None)`` is its one
+    constructor, and a branch view keeps its block of spans.  Equality and
+    the hash are ``Record``'s, over all three fields."""
 
-    __slots__ = ("_spans",)
-    _fields = ("elements", "branches", "span")
-    branches: tuple["RawTree", ...]
+    __slots__ = ("spans",)
+    _fields = ("shape", "entries", "spans")
+    spans: tuple
 
-    def __init__(
-        self, elements: tuple, branches: tuple["RawTree", ...] = (), span: Span = SYNTH
-    ):
-        if len(elements) != len(branches) + 1:
-            raise ValueError("tree shape mismatch")
-        LTree.__init__(self, elements, branches)
-        spans = (span,) + (SYNTH,) * len(branches)
-        for b in branches:
-            spans += b._spans
-        object.__setattr__(self, "_spans", spans)
+    def __init__(self, shape: Tree, entries: tuple, spans: Optional[tuple] = None):
+        LTree.__init__(self, shape, entries)
+        object.__setattr__(self, "spans", spans or (SYNTH,) * len(entries))
 
-    @classmethod
-    def from_entries(
-        cls, t: Tree, entries: tuple, spans: Optional[tuple] = None
-    ) -> "RawTree":
-        out = super().from_entries(t, entries)
-        object.__setattr__(out, "_spans", spans or (SYNTH,) * len(entries))
-        return out
+    __eq__ = Record.__eq__
+    __hash__ = Record.__hash__
 
     @property
     def span(self) -> Span:
@@ -92,23 +82,11 @@ class RawTree(LTree):
 
     def span_at(self, o: int) -> Span:
         """The span of the labelling whose block starts at index o."""
-        return self._spans[o]
+        return self.spans[o]
 
     def _block(self, b: Tree, o: int) -> "RawTree":
         end = o + b._ctx_size
-        return self.from_entries(b, self.entries[o:end], self._spans[o:end])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self._shape is other._shape
-                and self.entries == other.entries
-                and self._spans == other._spans
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._shape, self.entries, self._spans))
+        return RawTree(b, self.entries[o:end], self.spans[o:end])
 
 
 class RVar(RawNode):
@@ -368,7 +346,7 @@ def _block(elements: list, branches: list, span: Span) -> tuple:
 
 def _raw_tree(block: tuple) -> RawTree:
     shape, entries, spans = block
-    return RawTree.from_entries(shape, tuple(entries), tuple(spans))
+    return RawTree(shape, tuple(entries), tuple(spans))
 
 
 class _Parser:
@@ -749,7 +727,7 @@ def _pretty_base(a: RawType) -> str:
 
 
 def pretty_tree(t: RawTree) -> str:
-    es = t.values()
+    es = t.entries
 
     def block(s: Tree, o: int) -> str:
         # the block of the subtree s starts at index o of the entries
@@ -761,7 +739,7 @@ def pretty_tree(t: RawTree) -> str:
         out.append(_pretty_entry(es[o + len(s.branches)]))
         return "".join(out)
 
-    return block(t.shape(), 0)
+    return block(t.shape, 0)
 
 
 def _pretty_entry(e) -> str:

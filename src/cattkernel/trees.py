@@ -287,89 +287,63 @@ def ctx_size(t: Tree) -> int:
 
 
 class LTree(Record):
-    """A labelling of a tree: one entry per path.  It holds its tree (the
-    shape) and the tuple of its entries in ``all_paths`` order, so each
-    branch's entries are one block of that tuple, which starts at the
-    branch's offset in the tree's ``PathTable``.
+    """A labelling of a tree: one entry per path.  Its fields are its tree,
+    ``shape``, and ``entries``, the tuple of its entries in ``all_paths``
+    order, so each branch's entries are one block of that tuple, which
+    starts at the branch's offset in the tree's ``PathTable``.
+    ``LTree(shape, entries)`` is its one constructor; ``from_fn`` and
+    ``map`` go through it.
 
-    The fields are the nested view: ``elements``, the entries of the
-    0-cells, and ``branches``, one labelling per branch, built at the first
-    read and kept.  ``LTree(elements, branches)`` builds a labelling from
-    that view; ``from_entries``, ``from_fn`` and ``map`` build one from a
-    tree and its entries.  Equality and the hash see the shape, by
-    identity, and the entries.
+    ``elements``, the entries of the 0-cells, and ``branches``, one
+    labelling per branch, are read-only views built at each read; the
+    benchmark's n-ary check and the tests read them.  Equality sees the
+    shape, by identity, and the entries: it is written out because
+    labellings are compared on hot paths.
     """
 
-    __slots__ = ("_shape", "entries", "_branches")
-    _fields = ("elements", "branches")
+    __slots__ = ("shape", "entries")
+    shape: Tree
     entries: tuple
 
-    def __init__(self, elements: tuple, branches: tuple["LTree", ...] = ()):
-        if len(elements) != len(branches) + 1:
+    def __init__(self, shape: Tree, entries: tuple):
+        if len(entries) != shape._ctx_size:
             raise MalformedSyntax("labelling shape mismatch")
-        entries = tuple(elements)
-        for b in branches:
-            entries += b.entries
-        object.__setattr__(self, "_shape", Tree(tuple(b._shape for b in branches)))
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_branches", branches)
-
-    @classmethod
-    def from_entries(cls, t: Tree, entries: tuple) -> "LTree":
-        """The labelling of t with these entries, in ``all_paths`` order."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "_shape", t)
-        object.__setattr__(out, "entries", entries)
-        return out
 
     @classmethod
     def from_fn(cls, t: Tree, f: Callable[[Path], Any]) -> "LTree":
         """The labelling of t whose entry at each path p is f(p)."""
-        return cls.from_entries(t, tuple(map(f, path_table(t).paths)))
-
-    def shape(self) -> Tree:
-        return self._shape
+        return cls(t, tuple(map(f, path_table(t).paths)))
 
     @property
     def elements(self) -> tuple:
-        return self.entries[: len(self._shape.branches) + 1]
+        return self.entries[: len(self.shape.branches) + 1]
 
     @property
     def branches(self) -> tuple["LTree", ...]:
-        try:
-            return self._branches
-        except AttributeError:
-            pass
-        t = self._shape
-        out = tuple(
-            self._block(b, o) for b, o in zip(t.branches, path_table(t).offsets)
-        )
-        object.__setattr__(self, "_branches", out)
-        return out
+        t = self.shape
+        offsets = path_table(t).offsets
+        return tuple(self._block(b, o) for b, o in zip(t.branches, offsets))
 
     def _block(self, b: Tree, o: int) -> "LTree":
         """The labelling of the branch b whose block starts at o."""
-        return self.from_entries(b, self.entries[o : o + b._ctx_size])
+        return LTree(b, self.entries[o : o + b._ctx_size])
 
     def lookup(self, p: Path):
-        t = self._shape
+        t = self.shape
         return self.entries[(t._table or path_table(t)).index[p]]
-
-    def values(self) -> tuple:
-        """The entries, in ``all_paths`` order."""
-        return self.entries
 
     def map(self, f: Callable) -> "LTree":
         """The labelling of the images; it keeps the shape."""
-        return self.from_entries(self._shape, tuple(map(f, self.entries)))
+        return self.__class__(self.shape, tuple(map(f, self.entries)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._shape is other._shape and self.entries == other.entries
+            return self.shape is other.shape and self.entries == other.entries
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self._shape, self.entries))
+    __hash__ = Record.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +397,7 @@ def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
     """Splice the labelling of the inserted tree into the host labelling;
     the image of the branch itself is never read.  The result's shape is
     the insertion of the two shapes."""
-    shape = insert_tree(lt._shape, p, m._shape)
+    shape = insert_tree(lt.shape, p, m.shape)
 
     def splice(es: tuple, s: Tree, q: Branch, ms: tuple, t: Tree) -> tuple:
         # es is the block of s and ms that of t: the 0-cells of t take the
@@ -438,4 +412,4 @@ def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
             mid = splice(es[o:end], s.branches[k], q[1:], ms[2:], t.branches[0])
         return es[:k] + ms[: nt + 1] + es[k + 2 : o] + mid + es[end:]
 
-    return LTree.from_entries(shape, splice(lt.entries, lt._shape, p, m.entries, m._shape))
+    return LTree(shape, splice(lt.entries, lt.shape, p, m.entries, m.shape))

@@ -63,7 +63,7 @@ class TreeCtx(Record):
 
     @property
     def tree(self) -> Tree:
-        return self.names.shape()
+        return self.names.shape
 
     @property
     def index(self) -> dict:
@@ -73,7 +73,7 @@ class TreeCtx(Record):
         out = getattr(self, "_index", None)
         if out is None:
             out = {}
-            for p, nm in zip(T.path_table(self.tree).paths, self.names.values()):
+            for p, nm in zip(T.path_table(self.tree).paths, self.names.entries):
                 if nm is not None:
                     out.setdefault(nm, p)
             object.__setattr__(self, "_index", out)
@@ -190,7 +190,7 @@ class Checker:
         if isinstance(raw, R.RCoh):
             return self.infer_coh(raw)
         if isinstance(raw, R.RId):
-            ctx = TreeCtx(LTree((None,), ()))
+            ctx = TreeCtx(LTree(T.LEAF, (None,)))
             ty = ((N.NVar((0,)), N.NVar((0,))),)
             return ctx, C.CId(0), ty
         if isinstance(raw, R.RSusp):
@@ -198,7 +198,8 @@ class Checker:
             # suspension, and the base type to the arrow between the poles
             ctx, t, ty = self.infer(raw.term)
             if isinstance(ctx, TreeCtx):
-                up: Ctx = TreeCtx(LTree((None, None), (ctx.names,)))
+                names = (None, None) + ctx.names.entries
+                up: Ctx = TreeCtx(LTree(T.suspend_tree(ctx.tree), names))
                 env = N.lift(ctx_id_env(up))
             else:
                 env = N.lift(N.id_list_env(len(ctx) + 2))
@@ -289,7 +290,7 @@ class Checker:
     def check_app(self, ctx: Ctx, raw: R.RApp) -> tuple:
         head, args = raw.term, raw.args
         if isinstance(head, R.RComp) and isinstance(args.data, R.RawTree):
-            shape = args.data.shape()
+            shape = args.data.shape
             lab, vals, lab_ty = self.check_label(ctx, args, shape)
             inner_ty = N.standard_nf_type(self.config, shape, shape.height)
             return self.apply(C.CComp(shape), inner_ty, lab, Env(vals, lab_ty))
@@ -344,7 +345,7 @@ class Checker:
     def check_label(self, ctx: Ctx, args: R.RArgs, shape: Tree) -> tuple:
         """Elaborate a labelling; return it with the labelling of its
         values and the type of its zero cells."""
-        if args.data.shape() is not shape:
+        if args.data.shape is not shape:
             raise CheckError(
                 "the labelling does not match the shape of the context",
                 args.data.span,
@@ -362,7 +363,7 @@ class Checker:
         """The core labelling, the labelling of its values, and the type of
         its zero cells; an omitted argument takes the endpoint value found
         in its neighbours' types."""
-        es = raw.values()
+        es = raw.entries
 
         def block(s: Tree, o: int) -> tuple:
             # the core entries and the values of the block of the subtree s,
@@ -420,8 +421,8 @@ class Checker:
 
         terms, vals, ty = block(shape, 0)
         return (
-            LTree.from_entries(shape, tuple(terms)),
-            LTree.from_entries(shape, tuple(vals)),
+            LTree(shape, tuple(terms)),
+            LTree(shape, tuple(vals)),
             ty,
         )
 
@@ -459,9 +460,9 @@ class Checker:
 def _tree_ctx(raw: R.RawTree, span: Span) -> TreeCtx:
     """The tree context a raw tree of names describes; each name is bound
     at most once."""
-    names = LTree.from_entries(raw.shape(), raw.values())
+    names = LTree(raw.shape, raw.entries)
     seen: set = set()
-    for nm in names.values():
+    for nm in names.entries:
         if nm is not None:
             if nm in seen:
                 raise CheckError(f"duplicate variable {nm!r}", span)

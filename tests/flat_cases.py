@@ -5,6 +5,7 @@ from cattkernel.core import path_name
 from cattkernel.flat import Arrow, Coh, FlatCtx, FlatSub, STAR, Var
 from cattkernel.trees import LEAF, LTree, Tree
 from cattkernel.typecheck import TreeCtx
+from specs import NestedLabel as NL
 
 CHAIN2 = Tree((LEAF, LEAF))
 CHAIN3 = Tree((LEAF, LEAF, LEAF))
@@ -17,7 +18,7 @@ def make_ctx(t: Tree) -> TreeCtx:
 
 def binary_comp(x, f, y, g, z) -> Coh:
     """The composite of two 1-cells, with the given boundary terms."""
-    lt = LTree((x, y, z), (LTree((f,), ()), LTree((g,), ())))
+    lt = NL((x, y, z), (NL((f,), ()), NL((g,), ()))).to_ltree()
     return Coh(
         F.tree_to_ctx(CHAIN2),
         F.standard_type(CHAIN2, 1),
@@ -59,11 +60,11 @@ def pruning_chain() -> tuple:
         FlatSub(STAR, (Var(6), Var(5), Var(4), Var(3), Var(2))),
     )
     fg_outer = F.weaken(fg_w)
-    inner = LTree(
+    inner = NL(
         (fg_outer, fg_outer, Var(1)),
-        (LTree((endo,), ()), LTree((Var(0),), ())),
+        (NL((endo,), ()), NL((Var(0),), ())),
     )
-    outer = LTree((Var(6), Var(3)), (inner,))
+    outer = NL((Var(6), Var(3)), (inner,)).to_ltree()
     term = Coh(
         F.tree_to_ctx(VERT),
         F.standard_type(VERT, 2),

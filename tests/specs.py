@@ -346,8 +346,9 @@ class NestedLabel:
         """The nested view of a labelling, read off its fields."""
         return cls(lt.elements, tuple(cls.of(b) for b in lt.branches))
 
-    def to_ltree(self) -> LTree:
-        return LTree(self.elements, tuple(b.to_ltree() for b in self.branches))
+    def to_ltree(self, cls=LTree) -> LTree:
+        """The flat labelling, of class cls, with these entries."""
+        return cls(self.shape(), tuple(self.values()))
 
     def __eq__(self, other) -> bool:
         return (self.elements, self.branches) == (other.elements, other.branches)
@@ -463,8 +464,8 @@ def label_sub(lt: LTree, sigma: FlatSub) -> LTree:
 
 def label_eq_max(a: LTree, b: LTree) -> bool:
     """Equality on maximal paths only."""
-    t = a.shape()
-    if t != b.shape():
+    t = a.shape
+    if t != b.shape:
         return False
     return all(a.lookup(p) == b.lookup(p) for p in T.maximal_paths(t))
 
@@ -496,7 +497,8 @@ def interior_label(s: Tree, p: Path, t: Tree) -> LTree:
     inner = interior_label(s.branches[k], p[1:], t.branches[0])
     size = T.ctx_size(T.insert_tree(s.branches[k], p[1:], t.branches[0]))
     branch = inner.map(lambda e: F._include_component(r, k, size, e))
-    return LTree((F.path_var(r, (k,)), F.path_var(r, (k + 1,))), (branch,))
+    ends = (F.path_var(r, (k,)), F.path_var(r, (k + 1,)))
+    return LTree(T.suspend_tree(branch.shape), ends + branch.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +581,11 @@ def strip_spans(x):
         kwargs = {}
         for f in x._fields:
             v = getattr(x, f)
-            kwargs[f] = R.SYNTH if f == "span" else strip_spans(v)
+            if f == "span":
+                v = R.SYNTH
+            elif f == "spans":  # a raw labelling's, one per entry
+                v = (R.SYNTH,) * len(v)
+            kwargs[f] = strip_spans(v)
         return type(x)(**kwargs)
     if isinstance(x, tuple):
         return tuple(strip_spans(v) for v in x)

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
+from cattkernel import core as C
 from cattkernel import flat as F
+from cattkernel import nbe as N
+from cattkernel import surface as R
 from cattkernel.flat import (
     STAR,
     Arrow,
@@ -12,6 +15,8 @@ from cattkernel.flat import (
     FlatSub,
     Var,
 )
+
+from cattkernel.typecheck import Checker, Signature
 
 import specs as SP
 import strategies as S
@@ -233,6 +238,56 @@ def test_substituting_into_an_identity_head_skips_composition(sigma, extra):
     for bad in (comp, fresh):
         with pytest.raises(F.MalformedSyntax):
             F.substitute(bad, shorter)
+
+
+def count_compose(monkeypatch) -> dict:
+    calls = {"compose": 0}
+    compose = F.compose
+
+    def counted(tau, sigma):
+        calls["compose"] += 1
+        return compose(tau, sigma)
+
+    monkeypatch.setattr(F, "compose", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ctx_text, term_text",
+    [("x{f{a}g{b}h}y", "comp[a, b]"), ("x{f{a{p}b{q}c}g}y", "comp[p, q]")],
+    ids=["once", "twice"],
+)
+def test_flattening_a_suspended_composite_composes_nothing(
+    monkeypatch, ctx_text, term_text
+):
+    # the head's kept identity suspends to the kept identity of the
+    # suspended context, so each level takes the unrestricted substitution
+    # as it is; suspending it to a fresh equal substitution composed it
+    # with the substitution term by term at the next level
+    ck = Checker(Signature(config=N.WEAK))
+    ctx = ck.elab_ctx(R.parse_ctx(ctx_text))
+    term, _ = ck.check(ctx, R.parse_term(term_text))
+    calls = count_compose(monkeypatch)
+    out = C.flatten_tm(term, ctx.tree)
+    assert calls["compose"] == 0
+    monkeypatch.undo()
+    # the same coherence as substituting into a head over an equal identity
+    # that is not the kept one, which composes
+    head = C.flatten_tm(term.term, term.args.data.shape)
+    sigma = C.flatten_args(term.args, ctx.tree)
+    fresh = Coh(head.ctx, head.ty, FlatSub(STAR, head.sub.terms))
+    calls = count_compose(monkeypatch)
+    assert F.substitute(fresh, sigma) == out
+    assert calls["compose"] > 0
+    # a longer sigma composes as before, and an empty one still fails, over
+    # either identity (a sigma only a few terms short goes through, on the
+    # old path as on the new)
+    longer = FlatSub(sigma.ty, (Var(0),) + sigma.terms)
+    assert F.substitute(head, longer) == F.substitute(fresh, longer)
+    shorter = FlatSub(sigma.ty, ())
+    for h in (head, fresh):
+        with pytest.raises(F.MalformedSyntax):
+            F.substitute(h, shorter)
 
 
 @settings(max_examples=100)

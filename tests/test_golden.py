@@ -32,7 +32,9 @@ RUNS = {
     "unital_su": ["--su", UNITAL],
     "associative_sua": ["--sua", ASSOCIATIVE],
     "associative_sua_oracle": ["--sua", "--oracle", ASSOCIATIVE],
+    "associative_keep_implicits_sua": ["--keep-implicits", "--sua", ASSOCIATIVE],
     "lists": [LISTS],
+    "lists_keep_implicits": ["--keep-implicits", LISTS],
     "lists_su_oracle": ["--su", "--oracle", LISTS],
     "lists_sua_oracle": ["--sua", "--oracle", LISTS],
 }

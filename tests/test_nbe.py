@@ -11,6 +11,7 @@ from cattkernel import trees as T
 from cattkernel.core import CArgs, CSusp, CVar
 from cattkernel.nbe import SU, SUA, WEAK, Env, NApp, NCoh, NComp, NId, NVar
 from cattkernel.trees import LEAF, LTree, Tree, linear_tree
+from specs import NestedLabel as NL
 
 CHAIN2 = Tree((LEAF, LEAF))
 CHAIN3 = Tree((LEAF, LEAF, LEAF))
@@ -57,9 +58,9 @@ def test_lift_list_env():
 
 
 def test_lower_folds_type_into_tree():
-    env = Env(LTree((NVar((0, 0)),), ()), ((NVar((0,)), NVar((1,))),))
+    env = Env(LTree(LEAF, (NVar((0, 0)),)), ((NVar((0,)), NVar((1,))),))
     lt = N.lower(env)
-    assert lt == LTree((NVar((0,)), NVar((1,))), (LTree((NVar((0, 0)),), ()),))
+    assert lt == NL((NVar((0,)), NVar((1,))), (NL((NVar((0, 0)),)),)).to_ltree()
 
 
 def test_suspension_evaluates_via_lift():
@@ -89,7 +90,7 @@ def test_weak_comp_is_inert():
 
 def test_weak_identity_head():
     nf = ev(WEAK, id_term(0, LEAF), N.id_env(LEAF))
-    assert nf == NApp(NId(0), LTree((NVar((0,)),), ()))
+    assert nf == NApp(NId(0), LTree(LEAF, (NVar((0,)),)))
 
 
 def test_coherence_with_standard_type_becomes_comp():
@@ -158,17 +159,17 @@ def test_pruning_removes_identity_argument():
     # vertical composite of a 2-cell with an identity on its target
     ident = NApp(
         NId(1),
-        LTree((NVar((0,)), NVar((2,))), (LTree((NVar((0, 1)),), ()),)),
+        NL((NVar((0,)), NVar((2,))), (NL((NVar((0, 1)),), ()),)).to_ltree(),
     )
-    data = LTree(
+    data = NL(
         (NVar((0,)), NVar((1,))),
         (
-            LTree(
+            NL(
                 (NVar((0, 0)), NVar((0, 1)), NVar((0, 1))),
-                (LTree((NVar((0, 0, 0)),), ()), LTree((ident,), ())),
+                (NL((NVar((0, 0, 0)),), ()), NL((ident,), ())),
             ),
         ),
-    )
+    ).to_ltree()
     nf = ev(SU, C.CComp(VERT), Env(data, ()))
     # pruning leaves a unary composite, then disc removal returns the cell
     assert nf == NVar((0, 0, 0))
@@ -177,17 +178,17 @@ def test_pruning_removes_identity_argument():
 def test_pruning_disabled_under_weak():
     ident = NApp(
         NId(1),
-        LTree((NVar((0,)), NVar((1,))), (LTree((NVar((0, 1)),), ()),)),
+        NL((NVar((0,)), NVar((1,))), (NL((NVar((0, 1)),), ()),)).to_ltree(),
     )
-    data = LTree(
+    data = NL(
         (NVar((0,)), NVar((1,))),
         (
-            LTree(
+            NL(
                 (NVar((0, 0)), NVar((0, 1)), NVar((0, 1))),
-                (LTree((NVar((0, 0, 0)),), ()), LTree((ident,), ())),
+                (NL((NVar((0, 0, 0)),), ()), NL((ident,), ())),
             ),
         ),
-    )
+    ).to_ltree()
     nf = ev(WEAK, C.CComp(VERT), Env(data, ()))
     assert isinstance(nf, NApp) and nf.head == NComp(VERT)
 
@@ -199,15 +200,15 @@ def test_pruning_disabled_under_weak():
 def test_full_insertion_flattens_nested_composites():
     inner = NApp(
         NComp(CHAIN2),
-        LTree(
+        NL(
             (NVar((0,)), NVar((1,)), NVar((2,))),
-            (LTree((NVar((0, 0)),), ()), LTree((NVar((1, 0)),), ())),
-        ),
+            (NL((NVar((0, 0)),), ()), NL((NVar((1, 0)),), ())),
+        ).to_ltree(),
     )
-    data = LTree(
+    data = NL(
         (NVar((0,)), NVar((2,)), NVar((3,))),
-        (LTree((inner,), ()), LTree((NVar((2, 0)),), ())),
-    )
+        (NL((inner,), ()), NL((NVar((2, 0)),), ())),
+    ).to_ltree()
     nf_sua = ev(SUA, C.CComp(CHAIN2), Env(data, ()))
     assert isinstance(nf_sua, NApp) and nf_sua.head == NComp(CHAIN3)
     nf_su = ev(SU, C.CComp(CHAIN2), Env(data, ()))
@@ -255,7 +256,7 @@ def test_quote_eval_round_trip():
                 if isinstance(nf, NApp) and isinstance(nf.head, NComp)
                 else CHAIN2
             )
-            env = N.id_env(nf.label.shape() if isinstance(nf, NApp) else tree)
+            env = N.id_env(nf.label.shape if isinstance(nf, NApp) else tree)
             assert ev(cfg, N.quote_tm(nf), env) == nf
 
 
@@ -283,10 +284,10 @@ def test_size_of_variables_and_heads():
 
 def test_size_counts_nested_heads():
     inner = NApp(NComp(CHAIN2), LTree.from_fn(CHAIN2, NVar))
-    data = LTree(
+    data = NL(
         (NVar((0,)), NVar((2,)), NVar((3,))),
-        (LTree((inner,), ()), LTree((NVar((2, 0)),), ())),
-    )
+        (NL((inner,), ()), NL((NVar((2, 0)),), ())),
+    ).to_ltree()
     outer = NApp(NComp(CHAIN2), data)
     assert N.size_tm(outer) == 2
 

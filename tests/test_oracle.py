@@ -122,7 +122,7 @@ def test_pruning_is_insertion_of_an_identity(monkeypatch):
             )
             kappa = F.label_to_sub(F.exterior_label(s, mp[:-1], disc))
             assert st.term == Coh(
-                F.tree_to_ctx(merged.shape()),
+                F.tree_to_ctx(merged.shape),
                 F.substitute(t.ty, kappa),
                 F.label_to_sub(merged, t.sub.ty),
             )

@@ -48,11 +48,14 @@ CATT_DIR = ROOT / "catt"
 
 
 def leaf(entry=None) -> RawTree:
-    return RawTree((entry,), ())
+    return tree([entry], [])
 
 
 def tree(elements, branches) -> RawTree:
-    return RawTree(tuple(elements), tuple(branches))
+    """The raw labelling with these 0-cell entries and branches, built
+    through its nested view."""
+    nested = tuple(map(specs.NestedLabel.of, branches))
+    return specs.NestedLabel(tuple(elements), nested).to_ltree(RawTree)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +208,7 @@ def block_spans(t: RawTree, text: str) -> list[str]:
         for b, off in zip(s.branches, path_table(s).offsets):
             walk(b, o + off)
 
-    walk(t.shape(), 0)
+    walk(t.shape, 0)
     assert all(t.span_at(o) == S.SYNTH for o in range(len(t.entries)) if o not in starts)
     return out
 
@@ -501,9 +504,9 @@ def raw_terms(depth: int = 3):
 
     def trees_of(inner):
         return st.recursive(
-            inner.map(lambda e: RawTree((e,), ())),
+            inner.map(leaf),
             lambda kids: st.lists(kids, min_size=1, max_size=3).map(
-                lambda bs: RawTree(tuple([None] * (len(bs) + 1)), tuple(bs))
+                lambda bs: tree([None] * (len(bs) + 1), bs)
             ),
             max_leaves=4,
         )

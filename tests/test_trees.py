@@ -278,9 +278,9 @@ def canonical(n: tuple) -> Tree:
     return Tree(tuple(canonical(c) for c in n))
 
 
-def unshaped(lt: LTree) -> LTree:
-    """A copy of a labelling that has not built its shape."""
-    return LTree(lt.elements, tuple(unshaped(b) for b in lt.branches))
+def renested(lt: LTree) -> LTree:
+    """A copy of a labelling built again from its nested view."""
+    return SP.NestedLabel.of(lt).to_ltree()
 
 
 def test_every_construction_returns_the_one_canonical_tree():
@@ -295,7 +295,7 @@ def test_every_construction_returns_the_one_canonical_tree():
             check(T.tree_boundary(t, n))
         assert T.tree_boundary(t, t.height) is t
         lt = LTree.from_fn(t, lambda p: p)
-        assert lt.shape() is t and unshaped(lt).shape() is t
+        assert lt.shape is t and renested(lt).shape is t
     for s, p, t in insertion_points(6):
         check(T.insert_tree(s, p, t))
 
@@ -323,13 +323,13 @@ def test_labelling_keeps_the_tree_it_was_built_on(monkeypatch):
         lt = LTree.from_fn(t, lambda p: len(p))
         monkeypatch.setattr(Tree, "__new__", counted)
         # neither the labelling nor its image asks for a tree again
-        assert lt.shape() is t and lt.map(str).shape() is lt.shape()
+        assert lt.shape is t and lt.map(str).shape is lt.shape
         assert requests == 0
         monkeypatch.undo()
-        # an image of a labelling that has not built its shape builds it
-        # when asked
-        raw = unshaped(lt)
-        assert raw.map(str).shape() is raw.shape() is t
+        # a copy built again from the nested view, and its image, are over
+        # the same tree
+        raw = renested(lt)
+        assert raw.map(str).shape is raw.shape is t
 
 
 def test_a_flat_context_is_recognised_once(monkeypatch):
@@ -450,26 +450,26 @@ def test_flat_labellings_agree_with_the_nested_reference():
     for t in all_trees(6):
         lt = LTree.from_fn(t, f)
         ref = SP.NestedLabel.from_fn(t, f)
-        assert lt.shape() is t and ref.shape() is t
-        assert list(lt.values()) == ref.values() == [f(p) for p in SP.all_paths(t)]
+        assert lt.shape is t and ref.shape() is t
+        assert list(lt.entries) == ref.values() == [f(p) for p in SP.all_paths(t)]
         assert all(lt.lookup(p) == ref.lookup(p) for p in SP.all_paths(t))
         assert SP.NestedLabel.of(lt) == ref
         assert lt.elements == ref.elements
         assert SP.NestedLabel.of(lt.map(len)) == ref.map(len)
-        assert lt.map(len).shape() is t
+        assert lt.map(len).shape is t
         # built again from its nested view, it is equal, with the same hash
         again = ref.to_ltree()
-        assert again == lt and hash(again) == hash(lt) and again.shape() is t
+        assert again == lt and hash(again) == hash(lt) and again.shape is t
         # a labelling differs from one that differs in any entry
-        es = lt.values()
+        es = lt.entries
         for i in range(len(es)):
-            other = LTree.from_entries(t, es[:i] + ("x",) + es[i + 1 :])
+            other = LTree(t, es[:i] + ("x",) + es[i + 1 :])
             assert other != lt and other.lookup(SP.all_paths(t)[i]) == "x"
     # the same entries over another tree are another labelling
     chain, disc = Tree((LEAF, LEAF)), T.linear_tree(2)
     assert T.ctx_size(chain) == T.ctx_size(disc)
     es = tuple(range(T.ctx_size(chain)))
-    assert LTree.from_entries(chain, es) != LTree.from_entries(disc, es)
+    assert LTree(chain, es) != LTree(disc, es)
 
 
 def test_insert_ltree_agrees_with_the_nested_reference():
@@ -477,13 +477,13 @@ def test_insert_ltree_agrees_with_the_nested_reference():
         host = SP.NestedLabel.from_fn(s, lambda q: ("s",) + q)
         m = SP.NestedLabel.from_fn(t, lambda q: ("t",) + q)
         got = T.insert_ltree(host.to_ltree(), p, m.to_ltree())
-        assert got.shape() is T.insert_tree(s, p, t)
+        assert got.shape is T.insert_tree(s, p, t)
         assert SP.NestedLabel.of(got) == host.insert(p, m)
 
 
 def test_labelling_operations_do_not_recurse(monkeypatch):
-    calls = {"map": 0, "from_fn": 0, "from_entries": 0, "branches": 0}
-    map_, from_fn, from_entries = LTree.map, LTree.from_fn, LTree.from_entries
+    calls = {"map": 0, "from_fn": 0, "LTree": 0, "branches": 0}
+    map_, from_fn, init = LTree.map, LTree.from_fn, LTree.__init__
     branches = LTree.branches
 
     def counted_map(self, f):
@@ -494,9 +494,9 @@ def test_labelling_operations_do_not_recurse(monkeypatch):
         calls["from_fn"] += 1
         return from_fn.__func__(cls, t, f)
 
-    def counted_from_entries(cls, t, entries):
-        calls["from_entries"] += 1
-        return from_entries.__func__(cls, t, entries)
+    def counted_init(self, t, entries):
+        calls["LTree"] += 1
+        init(self, t, entries)
 
     def counted_branches(self):
         calls["branches"] += 1
@@ -504,19 +504,19 @@ def test_labelling_operations_do_not_recurse(monkeypatch):
 
     monkeypatch.setattr(LTree, "map", counted_map)
     monkeypatch.setattr(LTree, "from_fn", classmethod(counted_from_fn))
-    monkeypatch.setattr(LTree, "from_entries", classmethod(counted_from_entries))
+    monkeypatch.setattr(LTree, "__init__", counted_init)
     monkeypatch.setattr(LTree, "branches", property(counted_branches))
     for t in all_trees(6):
         calls.update(dict.fromkeys(calls, 0))
         lt = LTree.from_fn(t, len)
-        assert calls == {"map": 0, "from_fn": 1, "from_entries": 1, "branches": 0}
+        assert calls == {"map": 0, "from_fn": 1, "LTree": 1, "branches": 0}
         image = lt.map(str)
-        assert calls == {"map": 1, "from_fn": 1, "from_entries": 2, "branches": 0}
+        assert calls == {"map": 1, "from_fn": 1, "LTree": 2, "branches": 0}
         # reading, comparing and hashing read no branch either
         for p in SP.all_paths(t):
             lt.lookup(p)
         assert image == lt.map(str) and hash(image) == hash(lt.map(str))
-        assert lt.values() and lt.elements
+        assert lt.entries and lt.elements
         assert calls["branches"] == 0
 
 
@@ -528,19 +528,17 @@ def test_label_to_sub_example():
     )
     alpha = Var(0)
     idf = F.canonical_identity(Arrow(x, STAR, y), f)
-    lt = LTree(
+    L = SP.NestedLabel
+    lt = L(
         (x, x, x),
-        (
-            LTree((comp, f, f), (LTree((alpha,),), LTree((idf,),))),
-            LTree((f,), ()),
-        ),
-    )
+        (L((comp, f, f), (L((alpha,)), L((idf,)))), L((f,))),
+    ).to_ltree()
     sub = F.label_to_sub(lt)
     assert sub == FlatSub(STAR, (x, x, comp, f, alpha, f, idf, x, f))
 
 
 def test_label_to_sub_singleton():
-    assert F.label_to_sub(LTree((Var(3),), ())) == FlatSub(
+    assert F.label_to_sub(LTree(LEAF, (Var(3),))) == FlatSub(
         STAR, (Var(3),)
     )
 
@@ -569,7 +567,7 @@ def test_id_label_realises_to_identity():
 @given(S.types(3, dim=3), S.terms(3))
 def test_label_from_disc_matches_sub_from_disc(a, t):
     lab = F.label_from_disc(a, t)
-    assert lab.shape() == T.linear_tree(F.dim_ty(a))
+    assert lab.shape == T.linear_tree(F.dim_ty(a))
     assert F.label_to_sub(lab) == F.sub_from_disc(a, t)
 
 
@@ -872,8 +870,8 @@ def record_classes() -> list:
 # other class takes placeholder values
 CHECKED = {
     Tree: Tree((LEAF,)),
-    LTree: LTree((0, 1), (LTree((2,)),)),
-    R.RawTree: R.RawTree((None, "x"), (R.RawTree(("f",)),)),
+    LTree: LTree(Tree((LEAF,)), (0, 1, 2)),
+    R.RawTree: R.RawTree(Tree((LEAF,)), (None, "x", "f")),
     P.DyckWord: P.DyckWord((P.UP, P.DOWN)),
     N.EvalConfig: N.SUA,
 }
@@ -949,9 +947,9 @@ def test_record_constructor_and_repr():
 
 def test_records_check_their_fields():
     with pytest.raises(T.MalformedSyntax):
-        LTree((0,), (LTree((1,)),))
-    with pytest.raises(ValueError):
-        R.RawTree(("x", "y"))
+        LTree(Tree((LEAF,)), (0, 1))
+    with pytest.raises(T.MalformedSyntax):
+        R.RawTree(LEAF, ("x", "y"))
     with pytest.raises(F.MalformedSyntax):
         P.DyckWord((P.DOWN, P.UP))
 

@@ -1,6 +1,8 @@
 """The bidirectional checker, driven through the surface syntax."""
 
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +31,8 @@ from cattkernel.typecheck import (
 import gen_typed
 import specs as SP
 from flat_cases import make_ctx
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CHAIN2 = Tree((LEAF, LEAF))
 CHAIN3 = Tree((LEAF, LEAF, LEAF))
@@ -424,7 +428,7 @@ ALL_CONFIGS = [
     for ins in ("none", "id", "full")
 ]
 
-MONOIDAL = Path(__file__).resolve().parent.parent / "catt" / "monoidal.catt"
+MONOIDAL = ROOT / "catt" / "monoidal.catt"
 
 
 def list_ctx_text(t: Tree) -> str:
@@ -544,7 +548,7 @@ def test_nested_composite_elaborates_in_linear_work(config, monkeypatch):
     # it joins, and a square-bracket item is parsed without scanning ahead
     # to its end; each of these grew quadratically in the nesting depth
     # when done again at every level.
-    counts = {"all_paths": 0, "Tree": 0, "shape": 0, "peek": 0}
+    counts = {"all_paths": 0, "Tree": 0, "peek": 0}
 
     def counted(key, f):
         def g(*args):
@@ -556,7 +560,6 @@ def test_nested_composite_elaborates_in_linear_work(config, monkeypatch):
     monkeypatch.setattr(T, "all_paths", counted("all_paths", T.all_paths))
     # a tree is asked for at Tree.__new__, which finds or makes it
     monkeypatch.setattr(T.Tree, "__new__", counted("Tree", T.Tree.__new__))
-    monkeypatch.setattr(T.LTree, "shape", counted("shape", T.LTree.shape))
     monkeypatch.setattr(R._Parser, "peek", counted("peek", R._Parser.peek))
 
     def count(n: int) -> dict:
@@ -589,6 +592,91 @@ def test_deeply_nested_composite_normalises(config, size, nested):
     assert N.size_tm(value) == size
 
 
+# the least recursion limit at which each layer handles a left-nested SU
+# composite of n arguments, found by bisection in a fresh interpreter, in a
+# thread with a large stack so that no limit tried can overflow it
+LAYER_DEPTH = """
+import sys, threading
+from cattkernel import core as C, nbe as N, surface as R
+from cattkernel.typecheck import Checker, Signature
+
+def layers(n):
+    t = "f0"
+    for i in range(1, n):
+        t = f"comp[{t}, f{i}]"
+    ck = Checker(Signature(config=N.SU))
+    ctx = ck.elab_ctx(R.parse_ctx("[" + ", ".join(f"f{i}" for i in range(n)) + "]"))
+    raw = R.parse_term(t)
+    term, _, value = ck.elab(ctx, raw)
+    core = N.quote_tm(value)
+    names = C.Names(ctx.names)
+    shown = C.to_raw(core, names)
+    other = ck.nf(ctx, term)
+    assert other is not value
+    return {
+        "elab": lambda: ck.elab(ctx, raw),
+        "quote_tm": lambda: N.quote_tm(value),
+        "to_raw": lambda: C.to_raw(core, names),
+        "pretty": lambda: R.pretty(shown),
+        "flatten_tm": lambda: C.flatten_tm(term, ctx.tree),
+        "equality": lambda: value == other,
+    }
+
+def least_limit(f):
+    lo, hi = 30, 5000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        sys.setrecursionlimit(mid)
+        try:
+            f()
+            hi = mid
+        except RecursionError:
+            lo = mid + 1
+        finally:
+            sys.setrecursionlimit(5000)
+    return lo
+
+def main():
+    sys.setrecursionlimit(5000)
+    for n in map(int, sys.argv[1:]):
+        for name, f in layers(n).items():
+            print(name, n, least_limit(f))
+
+threading.stack_size(256 << 20)
+worker = threading.Thread(target=main)
+worker.start()
+worker.join()
+"""
+
+# frames per nesting level of each layer, as measured when the budget was
+# set: a layer that needs more has started to recurse more deeply
+LAYER_BUDGET = {
+    "elab": 6,
+    "quote_tm": 2,
+    "to_raw": 2,
+    "pretty": 6,
+    "flatten_tm": 4,
+    "equality": 6,
+}
+
+
+def test_layer_depth_budget():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYER_DEPTH, "64", "128"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    limits: dict = {}
+    for line in proc.stdout.splitlines():
+        name, n, limit = line.split()
+        limits[name, int(n)] = int(limit)
+    assert len(limits) == 2 * len(LAYER_BUDGET)
+    for name, budget in LAYER_BUDGET.items():
+        per_level = (limits[name, 128] - limits[name, 64]) / 64
+        assert per_level <= budget, (name, limits[name, 64], limits[name, 128])
+
+
 def test_eval_nf_is_eval_of_the_quotation():
     # eval_nf evaluates a normal form as evaluating its quotation would, in
     # the suspension environments of tree and list contexts and in the
@@ -601,7 +689,7 @@ def test_eval_nf_is_eval_of_the_quotation():
         raw = R.parse_term(term_text)
         inner = None
         if isinstance(raw.term, R.RComp):
-            shape = raw.args.data.shape()
+            shape = raw.args.data.shape
             inner = (shape, gen_typed.random_composite(rng, shape))
         cases.append((tree, tree_text, raw, inner))
 

@@ -67,6 +67,7 @@ normalise comp1(f, id(y)) in x{f}y
 assert comp1(f, g) = comp[f, g] in [f, g]
 normalise comp1(f) in [f]
 normalise comp[f, in [f]
+normalise S(comp1)<x{a{m}b{n}d}y> in x{a{m}b{n}d}y
 """
 SEED = 1
 
@@ -90,14 +91,6 @@ ALLOWED = {
     "trees:Record.__delattr__": "refuses deletion; the record test runs it",
     "trees:Record.__hash__": "records stay hashable; the program hashes only trees and "
     "configurations, which keep their hashes, and the record test hashes every class",
-    "trees:LTree.__hash__": "labellings stay hashable, as records do; the program "
-    "hashes none, and the record test hashes every class",
-    "surface:RawTree.__init__": "the record contract: a raw labelling rebuilds from "
-    "its fields, as the tests do; the parser builds each labelling from its entries",
-    "surface:RawTree.__eq__": "the program compares no raw labellings; the parser "
-    "tests do, spans included",
-    "surface:RawTree.__hash__": "raw labellings stay hashable, as records do; the "
-    "record test hashes every class",
     "surface:RawTree._block": "the program reads no branch of a raw labelling (the "
     "checker and the printer walk its blocks by offset); the tests and the rebuilding "
     "of a record from its fields do",
