@@ -8,16 +8,17 @@ increment.  Positions counted from the start of the context are used for
 substitution term lists; ``Var(k)`` in a context of length ``n`` sits at
 position ``n - 1 - k``.
 
-A tree realises as the pasting context whose cells are its paths, in the
-order ``(0,)``, ``(1,)``, the cells of branch 0, ``(2,)``, the cells of
-branch 1, and so on, each branch's cells in this same order below its
-index.  A cell ``q + (j,)`` above dimension 0 is an arrow over the type of
-``q``, from ``q`` to the sibling that follows ``q`` (its last index plus
-one); both come before it, so every cell's type is written directly over
-the cells before it.  This is the context that glues the suspensions of
-the children's realisations along their endpoint 0-cells, and trees
-present exactly the pasting contexts.  A labelling (an ``LTree`` of terms)
-realises as the substitution of its entries in that order.
+A tree realises as the pasting context whose cells are its paths, in
+``all_paths`` order: ``(0,)``, ``(1,)``, the cells of branch 0, ``(2,)``,
+the cells of branch 1, and so on, each branch's cells in this same order
+below its index.  A cell ``q + (j,)`` above dimension 0 is an arrow over
+the type of ``q``, from ``q`` to the sibling that follows ``q`` (its last
+index plus one); both come before it, so every cell's type is written
+directly over the cells before it.  This is the context that glues the
+suspensions of the children's realisations along their endpoint 0-cells,
+and trees present exactly the pasting contexts.  A labelling (an ``LTree``
+of terms) keeps its entries in this order, so it realises as the
+substitution whose terms are its entries tuple: nothing is copied.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ FlatTerm = Union[Var, Coh]
 class FlatCtx(Record):
     """A context.  Five slots outside the fields keep facts of it, each
     worked out at its first use: ``_dyck`` and ``_tree``, what ``pasting``
-    recognises in it (at the first ``ctx_to_dyck`` and ``ctx_to_tree``),
+    recognises in it (at the first ``ctx_to_dyck`` and ``ctx_to_tree``,
+    or ``_tree`` as ``tree_to_ctx`` builds it),
     ``_disc``, n if it is the disc context D^n and ``False`` if it is no
     disc (at the first ``disc_dim``), ``_susp``, its suspension (at the
     first ``suspend_ctx``), which keeps facts of its own, and ``_id``, its
@@ -326,8 +328,10 @@ def disc_dim(g: FlatCtx) -> int | bool:
     so each context is compared with a disc once."""
     d = g._disc
     if d is None:
-        n = (len(g) - 1) // 2
-        d = n if len(g) % 2 == 1 and g == disc_ctx(n) else False
+        # D^n ends in an n-cell: tested first, so no other disc is built
+        n, d = (len(g) - 1) // 2, False
+        if len(g) % 2 == 1 and dim_ty(g.entries[-1]) == n and g == disc_ctx(n):
+            d = n
         object.__setattr__(g, "_disc", d)
     return d
 
@@ -375,51 +379,34 @@ def is_unary_comp(t: FlatTerm) -> bool:
 # realisation of trees and labellings
 
 
-# Bounded like tree_to_ctx below, which reads it: each table is as large as
-# its tree.  Trees are interned, so a hit is an identity test.
-@lru_cache(maxsize=128)
-def _cell_order(t: Tree) -> tuple[int, ...]:
-    """The indices, in ``all_paths`` order, of the cells of the realised
-    context: its first 0-cell, then each further 0-cell followed by the
-    cells of the branch that ends there."""
-    order = [0]
-    for k, (b, o) in enumerate(zip(t.branches, T.path_table(t).offsets)):
-        order.append(k + 1)
-        order.extend(o + i for i in _cell_order(b))
-    return tuple(order)
-
-
-@lru_cache(maxsize=128)
-def _cells(t: Tree) -> dict[Path, Var]:
-    """The paths of t in the order of the realised context, each with its
-    variable there; every use of a path shares the one variable."""
-    paths = T.path_table(t).paths
-    n = len(paths)
-    return {paths[i]: Var(n - 1 - j) for j, i in enumerate(_cell_order(t))}
-
-
 def path_var(t: Tree, p: Path) -> FlatTerm:
-    """The variable of path p in the realised context."""
-    v = _cells(t).get(p)
-    if v is None:
+    """The variable of path p in the realised context, a shared ``Var``."""
+    i = (t._table or T.path_table(t)).index.get(p)
+    if i is None:
         raise MalformedSyntax("not a path of the tree")
-    return v
+    n = t._ctx_size
+    if n > len(_VARS):
+        variables(n)
+    return _VARS[n - 1 - i]
 
 
 def path_pos(t: Tree, p: Path) -> int:
-    """The position of path p in the realised context."""
-    return ctx_size(t) - 1 - path_var(t, p).idx
+    """The position of path p in the realised context: its table index."""
+    i = T.path_table(t).index.get(p)
+    if i is None:
+        raise MalformedSyntax("not a path of the tree")
+    return i
 
 
-def _cell_type(cells: dict[Path, Var], p: Path, d: int) -> FlatType:
-    """The type of cell p over the cells before it, where each variable of
-    cells drops by the d cells from p on: a cell q + (j,) goes from q to the
-    sibling that follows q."""
+def _cell_type(index: dict[Path, int], p: Path, i: int) -> FlatType:
+    """The type of cell p over the i cells before it, where index gives
+    each cell's position: a cell q + (j,) goes from q to the sibling that
+    follows q."""
     if len(p) == 1:
         return STAR
     q = p[:-1]
-    src, tgt = cells[q], cells[q[:-1] + (q[-1] + 1,)]
-    return Arrow(Var(src.idx - d), _cell_type(cells, q, d), Var(tgt.idx - d))
+    src, tgt = index[q], index[q[:-1] + (q[-1] + 1,)]
+    return Arrow(Var(i - 1 - src), _cell_type(index, q, i), Var(i - 1 - tgt))
 
 
 # Bounded like standard_type below: the validation route keeps meeting new
@@ -427,28 +414,25 @@ def _cell_type(cells: dict[Path, Var], p: Path, d: int) -> FlatType:
 @lru_cache(maxsize=128)
 def tree_to_ctx(t: Tree) -> FlatCtx:
     """The pasting context t presents, each cell's type written over the
-    cells before it."""
-    cells = _cells(t)
-    n = len(cells)
-    return FlatCtx(tuple(_cell_type(cells, p, n - i) for i, p in enumerate(cells)))
+    cells before it; the context keeps t as the tree it presents."""
+    tb = T.path_table(t)
+    g = FlatCtx(tuple(_cell_type(tb.index, p, i) for i, p in enumerate(tb.paths)))
+    object.__setattr__(g, "_tree", t)
+    return g
 
 
 def label_to_sub(lt: LTree, ty: FlatType = STAR) -> FlatSub:
     """The substitution a labelling of terms realises as, with type part
-    ty."""
-    es = lt.entries
-    return FlatSub(ty, tuple([es[i] for i in _cell_order(lt.shape)]))
+    ty: its terms are the labelling's entries."""
+    return FlatSub(ty, lt.entries)
 
 
 def label_from_sub(t: Tree, sigma: FlatSub) -> LTree:
-    """Reassemble the labelling over t whose flattening is sigma, up to
-    its type part."""
+    """The labelling over t whose realisation is sigma, up to its type
+    part: its entries are sigma's terms."""
     if len(sigma.terms) != ctx_size(t):
         raise MalformedSyntax("substitution length does not match the tree")
-    entries = [None] * len(sigma.terms)
-    for i, e in zip(_cell_order(t), sigma.terms):
-        entries[i] = e
-    return LTree(t, tuple(entries))
+    return LTree(t, sigma.terms)
 
 
 def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
@@ -515,10 +499,8 @@ def standard_term(t: Tree, n: int) -> FlatTerm:
 def _inclusion_sub(r: Tree, k: int, m: int) -> FlatSub:
     """Substitution including the realisation of components k..k+m-1 of r
     into the realisation of r."""
-    span = Tree(r.branches[k : k + m])
-    return FlatSub(
-        STAR, tuple(path_var(r, (p[0] + k,) + p[1:]) for p in _cells(span))
-    )
+    paths = T.path_table(Tree(r.branches[k : k + m])).paths
+    return FlatSub(STAR, tuple(path_var(r, (p[0] + k,) + p[1:]) for p in paths))
 
 
 def _include_component(r: Tree, k: int, inner_size: int, e: FlatTerm) -> FlatTerm:
@@ -558,10 +540,11 @@ def _exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
     def shifted(j: int) -> int:
         return j if j <= k else j + nt - 1
 
-    # the 0-cells, then the block of each branch: the identity on the
-    # other branches, moved past the inserted ones
-    entries = [path_var(r, (shifted(j),)) for j in range(len(s.branches) + 1)]
+    # each 0-cell before the block of the branch it ends: the identity on
+    # the other branches, moved past the inserted ones
+    entries = [path_var(r, (0,))]
     for j, sub in enumerate(s.branches):
+        entries.append(path_var(r, (shifted(j + 1),)))
         if j == k:
             entries.extend(mid)
         else:

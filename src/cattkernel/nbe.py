@@ -304,10 +304,11 @@ def exterior(cfg: EvalConfig, s: Tree, p: T.Branch, t: Tree) -> LTree:
     def shifted(j: int):
         return j if j <= k else j + nt - 1
 
-    # the 0-cells, then the block of each branch: the identity on the
-    # other branches, moved past the inserted ones
-    entries = [NVar((shifted(j),)) for j in range(len(s.branches) + 1)]
+    # each 0-cell before the block of the branch it ends: the identity on
+    # the other branches, moved past the inserted ones
+    entries = [NVar((0,))]
     for j, sub in enumerate(s.branches):
+        entries.append(NVar((shifted(j + 1),)))
         if j == k:
             entries.extend(mid)
         else:

@@ -131,12 +131,13 @@ def dyck_to_tree(d: DyckWord) -> Tree:
 
 def ctx_to_tree(g: FlatCtx) -> Tree | None:
     """Invert the realisation of trees; None if g is not a pasting
-    context.  The tree is kept in g, next to its Dyck word."""
-    d = ctx_to_dyck(g)
-    if d is None:
-        return None
+    context.  The tree is kept in g, next to its Dyck word; a context that
+    ``flat.tree_to_ctx`` built has it already, and is not scanned."""
     t = g._tree
     if t is None:
+        d = ctx_to_dyck(g)
+        if d is None:
+            return None
         t = dyck_to_tree(d)
         object.__setattr__(g, "_tree", t)
     return t
@@ -208,7 +209,7 @@ def pruned(d: DyckWord, p: Peak) -> tuple[FlatCtx, FlatSub]:
     """The context of the word that pruning p from d leaves, with the
     projection from d's context to it; built once per peak and kept in d.
     The context is the realisation of the pruned word's tree, shared with
-    ``flat.tree_to_ctx``, and is given the word and the tree it presents."""
+    ``flat.tree_to_ctx``, which gives it its tree, and is given the word."""
     kept = d._pruned
     if kept is None:
         kept = {}
@@ -216,12 +217,9 @@ def pruned(d: DyckWord, p: Peak) -> tuple[FlatCtx, FlatSub]:
     hit = kept.get(p.pos)
     if hit is None:
         d2, proj = prune(d, p)
-        tree = dyck_to_tree(d2)
-        g = F.tree_to_ctx(tree)
+        g = F.tree_to_ctx(dyck_to_tree(d2))
         if g._dyck is None:
             object.__setattr__(g, "_dyck", d2)
-        if g._tree is None:
-            object.__setattr__(g, "_tree", tree)
         hit = kept[p.pos] = (g, proj)
     return hit
 

@@ -331,15 +331,17 @@ _ELEMENT_STOPS = (
 
 def _block(elements: list, branches: list, span: Span) -> tuple:
     """The shape, entries and spans of a labelling in ``all_paths`` order,
-    from the entries of its 0-cells and the blocks of its branches: its own
-    span at the start and each branch's span where the branch's block
-    starts, as ``RawTree`` keeps them."""
+    from the entries of its 0-cells and the blocks of its branches, each
+    block after the 0-cell that ends it: its own span at the start and each
+    branch's span where the branch's block starts, as ``RawTree`` keeps
+    them."""
     if not branches:
         return LEAF, elements, [span]
-    entries = elements
-    spans = [span] + [SYNTH] * len(branches)
-    for _, es, ss in branches:
+    entries, spans = elements[:1], [span]
+    for e, (_, es, ss) in zip(elements[1:], branches):
+        entries.append(e)
         entries += es
+        spans.append(SYNTH)
         spans += ss
     return Tree(tuple(b[0] for b in branches)), entries, spans
 
@@ -730,13 +732,12 @@ def pretty_tree(t: RawTree) -> str:
     es = t.entries
 
     def block(s: Tree, o: int) -> str:
-        # the block of the subtree s starts at index o of the entries
-        out = []
-        offsets = path_table(s).offsets
-        for i, b in enumerate(s.branches):
-            out.append(_pretty_entry(es[o + i]))
-            out.append("{" + block(b, o + offsets[i]) + "}")
-        out.append(_pretty_entry(es[o + len(s.branches)]))
+        # the block of the subtree s starts at index o of the entries, and
+        # the 0-cell that ends a branch comes just before the branch's block
+        out = [_pretty_entry(es[o])]
+        for b, bo in zip(s.branches, path_table(s).offsets):
+            out.append("{" + block(b, o + bo) + "}")
+            out.append(_pretty_entry(es[o + bo - 1]))
         return "".join(out)
 
     return block(t.shape, 0)

@@ -3,9 +3,11 @@ and insertion.
 
 A tree is a list of trees; it presents the pasting context that glues the
 suspensions of its children along their endpoint 0-cells.  A cell of that
-context is a path of the tree, and a labelling is a tree with one entry
-per path, kept as one tuple in the order of the tree's paths.  Realising trees and labellings as flat contexts and
-substitutions belongs to the validation route, in ``flat``.
+context is a path of the tree, and ``all_paths`` lists the paths in the
+order of the cells there.  A labelling is a tree with one entry per path,
+kept as one tuple in that order, so it realises without a copy.  Realising
+trees and labellings as flat contexts and substitutions belongs to the
+validation route, in ``flat``.
 
 ``Record``, the immutable base of every node class of the package, is
 defined here because this module imports no other.
@@ -182,9 +184,10 @@ def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
 
 class PathTable:
     """The facts of a tree that its labellings read: its paths in
-    ``all_paths`` order, the index of each path in that order, the index at
-    which each branch's block of paths starts, and the indices of the
-    maximal paths, in ``maximal_paths`` order."""
+    ``all_paths`` order, the index of each path in that order (its position
+    in the realised context), the index at which each branch's block of
+    paths starts, just after the 0-cell that ends the branch, and the
+    indices of the maximal paths, in ``maximal_paths`` order."""
 
     __slots__ = ("paths", "index", "offsets", "maximal")
 
@@ -199,10 +202,11 @@ def path_table(t: Tree) -> PathTable:
     """The table of t, built from its children's at the first call."""
     tb = t._table
     if tb is None:
-        paths: list[Path] = [(k,) for k in range(len(t.branches) + 1)]
+        paths: list[Path] = [(0,)]
         offsets = []
         maximal = [] if t.branches else [0]
         for k, b in enumerate(t.branches):
+            paths.append((k + 1,))
             o = len(paths)
             offsets.append(o)
             if b.branches:
@@ -218,8 +222,8 @@ def path_table(t: Tree) -> PathTable:
 
 
 def all_paths(t: Tree) -> list[Path]:
-    """The paths of t: its 0-cells (k,), then each branch's paths below
-    its index."""
+    """The paths of t, in the order of the realised context: (0,), then
+    for each branch k the 0-cell (k + 1,) and the branch's paths below k."""
     return list(path_table(t).paths)
 
 
@@ -290,15 +294,15 @@ class LTree(Record):
     """A labelling of a tree: one entry per path.  Its fields are its tree,
     ``shape``, and ``entries``, the tuple of its entries in ``all_paths``
     order, so each branch's entries are one block of that tuple, which
-    starts at the branch's offset in the tree's ``PathTable``.
-    ``LTree(shape, entries)`` is its one constructor; ``from_fn`` and
-    ``map`` go through it.
+    starts at the branch's offset in the tree's ``PathTable``, just after
+    the 0-cell that ends the branch.  ``LTree(shape, entries)`` is its one
+    constructor; ``from_fn`` and ``map`` go through it.
 
-    ``elements``, the entries of the 0-cells, and ``branches``, one
-    labelling per branch, are read-only views built at each read; the
-    benchmark's n-ary check and the tests read them.  Equality sees the
-    shape, by identity, and the entries: it is written out because
-    labellings are compared on hot paths.
+    ``elements``, the entries of the 0-cells, gathered from before each
+    block, and ``branches``, one labelling per branch, are read-only views
+    built at each read; the benchmark's n-ary check and the tests read
+    them.  Equality sees the shape, by identity, and the entries: it is
+    written out because labellings are compared on hot paths.
     """
 
     __slots__ = ("shape", "entries")
@@ -318,7 +322,8 @@ class LTree(Record):
 
     @property
     def elements(self) -> tuple:
-        return self.entries[: len(self.shape.branches) + 1]
+        es = self.entries
+        return (es[0],) + tuple(es[o - 1] for o in path_table(self.shape).offsets)
 
     @property
     def branches(self) -> tuple["LTree", ...]:
@@ -400,16 +405,19 @@ def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
     shape = insert_tree(lt.shape, p, m.shape)
 
     def splice(es: tuple, s: Tree, q: Branch, ms: tuple, t: Tree) -> tuple:
-        # es is the block of s and ms that of t: the 0-cells of t take the
-        # places of the 0-cells k, k+1 of s and the block of branch k takes
-        # t's branches, or the insertion into it further down the branch
-        k, nb, nt = q[0], len(s.branches), len(t.branches)
-        o = path_table(s).offsets[k]
+        # es is the block of s and ms that of t: ms[0] takes the place of
+        # the 0-cell k of s, and the rest of ms that of the 0-cell k+1 and
+        # branch k, or ms[1] that of k+1 and the insertion into branch k
+        k = q[0]
+        offsets = path_table(s).offsets
+        o = offsets[k]
         end = o + s.branches[k]._ctx_size
+        zk = offsets[k - 1] - 1 if k else 0
         if len(q) == 1:
-            mid = ms[nt + 1 :]
+            rest = ms[1:]
         else:
-            mid = splice(es[o:end], s.branches[k], q[1:], ms[2:], t.branches[0])
-        return es[:k] + ms[: nt + 1] + es[k + 2 : o] + mid + es[end:]
+            inner = splice(es[o:end], s.branches[k], q[1:], ms[2:], t.branches[0])
+            rest = ms[1:2] + inner
+        return es[:zk] + ms[:1] + es[zk + 1 : o - 1] + rest + es[end:]
 
     return LTree(shape, splice(lt.entries, lt.shape, p, m.entries, m.shape))

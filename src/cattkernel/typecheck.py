@@ -376,19 +376,23 @@ class Checker:
                     )
                 t, ty, v = self.elab(ctx, x)
                 return [t], [v], ty
+            # the 0-cell that ends a branch comes just before its block
             nb = len(s.branches)
-            terms: list = [None] * (nb + 1)
-            vals: list = [None] * (nb + 1)
+            offsets = T.path_table(s).offsets
+            terms: list = [None]
+            vals: list = [None]
             pairs = []
             tails = []
-            for sub, so in zip(s.branches, T.path_table(s).offsets):
+            for sub, so in zip(s.branches, offsets):
                 m, mv, b = block(sub, o + so)
                 if not b:
                     raise CheckError(
                         "a branch argument has a type of the wrong dimension",
                         raw.span_at(o + so),
                     )
+                terms.append(None)
                 terms += m
+                vals.append(None)
                 vals += mv
                 pairs.append(b[0])
                 tails.append(b[1:])
@@ -404,14 +408,15 @@ class Checker:
                         "consecutive arguments do not share an endpoint",
                         raw.span_at(o),
                     )
-            vals[: nb + 1] = [p[0] for p in pairs] + [pairs[-1][1]]
-            for i in range(nb + 1):
+            ends = [p[0] for p in pairs] + [pairs[-1][1]]
+            for i, end in zip([0] + [so - 1 for so in offsets], ends):
+                vals[i] = end
                 x = es[o + i]
                 if x is None or isinstance(x, R.RHole):
-                    terms[i] = N.quote_tm(vals[i])
+                    terms[i] = N.quote_tm(end)
                 else:
                     t, _, v = self.elab(ctx, x)
-                    if v != vals[i]:
+                    if v != end:
                         raise CheckError(
                             "an explicit argument disagrees with the inferred one",
                             x.span,

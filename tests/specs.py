@@ -305,10 +305,12 @@ def is_maximal_path(t: Tree, p: Path) -> bool:
 
 
 def all_paths(t: Tree) -> list[Path]:
-    """The paths of t: its 0-cells (k,), then each branch's paths below its
-    index."""
-    out: list[Path] = [(k,) for k in range(len(t.branches) + 1)]
+    """The paths of t in the order of the realised context: its first
+    0-cell (0,), then for each branch k the 0-cell (k + 1,) that ends it
+    and the branch's paths below k."""
+    out: list[Path] = [(0,)]
     for k, b in enumerate(t.branches):
+        out.append((k + 1,))
         out.extend((k,) + q for q in all_paths(b))
     return out
 
@@ -362,8 +364,11 @@ class NestedLabel:
         return self.branches[p[0]].lookup(p[1:])
 
     def values(self) -> list:
-        out = list(self.elements)
-        for b in self.branches:
+        """The entries in ``all_paths`` order: each 0-cell after the first
+        comes just before the branch it ends."""
+        out = [self.elements[0]]
+        for e, b in zip(self.elements[1:], self.branches):
+            out.append(e)
             out.extend(b.values())
         return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from cattkernel import flat as F
+from cattkernel.trees import LEAF, Tree
 
 
 def types(n: int, depth: int = 2, dim: int = 2) -> st.SearchStrategy:
@@ -94,3 +95,12 @@ def sub_chain(draw, depth: int = 1):
     sigma = draw(subs(k, m, depth))
     tau = draw(subs(m, n, depth, extended=False))
     return t, sigma, tau
+
+
+def trees(max_leaves: int = 12) -> st.SearchStrategy:
+    """Pasting trees, wide and deep: a tree is a list of trees."""
+    return st.recursive(
+        st.just(LEAF),
+        lambda inner: st.lists(inner, max_size=4).map(lambda bs: Tree(tuple(bs))),
+        max_leaves=max_leaves,
+    )

@@ -311,6 +311,30 @@ def test_unnamed_cells_are_named_in_the_output(ctx, term):
     assert X.run_command(state, again) == [nf_line, ty_line]
 
 
+def test_colliding_fallback_names_suffix_the_later_cell():
+    # the path (1, 0) and the 0-cell (10,) both print as p10; unnamed cells
+    # are named in entry order, the order of the realised context, where
+    # (1, 0) comes first, so the 0-cell takes the suffix
+    ctx = "[a, [b, c], d, e, f, g, h, i, j, k]"
+    state = X.SessionState(keep_implicits=True)
+    (cmd,) = R.parse(f"normalise comp{ctx} in {ctx}\n")
+    nf_line, ty_line, ctx_line = X.run_command(state, cmd)
+    cells = "p0{a}p1{p10{b}p11{c}p12}p2{d}p3{e}p4{f}p5{g}p6{h}p7{i}p8{j}p9{k}p10_"
+    assert nf_line == f"normal form: comp<{cells}>"
+    assert ctx_line == f"in context: {cells}"
+    shown = nf_line.removeprefix("normal form: ")
+    shown_ty = ty_line.removeprefix("of type: ")
+    ck = Checker(state.sig)
+    old = ck.elab_ctx(cmd.ctx)
+    _, ty, value = ck.elab(old, cmd.term)
+    new = ck.elab_ctx(R.parse_ctx(cells))
+    assert new.tree == old.tree
+    assert ck.elab(new, R.parse_term(shown))[1:] == (ty, value)
+    assert ck.check_ty(new, R.parse_type(shown_ty))[1] == ty
+    (again,) = R.parse(f"normalise {shown} in {cells}\n")
+    assert X.run_command(state, again) == [nf_line, ty_line]
+
+
 def test_deep_nesting_gives_one_error_line(tmp_path):
     f = tmp_path / "deep.catt"
     deep = "comp[" * 1000 + "f" + ", g]" * 1000

@@ -15,7 +15,7 @@ from cattkernel.flat import (
     FlatSub,
     Var,
 )
-
+from cattkernel.trees import LEAF, Tree
 from cattkernel.typecheck import Checker, Signature
 
 import specs as SP
@@ -309,6 +309,13 @@ def test_disc_dims():
     for n in range(7):
         assert SP.dim_ctx(F.disc_ctx(n)) == n
         assert F.dim_ty(F.sphere_ty(n)) == n
+
+
+def test_a_wide_context_is_no_disc_and_builds_none():
+    g = F.tree_to_ctx(Tree((LEAF,) * 64))
+    before = F._discs.cache_info().currsize
+    assert len(g) % 2 == 1 and F.disc_dim(g) is False
+    assert F._discs.cache_info().currsize == before
 
 
 def test_sphere_type_one():

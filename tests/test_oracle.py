@@ -294,15 +294,18 @@ def test_first_reduct_ends_the_search(monkeypatch):
 
 @pytest.mark.parametrize("rules", [SU, SUA], ids=["su", "sua"])
 def test_lazy_normalise_reads_fewer_contexts(rules, monkeypatch):
+    """A lazy normalise searches fewer heads, and so reads fewer contexts,
+    than stepping through every reduct; the count is of head searches, since
+    a realised context already knows its tree."""
     calls = 0
-    ctx_to_dyck = P.ctx_to_dyck
+    head_steps = O._head_steps
 
-    def counted(g):
+    def counted(t, rules):
         nonlocal calls
         calls += 1
-        return ctx_to_dyck(g)
+        return head_steps(t, rules)
 
-    monkeypatch.setattr(P, "ctx_to_dyck", counted)
+    monkeypatch.setattr(O, "_head_steps", counted)
     _, term, _ = pruning_chain()
     O.normalise(term, rules)
     lazy, calls = calls, 0

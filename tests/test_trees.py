@@ -358,6 +358,22 @@ def test_a_flat_context_is_recognised_once(monkeypatch):
     assert calls == {"_scan": 1, "dyck_to_tree": 0}
 
 
+def test_a_realised_context_keeps_its_tree(monkeypatch):
+    scans = 0
+    scan = P._scan
+
+    def counted(x):
+        nonlocal scans
+        scans += 1
+        return scan(x)
+
+    monkeypatch.setattr(P, "_scan", counted)
+    F.tree_to_ctx.cache_clear()
+    for t in all_trees(6):
+        assert P.ctx_to_tree(F.tree_to_ctx(t)) is t
+    assert scans == 0
+
+
 def test_a_suspension_is_built_once(monkeypatch):
     scans = 0
     scan = P._scan
@@ -556,6 +572,22 @@ def test_label_to_sub_matches_recursive_definition():
             sub = F.label_to_sub(lt, ty)
             assert sub == SP.label_to_sub(lt, ty)
             assert F.label_from_sub(t, sub) == lt
+
+
+@given(S.trees())
+def test_paths_are_listed_in_the_order_of_the_realised_context(t):
+    assert [F.path_pos(t, p) for p in T.all_paths(t)] == list(range(T.ctx_size(t)))
+    assert [F.path_var(t, p) for p in T.all_paths(t)] == list(
+        F.identity_sub(F.tree_to_ctx(t)).terms
+    )
+
+
+@given(S.trees(), st.sampled_from([STAR, Arrow(Var(1), STAR, Var(0))]))
+def test_realising_a_labelling_copies_nothing(t, ty):
+    lt = LTree.from_fn(t, lambda p: Var(len(p)))
+    sub = F.label_to_sub(lt, ty)
+    assert sub.terms is lt.entries and sub.ty is ty
+    assert F.label_from_sub(t, sub).entries is sub.terms
 
 
 def test_id_label_realises_to_identity():
