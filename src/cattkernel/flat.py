@@ -91,23 +91,25 @@ FlatTerm = Union[Var, Coh]
 
 class FlatCtx(Record):
     """A context.  Five slots outside the fields keep facts of it, each
-    worked out at its first use: ``_dyck`` and ``_tree``, what ``pasting``
-    recognises in it (at the first ``ctx_to_dyck`` and ``ctx_to_tree``,
-    or ``_tree`` as ``tree_to_ctx`` builds it),
+    worked out at its first use: ``_tree``, the tree it presents and
+    ``False`` if it is no pasting context (at the first
+    ``pasting.ctx_to_tree``, or as ``tree_to_ctx`` builds it), ``_pruned``,
+    by peak, the context that pruning it leaves and the projection (at
+    each first ``pasting.pruned``),
     ``_disc``, n if it is the disc context D^n and ``False`` if it is no
     disc (at the first ``disc_dim``), ``_susp``, its suspension (at the
     first ``suspend_ctx``), which keeps facts of its own, and ``_id``, its
     identity substitution (at the first ``identity_sub``).  Equality and
     repr see the entries alone."""
 
-    __slots__ = ("entries", "_dyck", "_tree", "_disc", "_susp", "_id")
+    __slots__ = ("entries", "_tree", "_pruned", "_disc", "_susp", "_id")
     _fields = ("entries",)
     entries: tuple[FlatType, ...]
 
     def __init__(self, entries: tuple[FlatType, ...]):
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_dyck", None)
         object.__setattr__(self, "_tree", None)
+        object.__setattr__(self, "_pruned", None)
         object.__setattr__(self, "_disc", None)
         object.__setattr__(self, "_susp", None)
         object.__setattr__(self, "_id", None)
@@ -319,10 +321,6 @@ def disc_ctx(n: int) -> FlatCtx:
     return disc_family(n)[0]
 
 
-def sphere_ty(n: int) -> FlatType:
-    return disc_family(n)[2]
-
-
 def disc_dim(g: FlatCtx) -> int | bool:
     """n if g is the disc context D^n, False if it is no disc; kept in g,
     so each context is compared with a disc once."""
@@ -396,6 +394,11 @@ def path_pos(t: Tree, p: Path) -> int:
     if i is None:
         raise MalformedSyntax("not a path of the tree")
     return i
+
+
+def path_type(t: Tree, p: Path) -> FlatType:
+    """The type of the cell of path p over the whole realised context."""
+    return _cell_type(T.path_table(t).index, p, t._ctx_size)
 
 
 def _cell_type(index: dict[Path, int], p: Path, i: int) -> FlatType:

@@ -19,7 +19,8 @@ Head rules:
   ecr     an endo-coherence that is not an identity reduces to a canonical
           identity on its substituted source
   prune   a peak argument that is an identity is removed from the pasting
-          context (first rule set only)
+          context: a peak is a leaf of the context's tree; pruning removes
+          it (first rule set only)
   insert  a locally maximal argument that is an identity or a non-unary
           standard composite is inserted into the head tree (second rule
           set only)
@@ -122,16 +123,17 @@ def _head_steps(t: Coh, rules: RuleSet) -> Iterator[Step]:
 
 
 def _prune_steps(t: Coh) -> Iterator[Step]:
-    d = P.ctx_to_dyck(t.ctx)
-    if d is None:
+    s = P.ctx_to_tree(t.ctx)
+    if s is None or not s.branches:
         return
     terms = t.sub.terms
-    for p, pos in P.peak_table(d):
-        if not F.is_identity(terms[pos]):
+    tb = T.path_table(s)
+    for i in tb.maximal:
+        if not F.is_identity(terms[i]):
             continue
-        ctx, proj = P.pruned(d, p)
-        reduct = Coh(ctx, F.substitute(t.ty, proj), P.prune_sub(t.sub, d, p))
-        yield Step(reduct, "prune", ("head", p.pos))
+        ctx, proj = P.pruned(t.ctx, i)
+        reduct = Coh(ctx, F.substitute(t.ty, proj), P.prune_sub(t.sub, i))
+        yield Step(reduct, "prune", ("head", tb.paths[i]))
 
 
 def _insertable(arg: FlatTerm) -> Optional[tuple[Tree, FlatSub]]:

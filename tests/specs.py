@@ -2,15 +2,16 @@
 
 These are definitions from the paper that the program itself never needs:
 variable sets and supports over flat contexts, the pasting-context
-judgement and its boundary sets, the oracle's complexity measure, random
-normalisation and the reduction sequence of its full search, paths of a
-tree, labellings as nested trees of entries, the realisation of trees by
-suspension and wedge and of labellings by unrestriction, labellings of
-trees built by hand, and the tokens and round trips of the surface syntax.
-The program decides the same things another way (on trees, on normal
-forms, by taking the first reduct, by reading a table of a tree's cells or
-paths, by one table of the tokens of one character); each test that uses a
-definition here checks that the two ways agree.
+judgement and its boundary sets, Dyck words with their realisation, peaks
+and pruning, the oracle's complexity measure, random normalisation and
+the reduction sequence of its full search, paths of a tree, labellings as
+nested trees of entries, the realisation of trees by suspension and wedge
+and of labellings by unrestriction, labellings of trees built by hand,
+and the tokens and round trips of the surface syntax.  The program
+decides the same things another way (on trees, where a peak is a leaf, on
+normal forms, by taking the first reduct, by reading a table of a tree's
+cells or paths, by one table of the tokens of one character); each test
+that uses a definition here checks that the two ways agree.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from cattkernel import trees as T
 from cattkernel.flat import (
     STAR, Arrow, Coh, FlatCtx, FlatSub, FlatTerm, FlatType, Star, Var
 )
-from cattkernel.pasting import DOWN, UP, DyckWord
 from cattkernel.trees import LTree, Path, Tree
 
 
@@ -143,6 +143,11 @@ def sphere_ctx(n: int) -> FlatCtx:
     return F.disc_family(n)[1]
 
 
+def sphere_ty(n: int) -> FlatType:
+    """U^n, the type over S^n that the disc D^n adds a cell of."""
+    return F.disc_family(n)[2]
+
+
 def dim_ctx(g: FlatCtx) -> int:
     return max((F.dim_ty(e) for e in g.entries), default=0)
 
@@ -154,16 +159,12 @@ def dim_ctx(g: FlatCtx) -> int:
 def check_ps_detail(g: FlatCtx) -> tuple[bool, int | None]:
     """Decide the ps-context judgement; on failure return the offending
     entry position."""
-    moves, pos = P._scan(g)
-    return moves is not None, pos
+    tree, pos = P._scan(g)
+    return tree is not None, pos
 
 
 def check_ps(g: FlatCtx) -> bool:
     return check_ps_detail(g)[0]
-
-
-def disc_word(n: int) -> DyckWord:
-    return DyckWord((UP,) * n + (DOWN,) * n)
 
 
 def boundary_set(g: FlatCtx, n: int, eps: str) -> VarSet:
@@ -188,6 +189,102 @@ def boundary_set(g: FlatCtx, n: int, eps: str) -> VarSet:
             mem[i] = True
         i += 2
     return VarSet(tuple(mem))
+
+
+# ---------------------------------------------------------------------------
+# Dyck words: pasting contexts as the up and down moves of their cells, as
+# Finster, Reutter, Rice and Vicary state pruning.  A peak is an up move
+# followed by a down move; the program's peak is the leaf of a tree that
+# the two moves add and remove.
+
+UP = "U"
+DOWN = "D"
+
+
+@dataclass(frozen=True)
+class DyckWord:
+    """Up/down move sequence; every prefix has at least as many ups as
+    downs."""
+
+    moves: tuple[str, ...]
+
+    def __post_init__(self):
+        depth = 0
+        for m in self.moves:
+            depth += 1 if m == UP else -1
+            if depth < 0:
+                raise F.MalformedSyntax("negative prefix in Dyck word")
+
+
+def disc_word(n: int) -> DyckWord:
+    return DyckWord((UP,) * n + (DOWN,) * n)
+
+
+def tree_to_dyck(t: Tree) -> DyckWord:
+    def moves(s: Tree) -> list[str]:
+        out: list[str] = []
+        for b in s.branches:
+            out.append(UP)
+            out.extend(moves(b))
+            out.append(DOWN)
+        return out
+
+    return DyckWord(tuple(moves(t)))
+
+
+def dyck_realise(d: DyckWord) -> tuple[FlatCtx, FlatType, FlatTerm]:
+    """The context, type and term associated to a Dyck word: an up move
+    adds a cell of the current type and an arrow from the current term to
+    it, a down move steps to the target of the current type."""
+    entries: list[FlatType] = [STAR]
+    ty: FlatType = STAR
+    tm: FlatTerm = Var(0)
+    for m in d.moves:
+        if m == UP:
+            entries.append(ty)
+            f_ty = Arrow(F.weaken(tm), F.weaken(ty), Var(0))
+            entries.append(f_ty)
+            tm = Var(0)
+            ty = F.weaken(f_ty)
+        else:
+            tm = ty.tgt
+            ty = ty.base
+    return FlatCtx(tuple(entries)), ty, tm
+
+
+def peaks(d: DyckWord) -> list[int]:
+    """The peaks of d, by the index of their up move."""
+    m = d.moves
+    return [i for i in range(len(m) - 1) if m[i] == UP and m[i + 1] == DOWN]
+
+
+def peak_pos(d: DyckWord, p: int) -> int:
+    """The position, in the realised context, of the cell of the peak p."""
+    if p not in peaks(d):
+        raise F.MalformedSyntax("not a peak")
+    return 2 * d.moves[: p + 1].count(UP)
+
+
+def prune(d: DyckWord, p: int) -> tuple[DyckWord, FlatSub]:
+    """Remove the peak p; return the pruned word and the projection from
+    the original context to the pruned one."""
+    pos = peak_pos(d, p)
+    prefix, suffix = d.moves[:p], d.moves[p + 2 :]
+    _, ty, tm = dyck_realise(DyckWord(prefix))
+    # the cells of the prefix and of the suffix keep their variables, and
+    # the peak's two go to the prefix's term and its identity, each
+    # weakened past the cells that the suffix adds
+    k = 2 * suffix.count(UP)
+    ty, tm = weaken_n(ty, k), weaken_n(tm, k)
+    cells = F.variables(pos - 1 + k)
+    terms = cells[: pos - 1] + (tm, F.canonical_identity(ty, tm)) + cells[pos - 1 :]
+    return DyckWord(prefix + suffix), FlatSub(STAR, terms)
+
+
+def prune_terms(sigma: FlatSub, d: DyckWord, p: int) -> FlatSub:
+    """sigma without the two terms of the cells that pruning p removes."""
+    pos = peak_pos(d, p)
+    return FlatSub(sigma.ty, sigma.terms[: pos - 1] + sigma.terms[pos + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +540,6 @@ def from_wedge(sigma: FlatSub, tau: FlatSub) -> FlatSub:
     if not tau.terms:
         raise F.MalformedSyntax("wedge of an empty substitution")
     return FlatSub(sigma.ty, sigma.terms + tau.terms[1:])
-
-
-def tree_to_dyck(t: Tree) -> DyckWord:
-    def moves(s: Tree) -> list[str]:
-        out: list[str] = []
-        for b in s.branches:
-            out.append(UP)
-            out.extend(moves(b))
-            out.append(DOWN)
-        return out
-
-    return DyckWord(tuple(moves(t)))
 
 
 def id_label(t: Tree) -> LTree:

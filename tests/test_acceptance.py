@@ -28,7 +28,6 @@ from cattkernel import trees as T
 from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var
 from cattkernel.nbe import SU, SUA, WEAK, NId
 from cattkernel.oracle import RuleSet
-from cattkernel.pasting import DOWN, UP, DyckWord, Peak
 from cattkernel.trees import LEAF, Tree
 from cattkernel.typecheck import Checker, Signature
 
@@ -305,20 +304,6 @@ def insertion_points(max_nodes: int):
                     yield s, p, t
 
 
-def all_dyck_words(max_len: int):
-    for length in range(0, max_len + 1):
-        for moves in itertools.product((UP, DOWN), repeat=length):
-            depth = 0
-            ok = True
-            for m in moves:
-                depth += 1 if m == UP else -1
-                if depth < 0:
-                    ok = False
-                    break
-            if ok:
-                yield DyckWord(moves)
-
-
 def _rand_term(rng: random.Random, depth: int, width: int):
     if depth == 0 or rng.random() < 0.5:
         return Var(rng.randrange(width))
@@ -329,10 +314,6 @@ def _rand_sub(rng: random.Random, n_terms: int, width: int) -> FlatSub:
     return FlatSub(
         STAR, tuple(_rand_term(rng, 2, width) for _ in range(n_terms))
     )
-
-
-def _shifted_peak(q: Peak, p: Peak) -> Peak:
-    return Peak(q.pos - 2) if q.pos > p.pos else q
 
 
 def test_09_structural_laws_hold_exactly():
@@ -356,31 +337,31 @@ def test_09_structural_laws_hold_exactly():
 
     # the sphere type pulled back along the classifying substitution
     # returns the classified type
-    samples = [F.sphere_ty(n) for n in range(5)]
+    samples = [SP.sphere_ty(n) for n in range(5)]
     idx = F.canonical_identity(STAR, Var(0))
     samples.append(Arrow(idx, STAR, idx))
     samples.append(Arrow(Var(2), Arrow(idx, STAR, idx), Var(1)))
     for a in samples:
         n = F.dim_ty(a)
-        assert F.substitute(F.sphere_ty(n), F.sub_from_sphere(a)) == a
+        assert F.substitute(SP.sphere_ty(n), F.sub_from_sphere(a)) == a
 
-    # pruning two peaks commutes, on contexts and on substitutions
-    for d in all_dyck_words(10):
-        pks = P.peaks(d)
-        n = 1 + 2 * sum(1 for m in d.moves if m == UP)
-        sigma = FlatSub(STAR, tuple(Var(i % 2) for i in range(n)))
-        for p, q in itertools.combinations(pks, 2):
-            d_p, pi_p = P.prune(d, p)
-            d_q, pi_q = P.prune(d, q)
-            q_p = _shifted_peak(q, p)
-            p_q = _shifted_peak(p, q)
-            d_pq, pi_qp = P.prune(d_p, q_p)
-            d_qp, pi_pq = P.prune(d_q, p_q)
-            assert d_pq == d_qp
-            assert F.compose(pi_p, pi_qp) == F.compose(pi_q, pi_pq)
-            assert P.prune_sub(
-                P.prune_sub(sigma, d, p), d_p, q_p
-            ) == P.prune_sub(P.prune_sub(sigma, d, q), d_q, p_q)
+    # pruning two peaks commutes, on contexts and on substitutions: the
+    # peaks of a tree are its maximal paths (none for the leaf), and
+    # pruning the one at i < j leaves the one at j two positions earlier
+    for t in all_trees(6):
+        g = F.tree_to_ctx(t)
+        sigma = FlatSub(STAR, tuple(Var(i % 2) for i in range(len(g))))
+        pks = T.path_table(t).maximal if t.branches else ()
+        for i, j in itertools.combinations(pks, 2):
+            g_i, pi_i = P.pruned(g, i)
+            g_j, pi_j = P.pruned(g, j)
+            g_ij, pi_ij = P.pruned(g_i, j - 2)
+            g_ji, pi_ji = P.pruned(g_j, i)
+            assert g_ij == g_ji
+            assert F.compose(pi_i, pi_ij) == F.compose(pi_j, pi_ji)
+            assert P.prune_sub(P.prune_sub(sigma, i), j - 2) == P.prune_sub(
+                P.prune_sub(sigma, j), i
+            )
 
     # labellings: realisation is a homomorphism and round-trips
     for t in all_trees(5):

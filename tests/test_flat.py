@@ -109,7 +109,7 @@ def test_suspend_disc():
     for n in range(4):
         assert F.suspend_ctx(F.disc_ctx(n)) == F.disc_ctx(n + 1)
         assert F.suspend_ctx(SP.sphere_ctx(n)) == SP.sphere_ctx(n + 1)
-        assert F.suspend_ty(F.sphere_ty(n), 2 * n) == F.sphere_ty(n + 1)
+        assert F.suspend_ty(SP.sphere_ty(n), 2 * n) == SP.sphere_ty(n + 1)
 
 
 def test_suspend_one_comp_ctx_is_vertical_comp_ctx():
@@ -308,7 +308,7 @@ def test_disc_base_case():
 def test_disc_dims():
     for n in range(7):
         assert SP.dim_ctx(F.disc_ctx(n)) == n
-        assert F.dim_ty(F.sphere_ty(n)) == n
+        assert F.dim_ty(SP.sphere_ty(n)) == n
 
 
 def test_a_wide_context_is_no_disc_and_builds_none():
@@ -319,14 +319,14 @@ def test_a_wide_context_is_no_disc_and_builds_none():
 
 
 def test_sphere_type_one():
-    assert F.sphere_ty(1) == Arrow(Var(1), STAR, Var(0))
+    assert SP.sphere_ty(1) == Arrow(Var(1), STAR, Var(0))
 
 
 @settings(max_examples=60)
 @given(S.ctxs(3), S.types(3, dim=3))
 def test_sphere_sub_classifies_type(_, a):
     n = F.dim_ty(a)
-    assert F.substitute(F.sphere_ty(n), F.sub_from_sphere(a)) == a
+    assert F.substitute(SP.sphere_ty(n), F.sub_from_sphere(a)) == a
 
 
 @settings(max_examples=60)
@@ -384,7 +384,7 @@ def test_support_of_disc_boundary():
 
 def test_fv_of_sphere_type():
     for n in range(1, 4):
-        fv = SP.free_vars(F.sphere_ty(n), 2 * n)
+        fv = SP.free_vars(SP.sphere_ty(n), 2 * n)
         assert fv == SP.VarSet.full(2 * n)
 
 

@@ -104,18 +104,19 @@ def test_unary_composite_argument_is_not_inserted():
 
 def test_pruning_is_insertion_of_an_identity(monkeypatch):
     # pruning a peak whose argument is an identity gives the reduct that
-    # inserting the identity's disc along the branch of that peak gives
+    # inserting the identity's disc along the branch of that peak gives;
+    # the step names the peak by its maximal path
     checked = 0
     prune_steps = O._prune_steps
 
     def checked_steps(t):
         nonlocal checked
-        d = P.ctx_to_dyck(t.ctx)
-        s = P.dyck_to_tree(d)
+        s = P.ctx_to_tree(t.ctx)
         lab = F.label_from_sub(s, t.sub)
         for st in prune_steps(t):
-            var = P.peak_var(d, P.Peak(st.where[1]))
-            (mp,) = [q for q in T.maximal_paths(s) if F.path_var(s, q) == var]
+            mp = st.where[1]
+            assert st.where[0] == "head" and mp in T.maximal_paths(s)
+            assert F.is_identity(lab.lookup(mp))
             disc = T.linear_tree(len(mp) - 2)
             merged = T.insert_ltree(
                 lab, mp[:-1], F.label_from_sub(disc, lab.lookup(mp).sub)
@@ -440,11 +441,16 @@ def test_insertion_search_builds_no_labelling_without_an_insertable_argument(mon
 
 def test_normalising_again_builds_no_pasting_construction(monkeypatch):
     # a second normalisation of the same terms finds every pruned context,
-    # projection and exterior labelling built by the first; the caches
-    # start empty, so the first builds some whatever ran before
+    # projection and exterior labelling built by the first, and scans no
+    # context; the caches start empty, so the first builds some whatever
+    # ran before
     for cache in (F.tree_to_ctx, F.standard_coh, F.exterior_label):
         cache.cache_clear()
     built = Counter()
+
+    def counts() -> Counter:
+        # the realisations of trees that tree_to_ctx builds, with the rest
+        return built + Counter(tree_to_ctx=F.tree_to_ctx.cache_info().misses)
 
     def counting(module, name):
         f = getattr(module, name)
@@ -455,10 +461,7 @@ def test_normalising_again_builds_no_pasting_construction(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in [
-        (P, "prune"), (P, "dyck_realise"), (P, "dyck_to_tree"), (P, "_scan"),
-        (F, "_exterior_label"),
-    ]:
+    for module, name in [(P, "_drop"), (P, "_scan"), (F, "_exterior_label")]:
         counting(module, name)
     _, chain, _ = pruning_chain()
     cases = [(chain, SU)] + [
@@ -468,10 +471,31 @@ def test_normalising_again_builds_no_pasting_construction(monkeypatch):
     ]
     for t, rules in cases:
         first = O.normalise(t, rules)
-        before = built.copy()
+        before = counts()
         assert O.normalise(t, rules) == first
-        assert built == before, t
-    assert built["prune"] > 0 and built["_exterior_label"] > 0
+        assert counts() == before, t
+    assert built["_drop"] > 0 and built["_exterior_label"] > 0
+
+
+def test_pruning_scans_no_context_that_keeps_its_tree(monkeypatch):
+    # every head of the chain and of its reducts is over a context that
+    # flat.tree_to_ctx built, which keeps its tree: the prune search reads
+    # it there and scans nothing.  The caches start empty, so the contexts
+    # are new and have been pruned by nothing before.
+    for cache in (F.tree_to_ctx, F.standard_coh, F.standard_type):
+        cache.cache_clear()
+    scans = 0
+    scan = P._scan
+
+    def counted(g):
+        nonlocal scans
+        scans += 1
+        return scan(g)
+
+    monkeypatch.setattr(P, "_scan", counted)
+    _, chain, var = pruning_chain()
+    assert O.normalise(chain, SU) == (var, ["ecr", "prune", "dr"])
+    assert scans == 0
 
 
 def test_flattened_composites_share_one_coherence():

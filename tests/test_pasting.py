@@ -1,4 +1,6 @@
-"""Ps-contexts, Dyck words, pruning, boundary sets."""
+"""Pasting contexts: recognition, peaks and pruning on the trees that
+present them, checked against the Dyck-word reference of ``specs``, and
+boundary sets."""
 
 import itertools
 
@@ -7,11 +9,13 @@ from hypothesis import given, settings
 
 from cattkernel import flat as F
 from cattkernel import pasting as P
+from cattkernel import trees as T
 from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var
-from cattkernel.pasting import DOWN, UP, DyckWord, Peak
+from cattkernel.trees import LEAF, Tree
 
 import specs as SP
 import strategies as S
+from specs import DOWN, UP, DyckWord
 
 
 def chain_ctx(k: int) -> FlatCtx:
@@ -34,6 +38,28 @@ def all_dyck_words(max_len: int, trailing_zero: bool = False):
                     break
             if ok and (not trailing_zero or depth == 0):
                 yield DyckWord(moves)
+
+
+def all_trees(max_edges: int) -> list[Tree]:
+    """Every tree with at most max_edges edges: a tree with n edges is a
+    first branch with k edges and the rest of the tree, with n - 1 - k."""
+    by_edges = [[LEAF]]
+    for n in range(1, max_edges + 1):
+        by_edges.append(
+            [
+                Tree((b,) + rest.branches)
+                for k in range(n)
+                for b in by_edges[k]
+                for rest in by_edges[n - 1 - k]
+            ]
+        )
+    return [t for ts in by_edges for t in ts]
+
+
+def peaks(t: Tree) -> tuple[int, ...]:
+    """The positions of the peaks of t: its maximal paths, unless t is the
+    leaf, whose one cell is a point."""
+    return T.path_table(t).maximal if t.branches else ()
 
 
 # ---------------------------------------------------------------------------
@@ -74,37 +100,48 @@ def test_discs_are_ps():
 
 
 def test_realise_empty_word():
-    ctx, ty, tm = P.dyck_realise(DyckWord(()))
+    ctx, ty, tm = SP.dyck_realise(DyckWord(()))
     assert ctx == FlatCtx((STAR,)) and ty == STAR and tm == Var(0)
+    assert SP.tree_to_dyck(LEAF) == DyckWord(()) and F.tree_to_ctx(LEAF) == ctx
+    with pytest.raises(F.MalformedSyntax):
+        DyckWord((DOWN, UP))
 
 
 EXAMPLE_WORD = DyckWord((UP, UP, DOWN, UP, DOWN, DOWN, UP, DOWN))
+EXAMPLE_TREE = Tree((Tree((LEAF, LEAF)), LEAF))
 
 
 def test_realise_example_word():
-    ctx, ty, tm = P.dyck_realise(EXAMPLE_WORD)
+    ctx, ty, tm = SP.dyck_realise(EXAMPLE_WORD)
     assert len(ctx) == 9
     assert SP.check_ps(ctx)
     assert ty == STAR
     # dims of entries: x y f a? ... the word UUDUDDUD gives dims 0,0,1,1,2,1,2,0,1
     assert [F.dim_ty(e) for e in ctx.entries] == [0, 0, 1, 1, 2, 1, 2, 0, 1]
+    assert SP.tree_to_dyck(EXAMPLE_TREE) == EXAMPLE_WORD
+    assert F.tree_to_ctx(EXAMPLE_TREE) == ctx
 
 
 def test_realise_disc_word():
     for n in range(5):
-        ctx, ty, tm = P.dyck_realise(SP.disc_word(n))
+        ctx, ty, tm = SP.dyck_realise(SP.disc_word(n))
         assert ctx == F.disc_ctx(n)
+        assert SP.tree_to_dyck(T.linear_tree(n)) == SP.disc_word(n)
 
 
 def test_ctx_to_dyck_round_trip():
+    # recognition reads back the tree whose word realises the context
     for d in all_dyck_words(8, trailing_zero=True):
-        ctx, _, _ = P.dyck_realise(d)
+        ctx, _, _ = SP.dyck_realise(d)
         assert SP.check_ps(ctx)
-        assert P.ctx_to_dyck(ctx) == d
+        t = P.ctx_to_tree(ctx)
+        assert SP.tree_to_dyck(t) == d and F.tree_to_ctx(t) == ctx
 
 
 def test_ctx_to_dyck_rejects_non_ps():
-    assert P.ctx_to_dyck(SP.sphere_ctx(1)) is None
+    g = FlatCtx(SP.sphere_ctx(1).entries)
+    assert P.ctx_to_tree(g) is None and g._tree is False
+    assert P.ctx_to_tree(g) is None
 
 
 # ---------------------------------------------------------------------------
@@ -121,153 +158,172 @@ def locally_maximal_positions(ctx: FlatCtx) -> set[int]:
 
 
 def test_example_word_has_three_peaks():
-    pks = P.peaks(EXAMPLE_WORD)
+    pks = SP.peaks(EXAMPLE_WORD)
     assert len(pks) == 3
-    ctx, _, _ = P.dyck_realise(EXAMPLE_WORD)
-    positions = {len(ctx) - 1 - P.peak_var(EXAMPLE_WORD, p).idx for p in pks}
-    assert positions == locally_maximal_positions(ctx)
+    ctx, _, _ = SP.dyck_realise(EXAMPLE_WORD)
+    positions = [SP.peak_pos(EXAMPLE_WORD, p) for p in pks]
+    assert set(positions) == locally_maximal_positions(ctx)
+    assert list(peaks(EXAMPLE_TREE)) == positions
 
 
 def test_empty_word_has_no_peaks():
-    assert P.peaks(DyckWord(())) == []
+    assert SP.peaks(DyckWord(())) == []
+    # the leaf's one maximal path is a point, not a peak
+    assert peaks(LEAF) == ()
+    with pytest.raises(F.MalformedSyntax, match="not a peak"):
+        P.pruned(FlatCtx((STAR,)), 0)
 
 
 def test_disc_word_peak():
     for n in range(1, 5):
-        pks = P.peaks(SP.disc_word(n))
+        pks = SP.peaks(SP.disc_word(n))
         assert len(pks) == 1
-        assert P.peak_var(SP.disc_word(n), pks[0]) == Var(0)
+        # the peak is the last cell, Var(0)
+        assert SP.peak_pos(SP.disc_word(n), pks[0]) == 2 * n
+        assert peaks(T.linear_tree(n)) == (2 * n,)
 
 
 def test_peaks_are_locally_maximal_everywhere():
-    for d in all_dyck_words(8, trailing_zero=True):
-        if not d.moves:
+    for t in all_trees(4):
+        if t is LEAF:
             continue  # (x : *) has x locally maximal with no peak
-        ctx, _, _ = P.dyck_realise(d)
-        positions = {len(ctx) - 1 - P.peak_var(d, p).idx for p in P.peaks(d)}
-        assert positions == locally_maximal_positions(ctx)
+        ctx = F.tree_to_ctx(t)
+        assert set(peaks(t)) == locally_maximal_positions(ctx)
+        d = SP.tree_to_dyck(t)
+        assert [SP.peak_pos(d, p) for p in SP.peaks(d)] == list(peaks(t))
 
 
 # ---------------------------------------------------------------------------
 # pruning
 
+CHAIN2 = Tree((LEAF, LEAF))
+
 
 def test_prune_example():
-    d = DyckWord((UP, DOWN, UP, DOWN))
-    p = P.peaks(d)[1]
-    d2, pi = P.prune(d, p)
-    assert d2 == DyckWord((UP, DOWN))
+    # the second 1-cell of x -> y -> z, at position 4
+    g2, pi = P.pruned(F.tree_to_ctx(CHAIN2), 4)
+    assert g2 == F.tree_to_ctx(Tree((LEAF,)))
     # <a, b, c, b, id(*, b)> with (a, b, c) = (v2, v1, v0) in the codomain
     assert pi == FlatSub(
         STAR, (Var(2), Var(1), Var(0), Var(1), F.canonical_identity(STAR, Var(1)))
     )
+    assert SP.prune(DyckWord((UP, DOWN, UP, DOWN)), 2) == (DyckWord((UP, DOWN)), pi)
     sigma = FlatSub(STAR, (Var(0), Var(0), Var(1), Var(0), F.canonical_identity(STAR, Var(0))))
-    assert P.prune_sub(sigma, d, p) == FlatSub(STAR, (Var(0), Var(0), Var(1)))
+    assert P.prune_sub(sigma, 4) == FlatSub(STAR, (Var(0), Var(0), Var(1)))
 
 
 def test_prune_disc_word():
     for n in range(1, 5):
-        d2, _ = P.prune(SP.disc_word(n), P.peaks(SP.disc_word(n))[0])
-        ctx, _, _ = P.dyck_realise(d2)
-        assert ctx == F.disc_ctx(n - 1)
+        d2, _ = SP.prune(SP.disc_word(n), n - 1)
+        assert SP.dyck_realise(d2)[0] == F.disc_ctx(n - 1)
+        g2, _ = P.pruned(F.tree_to_ctx(T.linear_tree(n)), 2 * n)
+        assert g2 == F.disc_ctx(n - 1)
 
 
 @settings(max_examples=40)
 @given(S.types(2, dim=1), S.terms(2), S.terms(2))
 def test_prune_disc_sub(a, t, u):
     n = F.dim_ty(a) + 1
-    d = SP.disc_word(n)
-    p = P.peaks(d)[0]
     sigma = F.sub_from_disc(Arrow(t, a, t), u)
-    assert P.prune_sub(sigma, d, p) == F.sub_from_disc(a, t)
+    assert P.prune_sub(sigma, 2 * n) == F.sub_from_disc(a, t)
+    assert SP.prune_terms(sigma, SP.disc_word(n), n - 1) == F.sub_from_disc(a, t)
 
 
 def test_pruning_projection_compatible_with_realisation():
-    # Ty_D[pi] == Ty_{D//p} and Tm_D[pi] == Tm_{D//p}
+    # Ty_D[pi] == Ty_{D//p} and Tm_D[pi] == Tm_{D//p}, for the reference
     for d in all_dyck_words(10):
-        _, ty, tm = P.dyck_realise(d)
-        for p in P.peaks(d):
-            d2, pi = P.prune(d, p)
-            _, ty2, tm2 = P.dyck_realise(d2)
+        _, ty, tm = SP.dyck_realise(d)
+        for p in SP.peaks(d):
+            d2, pi = SP.prune(d, p)
+            _, ty2, tm2 = SP.dyck_realise(d2)
             assert F.substitute(ty, pi) == ty2
             assert F.substitute(tm, pi) == tm2
+    # on trees: the projection is a substitution into the pruned context,
+    # each cell's term typed by the cell's type pulled back along it
+    for t in all_trees(5):
+        g = F.tree_to_ctx(t)
+        paths = T.path_table(t).paths
+        for i in peaks(t):
+            g2, pi = P.pruned(g, i)
+            for q, term in zip(paths, pi.terms):
+                want = F.substitute(F.path_type(t, q), pi)
+                assert SP.canonical_type(g2, term) == want
 
 
 def test_only_a_peak_is_taken():
-    # EXAMPLE_WORD ends in an up and a down move, so Peak(-2) would pass a
-    # check that indexed the moves from the end
-    d = EXAMPLE_WORD
-    peak_positions = {p.pos for p in P.peaks(d)}
-    assert peak_positions == {1, 3, 6}
-    n = len(d.moves)
-    for pos in range(-n - 2, n + 2):
-        if pos in peak_positions:
-            P.peak_var(d, Peak(pos))
-            P.prune(d, Peak(pos))
+    # EXAMPLE_TREE ends in a leaf, so position -1 would pass a check that
+    # indexed the positions from the end
+    g = FlatCtx(F.tree_to_ctx(EXAMPLE_TREE).entries)
+    positions = set(peaks(EXAMPLE_TREE))
+    assert positions == {4, 6, 8}
+    n = len(g)
+    for i in range(-n - 2, n + 2):
+        if i in positions:
+            P.pruned(g, i)
             continue
-        for op in (P.peak_var, P.prune):
+        with pytest.raises(F.MalformedSyntax, match="not a peak"):
+            P.pruned(g, i)
+    for p in range(-len(EXAMPLE_WORD.moves) - 2, len(EXAMPLE_WORD.moves) + 2):
+        if p not in (1, 3, 6):
             with pytest.raises(F.MalformedSyntax, match="not a peak"):
-                op(d, Peak(pos))
+                SP.prune(EXAMPLE_WORD, p)
+    # a context that is no pasting context has no peak
+    with pytest.raises(F.MalformedSyntax, match="not a peak"):
+        P.pruned(FlatCtx((STAR, STAR, STAR)), 2)
 
 
 @settings(max_examples=60)
 @given(S.subs(5, 3, extended=False), S.subs(3, 2, extended=False))
 def test_prune_sub_commutes_with_composition(sigma, tau):
-    d = DyckWord((UP, DOWN, UP, DOWN))
-    for p in P.peaks(d):
-        lhs = F.compose(P.prune_sub(sigma, d, p), tau)
-        rhs = P.prune_sub(F.compose(sigma, tau), d, p)
+    for i in peaks(CHAIN2):
+        lhs = F.compose(P.prune_sub(sigma, i), tau)
+        rhs = P.prune_sub(F.compose(sigma, tau), i)
         assert lhs == rhs
 
 
-def shifted_peak(q: Peak, p: Peak) -> Peak:
-    return Peak(q.pos - 2) if q.pos > p.pos else q
-
-
 def test_pruning_commutes():
-    for d in all_dyck_words(10):
-        pks = P.peaks(d)
-        n = 1 + 2 * sum(1 for m in d.moves if m == UP)
-        sigma = FlatSub(STAR, tuple(Var(i % 2) for i in range(n)))
-        for p, q in itertools.combinations(pks, 2):
-            d_p, pi_p = P.prune(d, p)
-            d_q, pi_q = P.prune(d, q)
-            q_p = shifted_peak(q, p)
-            p_q = shifted_peak(p, q)
-            d_pq, pi_qp = P.prune(d_p, q_p)
-            d_qp, pi_pq = P.prune(d_q, p_q)
-            assert d_pq == d_qp
-            assert F.compose(pi_p, pi_qp) == F.compose(pi_q, pi_pq)
-            assert P.prune_sub(P.prune_sub(sigma, d, p), d_p, q_p) == P.prune_sub(
-                P.prune_sub(sigma, d, q), d_q, p_q
+    # pruning the peak at i < j leaves the one at j two positions earlier
+    for t in all_trees(5):
+        g = F.tree_to_ctx(t)
+        sigma = FlatSub(STAR, tuple(Var(k % 2) for k in range(len(g))))
+        for i, j in itertools.combinations(peaks(t), 2):
+            g_i, pi_i = P.pruned(g, i)
+            g_j, pi_j = P.pruned(g, j)
+            g_ij, pi_ij = P.pruned(g_i, j - 2)
+            g_ji, pi_ji = P.pruned(g_j, i)
+            assert g_ij == g_ji
+            assert F.compose(pi_i, pi_ij) == F.compose(pi_j, pi_ji)
+            assert P.prune_sub(P.prune_sub(sigma, i), j - 2) == P.prune_sub(
+                P.prune_sub(sigma, j), i
             )
 
 
 def test_peak_table_and_pruned_contexts_agree_with_pruning():
-    # every tree with at most 5 edges, by its Dyck word
-    for d in all_dyck_words(10, trailing_zero=True):
-        ctx = P.dyck_realise(d)[0]
-        table = P.peak_table(d)
-        assert P.peak_table(d) is table
-        assert [p for p, _ in table] == P.peaks(d)
-        for p, pos in table:
-            assert pos == len(ctx) - 1 - P.peak_var(d, p).idx
-            g, proj = P.pruned(d, p)
-            assert P.pruned(d, p) == (g, proj) and P.pruned(d, p)[0] is g
-            d2, pi = P.prune(d, p)
-            assert g == P.dyck_realise(d2)[0] and proj == pi
-            # the context is the shared realisation of its tree, and it
-            # keeps the word and the tree it presents
-            assert g is F.tree_to_ctx(P.dyck_to_tree(d2))
-            assert P.ctx_to_dyck(g) == d2 and P.ctx_to_tree(g) == P.dyck_to_tree(d2)
+    # every tree with at most 6 edges and every peak, against the Dyck-word
+    # reference: its peaks in order, the realised pruned word, the
+    # projection and the terms that pruning drops
+    for t in all_trees(6):
+        g = FlatCtx(F.tree_to_ctx(t).entries)
+        sigma = F.identity_sub(g)
+        d = SP.tree_to_dyck(t)
+        assert [SP.peak_pos(d, p) for p in SP.peaks(d)] == list(peaks(t))
+        for p, i in zip(SP.peaks(d), peaks(t)):
+            g2, proj = P.pruned(g, i)
+            assert P.pruned(g, i)[0] is g2 and P.pruned(g, i)[1] is proj
+            d2, pi = SP.prune(d, p)
+            assert g2 == SP.dyck_realise(d2)[0] and proj == pi
+            assert P.prune_sub(sigma, i) == SP.prune_terms(sigma, d, p)
+            # the context is the shared realisation of its tree, which it
+            # keeps
+            r = P.ctx_to_tree(g2)
+            assert g2 is F.tree_to_ctx(r) and SP.tree_to_dyck(r) == d2
 
 
 def test_projection_support_is_full():
-    for d in all_dyck_words(8):
-        for p in P.peaks(d):
-            d2, pi = P.prune(d, p)
-            ctx2, _, _ = P.dyck_realise(d2)
-            assert SP.free_vars(pi, len(ctx2)) == SP.VarSet.full(len(ctx2))
+    for t in all_trees(4):
+        for i in peaks(t):
+            g2, pi = P.pruned(F.tree_to_ctx(t), i)
+            assert SP.free_vars(pi, len(g2)) == SP.VarSet.full(len(g2))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +362,8 @@ def test_boundary_full_at_high_dim():
 
 
 def test_boundary_suspension():
-    for d in all_dyck_words(6, trailing_zero=True):
-        g, _, _ = P.dyck_realise(d)
+    for t in all_trees(3):
+        g = F.tree_to_ctx(t)
         sg = F.suspend_ctx(g)
         for n in range(0, 3):
             for eps in ("-", "+"):

@@ -128,10 +128,10 @@ def test_realisation_matches_suspension_and_wedge():
 
 def test_tree_dyck_ctx_round_trips():
     for t in all_trees(7):
-        d = SP.tree_to_dyck(t)
-        assert P.dyck_to_tree(d) == t
-        assert P.dyck_realise(d)[0] == F.tree_to_ctx(t)
+        assert SP.dyck_realise(SP.tree_to_dyck(t))[0] == F.tree_to_ctx(t)
         assert P.ctx_to_tree(F.tree_to_ctx(t)) == t
+        # a context built again from its entries is scanned for its tree
+        assert P.ctx_to_tree(FlatCtx(F.tree_to_ctx(t).entries)) is t
 
 
 def test_ctx_to_tree_rejects_non_ps():
@@ -258,7 +258,7 @@ def test_invalid_path_rejected():
 
 def test_equal_trees_share_one_cache_entry():
     a = EXAMPLE_TREE
-    b = P.dyck_to_tree(SP.tree_to_dyck(a))
+    b = P.ctx_to_tree(FlatCtx(F.tree_to_ctx(a).entries))
     assert a == b and a is b and hash(a) == hash(b)
     F.standard_type.cache_clear()
     F.standard_type(a, 2)
@@ -289,7 +289,7 @@ def test_every_construction_returns_the_one_canonical_tree():
 
     for t in all_trees(6):
         check(t)
-        assert P.dyck_to_tree(SP.tree_to_dyck(t)) is t
+        assert P.ctx_to_tree(FlatCtx(F.tree_to_ctx(t).entries)) is t
         assert T.suspend_tree(t) is canonical((nested(t),))
         for n in range(t.height + 1):
             check(T.tree_boundary(t, n))
@@ -333,29 +333,29 @@ def test_labelling_keeps_the_tree_it_was_built_on(monkeypatch):
 
 
 def test_a_flat_context_is_recognised_once(monkeypatch):
-    calls = {"_scan": 0, "dyck_to_tree": 0}
-    for name in calls:
-        f = getattr(P, name)
+    scans = 0
+    scan = P._scan
 
-        def counted(x, name=name, f=f):
-            calls[name] += 1
-            return f(x)
+    def counted(x):
+        nonlocal scans
+        scans += 1
+        return scan(x)
 
-        monkeypatch.setattr(P, name, counted)
+    monkeypatch.setattr(P, "_scan", counted)
     for t in all_trees(6):
         assert P.ctx_to_tree(F.tree_to_ctx(t)) is t
         g = FlatCtx(F.tree_to_ctx(t).entries)
-        calls.update(dict.fromkeys(calls, 0))
+        scans = 0
         assert P.ctx_to_tree(g) is t
-        assert calls == {"_scan": 1, "dyck_to_tree": 1}
+        assert scans == 1
         # the second time reads what the first kept
-        assert P.ctx_to_tree(g) is t and P.ctx_to_dyck(g) == SP.tree_to_dyck(t)
-        assert calls == {"_scan": 1, "dyck_to_tree": 1}
+        assert P.ctx_to_tree(g) is t and g._tree is t
+        assert scans == 1
     # a context that is not a pasting context is also scanned once
     g = FlatCtx((STAR, STAR))
-    calls.update(dict.fromkeys(calls, 0))
-    assert P.ctx_to_tree(g) is None and P.ctx_to_dyck(g) is None
-    assert calls == {"_scan": 1, "dyck_to_tree": 0}
+    scans = 0
+    assert P.ctx_to_tree(g) is None and P.ctx_to_tree(g) is None
+    assert g._tree is False and scans == 1
 
 
 def test_a_realised_context_keeps_its_tree(monkeypatch):
@@ -904,7 +904,6 @@ CHECKED = {
     Tree: Tree((LEAF,)),
     LTree: LTree(Tree((LEAF,)), (0, 1, 2)),
     R.RawTree: R.RawTree(Tree((LEAF,)), (None, "x", "f")),
-    P.DyckWord: P.DyckWord((P.UP, P.DOWN)),
     N.EvalConfig: N.SUA,
 }
 
@@ -926,7 +925,7 @@ def rebuild(x):
 
 def test_records_are_immutable_and_slotted():
     classes = record_classes()
-    assert len(classes) > 50
+    assert len(classes) >= 49
     for cls in classes:
         x = example(cls)
         assert not hasattr(x, "__dict__"), cls
@@ -982,8 +981,6 @@ def test_records_check_their_fields():
         LTree(Tree((LEAF,)), (0, 1))
     with pytest.raises(T.MalformedSyntax):
         R.RawTree(LEAF, ("x", "y"))
-    with pytest.raises(F.MalformedSyntax):
-        P.DyckWord((P.DOWN, P.UP))
 
 
 @given(S.ctx_and_term())

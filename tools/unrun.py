@@ -79,11 +79,6 @@ ALLOWED = {
     "flat:Coh.__repr__": "for test-failure messages",
     "flat:FlatCtx.__repr__": "for test-failure messages",
     "flat:FlatSub.__repr__": "for test-failure messages",
-    "flat:sphere_ty": "U^n alone, for the tests; the program reads it from flat._discs "
-    "together with the types built on it",
-    "pasting:DyckWord.__repr__": "for test-failure messages",
-    "pasting:peak_var": "the variable of a peak, as the tests state where its argument "
-    "sits; the prune search reads the argument's position from pasting.peak_table",
     "trees:Tree.__repr__": "for test-failure messages",
     "trees:Record.__repr__": "for test-failure messages",
     "trees:Record.__init_subclass__": "runs at import, before the trace starts",
