@@ -27,9 +27,20 @@ class CVar(Record):
 
 
 class CCoh(Record):
-    __slots__ = ("tree", "ty")
+    """A coherence head over a tree.  It keeps the value of its type per
+    configuration, in ``_ty_nf`` outside the fields: elaboration stores
+    the value it has just built, and evaluation reads it, or computes it
+    once and stores it."""
+
+    __slots__ = ("tree", "ty", "_ty_nf")
+    _fields = ("tree", "ty")
     tree: Tree
     ty: "CoreType"
+
+    def __init__(self, tree: Tree, ty: "CoreType"):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "_ty_nf", {})
 
 
 class CId(Record):
@@ -162,9 +173,9 @@ def _unsuspend(amb: Ambient) -> Ambient:
 
 def flatten_args(args: CArgs, amb: Ambient) -> F.FlatSub:
     ty = flatten_ty(args.ty, amb)
-    if isinstance(args.data, LTree):
-        return F.label_to_sub(args.data.map(lambda e: flatten_tm(e, amb)), ty)
-    return F.FlatSub(ty, tuple(flatten_tm(t, amb) for t in args.data))
+    data = args.data
+    es = data.entries if isinstance(data, LTree) else data
+    return F.FlatSub(ty, tuple([flatten_tm(e, amb) for e in es]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,25 +25,39 @@ from .core import CoreTerm, CoreType
 from .trees import LTree, Path, Record, Tree
 
 
+# Every configuration made so far, by its values: at most twelve.
+_CONFIGS: dict = {}
+
+
 class EvalConfig(Record):
-    # the hash is kept, as Tree keeps its own: configurations key the cache
-    # of standard types
-    __slots__ = ("dr", "ecr", "insertion", "_hash")
-    _fields = ("dr", "ecr", "insertion")
+    """Which reductions evaluation performs.  Interned over its twelve
+    values, as ``Tree`` is over its branches: equal configurations are one
+    object, so equality and the hash are identity's, and the caches keyed
+    by configurations (standard types, the types that coherence heads
+    keep) find their entries by an identity test."""
+
+    __slots__ = ("dr", "ecr", "insertion")
     dr: bool
     ecr: bool
     insertion: str  # none | id | full
 
-    def __init__(self, dr: bool = False, ecr: bool = False, insertion: str = "none"):
-        if insertion not in ("none", "id", "full"):
-            raise ValueError("insertion must be none, id or full")
-        object.__setattr__(self, "dr", dr)
-        object.__setattr__(self, "ecr", ecr)
-        object.__setattr__(self, "insertion", insertion)
-        object.__setattr__(self, "_hash", hash((dr, ecr, insertion)))
+    def __new__(cls, dr: bool = False, ecr: bool = False, insertion: str = "none"):
+        key = (bool(dr), bool(ecr), insertion)
+        cfg = _CONFIGS.get(key)
+        if cfg is None:
+            if insertion not in ("none", "id", "full"):
+                raise ValueError("insertion must be none, id or full")
+            cfg = object.__new__(cls)
+            object.__setattr__(cfg, "dr", key[0])
+            object.__setattr__(cfg, "ecr", key[1])
+            object.__setattr__(cfg, "insertion", insertion)
+            _CONFIGS[key] = cfg
+        return cfg
 
-    def __hash__(self) -> int:
-        return self._hash
+    # __new__ finds or makes the configuration, and equal ones are one object
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 WEAK = EvalConfig()
@@ -56,11 +70,17 @@ SUA = EvalConfig(dr=True, ecr=True, insertion="full")
 
 
 class NVar(Record):
-    __slots__ = ("pos",)
+    """A variable.  Its quotation is built at the first ``quote_tm`` and
+    kept in a slot outside the fields, so a variable kept by an identity
+    environment quotes to one kept core variable."""
+
+    __slots__ = ("pos", "_core")
+    _fields = ("pos",)
     pos: Union[int, Path]
 
     def __init__(self, pos: Union[int, Path]):
         object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "_core", None)
 
 
 class NCoh(Record):
@@ -175,7 +195,10 @@ def eval_tm(cfg: EvalConfig, x: CoreTerm, env: Env) -> NfTerm:
     if isinstance(x, C.CVar):
         return env.lookup(x.pos)
     if isinstance(x, C.CCoh):
-        return _eval_head(cfg, x.tree, eval_ty(cfg, x.ty, id_env(x.tree)), env)
+        b = x._ty_nf.get(cfg)
+        if b is None:
+            b = x._ty_nf[cfg] = eval_ty(cfg, x.ty, id_env(x.tree))
+        return _eval_head(cfg, x.tree, b, env)
     if isinstance(x, C.CComp):
         return _eval_head(cfg, x.tree, None, env)
     if isinstance(x, C.CId):
@@ -201,10 +224,11 @@ def eval_ty(cfg: EvalConfig, a: CoreType, env: Env) -> NfType:
 def eval_args(cfg: EvalConfig, args: C.CArgs, env: Env) -> Env:
     """The environment of the evaluated arguments of a substitution or a
     labelling."""
-    if isinstance(args.data, LTree):
-        data = args.data.map(lambda e: eval_tm(cfg, e, env))
+    data = args.data
+    if isinstance(data, LTree):
+        data = LTree(data.shape, tuple([eval_tm(cfg, e, env) for e in data.entries]))
     else:
-        data = tuple(eval_tm(cfg, t, env) for t in args.data)
+        data = tuple([eval_tm(cfg, t, env) for t in data])
     return Env(data, eval_ty(cfg, args.ty, env))
 
 
@@ -213,7 +237,9 @@ def eval_nf(cfg: EvalConfig, x: NfTerm, env: Env) -> NfTerm:
     its quotation, without building core syntax."""
     if isinstance(x, NVar):
         return env.lookup(x.pos)
-    args = Env(x.label.map(lambda e: eval_nf(cfg, e, env)), env.ty)
+    lt = x.label
+    vals = tuple([eval_nf(cfg, e, env) for e in lt.entries])
+    args = Env(LTree(lt.shape, vals), env.ty)
     head = x.head
     if isinstance(head, NId):
         return NApp(NId(head.n + len(env.ty)), lower(args))
@@ -222,8 +248,7 @@ def eval_nf(cfg: EvalConfig, x: NfTerm, env: Env) -> NfTerm:
 
 
 def eval_nf_ty(cfg: EvalConfig, b: NfType, env: Env) -> NfType:
-    pairs = tuple((eval_nf(cfg, s, env), eval_nf(cfg, t, env)) for s, t in b)
-    return pairs + env.ty
+    return tuple([(eval_nf(cfg, s, env), eval_nf(cfg, t, env)) for s, t in b]) + env.ty
 
 
 def disc_label(b: NfType, x: NfTerm) -> LTree:
@@ -254,10 +279,9 @@ def _find_redex(cfg: EvalConfig, s: Tree, lt: LTree):
     id_candidates = []
     full_candidates = []
     tb = T.path_table(s)
-    for i in tb.maximal:
-        arg = lt.entries[i]
-        if not isinstance(arg, NApp):
-            continue
+    es = lt.entries
+    for i in [i for i in tb.maximal if es[i].__class__ is NApp]:
+        arg = es[i]
         mp = tb.paths[i]
         if isinstance(arg.head, NId):
             t = T.linear_tree(arg.head.n)
@@ -356,17 +380,18 @@ def _classify(cfg: EvalConfig, s: Tree, b: NfType, lt: LTree) -> NfTerm:
         label = disc_label(rest, b[0][0]).map(lambda e: eval_nf(cfg, e, env))
         return NApp(NId(len(rest)), label)
     linear = s.is_linear
+    std = standard_nf_type(cfg, s, s.height)
     if (
         not cfg.ecr
         and linear
         and b
         and b[0][0] == b[0][1] == NVar(T.max_path(s.height))
-        and b[1:] == standard_nf_type(cfg, s, s.height)
+        and b[1:] == std
     ):
         return NApp(NId(s.height), lt)
-    if cfg.dr and linear and b == standard_nf_type(cfg, s, s.height):
+    if cfg.dr and linear and b == std:
         return lt.lookup(T.max_path(s.height))
-    if b == standard_nf_type(cfg, s, s.height):
+    if b == std:
         return NApp(NComp(s), lt)
     return NApp(NCoh(s, b), lt)
 
@@ -402,7 +427,11 @@ def _std_term(cfg: EvalConfig, b: Tree, m: int, env: Env) -> NfTerm:
 
 def quote_tm(x: NfTerm) -> CoreTerm:
     if isinstance(x, NVar):
-        return C.CVar(x.pos)
+        c = x._core
+        if c is None:
+            c = C.CVar(x.pos)
+            object.__setattr__(x, "_core", c)
+        return c
     head = x.head
     if isinstance(head, NCoh):
         inner: CoreTerm = C.CCoh(head.tree, quote_ty(head.ty))

@@ -316,6 +316,7 @@ def tokenize(text: str, source: Optional[str] = None) -> list[tuple]:
 # parser
 
 _ARGS_OPEN = ("lparen", "langle", "lbracket")
+_TYPE_ATOM_OPEN = ("star", "hole", "lparen")
 _ELEMENT_STOPS = (
     "lbrace",
     "rbrace",
@@ -343,7 +344,7 @@ def _block(elements: list, branches: list, span: Span) -> tuple:
         entries += es
         spans.append(SYNTH)
         spans += ss
-    return Tree(tuple(b[0] for b in branches)), entries, spans
+    return Tree(tuple([b[0] for b in branches])), entries, spans
 
 
 def _raw_tree(block: tuple) -> RawTree:
@@ -473,17 +474,20 @@ class _Parser:
             return RArgs(tree, ty, self.span_from(start))
         if kind == "lbracket":
             tree = _raw_tree(self.square_block(element="term"))
-            return RArgs(tree, None, self.span_from(start))
+            return RArgs(tree, None, tree.span)
         raise ParseError("expected arguments", self.span_of(t))
 
     def type_part(self) -> Optional[RawType]:
         """An optional leading `type |` of an argument list.  A type atom
-        before the bar is tried last: `type_` reads `* |` as the start of
-        an annotated arrow type.  The term that `type_` reads as the
-        source of an arrow is kept, so the arguments do not parse it
-        again."""
+        before the bar is tried last, and only on a token that can start
+        one: `type_` reads `* |` as the start of an annotated arrow type.
+        The term that `type_` reads as the source of an arrow is kept, so
+        the arguments do not parse it again."""
         save = self.pos
-        for parse in (self.type_, self.type_atom):
+        parses = [self.type_]
+        if self.peek()[KIND] in _TYPE_ATOM_OPEN:
+            parses.append(self.type_atom)
+        for parse in parses:
             try:
                 ty = parse()
                 self.expect("bar")
@@ -502,7 +506,12 @@ class _Parser:
         """A labelling in braces, as the shape, entries and spans of
         `_block`; a branch in braces is again in braces."""
         start = self.peek()[START]
-        elements = [self.tree_element(element)]
+        return self.braces(element, start, self.tree_element(element))
+
+    def braces(self, element: str, start: int, first) -> tuple:
+        """The labelling in braces that begins at start, its first entry
+        read."""
+        elements = [first]
         branches: list[tuple] = []
         while self.peek()[KIND] == "lbrace":
             self.next()
@@ -524,17 +533,25 @@ class _Parser:
 
     def square_block(self, element: str) -> tuple:
         """Square-bracket sugar, as the shape, entries and spans of
-        `_block`: each item is a branch, written as a tree; a single entry
-        is the tree of that entry alone."""
+        `_block`: each item is a branch, written as a tree.  A single entry
+        is the leaf block of that entry alone, whose span is a term's own;
+        an entry followed by braces begins a labelling in braces."""
         start = self.peek()[START]
         self.next()  # the opening bracket, which the caller has seen
         branches: list[tuple] = []
         if self.peek()[KIND] != "rbracket":
             while True:
-                if self.peek()[KIND] == "lbracket":
+                t = self.peek()
+                if t[KIND] == "lbracket":
                     branches.append(self.square_block(element))
                 else:
-                    branches.append(self.curly_block(element))
+                    x = self.tree_element(element)
+                    if self.peek()[KIND] == "lbrace":
+                        branches.append(self.braces(element, t[START], x))
+                    elif isinstance(x, RawNode):
+                        branches.append((LEAF, [x], [x.span]))
+                    else:
+                        branches.append((LEAF, [x], [self.span_from(t[START])]))
                 if self.peek()[KIND] != "comma":
                     break
                 self.next()
@@ -548,20 +565,21 @@ class _Parser:
         start = self.peek()[START]
         save = self.pos
         base: Optional[RawType] = None
-        try:
-            b = self.type_atom()
-            if self.peek()[KIND] == "bar":
-                self.next()
-                base = b
-            elif self.peek()[KIND] in ("arrow", "lparen", "langle"):
-                # an atom followed by an arrow or by arguments starts a
-                # term, as in `_(x) -> y`
-                raise ParseError("the start of a term", self.span_of(self.peek()))
-            else:
-                return b
-        except ParseError:
-            if base is None:
-                self.pos = save
+        if self.peek()[KIND] in _TYPE_ATOM_OPEN:
+            try:
+                b = self.type_atom()
+                if self.peek()[KIND] == "bar":
+                    self.next()
+                    base = b
+                elif self.peek()[KIND] in ("arrow", "lparen", "langle"):
+                    # an atom followed by an arrow or by arguments starts a
+                    # term, as in `_(x) -> y`
+                    raise ParseError("the start of a term", self.span_of(self.peek()))
+                else:
+                    return b
+            except ParseError:
+                if base is None:
+                    self.pos = save
         src = self.term()
         self.expect("arrow")
         tgt = self.term()

@@ -99,26 +99,24 @@ _TREES: WeakValueDictionary = WeakValueDictionary()
 
 
 class Tree(Record):
-    """A tree, interned: equal trees are one object, so equality is
-    identity and a cache keyed by trees finds its entry by an identity
-    test.  Its ``PathTable`` is built at the first ``path_table`` call and
-    kept in a slot outside the fields."""
+    """A tree, interned: equal trees are one object, so equality and the
+    hash are identity's, and a cache keyed by trees finds its entry by an
+    identity test.  Its ``PathTable`` is built at the first ``path_table``
+    call and kept in a slot outside the fields."""
 
     __slots__ = (
-        "branches", "_height", "_trunk_height", "_ctx_size", "_hash", "_table",
-        "__weakref__",
+        "branches", "_height", "_trunk_height", "_ctx_size", "_table", "__weakref__",
     )
     _fields = ("branches",)
     branches: tuple[Tree, ...]
 
     def __new__(cls, branches: tuple[Tree, ...] = ()):
-        # The children are interned already, so the key hashes from their
-        # stored hashes and compares child by child by identity.
+        # The children are interned already, so the key hashes in C from
+        # their identities and compares child by child by identity.
         t = _TREES.get(branches)
         if t is None:
             # Computed once from the children's stored values.  They are
-            # slots outside the fields, so the repr sees the branches alone,
-            # and the hash is the hash of the branches.
+            # slots outside the fields, so the repr sees the branches alone.
             bs = branches
             height = max((b._height + 1 for b in bs), default=0)
             trunk = 1 + bs[0]._trunk_height if len(bs) == 1 else 0
@@ -128,7 +126,6 @@ class Tree(Record):
             object.__setattr__(t, "_height", height)
             object.__setattr__(t, "_trunk_height", trunk)
             object.__setattr__(t, "_ctx_size", size)
-            object.__setattr__(t, "_hash", hash(bs))
             object.__setattr__(t, "_table", None)
             _TREES[bs] = t
         return t
@@ -136,9 +133,7 @@ class Tree(Record):
     # __new__ finds or makes the tree, and equal trees are one object
     __init__ = object.__init__
     __eq__ = object.__eq__
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__
 
     @property
     def height(self) -> int:
@@ -186,15 +181,17 @@ class PathTable:
     """The facts of a tree that its labellings read: its paths in
     ``all_paths`` order, the index of each path in that order (its position
     in the realised context), the index at which each branch's block of
-    paths starts, just after the 0-cell that ends the branch, and the
+    paths starts, just after the 0-cell that ends the branch, the indices
+    of the 0-cells of the root block, 0 and then each offset - 1, and the
     indices of the maximal paths, in ``maximal_paths`` order."""
 
-    __slots__ = ("paths", "index", "offsets", "maximal")
+    __slots__ = ("paths", "index", "offsets", "zeros", "maximal")
 
     def __init__(self, paths: tuple, offsets: tuple, maximal: tuple):
         self.paths = paths
         self.index = {p: i for i, p in enumerate(paths)}
         self.offsets = offsets
+        self.zeros = (0,) + tuple(o - 1 for o in offsets)
         self.maximal = maximal
 
 
@@ -323,7 +320,7 @@ class LTree(Record):
     @property
     def elements(self) -> tuple:
         es = self.entries
-        return (es[0],) + tuple(es[o - 1] for o in path_table(self.shape).offsets)
+        return tuple(es[i] for i in path_table(self.shape).zeros)
 
     @property
     def branches(self) -> tuple["LTree", ...]:
@@ -409,10 +406,10 @@ def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
         # the 0-cell k of s, and the rest of ms that of the 0-cell k+1 and
         # branch k, or ms[1] that of k+1 and the insertion into branch k
         k = q[0]
-        offsets = path_table(s).offsets
-        o = offsets[k]
+        tb = path_table(s)
+        o = tb.offsets[k]
         end = o + s.branches[k]._ctx_size
-        zk = offsets[k - 1] - 1 if k else 0
+        zk = tb.zeros[k]
         if len(q) == 1:
             rest = ms[1:]
         else:

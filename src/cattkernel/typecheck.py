@@ -32,19 +32,29 @@ class CheckError(Exception):
 
 
 class ListCtx(Record):
-    __slots__ = ("names", "types", "_index")
+    """A list context: its names and their types.  Outside the fields it
+    keeps, built at the first lookup, each name's position (``index``)
+    and, per name looked up, the variable that ``Checker.lookup`` returns
+    (``_vars``)."""
+
+    __slots__ = ("names", "types", "_index", "_vars")
     _fields = ("names", "types")
     names: tuple  # of str
     types: tuple  # of NfType, positions from the start
+
+    def __init__(self, names: tuple, types: tuple):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_vars", {})
 
     def __len__(self):
         return len(self.names)
 
     @property
     def index(self) -> dict:
-        """Each bound name to the first position that binds it.  Built at
-        the first lookup, in a slot outside the fields."""
-        out = getattr(self, "_index", None)
+        """Each bound name to the first position that binds it."""
+        out = self._index
         if out is None:
             out = {}
             for i, nm in enumerate(self.names):
@@ -57,9 +67,19 @@ class ListCtx(Record):
 
 
 class TreeCtx(Record):
-    __slots__ = ("names", "_index")
+    """A tree context: a labelling of its tree by optional names.  Outside
+    the fields, so that equality and hashing see the names alone, it keeps
+    what ``ListCtx`` keeps: each name's path (``index``) and, per name
+    looked up, the variable that ``Checker.lookup`` returns (``_vars``)."""
+
+    __slots__ = ("names", "_index", "_vars")
     _fields = ("names",)
     names: LTree  # of Optional[str]
+
+    def __init__(self, names: LTree):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_vars", {})
 
     @property
     def tree(self) -> Tree:
@@ -68,9 +88,8 @@ class TreeCtx(Record):
     @property
     def index(self) -> dict:
         """Each bound name to the first path, in ``T.all_paths`` order,
-        that binds it.  Built at the first lookup, in a slot outside the
-        fields, so equality and hashing see the names alone."""
-        out = getattr(self, "_index", None)
+        that binds it."""
+        out = self._index
         if out is None:
             out = {}
             for p, nm in zip(T.path_table(self.tree).paths, self.names.entries):
@@ -81,12 +100,15 @@ class TreeCtx(Record):
 
     def type_of(self, p) -> NfType:
         """The type of a path variable: pairs of endpoint paths, the
-        innermost pair first."""
+        innermost pair first, as the variables of the identity
+        environment."""
+        ids = N.id_env(self.tree).data.entries
+        index = T.path_table(self.tree).index
         pairs = []
         q = p
         while len(q) > 1:
             q = q[:-1]
-            pairs.append((N.NVar(q), N.NVar(q[:-1] + (q[-1] + 1,))))
+            pairs.append((ids[index[q]], ids[index[q[:-1] + (q[-1] + 1,)]]))
         return tuple(pairs)
 
 
@@ -228,7 +250,9 @@ class Checker:
                 "the source and target supports do not form an allowed operation",
                 raw.ty.span,
             )
-        return ctx, C.CCoh(shape, ty_core), ty_nf
+        head = C.CCoh(shape, ty_core)
+        head._ty_nf[self.config] = ty_nf
+        return ctx, head, ty_nf
 
     # -- checking -----------------------------------------------------------
 
@@ -274,10 +298,18 @@ class Checker:
         return t, ty, self.nf(ctx, t)
 
     def lookup(self, ctx: Ctx, name: str) -> Optional[tuple]:
-        pos = ctx.index.get(name)
-        if pos is None:
-            return None
-        return C.CVar(pos), ctx.type_of(pos), N.NVar(pos)
+        """The core variable, type and value of the variable that name
+        binds in ctx, or None.  The context keeps the triple from the
+        first lookup: its value is the identity environment's variable,
+        and its core variable the quotation that value keeps."""
+        found = ctx._vars.get(name)
+        if found is None:
+            pos = ctx.index.get(name)
+            if pos is None:
+                return None
+            value = ctx_id_env(ctx).lookup(pos)
+            found = ctx._vars[name] = (N.quote_tm(value), ctx.type_of(pos), value)
+        return found
 
     def support(self, ctx: TreeCtx, x) -> set:
         """The paths a normal form over a tree context mentions, closed
@@ -365,35 +397,43 @@ class Checker:
         in its neighbours' types."""
         es = raw.entries
 
+        def leaf(o: int) -> tuple:
+            # the core entry, type and value of the locally maximal entry
+            # at index o
+            x = es[o]
+            if x is None or isinstance(x, R.RHole):
+                raise CheckError(
+                    "a locally maximal argument cannot be omitted", raw.span_at(o)
+                )
+            return self.elab(ctx, x)
+
         def block(s: Tree, o: int) -> tuple:
             # the core entries and the values of the block of the subtree s,
-            # which starts at index o, and the type of its zero cells
-            if not s.branches:
-                x = es[o]
-                if x is None or isinstance(x, R.RHole):
-                    raise CheckError(
-                        "a locally maximal argument cannot be omitted", raw.span_at(o)
-                    )
-                t, ty, v = self.elab(ctx, x)
-                return [t], [v], ty
-            # the 0-cell that ends a branch comes just before its block
+            # which has branches and starts at index o, and the type of its
+            # zero cells; a leaf branch is elaborated here, and a branch
+            # with branches of its own by a call for its block
             nb = len(s.branches)
-            offsets = T.path_table(s).offsets
+            tb = T.path_table(s)
             terms: list = [None]
             vals: list = [None]
             pairs = []
             tails = []
-            for sub, so in zip(s.branches, offsets):
-                m, mv, b = block(sub, o + so)
+            for sub, so in zip(s.branches, tb.offsets):
+                if sub.branches:
+                    m, mv, b = block(sub, o + so)
+                    terms.append(None)
+                    terms += m
+                    vals.append(None)
+                    vals += mv
+                else:
+                    t, b, v = leaf(o + so)
+                    terms += (None, t)
+                    vals += (None, v)
                 if not b:
                     raise CheckError(
                         "a branch argument has a type of the wrong dimension",
                         raw.span_at(o + so),
                     )
-                terms.append(None)
-                terms += m
-                vals.append(None)
-                vals += mv
                 pairs.append(b[0])
                 tails.append(b[1:])
             for i in range(nb - 1):
@@ -409,7 +449,7 @@ class Checker:
                         raw.span_at(o),
                     )
             ends = [p[0] for p in pairs] + [pairs[-1][1]]
-            for i, end in zip([0] + [so - 1 for so in offsets], ends):
+            for i, end in zip(tb.zeros, ends):
                 vals[i] = end
                 x = es[o + i]
                 if x is None or isinstance(x, R.RHole):
@@ -424,7 +464,11 @@ class Checker:
                     terms[i] = t
             return terms, vals, tails[0]
 
-        terms, vals, ty = block(shape, 0)
+        if shape.branches:
+            terms, vals, ty = block(shape, 0)
+        else:
+            t, ty, v = leaf(0)
+            terms, vals = [t], [v]
         return (
             LTree(shape, tuple(terms)),
             LTree(shape, tuple(vals)),

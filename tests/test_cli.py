@@ -346,13 +346,15 @@ def test_deep_nesting_gives_one_error_line(tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
-def run_long_left_nested_composite(tmp_path, flags) -> subprocess.CompletedProcess:
-    """Normalise a left-nested composite of 150 arguments through the CLI
+def run_long_left_nested_composite(
+    tmp_path, flags, n: int = 150
+) -> subprocess.CompletedProcess:
+    """Normalise a left-nested composite of n arguments through the CLI
     in a fresh interpreter, at the default recursion limit."""
     term = "f0"
-    for i in range(1, 150):
+    for i in range(1, n):
         term = f"comp[{term}, f{i}]"
-    ctx = "[" + ", ".join(f"f{i}" for i in range(150)) + "]"
+    ctx = "[" + ", ".join(f"f{i}" for i in range(n)) + "]"
     f = tmp_path / "long.catt"
     f.write_text(f"normalise {term} in {ctx}\n")
     code = "import sys\nfrom cattkernel import cli\nsys.exit(cli.main(sys.argv[1:]))"
@@ -378,6 +380,22 @@ def test_long_left_nested_composite_normalises_under_the_oracle(tmp_path, flags)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert any(line.startswith("oracle: ") for line in proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--su"], ["--sua"], ["--sua", "--oracle"]],
+    ids=["weak", "su", "sua", "sua-oracle"],
+)
+def test_depth_ceiling(tmp_path, flags):
+    # the depth the CLI handles at the default recursion limit: 160
+    # arguments normalise, and 2,000 are refused with one line
+    proc = run_long_left_nested_composite(tmp_path, flags, 160)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("normal form: ") and proc.stderr == ""
+    proc = run_long_left_nested_composite(tmp_path, flags, 2000)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: the input is nested too deeply\n"
 
 
 def test_long_left_nested_application_normalises(tmp_path):

@@ -228,6 +228,23 @@ def test_parsed_labellings_keep_the_span_of_each_block(text, blocks):
     assert block_spans(t, text) == blocks
 
 
+def test_a_square_bracket_item_keeps_its_terms_span():
+    # an item that is a term is its own leaf block, whose span is the
+    # term's; the arguments of f[…] have the labelling's span
+    text = "comp[f, comp[g, h], x{k}y]"
+    raw = parse_term(text)
+    t = raw.args.data
+    assert raw.args.span is t.span
+    offsets = path_table(t.shape).offsets
+    for o in offsets[:2]:
+        assert t.span_at(o) is t.entries[o].span
+    inner = t.entries[offsets[1]]
+    assert inner.args.span is inner.args.data.span
+    # an item written with braces has a span of its own
+    start = text.index("x{k}y")
+    assert t.span_at(offsets[2]) == Span(None, start, start + len("x{k}y"))
+
+
 def nested_application(depth: int, inner: str = "f(x, y)") -> str:
     """f(f(…f(x, y)…, y), y), the innermost argument list written inner."""
     t = inner

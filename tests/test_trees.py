@@ -155,9 +155,7 @@ def test_stored_metadata_matches_recursive_definitions():
     # repr see the branches alone; trees are interned, so rebuilding one
     # gives the same object
     assert Tree._fields == ("branches",)
-    metadata = {
-        "_height", "_trunk_height", "_ctx_size", "_hash", "_table", "__weakref__"
-    }
+    metadata = {"_height", "_trunk_height", "_ctx_size", "_table", "__weakref__"}
     assert set(Tree.__slots__) - set(Tree._fields) == metadata
     for t in all_trees(6):
         assert t.height == height(t)
@@ -936,9 +934,24 @@ def test_records_are_immutable_and_slotted():
             with pytest.raises(AttributeError):
                 delattr(x, name)
         y = rebuild(x)
-        # trees are interned: an equal tree is the same object
-        assert (y is x) if cls is Tree else (y is not x), cls
+        # trees and configurations are interned: an equal one is the same
+        # object
+        assert (y is x) if cls in (Tree, N.EvalConfig) else (y is not x), cls
         assert y == x and hash(y) == hash(x), cls
+
+
+def test_trees_and_configurations_hash_by_identity():
+    # interned values hash as objects do, so a tuple of trees, and a cache
+    # keyed by trees or configurations, hashes in C with no call back
+    for t in all_trees(4):
+        assert hash(t) == object.__hash__(t)
+    values = itertools.product((False, True), (False, True), ("none", "id", "full"))
+    for dr, ecr, ins in values:
+        cfg = N.EvalConfig(dr=dr, ecr=ecr, insertion=ins)
+        assert N.EvalConfig(dr, ecr, ins) is cfg
+        assert hash(cfg) == object.__hash__(cfg)
+    assert N.EvalConfig(dr=True, ecr=True, insertion="id") is N.SU
+    assert Tree.__hash__ is object.__hash__ and N.EvalConfig.__hash__ is object.__hash__
 
 
 def test_records_of_different_classes_are_unequal():

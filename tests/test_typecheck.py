@@ -592,6 +592,91 @@ def test_deeply_nested_composite_normalises(config, size, nested):
     assert N.size_tm(value) == size
 
 
+# ---------------------------------------------------------------------------
+# facts that contexts and coherence heads keep
+
+
+@pytest.mark.parametrize(
+    "ctx_text, name",
+    [("[f, g]", "g"), ("x{f{a}g}y", "a"), ("(x : *), (y : *), (f : x -> y)", "f")],
+    ids=["square", "tree", "list"],
+)
+def test_a_context_keeps_each_variable_it_looks_up(ctx_text, name):
+    ck = Checker(Signature(config=SU))
+    ctx = ck.elab_ctx(R.parse_ctx(ctx_text))
+    first = ck.lookup(ctx, name)
+    again = ck.lookup(ctx, name)
+    assert all(x is y for x, y in zip(first, again))
+    pos = ctx.index[name]
+    assert first == (C.CVar(pos), ctx.type_of(pos), NVar(pos))
+    # the value is the identity environment's, and the core variable the
+    # one its quotation keeps
+    assert first[2] is TC.ctx_id_env(ctx).lookup(pos)
+    assert N.quote_tm(first[2]) is first[0]
+    assert ck.lookup(ctx, "nowhere") is None
+
+
+def kept_heads(monkeypatch) -> list:
+    """Record each coherence head that ``infer_coh`` returns, with the
+    configuration it was elaborated under."""
+    heads = []
+    infer_coh = Checker.infer_coh
+
+    def recorded(self, raw):
+        out = infer_coh(self, raw)
+        heads.append((self.config, out[1]))
+        return out
+
+    monkeypatch.setattr(Checker, "infer_coh", recorded)
+    return heads
+
+
+def test_a_coherence_keeps_the_value_of_its_type(monkeypatch, capsys):
+    heads = kept_heads(monkeypatch)
+    for flags in ([], ["--su"], ["--sua"]):
+        for path in sorted((ROOT / "catt").glob("*.catt")):
+            assert X.main(flags + [str(path)]) == 0, path
+    capsys.readouterr()
+    from_files = len(heads)
+    rng = random.Random(29)
+    cases = [gen_typed.random_case(rng) for _ in range(60)]
+    for config in (WEAK, SU, SUA):
+        ck = Checker(Signature(config=config))
+        for tree, _, term_text in cases:
+            ck.elab(make_ctx(tree), R.parse_term(term_text))
+    assert from_files and len(heads) > from_files
+    for config, head in heads:
+        fresh = N.eval_ty(config, head.ty, N.id_env(head.tree))
+        assert head._ty_nf == {config: fresh}
+
+
+def test_a_defined_coherence_evaluates_its_type_once_per_configuration(monkeypatch):
+    calls: dict = {}
+    eval_ty = N.eval_ty
+
+    def counted(config, a, env):
+        calls[config, a] = calls.get((config, a), 0) + 1
+        return eval_ty(config, a, env)
+
+    state = session(SU)
+    run(state, COMP1 + "def assoc = coh [ {f}{g}{h} "
+        ": comp1(comp1(f,g),h) -> comp1(f,comp1(g,h)) ]\n")
+    head = state.sig.entries["assoc"].term
+    monkeypatch.setattr(N, "eval_ty", counted)
+    ctx = "[p, q, r, s]"
+    out = run(state, f"normalise assoc(p,q,r) in {ctx}\n"
+              f"normalise assoc(q,r,s) in {ctx}\n"
+              f"normalise assoc(comp1(p,q),r,s) in {ctx}\n")
+    assert sum(line.startswith("normal form: ") for line in out) == 3
+    # elaboration kept the value of the type it elaborated under SU
+    assert calls.get((SU, head.ty), 0) == 0
+    for config in (WEAK, SU, SUA):
+        for _ in range(3):
+            N.eval_tm(config, head, N.id_env(head.tree))
+    kept = {config: calls.get((config, head.ty), 0) for config in (WEAK, SU, SUA)}
+    assert kept == {WEAK: 1, SU: 0, SUA: 1}
+
+
 # the least recursion limit at which each layer handles a left-nested SU
 # composite of n arguments, found by bisection in a fresh interpreter, in a
 # thread with a large stack so that no limit tried can overflow it

@@ -85,7 +85,8 @@ ALLOWED = {
     "trees:Record.__setattr__": "refuses assignment; the record test runs it",
     "trees:Record.__delattr__": "refuses deletion; the record test runs it",
     "trees:Record.__hash__": "records stay hashable; the program hashes only trees and "
-    "configurations, which keep their hashes, and the record test hashes every class",
+    "configurations, which are interned and hash by identity, and the record test "
+    "hashes every class",
     "surface:RawTree._block": "the program reads no branch of a raw labelling (the "
     "checker and the printer walk its blocks by offset); the tests and the rebuilding "
     "of a record from its fields do",
