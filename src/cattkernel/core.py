@@ -23,7 +23,8 @@ class CVar(Record):
     pos: Union[int, Path]
 
     def __init__(self, pos: Union[int, Path]):
-        object.__setattr__(self, "pos", pos)
+        (s_pos,) = self._setters
+        s_pos(self, pos)
 
 
 class CCoh(Record):
@@ -38,9 +39,10 @@ class CCoh(Record):
     ty: "CoreType"
 
     def __init__(self, tree: Tree, ty: "CoreType"):
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "ty", ty)
-        object.__setattr__(self, "_ty_nf", {})
+        s_tree, s_ty, s_ty_nf = self._setters
+        s_tree(self, tree)
+        s_ty(self, ty)
+        s_ty_nf(self, {})
 
 
 class CId(Record):
@@ -53,7 +55,8 @@ class CComp(Record):
     tree: Tree
 
     def __init__(self, tree: Tree):
-        object.__setattr__(self, "tree", tree)
+        (s_tree,) = self._setters
+        s_tree(self, tree)
 
 
 class CApp(Record):
@@ -62,8 +65,9 @@ class CApp(Record):
     args: "CArgs"
 
     def __init__(self, term: "CoreTerm", args: "CArgs"):
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "args", args)
+        s_term, s_args = self._setters
+        s_term(self, term)
+        s_args(self, args)
 
 
 class CSusp(Record):
@@ -100,8 +104,9 @@ class CArgs(Record):
     ty: CoreType
 
     def __init__(self, data: Union[tuple, LTree], ty: CoreType = CSTAR):
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "ty", ty)
+        s_data, s_ty = self._setters
+        s_data(self, data)
+        s_ty(self, ty)
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +133,24 @@ def _amb_size(amb: Ambient) -> int:
 def flatten_tm(x: CoreTerm, amb: Ambient) -> F.FlatTerm:
     if F is None:
         _import_flat()
-    if isinstance(x, CVar):
-        if isinstance(x.pos, tuple):
+    # core classes have no subclasses, so a node's class decides the case
+    cls = x.__class__
+    if cls is CVar:
+        if x.pos.__class__ is tuple:
             return F.path_var(amb, x.pos)
         return F.Var(_amb_size(amb) - 1 - x.pos)
-    if isinstance(x, CCoh):
-        g = F.tree_to_ctx(x.tree)
-        return F.Coh(g, flatten_ty(x.ty, x.tree), F.identity_sub(g))
-    if isinstance(x, CId):
-        return F.standard_coh(T.linear_tree(x.n), x.n + 1)
-    if isinstance(x, CComp):
-        return F.standard_coh(x.tree, x.tree.height)
-    if isinstance(x, CApp):
+    if cls is CApp:
         data = x.args.data
         inner_amb = data.shape if isinstance(data, LTree) else len(data)
         return F.substitute(flatten_tm(x.term, inner_amb), flatten_args(x.args, amb))
-    if isinstance(x, CSusp):
+    if cls is CComp:
+        return F.standard_coh(x.tree, x.tree.height)
+    if cls is CCoh:
+        g = F.tree_to_ctx(x.tree)
+        return F.Coh(g, flatten_ty(x.ty, x.tree), F.identity_sub(g))
+    if cls is CId:
+        return F.standard_coh(T.linear_tree(x.n), x.n + 1)
+    if cls is CSusp:
         inner_amb = _unsuspend(amb)
         return F.suspend_tm(flatten_tm(x.term, inner_amb), _amb_size(inner_amb))
     raise TypeError(f"cannot flatten {x!r}")
@@ -198,7 +205,7 @@ class Names:
         self._taken = set(names.entries) if isinstance(names, LTree) else set()
 
     def __call__(self, pos) -> str:
-        if not isinstance(pos, tuple):
+        if pos.__class__ is not tuple:
             return f"v{pos}" if self.names is None else self.names[pos]
         if isinstance(self.names, LTree):
             n = self.names.lookup(pos)
@@ -215,26 +222,27 @@ class Names:
 
 def to_raw(x, names: Optional[Names] = None, keep_implicits: bool = False):
     nm = names or Names()
-    if isinstance(x, CVar):
+    cls = x.__class__
+    if cls is CVar:
         return R.RVar(nm(x.pos))
-    if isinstance(x, CCoh):
-        tree = R.RawTree.from_fn(x.tree, path_name)
-        return R.RCoh(tree, to_raw(x.ty, Names(tree), keep_implicits))
-    if isinstance(x, CId):
-        return R.RId()
-    if isinstance(x, CComp):
-        return R.RComp()
-    if isinstance(x, CApp):
+    if cls is CApp:
         return R.RApp(
             to_raw(x.term, nm, keep_implicits),
             _raw_label(x.args, nm, keep_implicits),
         )
-    if isinstance(x, CStar):
+    if cls is CComp:
+        return R.RComp()
+    if cls is CCoh:
+        tree = R.RawTree.from_fn(x.tree, path_name)
+        return R.RCoh(tree, to_raw(x.ty, Names(tree), keep_implicits))
+    if cls is CId:
+        return R.RId()
+    if cls is CStar:
         return R.RStar()
-    if isinstance(x, CArrow):
+    if cls is CArrow:
         base = (
             to_raw(x.base, nm, keep_implicits)
-            if keep_implicits and not isinstance(x.base, CStar)
+            if keep_implicits and x.base.__class__ is not CStar
             else None
         )
         return R.RArrow(

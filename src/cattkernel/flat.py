@@ -48,9 +48,10 @@ class Arrow(Record):
     tgt: "FlatTerm"
 
     def __init__(self, src: "FlatTerm", base: "FlatType", tgt: "FlatTerm"):
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "tgt", tgt)
+        s_src, s_base, s_tgt = self._setters
+        s_src(self, src)
+        s_base(self, base)
+        s_tgt(self, tgt)
 
     def __repr__(self) -> str:
         return f"({self.src!r} ->[{self.base!r}] {self.tgt!r})"
@@ -65,7 +66,8 @@ class Var(Record):
     idx: int
 
     def __init__(self, idx: int):
-        object.__setattr__(self, "idx", idx)
+        (s_idx,) = self._setters
+        s_idx(self, idx)
 
     def __repr__(self) -> str:
         return f"v{self.idx}"
@@ -78,9 +80,10 @@ class Coh(Record):
     sub: "FlatSub"
 
     def __init__(self, ctx: "FlatCtx", ty: FlatType, sub: "FlatSub"):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "ty", ty)
-        object.__setattr__(self, "sub", sub)
+        s_ctx, s_ty, s_sub = self._setters
+        s_ctx(self, ctx)
+        s_ty(self, ty)
+        s_sub(self, sub)
 
     def __repr__(self) -> str:
         return f"Coh({self.ty!r})[{self.sub!r}]"
@@ -107,12 +110,13 @@ class FlatCtx(Record):
     entries: tuple[FlatType, ...]
 
     def __init__(self, entries: tuple[FlatType, ...]):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_tree", None)
-        object.__setattr__(self, "_pruned", None)
-        object.__setattr__(self, "_disc", None)
-        object.__setattr__(self, "_susp", None)
-        object.__setattr__(self, "_id", None)
+        s_entries, s_tree, s_pruned, s_disc, s_susp, s_id = self._setters
+        s_entries(self, entries)
+        s_tree(self, None)
+        s_pruned(self, None)
+        s_disc(self, None)
+        s_susp(self, None)
+        s_id(self, None)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -130,8 +134,9 @@ class FlatSub(Record):
     terms: tuple[FlatTerm, ...]
 
     def __init__(self, ty: FlatType, terms: tuple[FlatTerm, ...]):
-        object.__setattr__(self, "ty", ty)
-        object.__setattr__(self, "terms", terms)
+        s_ty, s_terms = self._setters
+        s_ty(self, ty)
+        s_terms(self, terms)
 
     def __repr__(self) -> str:
         parts = [repr(self.ty)] + [repr(t) for t in self.terms]

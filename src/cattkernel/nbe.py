@@ -48,9 +48,10 @@ class EvalConfig(Record):
             if insertion not in ("none", "id", "full"):
                 raise ValueError("insertion must be none, id or full")
             cfg = object.__new__(cls)
-            object.__setattr__(cfg, "dr", key[0])
-            object.__setattr__(cfg, "ecr", key[1])
-            object.__setattr__(cfg, "insertion", insertion)
+            s_dr, s_ecr, s_insertion = cls._setters
+            s_dr(cfg, key[0])
+            s_ecr(cfg, key[1])
+            s_insertion(cfg, insertion)
             _CONFIGS[key] = cfg
         return cfg
 
@@ -79,8 +80,9 @@ class NVar(Record):
     pos: Union[int, Path]
 
     def __init__(self, pos: Union[int, Path]):
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "_core", None)
+        s_pos, s_core = self._setters
+        s_pos(self, pos)
+        s_core(self, None)
 
 
 class NCoh(Record):
@@ -94,7 +96,8 @@ class NId(Record):
     n: int
 
     def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
+        (s_n,) = self._setters
+        s_n(self, n)
 
 
 class NComp(Record):
@@ -102,7 +105,8 @@ class NComp(Record):
     tree: Tree
 
     def __init__(self, tree: Tree):
-        object.__setattr__(self, "tree", tree)
+        (s_tree,) = self._setters
+        s_tree(self, tree)
 
 
 Head = Union[NCoh, NId, NComp]
@@ -114,8 +118,9 @@ class NApp(Record):
     label: LTree  # of NfTerm
 
     def __init__(self, head: Head, label: LTree):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "label", label)
+        s_head, s_label = self._setters
+        s_head(self, head)
+        s_label(self, label)
 
 
 NfTerm = Union[NVar, NApp]
@@ -138,11 +143,12 @@ class Env(Record):
     ty: NfType
 
     def __init__(self, data: Union[LTree, tuple], ty: NfType = ()):
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "ty", ty)
+        s_data, s_ty = self._setters
+        s_data(self, data)
+        s_ty(self, ty)
 
     def lookup(self, key) -> NfTerm:
-        if isinstance(key, tuple):
+        if key.__class__ is tuple:
             return self.data.lookup(key)
         return self.data[key]
 
@@ -192,29 +198,31 @@ def lower(env: Env) -> LTree:
 
 
 def eval_tm(cfg: EvalConfig, x: CoreTerm, env: Env) -> NfTerm:
-    if isinstance(x, C.CVar):
+    # core classes have no subclasses, so a node's class decides the case
+    cls = x.__class__
+    if cls is C.CVar:
         return env.lookup(x.pos)
-    if isinstance(x, C.CCoh):
+    if cls is C.CApp:
+        return eval_tm(cfg, x.term, eval_args(cfg, x.args, env))
+    if cls is C.CComp:
+        return _eval_head(cfg, x.tree, None, env)
+    if cls is C.CCoh:
         b = x._ty_nf.get(cfg)
         if b is None:
             b = x._ty_nf[cfg] = eval_ty(cfg, x.ty, id_env(x.tree))
         return _eval_head(cfg, x.tree, b, env)
-    if isinstance(x, C.CComp):
-        return _eval_head(cfg, x.tree, None, env)
-    if isinstance(x, C.CId):
+    if cls is C.CId:
         d = len(env.ty)
         return NApp(NId(x.n + d), lower(env))
-    if isinstance(x, C.CApp):
-        return eval_tm(cfg, x.term, eval_args(cfg, x.args, env))
-    if isinstance(x, C.CSusp):
+    if cls is C.CSusp:
         return eval_tm(cfg, x.term, lift(env))
     raise TypeError(f"cannot evaluate {x!r}")
 
 
 def eval_ty(cfg: EvalConfig, a: CoreType, env: Env) -> NfType:
-    if isinstance(a, C.CStar):
+    if a.__class__ is C.CStar:
         return env.ty
-    if isinstance(a, C.CArrow):
+    if a.__class__ is C.CArrow:
         return ((eval_tm(cfg, a.src, env), eval_tm(cfg, a.tgt, env)),) + eval_ty(
             cfg, a.base, env
         )
@@ -235,15 +243,16 @@ def eval_args(cfg: EvalConfig, args: C.CArgs, env: Env) -> Env:
 def eval_nf(cfg: EvalConfig, x: NfTerm, env: Env) -> NfTerm:
     """Evaluate a normal form in an environment: the same as evaluating
     its quotation, without building core syntax."""
-    if isinstance(x, NVar):
+    if x.__class__ is NVar:
         return env.lookup(x.pos)
     lt = x.label
     vals = tuple([eval_nf(cfg, e, env) for e in lt.entries])
     args = Env(LTree(lt.shape, vals), env.ty)
     head = x.head
-    if isinstance(head, NId):
+    hcls = head.__class__
+    if hcls is NId:
         return NApp(NId(head.n + len(env.ty)), lower(args))
-    ty = head.ty if isinstance(head, NCoh) else None
+    ty = head.ty if hcls is NCoh else None
     return _eval_head(cfg, head.tree, ty, args)
 
 
@@ -283,13 +292,14 @@ def _find_redex(cfg: EvalConfig, s: Tree, lt: LTree):
     for i in [i for i in tb.maximal if es[i].__class__ is NApp]:
         arg = es[i]
         mp = tb.paths[i]
-        if isinstance(arg.head, NId):
-            t = T.linear_tree(arg.head.n)
+        head = arg.head
+        if head.__class__ is NId:
+            t = T.linear_tree(head.n)
             p = _branch_for(s, mp, t)
             if p is not None:
                 id_candidates.append((len(p) - 1, p, t, arg.label))
-        elif isinstance(arg.head, NComp) and cfg.insertion == "full":
-            t = arg.head.tree
+        elif head.__class__ is NComp and cfg.insertion == "full":
+            t = head.tree
             p = _branch_for(s, mp, t)
             if p is not None:
                 full_candidates.append((len(p) - 1, p, t, arg.label))
@@ -368,19 +378,28 @@ def _eval_head(
                 b = eval_nf_ty(cfg, b, Env(exterior(cfg, s, p, t)))
             lt = T.insert_ltree(lt, p, m)
             s = lt.shape
+    std = None
     if b is None:
         b = standard_nf_type(cfg, s, comp_dim)
-    return _classify(cfg, s, b, lt)
+        if s.height == comp_dim:
+            std = b
+    return _classify(cfg, s, b, lt, std)
 
 
-def _classify(cfg: EvalConfig, s: Tree, b: NfType, lt: LTree) -> NfTerm:
+def _classify(
+    cfg: EvalConfig, s: Tree, b: NfType, lt: LTree, std: Optional[NfType]
+) -> NfTerm:
+    """The normal form of the head of type b over s applied to lt; std is
+    the standard type of s at its height, or None if the caller has not
+    looked it up."""
     if cfg.ecr and b and b[0][0] == b[0][1]:
         rest = b[1:]
         env = Env(lt)
         label = disc_label(rest, b[0][0]).map(lambda e: eval_nf(cfg, e, env))
         return NApp(NId(len(rest)), label)
     linear = s.is_linear
-    std = standard_nf_type(cfg, s, s.height)
+    if std is None:
+        std = standard_nf_type(cfg, s, s.height)
     if (
         not cfg.ecr
         and linear
@@ -426,19 +445,20 @@ def _std_term(cfg: EvalConfig, b: Tree, m: int, env: Env) -> NfTerm:
 
 
 def quote_tm(x: NfTerm) -> CoreTerm:
-    if isinstance(x, NVar):
+    if x.__class__ is NVar:
         c = x._core
         if c is None:
             c = C.CVar(x.pos)
             object.__setattr__(x, "_core", c)
         return c
     head = x.head
-    if isinstance(head, NCoh):
-        inner: CoreTerm = C.CCoh(head.tree, quote_ty(head.ty))
-    elif isinstance(head, NId):
+    hcls = head.__class__
+    if hcls is NComp:
+        inner: CoreTerm = C.CComp(head.tree)
+    elif hcls is NId:
         inner = C.CId(head.n)
     else:
-        inner = C.CComp(head.tree)
+        inner = C.CCoh(head.tree, quote_ty(head.ty))
     return C.CApp(inner, C.CArgs(x.label.map(quote_tm)))
 
 
@@ -462,13 +482,13 @@ def flatten_nf(x: NfTerm, amb):
 
 
 def size_tm(x: NfTerm) -> int:
-    if isinstance(x, NVar):
+    if x.__class__ is NVar:
         return 0
     return _size_head(x.head) + _size_label(x.label)
 
 
 def _size_head(h: Head) -> int:
-    if isinstance(h, NCoh):
+    if h.__class__ is NCoh:
         return 1 + size_ty(h.ty)
     return 1
 

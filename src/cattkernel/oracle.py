@@ -64,9 +64,10 @@ class Step(Record):
     where: tuple
 
     def __init__(self, term: FlatTerm, rule: str, where: tuple):
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "where", where)
+        s_term, s_rule, s_where = self._setters
+        s_term(self, term)
+        s_rule(self, rule)
+        s_where(self, where)
 
 
 # ---------------------------------------------------------------------------

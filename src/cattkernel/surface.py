@@ -23,9 +23,10 @@ class Span(Record):
     def __init__(self, source: Optional[str], start: int, end: int):
         if start > end:
             raise ValueError("backwards span")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        s_source, s_start, s_end = self._setters
+        s_source(self, source)
+        s_start(self, start)
+        s_end(self, end)
 
 
 SYNTH = Span(None, 0, 0)
@@ -71,7 +72,8 @@ class RawTree(LTree):
 
     def __init__(self, shape: Tree, entries: tuple, spans: Optional[tuple] = None):
         LTree.__init__(self, shape, entries)
-        object.__setattr__(self, "spans", spans or (SYNTH,) * len(entries))
+        (s_spans,) = self._setters
+        s_spans(self, spans or (SYNTH,) * len(entries))
 
     __eq__ = Record.__eq__
     __hash__ = Record.__hash__
@@ -95,8 +97,9 @@ class RVar(RawNode):
     span: Span
 
     def __init__(self, name: str, span: Span = SYNTH):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "span", span)
+        s_name, s_span = self._setters
+        s_name(self, name)
+        s_span(self, span)
 
 
 class RHole(RawNode):
@@ -114,7 +117,8 @@ class RComp(RawNode):
     span: Span
 
     def __init__(self, span: Span = SYNTH):
-        object.__setattr__(self, "span", span)
+        (s_span,) = self._setters
+        s_span(self, span)
 
 
 class RCoh(RawNode):
@@ -137,9 +141,10 @@ class RApp(RawNode):
     span: Span
 
     def __init__(self, term: "RawTerm", args: "RArgs", span: Span = SYNTH):
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "span", span)
+        s_term, s_args, s_span = self._setters
+        s_term(self, term)
+        s_args(self, args)
+        s_span(self, span)
 
 
 RawTerm = Union[RVar, RHole, RId, RComp, RCoh, RSusp, RApp]
@@ -182,9 +187,10 @@ class RArgs(RawNode):
         ty: Optional[RawType] = None,
         span: Span = SYNTH,
     ):
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "ty", ty)
-        object.__setattr__(self, "span", span)
+        s_data, s_ty, s_span = self._setters
+        s_data(self, data)
+        s_ty(self, ty)
+        s_span(self, span)
 
 
 class RTreeCtx(RawNode):
@@ -316,17 +322,14 @@ def tokenize(text: str, source: Optional[str] = None) -> list[tuple]:
 # parser
 
 _ARGS_OPEN = ("lparen", "langle", "lbracket")
-_TYPE_ATOM_OPEN = ("star", "hole", "lparen")
-_ELEMENT_STOPS = (
-    "lbrace",
-    "rbrace",
-    "rangle",
-    "rbracket",
-    "colon",
-    "comma",
-    "equals",
-    "in",
-    "eof",
+_TYPE_ATOM_OPEN = ("star", "lparen")
+_COMMANDS = ("def", "normalise", "assert", "size", "import")
+# the tokens that can follow an entry of a labelling: a branch, the end of
+# a branch, of the labelling or of what holds it, and the keyword that
+# starts the next command
+_ELEMENT_STOPS = frozenset(
+    ("lbrace", "rbrace", "rangle", "rbracket", "colon", "comma", "equals", "in", "eof")
+    + _COMMANDS
 )
 
 
@@ -353,33 +356,33 @@ def _raw_tree(block: tuple) -> RawTree:
 
 
 class _Parser:
+    """A recursive-descent parser that reads each token once and never
+    goes back: where two readings share a prefix, it reads the prefix once
+    and the token after it decides.  The paths that run per term read the
+    current token as ``self.toks[self.pos]``; ``peek`` serves the paths
+    that run once per command or context."""
+
     def __init__(self, text: str, source: Optional[str] = None):
-        self.text = text
         self.source = source
         self.toks = tokenize(text, source)
         self.pos = 0
-        # token position -> (term, end position), or the ParseError that
-        # parsing a term there raised
-        self.terms_at: dict = {}
 
     def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> tuple:
+    def expect(self, kind: str) -> tuple:
         t = self.toks[self.pos]
-        if t[KIND] != "eof":
-            self.pos += 1
+        if t[KIND] != kind:
+            raise self.unexpected(t, kind)
+        self.pos += 1
         return t
 
-    def expect(self, kind: str) -> tuple:
-        t = self.peek()
-        if t[KIND] != kind:
-            raise ParseError(
-                f"unexpected {t[VALUE] or 'end of input'!r}",
-                self.span_of(t),
-                frozenset({kind}),
-            )
-        return self.next()
+    def unexpected(self, t: tuple, *expected: str) -> ParseError:
+        return ParseError(
+            f"unexpected {t[VALUE] or 'end of input'!r}",
+            self.span_of(t),
+            frozenset(expected),
+        )
 
     def span_of(self, t: tuple) -> Span:
         return Span(self.source, t[START], t[END])
@@ -391,170 +394,186 @@ class _Parser:
     # -- terms --------------------------------------------------------------
 
     def term(self) -> RawTerm:
-        """The term at the current token, parsed once per position: a
-        second call there (after an argument list's leading type part was
-        tried) returns the first call's term, or raises its error again."""
-        pos = self.pos
-        done = self.terms_at.get(pos)
-        if done is not None:
-            if isinstance(done, ParseError):
-                raise done.with_traceback(None)
-            t, self.pos = done
-            return t
-        try:
-            start = self.peek()[START]
-            t = self.term_atom()
-            while self.peek()[KIND] in _ARGS_OPEN:
-                args = self.args()
-                t = RApp(t, args, self.span_from(start))
-        except ParseError as e:
-            self.terms_at[pos] = e
-            raise
-        self.terms_at[pos] = (t, self.pos)
+        toks = self.toks
+        start = toks[self.pos][START]
+        t = self.term_atom()
+        while toks[self.pos][KIND] in _ARGS_OPEN:
+            t = RApp(t, self.args(), self.span_from(start))
         return t
 
     def term_atom(self) -> RawTerm:
-        t = self.peek()
+        t = self.toks[self.pos]
         kind = t[KIND]
         if kind == "name":
-            self.next()
+            self.pos += 1
             return RVar(t[VALUE], self.span_of(t))
-        if kind == "hole":
-            self.next()
-            return RHole(self.span_of(t))
-        if kind == "id":
-            self.next()
-            return RId(self.span_of(t))
         if kind == "comp":
-            self.next()
+            self.pos += 1
             return RComp(self.span_of(t))
+        if kind == "id":
+            self.pos += 1
+            return RId(self.span_of(t))
+        if kind == "hole":
+            self.pos += 1
+            return RHole(self.span_of(t))
         if kind == "susp":
-            self.next()
+            self.pos += 1
             self.expect("lparen")
             inner = self.term()
             self.expect("rparen")
             return RSusp(inner, self.span_from(t[START]))
         if kind == "coh":
-            self.next()
+            self.pos += 1
             self.expect("lbracket")
-            tree = self.tree(element="name")
+            tree = self.tree(self.name_element)
             self.expect("colon")
             ty = self.type_()
             self.expect("rbracket")
             return RCoh(tree, ty, self.span_from(t[START]))
-        raise ParseError(
-            f"unexpected {t[VALUE] or 'end of input'!r}",
-            self.span_of(t),
-            frozenset({"term"}),
-        )
+        raise self.unexpected(t, "term")
 
     # -- arguments ----------------------------------------------------------
 
     def args(self) -> RArgs:
-        t = self.peek()
+        toks = self.toks
+        t = toks[self.pos]
         kind = t[KIND]
-        start = t[START]
+        if kind == "lbracket":
+            tree = _raw_tree(self.square_block(self.term_element))
+            return RArgs(tree, None, tree.span)
+        self.pos += 1  # the opening parenthesis or angle bracket
         if kind == "lparen":
-            self.next()
             ty: Optional[RawType] = None
             terms: list[RawTerm] = []
-            if self.peek()[KIND] != "rparen":
-                ty = self.type_part()
-                terms.append(self.term())
-                while self.peek()[KIND] == "comma":
-                    self.next()
+            if toks[self.pos][KIND] != "rparen":
+                ty, first = self.lead(self.term)
+                terms.append(first)
+                while toks[self.pos][KIND] == "comma":
+                    self.pos += 1
                     terms.append(self.term())
             self.expect("rparen")
-            return RArgs(tuple(terms), ty, self.span_from(start))
-        if kind == "langle":
-            self.next()
-            ty = self.type_part()
-            tree = self.tree(element="term")
-            self.expect("rangle")
-            return RArgs(tree, ty, self.span_from(start))
-        if kind == "lbracket":
-            tree = _raw_tree(self.square_block(element="term"))
-            return RArgs(tree, None, tree.span)
-        raise ParseError("expected arguments", self.span_of(t))
+            return RArgs(tuple(terms), ty, self.span_from(t[START]))
+        ty, first = self.lead(self.first_entry)
+        if first is None and toks[self.pos][KIND] == "lbracket":
+            block = self.square_block(self.term_element)
+        else:
+            # the labelling starts at its first entry, or where the entry
+            # is left out
+            start = toks[self.pos][START] if first is None else first.span.start
+            block = self.braces(self.term_element, start, first)
+        tree = _raw_tree(block)
+        self.expect("rangle")
+        return RArgs(tree, ty, self.span_from(t[START]))
 
-    def type_part(self) -> Optional[RawType]:
-        """An optional leading `type |` of an argument list.  A type atom
-        before the bar is tried last, and only on a token that can start
-        one: `type_` reads `* |` as the start of an annotated arrow type.
-        The term that `type_` reads as the source of an arrow is kept, so
-        the arguments do not parse it again."""
-        save = self.pos
-        parses = [self.type_]
-        if self.peek()[KIND] in _TYPE_ATOM_OPEN:
-            parses.append(self.type_atom)
-        for parse in parses:
-            try:
-                ty = parse()
-                self.expect("bar")
-                return ty
-            except ParseError:
-                self.pos = save
-        return None
+    def lead(self, item) -> tuple:
+        """The optional leading `type |` of an argument list and the first
+        argument after it, which ``item`` reads; each is read once.  The
+        first item is a type atom (`*` or a type in parentheses, which no
+        term starts with) or an argument, and the token after it decides:
+        `->` makes it the source of an arrow type part, and `|` after a
+        type atom or `_` makes that the type part, or the base of an arrow
+        type part if `->` follows the next argument."""
+        toks = self.toks
+        t = toks[self.pos]
+        if t[KIND] in _TYPE_ATOM_OPEN:
+            base = self.type_atom()
+            if toks[self.pos][KIND] != "bar":
+                # without a bar the item was to be a term
+                raise self.unexpected(t, "term")
+        else:
+            base = None
+            x = item()
+            kind = toks[self.pos][KIND]
+            if kind == "bar" and x.__class__ is RHole:
+                base = RTyHole(x.span)
+            elif kind != "arrow":
+                return None, x
+        if base is not None:
+            self.pos += 1  # the bar
+            x = item()
+            if toks[self.pos][KIND] != "arrow":
+                return base, x
+        ty = self.arrow(t[START], base, x)
+        self.expect("bar")
+        return ty, item()
 
     # -- trees --------------------------------------------------------------
 
-    def tree(self, element: str) -> RawTree:
-        block = self.square_block if self.peek()[KIND] == "lbracket" else self.curly_block
+    def tree(self, element) -> RawTree:
+        kind = self.toks[self.pos][KIND]
+        block = self.square_block if kind == "lbracket" else self.curly_block
         return _raw_tree(block(element))
 
-    def curly_block(self, element: str) -> tuple:
+    def curly_block(self, element) -> tuple:
         """A labelling in braces, as the shape, entries and spans of
-        `_block`; a branch in braces is again in braces."""
-        start = self.peek()[START]
-        return self.braces(element, start, self.tree_element(element))
+        `_block`; a branch in braces is again in braces.  ``element``
+        reads an entry."""
+        start = self.toks[self.pos][START]
+        return self.braces(element, start, element())
 
-    def braces(self, element: str, start: int, first) -> tuple:
+    def braces(self, element, start: int, first) -> tuple:
         """The labelling in braces that begins at start, its first entry
         read."""
+        toks = self.toks
         elements = [first]
         branches: list[tuple] = []
-        while self.peek()[KIND] == "lbrace":
-            self.next()
+        while toks[self.pos][KIND] == "lbrace":
+            self.pos += 1
             branches.append(self.curly_block(element))
             self.expect("rbrace")
-            elements.append(self.tree_element(element))
+            elements.append(element())
         return _block(elements, branches, self.span_from(start))
 
-    def tree_element(self, element: str):
-        t = self.peek()
-        if t[KIND] in _ELEMENT_STOPS:
+    def term_element(self) -> Optional[RawTerm]:
+        """An entry of a labelling of terms: a term, or None where the
+        entry is left out."""
+        if self.toks[self.pos][KIND] in _ELEMENT_STOPS:
             return None
-        if element == "name":
-            if t[KIND] == "hole":
-                self.next()
-                return None
-            return self.expect("name")[VALUE]
         return self.term()
 
-    def square_block(self, element: str) -> tuple:
+    def first_entry(self) -> Optional[RawTerm]:
+        """The first entry of a labelling in angle brackets, or None where
+        it is left out or the labelling is in square brackets."""
+        if self.toks[self.pos][KIND] == "lbracket":
+            return None
+        return self.term_element()
+
+    def name_element(self) -> Optional[str]:
+        """An entry of a tree of names: a name, or None where the entry is
+        left out or written `_`."""
+        kind = self.toks[self.pos][KIND]
+        if kind in _ELEMENT_STOPS:
+            return None
+        if kind == "hole":
+            self.pos += 1
+            return None
+        return self.expect("name")[VALUE]
+
+    def square_block(self, element) -> tuple:
         """Square-bracket sugar, as the shape, entries and spans of
         `_block`: each item is a branch, written as a tree.  A single entry
         is the leaf block of that entry alone, whose span is a term's own;
         an entry followed by braces begins a labelling in braces."""
-        start = self.peek()[START]
-        self.next()  # the opening bracket, which the caller has seen
+        toks = self.toks
+        start = toks[self.pos][START]
+        self.pos += 1  # the opening bracket, which the caller has seen
         branches: list[tuple] = []
-        if self.peek()[KIND] != "rbracket":
+        if toks[self.pos][KIND] != "rbracket":
             while True:
-                t = self.peek()
+                t = toks[self.pos]
                 if t[KIND] == "lbracket":
                     branches.append(self.square_block(element))
                 else:
-                    x = self.tree_element(element)
-                    if self.peek()[KIND] == "lbrace":
+                    x = element()
+                    if toks[self.pos][KIND] == "lbrace":
                         branches.append(self.braces(element, t[START], x))
                     elif isinstance(x, RawNode):
                         branches.append((LEAF, [x], [x.span]))
                     else:
                         branches.append((LEAF, [x], [self.span_from(t[START])]))
-                if self.peek()[KIND] != "comma":
+                if toks[self.pos][KIND] != "comma":
                     break
-                self.next()
+                self.pos += 1
         self.expect("rbracket")
         elements = [None] * (len(branches) + 1)
         return _block(elements, branches, self.span_from(start))
@@ -562,47 +581,42 @@ class _Parser:
     # -- types --------------------------------------------------------------
 
     def type_(self) -> RawType:
-        start = self.peek()[START]
-        save = self.pos
-        base: Optional[RawType] = None
-        if self.peek()[KIND] in _TYPE_ATOM_OPEN:
-            try:
-                b = self.type_atom()
-                if self.peek()[KIND] == "bar":
-                    self.next()
-                    base = b
-                elif self.peek()[KIND] in ("arrow", "lparen", "langle"):
-                    # an atom followed by an arrow or by arguments starts a
-                    # term, as in `_(x) -> y`
-                    raise ParseError("the start of a term", self.span_of(self.peek()))
-                else:
-                    return b
-            except ParseError:
-                if base is None:
-                    self.pos = save
-        src = self.term()
+        """A type: `*`, `_`, a type in parentheses, `s -> t`, or `a | s ->
+        t` for a type a of the first three kinds.  `_` is read as a term:
+        the hole of a type unless an arrow or arguments follow it."""
+        toks = self.toks
+        t = toks[self.pos]
+        if t[KIND] in _TYPE_ATOM_OPEN:
+            base = self.type_atom()
+            if toks[self.pos][KIND] != "bar":
+                return base
+        else:
+            src = self.term()
+            kind = toks[self.pos][KIND]
+            if kind == "arrow" or src.__class__ is not RHole:
+                return self.arrow(t[START], None, src)
+            base = RTyHole(src.span)
+            if kind != "bar":
+                return base
+        self.pos += 1  # the bar
+        return self.arrow(t[START], base, self.term())
+
+    def type_atom(self) -> RawType:
+        """`*`, or a type in parentheses: the caller has seen one of their
+        opening tokens."""
+        t = self.toks[self.pos]
+        self.pos += 1
+        if t[KIND] == "star":
+            return RStar(self.span_of(t))
+        inner = self.type_()
+        self.expect("rparen")
+        return inner
+
+    def arrow(self, start: int, base: Optional[RawType], src: RawTerm) -> RArrow:
+        """The arrow type from src, read, to the term after the arrow."""
         self.expect("arrow")
         tgt = self.term()
         return RArrow(src, base, tgt, self.span_from(start))
-
-    def type_atom(self) -> RawType:
-        t = self.peek()
-        if t[KIND] == "star":
-            self.next()
-            return RStar(self.span_of(t))
-        if t[KIND] == "hole":
-            self.next()
-            return RTyHole(self.span_of(t))
-        if t[KIND] == "lparen":
-            self.next()
-            inner = self.type_()
-            self.expect("rparen")
-            return inner
-        raise ParseError(
-            f"unexpected {t[VALUE] or 'end of input'!r}",
-            self.span_of(t),
-            frozenset({"type"}),
-        )
 
     # -- contexts -----------------------------------------------------------
 
@@ -612,10 +626,10 @@ class _Parser:
         if t[KIND] == "lparen":
             entries = [self.ctx_entry()]
             while self.peek()[KIND] == "comma":
-                self.next()
+                self.pos += 1
                 entries.append(self.ctx_entry())
             return RListCtx(tuple(entries), self.span_from(start))
-        tree = self.tree(element="name")
+        tree = self.tree(self.name_element)
         return RTreeCtx(tree, self.span_from(start))
 
     def ctx_entry(self) -> tuple:
@@ -633,47 +647,43 @@ class _Parser:
         kind = t[KIND]
         start = t[START]
         if kind == "def":
-            self.next()
+            self.pos += 1
             name = self.expect("name")[VALUE]
             ctx: Optional[RawCtx] = None
             ty: Optional[RawType] = None
             if self.peek()[KIND] != "equals":
                 ctx = self.ctx()
                 if self.peek()[KIND] == "colon":
-                    self.next()
+                    self.pos += 1
                     ty = self.type_()
             self.expect("equals")
             term = self.term()
             return DefCmd(name, ctx, ty, term, self.span_from(start))
         if kind == "normalise":
-            self.next()
+            self.pos += 1
             term = self.term()
             self.expect("in")
             return NormaliseCmd(term, self.ctx(), self.span_from(start))
         if kind == "assert":
-            self.next()
+            self.pos += 1
             lhs = self.term()
             self.expect("equals")
             rhs = self.term()
             self.expect("in")
             return AssertCmd(lhs, rhs, self.ctx(), self.span_from(start))
         if kind == "size":
-            self.next()
+            self.pos += 1
             term = self.term()
             self.expect("in")
             return SizeCmd(term, self.ctx(), self.span_from(start))
         if kind == "import":
-            self.next()
+            self.pos += 1
             p = self.peek()
             if p[KIND] != "name":
                 raise ParseError("expected a file path", self.span_of(p))
-            self.next()
+            self.pos += 1
             return ImportCmd(p[VALUE], self.span_from(start))
-        raise ParseError(
-            f"unexpected {t[VALUE] or 'end of input'!r}",
-            self.span_of(t),
-            frozenset({"def", "normalise", "assert", "size", "import"}),
-        )
+        raise self.unexpected(t, *_COMMANDS)
 
     def commands(self) -> list[Command]:
         out = []
@@ -712,29 +722,31 @@ def parse_ctx(text: str, source: Optional[str] = None) -> RawCtx:
 
 
 def pretty(x) -> str:
-    if isinstance(x, RVar):
+    # raw node classes have no subclasses, so a node's class decides
+    cls = x.__class__
+    if cls is RVar:
         return x.name
-    if isinstance(x, RHole) or isinstance(x, RTyHole):
-        return "_"
-    if isinstance(x, RId):
-        return "id"
-    if isinstance(x, RComp):
-        return "comp"
-    if isinstance(x, RCoh):
-        return f"coh [ {pretty_tree(x.tree)} : {pretty(x.ty)} ]"
-    if isinstance(x, RSusp):
-        return f"S({pretty(x.term)})"
-    if isinstance(x, RApp):
+    if cls is RApp:
         return f"{pretty(x.term)}{pretty_args(x.args)}"
-    if isinstance(x, RStar):
+    if cls is RComp:
+        return "comp"
+    if cls is RHole or cls is RTyHole:
+        return "_"
+    if cls is RId:
+        return "id"
+    if cls is RCoh:
+        return f"coh [ {pretty_tree(x.tree)} : {pretty(x.ty)} ]"
+    if cls is RSusp:
+        return f"S({pretty(x.term)})"
+    if cls is RStar:
         return "*"
-    if isinstance(x, RArrow):
+    if cls is RArrow:
         if x.base is None:
             return f"{pretty(x.src)} -> {pretty(x.tgt)}"
         return f"{_pretty_base(x.base)} | {pretty(x.src)} -> {pretty(x.tgt)}"
-    if isinstance(x, RTreeCtx):
+    if cls is RTreeCtx:
         return pretty_tree(x.tree)
-    if isinstance(x, RListCtx):
+    if cls is RListCtx:
         return ", ".join(f"({v} : {pretty(a)})" for v, a in x.entries)
     raise TypeError(f"cannot pretty-print {x!r}")
 
@@ -747,30 +759,30 @@ def _pretty_base(a: RawType) -> str:
 
 
 def pretty_tree(t: RawTree) -> str:
-    es = t.entries
+    return _pretty_block(t.entries, t.shape, 0)
 
-    def block(s: Tree, o: int) -> str:
-        # the block of the subtree s starts at index o of the entries, and
-        # the 0-cell that ends a branch comes just before the branch's block
-        out = [_pretty_entry(es[o])]
-        for b, bo in zip(s.branches, path_table(s).offsets):
-            out.append("{" + block(b, o + bo) + "}")
-            out.append(_pretty_entry(es[o + bo - 1]))
-        return "".join(out)
 
-    return block(t.shape, 0)
+def _pretty_block(es: tuple, s: Tree, o: int) -> str:
+    """The block of the subtree s, which starts at index o of the entries
+    es; the 0-cell that ends a branch comes just before the branch's
+    block."""
+    out = [_pretty_entry(es[o])]
+    for b, bo in zip(s.branches, path_table(s).offsets):
+        out.append("{" + _pretty_block(es, b, o + bo) + "}")
+        out.append(_pretty_entry(es[o + bo - 1]))
+    return "".join(out)
 
 
 def _pretty_entry(e) -> str:
     if e is None:
         return ""
-    if isinstance(e, str):
+    if e.__class__ is str:
         return e
     return pretty(e)
 
 
 def pretty_args(a: RArgs) -> str:
-    labelling = isinstance(a.data, RawTree)
+    labelling = a.data.__class__ is RawTree
     inner = pretty_tree(a.data) if labelling else ", ".join(map(pretty, a.data))
     if a.ty is not None:
         inner = f"{pretty(a.ty)} | {inner}"

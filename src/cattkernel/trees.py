@@ -36,6 +36,12 @@ class Record:
     values in ``_defaults`` for fields left out; classes built on hot paths
     define a straight-line ``__init__`` instead, and ``Tree``, which is
     interned, a ``__new__``.
+
+    Every constructor stores through ``_setters``: the ``__set__`` of each
+    slot the class declares, in ``__slots__`` order, which writes the slot
+    without the generic attribute protocol.  A straight-line constructor
+    unpacks them once (``s_term, s_args = self._setters``) and calls each
+    on the new record.  ``__setattr__`` refuses every other assignment.
     """
 
     __slots__ = ()
@@ -46,24 +52,31 @@ class Record:
         super().__init_subclass__(**kwargs)
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
+        cls._setters = tuple(
+            cls.__dict__[name].__set__ for name in cls.__slots__ if name != "__weakref__"
+        )
         # the field values, read in C: one value for one field, a tuple for
         # several, and the class itself for none
         cls._values = attrgetter(*cls._fields or ("__class__",))
 
     def __init__(self, *args, **kwargs):
+        # the fields are the class's first slots, so the first setters
+        # store them
         fields = self._fields
-        if len(args) > len(fields):
+        setters = self._setters
+        n = len(args)
+        if n > len(fields):
             raise TypeError(f"{type(self).__name__} takes {len(fields)} fields")
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
-        for name in fields[len(args) :]:
+        for store, value in zip(setters, args):
+            store(self, value)
+        for name, store in zip(fields[n:], setters[n:]):
             if name in kwargs:
                 value = kwargs.pop(name)
             elif name in self._defaults:
                 value = self._defaults[name]
             else:
                 raise TypeError(f"{type(self).__name__} needs a value for {name}")
-            object.__setattr__(self, name, value)
+            store(self, value)
         if kwargs:
             raise TypeError(f"{type(self).__name__} has no field {min(kwargs)}")
 
@@ -122,11 +135,12 @@ class Tree(Record):
             trunk = 1 + bs[0]._trunk_height if len(bs) == 1 else 0
             size = 1 + sum(b._ctx_size + 1 for b in bs)
             t = object.__new__(cls)
-            object.__setattr__(t, "branches", bs)
-            object.__setattr__(t, "_height", height)
-            object.__setattr__(t, "_trunk_height", trunk)
-            object.__setattr__(t, "_ctx_size", size)
-            object.__setattr__(t, "_table", None)
+            s_branches, s_height, s_trunk, s_size, s_table = cls._setters
+            s_branches(t, bs)
+            s_height(t, height)
+            s_trunk(t, trunk)
+            s_size(t, size)
+            s_table(t, None)
             _TREES[bs] = t
         return t
 
@@ -262,16 +276,17 @@ def leaf_height(s: Tree, p: Branch) -> int:
 
 
 def all_branches(s: Tree) -> list[Branch]:
-    def walk(t: Tree, prefix: Branch) -> list[Branch]:
-        out = []
-        for k, b in enumerate(t.branches):
-            q = prefix + (k,)
-            if b.is_linear:
-                out.append(q)
-            out.extend(walk(b, q))
-        return out
+    return _branches_below(s, ())
 
-    return walk(s, ())
+
+def _branches_below(t: Tree, prefix: Branch) -> list[Branch]:
+    out = []
+    for k, b in enumerate(t.branches):
+        q = prefix + (k,)
+        if b.is_linear:
+            out.append(q)
+        out.extend(_branches_below(b, q))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +324,10 @@ class LTree(Record):
     def __init__(self, shape: Tree, entries: tuple):
         if len(entries) != shape._ctx_size:
             raise MalformedSyntax("labelling shape mismatch")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", entries)
+        # LTree's own setters: a RawTree's are for its spans alone
+        s_shape, s_entries = LTree._setters
+        s_shape(self, shape)
+        s_entries(self, entries)
 
     @classmethod
     def from_fn(cls, t: Tree, f: Callable[[Path], Any]) -> "LTree":
@@ -400,21 +417,22 @@ def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
     the image of the branch itself is never read.  The result's shape is
     the insertion of the two shapes."""
     shape = insert_tree(lt.shape, p, m.shape)
+    return LTree(shape, _splice(lt.entries, lt.shape, p, m.entries, m.shape))
 
-    def splice(es: tuple, s: Tree, q: Branch, ms: tuple, t: Tree) -> tuple:
-        # es is the block of s and ms that of t: ms[0] takes the place of
-        # the 0-cell k of s, and the rest of ms that of the 0-cell k+1 and
-        # branch k, or ms[1] that of k+1 and the insertion into branch k
-        k = q[0]
-        tb = path_table(s)
-        o = tb.offsets[k]
-        end = o + s.branches[k]._ctx_size
-        zk = tb.zeros[k]
-        if len(q) == 1:
-            rest = ms[1:]
-        else:
-            inner = splice(es[o:end], s.branches[k], q[1:], ms[2:], t.branches[0])
-            rest = ms[1:2] + inner
-        return es[:zk] + ms[:1] + es[zk + 1 : o - 1] + rest + es[end:]
 
-    return LTree(shape, splice(lt.entries, lt.shape, p, m.entries, m.shape))
+def _splice(es: tuple, s: Tree, q: Branch, ms: tuple, t: Tree) -> tuple:
+    """The entries of the insertion of t into s along q: es is the block of
+    s and ms that of t.  ms[0] takes the place of the 0-cell k of s, and
+    the rest of ms that of the 0-cell k+1 and branch k, or ms[1] that of
+    k+1 and the insertion into branch k."""
+    k = q[0]
+    tb = path_table(s)
+    o = tb.offsets[k]
+    end = o + s.branches[k]._ctx_size
+    zk = tb.zeros[k]
+    if len(q) == 1:
+        rest = ms[1:]
+    else:
+        inner = _splice(es[o:end], s.branches[k], q[1:], ms[2:], t.branches[0])
+        rest = ms[1:2] + inner
+    return es[:zk] + ms[:1] + es[zk + 1 : o - 1] + rest + es[end:]

@@ -43,10 +43,11 @@ class ListCtx(Record):
     types: tuple  # of NfType, positions from the start
 
     def __init__(self, names: tuple, types: tuple):
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_vars", {})
+        s_names, s_types, s_index, s_vars = self._setters
+        s_names(self, names)
+        s_types(self, types)
+        s_index(self, None)
+        s_vars(self, {})
 
     def __len__(self):
         return len(self.names)
@@ -77,9 +78,10 @@ class TreeCtx(Record):
     names: LTree  # of Optional[str]
 
     def __init__(self, names: LTree):
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_vars", {})
+        s_names, s_index, s_vars = self._setters
+        s_names(self, names)
+        s_index(self, None)
+        s_vars(self, {})
 
     @property
     def tree(self) -> Tree:
@@ -116,7 +118,7 @@ Ctx = Union[ListCtx, TreeCtx]
 
 
 def ctx_id_env(ctx: Ctx) -> Env:
-    if isinstance(ctx, TreeCtx):
+    if ctx.__class__ is TreeCtx:
         return N.id_env(ctx.tree)
     return N.id_list_env(len(ctx))
 
@@ -264,28 +266,30 @@ class Checker:
     def elab(self, ctx: Ctx, raw: R.RawTerm) -> tuple:
         """Elaborate a term in a context; return it with its type and its
         value, which equals ``self.nf(ctx, term)``."""
-        if isinstance(raw, R.RVar):
+        # raw term classes have no subclasses, so a node's class decides
+        cls = raw.__class__
+        if cls is R.RVar:
             found = self.lookup(ctx, raw.name)
             if found is not None:
                 return found
             return self.check_by_infer(ctx, raw)
-        if isinstance(raw, R.RComp):
-            if isinstance(ctx, TreeCtx):
+        if cls is R.RApp:
+            return self.check_app(ctx, raw)
+        if cls is R.RComp:
+            if ctx.__class__ is TreeCtx:
                 tree = ctx.tree
                 t = C.CComp(tree)
                 ty = N.standard_nf_type(self.config, tree, tree.height)
                 return t, ty, self.nf(ctx, t)
             raise CheckError("a bare composite needs a tree context", raw.span)
-        if isinstance(raw, R.RId):
-            if isinstance(ctx, TreeCtx) and ctx.tree.is_linear:
+        if cls is R.RId:
+            if ctx.__class__ is TreeCtx and ctx.tree.is_linear:
                 n = ctx.tree.height
                 t = C.CId(n)
                 ty = N.standard_nf_type(self.config, ctx.tree, n + 1)
                 return t, ty, self.nf(ctx, t)
             return self.check_by_infer(ctx, raw)
-        if isinstance(raw, R.RApp):
-            return self.check_app(ctx, raw)
-        if isinstance(raw, R.RHole):
+        if cls is R.RHole:
             raise CheckError("a hole is not allowed here", raw.span)
         return self.check_by_infer(ctx, raw)
 
@@ -321,18 +325,19 @@ class Checker:
 
     def check_app(self, ctx: Ctx, raw: R.RApp) -> tuple:
         head, args = raw.term, raw.args
-        if isinstance(head, R.RComp) and isinstance(args.data, R.RawTree):
+        labelling = args.data.__class__ is R.RawTree
+        if labelling and head.__class__ is R.RComp:
             shape = args.data.shape
             lab, vals, lab_ty = self.check_label(ctx, args, shape)
             inner_ty = N.standard_nf_type(self.config, shape, shape.height)
             return self.apply(C.CComp(shape), inner_ty, lab, Env(vals, lab_ty))
         inner_ctx, t, ty = self.infer(head)
-        if isinstance(inner_ctx, TreeCtx):
-            if not isinstance(args.data, R.RawTree):
+        if inner_ctx.__class__ is TreeCtx:
+            if not labelling:
                 args = _sub_to_label(args, inner_ctx.tree)
             lab, vals, lab_ty = self.check_label(ctx, args, inner_ctx.tree)
             return self.apply(t, ty, lab, Env(vals, lab_ty))
-        if isinstance(args.data, R.RawTree):
+        if labelling:
             raise CheckError("labelling arguments need a tree context", args.span)
         return self.apply_sub(ctx, inner_ctx, t, ty, args)
 
@@ -395,85 +400,87 @@ class Checker:
         """The core labelling, the labelling of its values, and the type of
         its zero cells; an omitted argument takes the endpoint value found
         in its neighbours' types."""
-        es = raw.entries
-
-        def leaf(o: int) -> tuple:
-            # the core entry, type and value of the locally maximal entry
-            # at index o
-            x = es[o]
-            if x is None or isinstance(x, R.RHole):
-                raise CheckError(
-                    "a locally maximal argument cannot be omitted", raw.span_at(o)
-                )
-            return self.elab(ctx, x)
-
-        def block(s: Tree, o: int) -> tuple:
-            # the core entries and the values of the block of the subtree s,
-            # which has branches and starts at index o, and the type of its
-            # zero cells; a leaf branch is elaborated here, and a branch
-            # with branches of its own by a call for its block
-            nb = len(s.branches)
-            tb = T.path_table(s)
-            terms: list = [None]
-            vals: list = [None]
-            pairs = []
-            tails = []
-            for sub, so in zip(s.branches, tb.offsets):
-                if sub.branches:
-                    m, mv, b = block(sub, o + so)
-                    terms.append(None)
-                    terms += m
-                    vals.append(None)
-                    vals += mv
-                else:
-                    t, b, v = leaf(o + so)
-                    terms += (None, t)
-                    vals += (None, v)
-                if not b:
-                    raise CheckError(
-                        "a branch argument has a type of the wrong dimension",
-                        raw.span_at(o + so),
-                    )
-                pairs.append(b[0])
-                tails.append(b[1:])
-            for i in range(nb - 1):
-                if tails[i] != tails[i + 1]:
-                    raise CheckError(
-                        "the branch arguments live over different types",
-                        raw.span_at(o),
-                    )
-            for i in range(nb - 1):
-                if pairs[i][1] != pairs[i + 1][0]:
-                    raise CheckError(
-                        "consecutive arguments do not share an endpoint",
-                        raw.span_at(o),
-                    )
-            ends = [p[0] for p in pairs] + [pairs[-1][1]]
-            for i, end in zip(tb.zeros, ends):
-                vals[i] = end
-                x = es[o + i]
-                if x is None or isinstance(x, R.RHole):
-                    terms[i] = N.quote_tm(end)
-                else:
-                    t, _, v = self.elab(ctx, x)
-                    if v != end:
-                        raise CheckError(
-                            "an explicit argument disagrees with the inferred one",
-                            x.span,
-                        )
-                    terms[i] = t
-            return terms, vals, tails[0]
-
         if shape.branches:
-            terms, vals, ty = block(shape, 0)
+            terms, vals, ty = self._label_block(ctx, raw, shape, 0)
         else:
-            t, ty, v = leaf(0)
+            t, ty, v = self._label_leaf(ctx, raw, 0)
             terms, vals = [t], [v]
         return (
             LTree(shape, tuple(terms)),
             LTree(shape, tuple(vals)),
             ty,
         )
+
+    def _label_leaf(self, ctx: Ctx, raw: R.RawTree, o: int) -> tuple:
+        """The core entry, type and value of the locally maximal entry of
+        raw at index o."""
+        x = raw.entries[o]
+        if x is None or x.__class__ is R.RHole:
+            raise CheckError(
+                "a locally maximal argument cannot be omitted", raw.span_at(o)
+            )
+        return self.elab(ctx, x)
+
+    def _label_block(self, ctx: Ctx, raw: R.RawTree, s: Tree, o: int) -> tuple:
+        """The core entries and the values of the block of raw over the
+        subtree s, which has branches and starts at index o, and the type
+        of its zero cells.  A leaf branch is elaborated here, and a branch
+        with branches of its own by a call for its block.  These are
+        methods, not closures: a recursive closure is a reference cycle,
+        which would keep each labelling's raw syntax alive until the
+        cyclic garbage collector runs."""
+        es = raw.entries
+        nb = len(s.branches)
+        tb = T.path_table(s)
+        terms: list = [None]
+        vals: list = [None]
+        pairs = []
+        tails = []
+        for sub, so in zip(s.branches, tb.offsets):
+            if sub.branches:
+                m, mv, b = self._label_block(ctx, raw, sub, o + so)
+                terms.append(None)
+                terms += m
+                vals.append(None)
+                vals += mv
+            else:
+                t, b, v = self._label_leaf(ctx, raw, o + so)
+                terms += (None, t)
+                vals += (None, v)
+            if not b:
+                raise CheckError(
+                    "a branch argument has a type of the wrong dimension",
+                    raw.span_at(o + so),
+                )
+            pairs.append(b[0])
+            tails.append(b[1:])
+        for i in range(nb - 1):
+            if tails[i] != tails[i + 1]:
+                raise CheckError(
+                    "the branch arguments live over different types",
+                    raw.span_at(o),
+                )
+        for i in range(nb - 1):
+            if pairs[i][1] != pairs[i + 1][0]:
+                raise CheckError(
+                    "consecutive arguments do not share an endpoint",
+                    raw.span_at(o),
+                )
+        ends = [p[0] for p in pairs] + [pairs[-1][1]]
+        for i, end in zip(tb.zeros, ends):
+            vals[i] = end
+            x = es[o + i]
+            if x is None or x.__class__ is R.RHole:
+                terms[i] = N.quote_tm(end)
+            else:
+                t, _, v = self.elab(ctx, x)
+                if v != end:
+                    raise CheckError(
+                        "an explicit argument disagrees with the inferred one",
+                        x.span,
+                    )
+                terms[i] = t
+        return terms, vals, tails[0]
 
     # -- types --------------------------------------------------------------
 

@@ -157,6 +157,19 @@ def test_running_a_file(tmp_path, capsys):
     assert "defined one" in out and "assertion holds" in out
 
 
+@pytest.mark.parametrize("flags", [[], ["--sua"]], ids=["weak", "sua"])
+def test_a_brace_context_ends_at_the_next_command(tmp_path, capsys, flags):
+    # the last 0-cell of the context is unnamed, so the next line's keyword
+    # is the first token after it
+    f = tmp_path / "two.catt"
+    f.write_text("normalise f in {f}{g}\nnormalise f in {f}{g}\n")
+    assert X.main([*flags, str(f)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [x for x in lines if x.startswith("normal form:")] == ["normal form: f"] * 2
+    assert captured.err == ""
+
+
 def test_type_error_gives_exit_code_one(tmp_path, capsys):
     f = tmp_path / "a.catt"
     f.write_text("def bad (x : *) = y\n")

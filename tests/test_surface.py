@@ -1,6 +1,7 @@
 """Tokenizer, parser, pretty-printer and raw syntax round trips."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,35 @@ def test_malformed_nested_application_fails_in_linear_work(monkeypatch):
     assert counts[64] / counts[32] <= 2.5
 
 
+def test_benchmark_inputs_parse_without_building_an_error(monkeypatch):
+    # the parser decides each choice from the next token, so a text that
+    # parses raises and catches no error on the way
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads as W
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    built = []
+    init = ParseError.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ParseError, "__init__", counted)
+    rng = random.Random(41)
+    for _ in range(8):
+        for ctx, term in W.corpus_round(rng):
+            parse(f"normalise {term} in {ctx}")
+    rng = random.Random(41)
+    for _ in range(3):
+        for n, side, _ in W.nary_round(rng):
+            parse_ctx(W.nary_ctx(n))
+            for s in (side, "flat"):
+                parse_term(W.nary_term(n, s))
+    assert built == []
+
+
 # the least recursion limit at which parse_term reads each text, found by
 # bisection in a fresh interpreter
 PARSE_DEPTH = """
@@ -418,6 +448,20 @@ def test_parse_other_commands():
     kinds = [type(c) for c in cmds]
     assert kinds == [NormaliseCmd, AssertCmd, SizeCmd, ImportCmd]
     assert cmds[3].path == "lib/monoidal.catt"
+
+
+@pytest.mark.parametrize(
+    "after",
+    ["normalise f in {f}{g}", "def a = comp", "assert f = f in {f}", "size f in {f}", "import a.catt"],
+    ids=["normalise", "def", "assert", "size", "import"],
+)
+def test_a_context_ends_at_the_next_command(after):
+    # an entry of a labelling stops at any token that can follow one, a
+    # command's keyword included, so a context whose last 0-cell is unnamed
+    # ends a command that another command follows
+    cmds = parse(f"normalise f in {{f}}{{g}}\n{after}\n")
+    assert len(cmds) == 2 and isinstance(cmds[0], NormaliseCmd)
+    assert strip_spans(cmds[1]) == strip_spans(parse(after)[0])
 
 
 def test_comments_are_ignored():

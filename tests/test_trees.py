@@ -2,6 +2,7 @@
 coherences, and insertion."""
 
 import gc
+import inspect
 import itertools
 import random
 import weakref
@@ -938,6 +939,22 @@ def test_records_are_immutable_and_slotted():
         # object
         assert (y is x) if cls in (Tree, N.EvalConfig) else (y is not x), cls
         assert y == x and hash(y) == hash(x), cls
+
+
+def test_records_store_each_field_in_its_slot():
+    # constructors store through the slot setters, in slot order: a
+    # placeholder record built from 0, 1, 2, … reads i in its i-th field
+    for cls in record_classes():
+        if cls not in CHECKED:
+            x = example(cls)
+            assert [getattr(x, f) for f in cls._fields] == list(range(len(cls._fields)))
+    # and no constructor of the package goes through object.__setattr__
+    for cls in record_classes():
+        if cls.__module__.startswith("cattkernel."):
+            for name in ("__init__", "__new__"):
+                own = cls.__dict__.get(name)
+                if inspect.isfunction(own):
+                    assert "object.__setattr__" not in inspect.getsource(own), (cls, name)
 
 
 def test_trees_and_configurations_hash_by_identity():
