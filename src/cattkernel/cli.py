@@ -14,6 +14,7 @@ from typing import Optional
 from . import core as C
 from . import nbe as N
 from . import surface as R
+from . import trees as T
 from .nbe import EvalConfig
 from .surface import ParseError
 from .typecheck import CheckError, Checker, OperationSet, SigEntry, Signature, TreeCtx
@@ -64,7 +65,8 @@ def run_command(
         out = [f"normal form: {shown}", f"of type: {shown_ty}"]
         if names.fallback:
             # name the unnamed cells the output shows, so it reads back
-            shown_ctx = R.pretty_tree(R.RawTree.from_fn(ctx.tree, names))
+            cells = tuple(map(names, range(T.ctx_size(ctx.tree))))
+            shown_ctx = R.pretty_tree(R.RawTree(ctx.tree, cells))
             out.append(f"in context: {shown_ctx}")
         if state.oracle_trace:
             out.extend(_oracle_trace(state, ctx, term))

@@ -1,8 +1,8 @@
 """Core syntax: the elaborated language produced by the typechecker and
 consumed by evaluation.
 
-Terms over a list context use positions counted from the start; terms over
-a tree context use paths.  Standard types, disc labellings and the exterior
+A variable is its position counted from the start of its context, a list
+context or a tree context alike.  Standard types, disc labellings and the exterior
 labelling of an insertion are built as values, in ``nbe``; the printer
 reads the core syntax that quotation builds.
 """
@@ -17,12 +17,11 @@ from .trees import LTree, Path, Record, Tree
 
 
 class CVar(Record):
-    # a position from the start of a list context, or a path of a tree
-    # context
+    # a position from the start of its context
     __slots__ = ("pos",)
-    pos: Union[int, Path]
+    pos: int
 
-    def __init__(self, pos: Union[int, Path]):
+    def __init__(self, pos: int):
         (s_pos,) = self._setters
         s_pos(self, pos)
 
@@ -136,8 +135,6 @@ def flatten_tm(x: CoreTerm, amb: Ambient) -> F.FlatTerm:
     # core classes have no subclasses, so a node's class decides the case
     cls = x.__class__
     if cls is CVar:
-        if x.pos.__class__ is tuple:
-            return F.path_var(amb, x.pos)
         return F.Var(_amb_size(amb) - 1 - x.pos)
     if cls is CApp:
         data = x.args.data
@@ -194,9 +191,10 @@ def path_name(p: Path) -> str:
 
 
 class Names:
-    """Display names for the variables of a context.  A cell of a tree
-    context that has no name is shown by its path name, with ``_`` added
-    until no other cell uses it; ``fallback`` records each name so given."""
+    """Display names for the variables of a context, by position.  A cell
+    of a tree context that has no name is shown by its path name, with
+    ``_`` added until no other cell uses it; ``fallback`` records each name
+    so given."""
 
     def __init__(self, names=None):
         # names: a sequence for a list context, an LTree for a tree context
@@ -204,15 +202,17 @@ class Names:
         self.fallback: dict = {}
         self._taken = set(names.entries) if isinstance(names, LTree) else set()
 
-    def __call__(self, pos) -> str:
-        if pos.__class__ is not tuple:
-            return f"v{pos}" if self.names is None else self.names[pos]
-        if isinstance(self.names, LTree):
-            n = self.names.lookup(pos)
-            if n is not None:
-                return n
+    def __call__(self, pos: int) -> str:
+        names = self.names
+        if names is None:
+            return f"v{pos}"
+        if not isinstance(names, LTree):
+            return names[pos]
+        n = names.entries[pos]
+        if n is not None:
+            return n
         if pos not in self.fallback:
-            n = path_name(pos)
+            n = path_name(T.path_table(names.shape).paths[pos])
             while n in self._taken:
                 n += "_"
             self.fallback[pos] = n

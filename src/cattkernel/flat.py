@@ -8,17 +8,18 @@ increment.  Positions counted from the start of the context are used for
 substitution term lists; ``Var(k)`` in a context of length ``n`` sits at
 position ``n - 1 - k``.
 
-A tree realises as the pasting context whose cells are its paths, in
-``all_paths`` order: ``(0,)``, ``(1,)``, the cells of branch 0, ``(2,)``,
-the cells of branch 1, and so on, each branch's cells in this same order
-below its index.  A cell ``q + (j,)`` above dimension 0 is an arrow over
-the type of ``q``, from ``q`` to the sibling that follows ``q`` (its last
-index plus one); both come before it, so every cell's type is written
-directly over the cells before it.  This is the context that glues the
-suspensions of the children's realisations along their endpoint 0-cells,
-and trees present exactly the pasting contexts.  A labelling (an ``LTree``
-of terms) keeps its entries in this order, so it realises as the
-substitution whose terms are its entries tuple: nothing is copied.
+A tree realises as the pasting context whose cells are its paths, in the
+order of its ``PathTable``: ``(0,)``, ``(1,)``, the cells of branch 0,
+``(2,)``, the cells of branch 1, and so on, each branch's cells in this
+same order below its index.  A cell ``q + (j,)`` above dimension 0 is an
+arrow over the type of ``q``, from ``q`` to the sibling that follows ``q``
+(its last index plus one), as the table's endpoint column gives it; both
+come before it, so every cell's type is written directly over the cells
+before it.  This is the context that glues the suspensions of the
+children's realisations along their endpoint 0-cells, and trees present
+exactly the pasting contexts.  A labelling (an ``LTree`` of terms) keeps
+its entries in this order, so it realises as the substitution whose terms
+are its entries tuple: nothing is copied.
 """
 
 from __future__ import annotations
@@ -384,13 +385,10 @@ def is_unary_comp(t: FlatTerm) -> bool:
 
 def path_var(t: Tree, p: Path) -> FlatTerm:
     """The variable of path p in the realised context, a shared ``Var``."""
-    i = (t._table or T.path_table(t)).index.get(p)
-    if i is None:
-        raise MalformedSyntax("not a path of the tree")
     n = t._ctx_size
     if n > len(_VARS):
         variables(n)
-    return _VARS[n - 1 - i]
+    return _VARS[n - 1 - path_pos(t, p)]
 
 
 def path_pos(t: Tree, p: Path) -> int:
@@ -403,18 +401,18 @@ def path_pos(t: Tree, p: Path) -> int:
 
 def path_type(t: Tree, p: Path) -> FlatType:
     """The type of the cell of path p over the whole realised context."""
-    return _cell_type(T.path_table(t).index, p, t._ctx_size)
+    tb = T.path_table(t)
+    return _cell_type(tb.ends, tb.index[p], t._ctx_size)
 
 
-def _cell_type(index: dict[Path, int], p: Path, i: int) -> FlatType:
-    """The type of cell p over the i cells before it, where index gives
-    each cell's position: a cell q + (j,) goes from q to the sibling that
-    follows q."""
-    if len(p) == 1:
+def _cell_type(ends: tuple, j: int, i: int) -> FlatType:
+    """The type of the cell at position j over the i cells before it,
+    following the endpoints that ends gives each cell."""
+    e = ends[j]
+    if e is None:
         return STAR
-    q = p[:-1]
-    src, tgt = index[q], index[q[:-1] + (q[-1] + 1,)]
-    return Arrow(Var(i - 1 - src), _cell_type(index, q, i), Var(i - 1 - tgt))
+    src, tgt = e
+    return Arrow(Var(i - 1 - src), _cell_type(ends, src, i), Var(i - 1 - tgt))
 
 
 # Bounded like standard_type below: the validation route keeps meeting new
@@ -423,8 +421,8 @@ def _cell_type(index: dict[Path, int], p: Path, i: int) -> FlatType:
 def tree_to_ctx(t: Tree) -> FlatCtx:
     """The pasting context t presents, each cell's type written over the
     cells before it; the context keeps t as the tree it presents."""
-    tb = T.path_table(t)
-    g = FlatCtx(tuple(_cell_type(tb.index, p, i) for i, p in enumerate(tb.paths)))
+    ends = T.path_table(t).ends
+    g = FlatCtx(tuple(_cell_type(ends, i, i) for i in range(t._ctx_size)))
     object.__setattr__(g, "_tree", t)
     return g
 
@@ -456,9 +454,9 @@ def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
 def boundary_inclusion(t: Tree, n: int, eps: str) -> LTree:
     """The inclusion of the n-boundary of t, with variable entries over the
     realised context."""
-    return LTree.from_fn(
-        T.tree_boundary(t, n), lambda p: path_var(t, T.boundary_path(t, n, eps, p))
-    )
+    vs = variables(t._ctx_size)
+    incl = T.boundary_index(t, n, eps)
+    return LTree(T.tree_boundary(t, n), tuple(vs[i] for i in incl))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Normalisation by evaluation.
 
-Evaluation maps core syntax into a normal form syntax of variables and
-head terms applied to fully explicit labellings.  The configurable parts
-of definitional equality live here: disc removal, endo-coherence removal,
-and insertion (pruning is insertion of discs along identity arguments).
-Implicit suspension is resolved during evaluation via the type part of
-environments.
+Evaluation maps core syntax into a normal form syntax of variables, each
+its position in its context, and head terms applied to fully explicit
+labellings.  The configurable parts of definitional equality live here:
+disc removal, endo-coherence removal, and insertion (pruning is insertion
+of discs along identity arguments).  Implicit suspension is resolved
+during evaluation via the type part of environments.
 
 Normal forms are also evaluated in place (``eval_nf``): substituting into a
 result type, suspending a term or a type (an environment whose type part is
@@ -71,15 +71,16 @@ SUA = EvalConfig(dr=True, ecr=True, insertion="full")
 
 
 class NVar(Record):
-    """A variable.  Its quotation is built at the first ``quote_tm`` and
-    kept in a slot outside the fields, so a variable kept by an identity
-    environment quotes to one kept core variable."""
+    """A variable, by its position in its context.  Its quotation is built
+    at the first ``quote_tm`` and kept in a slot outside the fields, so a
+    variable kept by an identity environment quotes to one kept core
+    variable."""
 
     __slots__ = ("pos", "_core")
     _fields = ("pos",)
-    pos: Union[int, Path]
+    pos: int
 
-    def __init__(self, pos: Union[int, Path]):
+    def __init__(self, pos: int):
         s_pos, s_core = self._setters
         s_pos(self, pos)
         s_core(self, None)
@@ -147,17 +148,18 @@ class Env(Record):
         s_data(self, data)
         s_ty(self, ty)
 
-    def lookup(self, key) -> NfTerm:
-        if key.__class__ is tuple:
-            return self.data.lookup(key)
-        return self.data[key]
+    def lookup(self, pos: int) -> NfTerm:
+        data = self.data
+        if data.__class__ is LTree:
+            return data.entries[pos]
+        return data[pos]
 
 
 # Environments are immutable, so one identity environment per tree or
-# length serves every caller.
+# length serves every caller; a tree's shares the variables of its length.
 @lru_cache(maxsize=256)
 def id_env(t: Tree) -> Env:
-    return Env(LTree.from_fn(t, NVar), ())
+    return Env(LTree(t, id_list_env(t._ctx_size).data), ())
 
 
 @lru_cache(maxsize=256)
@@ -314,23 +316,29 @@ def _find_redex(cfg: EvalConfig, s: Tree, lt: LTree):
 
 def exterior(cfg: EvalConfig, s: Tree, p: T.Branch, t: Tree) -> LTree:
     """The exterior labelling of inserting t into s along the branch p, as
-    values over the tree the insertion makes."""
+    values over the tree r the insertion makes."""
     k = p[0]
+    r = T.insert_tree(s, p, t)
+    rt = T.path_table(r)
     if len(p) == 1:
         nt = len(t.branches)
         # the inserted branch: the standard coherence of t, included as
-        # components k .. k+nt-1
+        # components k .. k+nt-1: t's first 0-cell is r's 0-cell k, and
+        # its other cells take the place of s's 0-cell k+1 and branch k
         b = standard_nf_type(cfg, t, s.branches[k].height + 1)
-        inc = Env(LTree.from_fn(t, lambda q: NVar((q[0] + k,) + q[1:])))
+        st = T.path_table(s)
+        z, o = st.zeros[k], st.offsets[k]
+        cells = (z, *range(o - 1, o + t._ctx_size - 2))
+        inc = Env(LTree(t, tuple(map(NVar, cells))))
         coh = _eval_head(cfg, t, b, inc)
         mid = disc_label(eval_nf_ty(cfg, b, inc), coh).entries[2:]
     else:
         nt = 1
         # the inner exterior labelling, suspended into component k
-        r = T.insert_tree(s.branches[k], p[1:], t.branches[0])
+        rk, o = r.branches[k], rt.offsets[k]
         up = Env(
-            LTree.from_fn(r, lambda q: NVar((k,) + q)),
-            ((NVar((k,)), NVar((k + 1,))),),
+            LTree(rk, tuple(map(NVar, range(o, o + rk._ctx_size)))),
+            ((NVar(rt.zeros[k]), NVar(o - 1)),),
         )
         inner = exterior(cfg, s.branches[k], p[1:], t.branches[0])
         mid = tuple(eval_nf(cfg, e, up) for e in inner.entries)
@@ -340,14 +348,14 @@ def exterior(cfg: EvalConfig, s: Tree, p: T.Branch, t: Tree) -> LTree:
 
     # each 0-cell before the block of the branch it ends: the identity on
     # the other branches, moved past the inserted ones
-    entries = [NVar((0,))]
+    entries = [NVar(0)]
     for j, sub in enumerate(s.branches):
-        entries.append(NVar((shifted(j + 1),)))
+        entries.append(NVar(rt.zeros[shifted(j + 1)]))
         if j == k:
             entries.extend(mid)
         else:
-            sj = shifted(j)
-            entries.extend(NVar((sj,) + q) for q in T.path_table(sub).paths)
+            o = rt.offsets[shifted(j)]
+            entries.extend(map(NVar, range(o, o + sub._ctx_size)))
     return LTree(s, tuple(entries))
 
 
@@ -404,12 +412,12 @@ def _classify(
         not cfg.ecr
         and linear
         and b
-        and b[0][0] == b[0][1] == NVar(T.max_path(s.height))
+        and b[0][0] == b[0][1] == NVar(s._ctx_size - 1)
         and b[1:] == std
     ):
         return NApp(NId(s.height), lt)
     if cfg.dr and linear and b == std:
-        return lt.lookup(T.max_path(s.height))
+        return lt.entries[-1]
     if b == std:
         return NApp(NComp(s), lt)
     return NApp(NCoh(s, b), lt)
@@ -425,7 +433,7 @@ def standard_nf_type(cfg: EvalConfig, t: Tree, n: int) -> NfType:
     b = T.tree_boundary(t, n - 1)
 
     def side(eps: str) -> NfTerm:
-        inc = LTree.from_fn(b, lambda p: NVar(T.boundary_path(t, n - 1, eps, p)))
+        inc = LTree(b, tuple(map(NVar, T.boundary_index(t, n - 1, eps))))
         return _std_term(cfg, b, n - 1, Env(inc))
 
     return ((side("-"), side("+")),) + standard_nf_type(cfg, t, n - 1)
@@ -434,7 +442,7 @@ def standard_nf_type(cfg: EvalConfig, t: Tree, n: int) -> NfType:
 def _std_term(cfg: EvalConfig, b: Tree, m: int, env: Env) -> NfTerm:
     """The value of the standard term of dimension m over b in env."""
     if b == T.LEAF and m == 0:
-        return env.lookup((0,))
+        return env.lookup(0)
     if m > 0 and len(b.branches) == 1:
         return _std_term(cfg, b.branches[0], m - 1, lift(env))
     return _eval_head(cfg, b, standard_nf_type(cfg, b, m), env)
@@ -506,19 +514,11 @@ def size_ty(b: NfType) -> int:
 
 
 def nf_vars(x) -> set:
-    """All variable positions appearing in a normal form."""
-    if isinstance(x, NVar):
+    """The positions of the variables of a normal form or a normal type."""
+    if x.__class__ is NVar:
         return {x.pos}
-    if isinstance(x, NApp):
-        return nf_vars(x.label)
-    if isinstance(x, LTree):
-        out: set = set()
-        for e in x.entries:
-            out |= nf_vars(e)
-        return out
-    if isinstance(x, tuple):  # NfType
-        out = set()
-        for s, t in x:
-            out |= nf_vars(s) | nf_vars(t)
-        return out
-    raise TypeError(f"no variables in {x!r}")
+    ys = x.label.entries if x.__class__ is NApp else [e for pair in x for e in pair]
+    out: set = set()
+    for y in ys:
+        out |= nf_vars(y)
+    return out

@@ -334,7 +334,7 @@ _ELEMENT_STOPS = frozenset(
 
 
 def _block(elements: list, branches: list, span: Span) -> tuple:
-    """The shape, entries and spans of a labelling in ``all_paths`` order,
+    """The shape, entries and spans of a labelling in table order,
     from the entries of its 0-cells and the blocks of its branches, each
     block after the 0-cell that ends it: its own span at the start and each
     branch's span where the branch's block starts, as ``RawTree`` keeps

@@ -3,10 +3,11 @@ and insertion.
 
 A tree is a list of trees; it presents the pasting context that glues the
 suspensions of its children along their endpoint 0-cells.  A cell of that
-context is a path of the tree, and ``all_paths`` lists the paths in the
-order of the cells there.  A labelling is a tree with one entry per path,
-kept as one tuple in that order, so it realises without a copy.  Realising
-trees and labellings as flat contexts and substitutions belongs to the
+context is a path of the tree; the tree's ``PathTable`` lists the paths in
+the order of the cells there, with each cell's endpoints, and the kernel
+route names a cell by its index in that order, its position.  A labelling
+is one entry per path, kept as one tuple in that order.  Realising trees
+and labellings as flat contexts and substitutions belongs to the
 validation route, in ``flat``.
 
 ``Record``, the immutable base of every node class of the package, is
@@ -192,21 +193,24 @@ def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
 
 
 class PathTable:
-    """The facts of a tree that its labellings read: its paths in
-    ``all_paths`` order, the index of each path in that order (its position
+    """The facts of a tree that its labellings read: its paths in the
+    order of the realised context, the index of each path in that order (its position
     in the realised context), the index at which each branch's block of
     paths starts, just after the 0-cell that ends the branch, the indices
-    of the 0-cells of the root block, 0 and then each offset - 1, and the
-    indices of the maximal paths, in ``maximal_paths`` order."""
+    of the 0-cells of the root block, 0 and then each offset - 1, the
+    indices of the maximal paths, in ``maximal_paths`` order, and each
+    cell's endpoints: None at a 0-cell, at a cell ``q + (j,)`` the indices
+    of ``q`` and of the sibling that follows it."""
 
-    __slots__ = ("paths", "index", "offsets", "zeros", "maximal")
+    __slots__ = ("paths", "index", "offsets", "zeros", "maximal", "ends")
 
-    def __init__(self, paths: tuple, offsets: tuple, maximal: tuple):
+    def __init__(self, paths: tuple, offsets: tuple, maximal: tuple, ends: tuple):
         self.paths = paths
         self.index = {p: i for i, p in enumerate(paths)}
         self.offsets = offsets
         self.zeros = (0,) + tuple(o - 1 for o in offsets)
         self.maximal = maximal
+        self.ends = ends
 
 
 def path_table(t: Tree) -> PathTable:
@@ -214,28 +218,31 @@ def path_table(t: Tree) -> PathTable:
     tb = t._table
     if tb is None:
         paths: list[Path] = [(0,)]
+        ends: list = [None]
         offsets = []
         maximal = [] if t.branches else [0]
+        z = 0  # the index of the 0-cell k
         for k, b in enumerate(t.branches):
-            paths.append((k + 1,))
-            o = len(paths)
+            # the 0-cell k + 1 ends the branch, just before its block; a
+            # 0-cell of the branch goes from the 0-cell k to k + 1
+            o = len(paths) + 1
             offsets.append(o)
+            cell = (z, o - 1)
             if b.branches:
                 sub = path_table(b)
+                paths.append((k + 1,))
                 paths += [(k,) + q for q in sub.paths]
+                ends.append(None)
+                ends += [cell if e is None else (e[0] + o, e[1] + o) for e in sub.ends]
                 maximal += [o + i for i in sub.maximal]
             else:  # a leaf, the most common branch, has the one path (0,)
-                paths.append((k, 0))
+                paths += ((k + 1,), (k, 0))
+                ends += (None, cell)
                 maximal.append(o)
-        tb = PathTable(tuple(paths), tuple(offsets), tuple(maximal))
+            z = o - 1
+        tb = PathTable(tuple(paths), tuple(offsets), tuple(maximal), tuple(ends))
         object.__setattr__(t, "_table", tb)
     return tb
-
-
-def all_paths(t: Tree) -> list[Path]:
-    """The paths of t, in the order of the realised context: (0,), then
-    for each branch k the 0-cell (k + 1,) and the branch's paths below k."""
-    return list(path_table(t).paths)
 
 
 def maximal_paths(t: Tree) -> list[Path]:
@@ -304,8 +311,8 @@ def ctx_size(t: Tree) -> int:
 
 class LTree(Record):
     """A labelling of a tree: one entry per path.  Its fields are its tree,
-    ``shape``, and ``entries``, the tuple of its entries in ``all_paths``
-    order, so each branch's entries are one block of that tuple, which
+    ``shape``, and ``entries``, the tuple of its entries in its tree's
+    table order, so each branch's entries are one block of that tuple, which
     starts at the branch's offset in the tree's ``PathTable``, just after
     the 0-cell that ends the branch.  ``LTree(shape, entries)`` is its one
     constructor; ``from_fn`` and ``map`` go through it.
@@ -349,10 +356,6 @@ class LTree(Record):
         """The labelling of the branch b whose block starts at o."""
         return LTree(b, self.entries[o : o + b._ctx_size])
 
-    def lookup(self, p: Path):
-        t = self.shape
-        return self.entries[(t._table or path_table(t)).index[p]]
-
     def map(self, f: Callable) -> "LTree":
         """The labelling of the images; it keeps the shape."""
         return self.__class__(self.shape, tuple(map(f, self.entries)))
@@ -375,19 +378,19 @@ def tree_boundary(t: Tree, n: int) -> Tree:
     return Tree(tuple(tree_boundary(b, n - 1) for b in t.branches))
 
 
-def boundary_path(t: Tree, n: int, eps: str, p: Path) -> Path:
-    """Include a path of the n-boundary tree back into t."""
+def boundary_index(t: Tree, n: int, eps: str) -> tuple[int, ...]:
+    """The inclusion of the n-boundary of t of side eps: the position in t
+    of each cell of the boundary tree, in that tree's order.  Its 0-cells
+    are t's, and the boundary of each branch is included in its block; at
+    n = 0 the boundary is t's first or last 0-cell."""
+    tb = path_table(t)
     if n == 0:
-        return (0,) if eps == "-" else (len(t.branches),)
-    if len(p) == 1:
-        return p
-    k = p[0]
-    return (k,) + boundary_path(t.branches[k], n - 1, eps, p[1:])
-
-
-def boundary_paths(t: Tree, n: int, eps: str) -> set[Path]:
-    """The paths of t in its n-boundary of side eps."""
-    return {boundary_path(t, n, eps, p) for p in all_paths(tree_boundary(t, n))}
+        return (tb.zeros[-1],) if eps == "+" else (0,)
+    out = [0]
+    for b, o in zip(t.branches, tb.offsets):
+        out.append(o - 1)
+        out += [o + i for i in boundary_index(b, n - 1, eps)]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

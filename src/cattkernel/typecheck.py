@@ -2,11 +2,12 @@
 
 Heads synthesise their own context (a top-level name, a coherence, the
 identity); applications check arguments against that context, converting
-substitutions over tree contexts into labellings.  All equality checks go
-through evaluation, so the configured reductions and implicit suspension
-are handled uniformly.  Elaboration returns the value of each subterm with
-it, so an argument is evaluated once, where it is checked, and never again
-by the applications that contain it.
+substitutions over tree contexts into labellings.  A variable is its
+position in its context, of either kind.  All equality checks go through
+evaluation, so the configured reductions and implicit suspension are
+handled uniformly.  Elaboration returns the value of each subterm with it,
+so an argument is evaluated once, where it is checked, and never again by
+the applications that contain it.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ class CheckError(Exception):
 
 class ListCtx(Record):
     """A list context: its names and their types.  Outside the fields it
-    keeps, built at the first lookup, each name's position (``index``)
-    and, per name looked up, the variable that ``Checker.lookup`` returns
-    (``_vars``)."""
+    keeps, built at the first lookup, each name's position (``_index``,
+    see ``name_index``) and, per name looked up, the variable that
+    ``Checker.lookup`` returns (``_vars``)."""
 
     __slots__ = ("names", "types", "_index", "_vars")
     _fields = ("names", "types")
@@ -52,26 +53,16 @@ class ListCtx(Record):
     def __len__(self):
         return len(self.names)
 
-    @property
-    def index(self) -> dict:
-        """Each bound name to the first position that binds it."""
-        out = self._index
-        if out is None:
-            out = {}
-            for i, nm in enumerate(self.names):
-                out.setdefault(nm, i)
-            object.__setattr__(self, "_index", out)
-        return out
-
     def type_of(self, pos: int) -> NfType:
         return self.types[pos]
 
 
 class TreeCtx(Record):
-    """A tree context: a labelling of its tree by optional names.  Outside
-    the fields, so that equality and hashing see the names alone, it keeps
-    what ``ListCtx`` keeps: each name's path (``index``) and, per name
-    looked up, the variable that ``Checker.lookup`` returns (``_vars``)."""
+    """A tree context: a labelling of its tree by optional names, whose
+    variables are its cells by position.  Outside the fields, so that
+    equality and hashing see the names alone, it keeps what ``ListCtx``
+    keeps: each name's position (``_index``) and, per name looked up, the
+    variable that ``Checker.lookup`` returns (``_vars``)."""
 
     __slots__ = ("names", "_index", "_vars")
     _fields = ("names",)
@@ -87,34 +78,35 @@ class TreeCtx(Record):
     def tree(self) -> Tree:
         return self.names.shape
 
-    @property
-    def index(self) -> dict:
-        """Each bound name to the first path, in ``T.all_paths`` order,
-        that binds it."""
-        out = self._index
-        if out is None:
-            out = {}
-            for p, nm in zip(T.path_table(self.tree).paths, self.names.entries):
-                if nm is not None:
-                    out.setdefault(nm, p)
-            object.__setattr__(self, "_index", out)
-        return out
-
-    def type_of(self, p) -> NfType:
-        """The type of a path variable: pairs of endpoint paths, the
+    def type_of(self, pos: int) -> NfType:
+        """The type of a cell: the pairs of its endpoints, then theirs, the
         innermost pair first, as the variables of the identity
         environment."""
         ids = N.id_env(self.tree).data.entries
-        index = T.path_table(self.tree).index
+        ends = T.path_table(self.tree).ends
         pairs = []
-        q = p
-        while len(q) > 1:
-            q = q[:-1]
-            pairs.append((ids[index[q]], ids[index[q[:-1] + (q[-1] + 1,)]]))
+        e = ends[pos]
+        while e is not None:
+            pairs.append((ids[e[0]], ids[e[1]]))
+            e = ends[e[0]]
         return tuple(pairs)
 
 
 Ctx = Union[ListCtx, TreeCtx]
+
+
+def name_index(ctx: Ctx) -> dict:
+    """Each bound name of ctx to the first position that binds it; built
+    at the first call and kept in ctx."""
+    out = ctx._index
+    if out is None:
+        out = {}
+        names = ctx.names.entries if ctx.__class__ is TreeCtx else ctx.names
+        for i, nm in enumerate(names):
+            if nm is not None:
+                out.setdefault(nm, i)
+        object.__setattr__(ctx, "_index", out)
+    return out
 
 
 def ctx_id_env(ctx: Ctx) -> Env:
@@ -136,19 +128,19 @@ class OperationSet(Enum):
 
 
 def op_allowed(ops: OperationSet, t: Tree, src: set, tgt: set) -> bool:
-    """Whether a coherence over t whose source and target have these path
-    supports is an operation: both supports full, or the source and target
-    boundaries of t one dimension down."""
+    """Whether a coherence over t whose source and target have these
+    supports, sets of positions, is an operation: both supports full, or
+    the source and target boundaries of t one dimension down."""
     if ops is OperationSet.GROUPOIDAL:
         return True
-    if src == tgt == set(T.all_paths(t)):
+    if src == tgt == set(range(T.ctx_size(t))):
         return True
     d = t.height
     if d == 0:
         return False
     return (src, tgt) == (
-        T.boundary_paths(t, d - 1, "-"),
-        T.boundary_paths(t, d - 1, "+"),
+        set(T.boundary_index(t, d - 1, "-")),
+        set(T.boundary_index(t, d - 1, "+")),
     )
 
 
@@ -215,7 +207,7 @@ class Checker:
             return self.infer_coh(raw)
         if isinstance(raw, R.RId):
             ctx = TreeCtx(LTree(T.LEAF, (None,)))
-            ty = ((N.NVar((0,)), N.NVar((0,))),)
+            ty = ((N.NVar(0), N.NVar(0)),)
             return ctx, C.CId(0), ty
         if isinstance(raw, R.RSusp):
             # the suspension environment sends each variable to its
@@ -308,7 +300,7 @@ class Checker:
         and its core variable the quotation that value keeps."""
         found = ctx._vars.get(name)
         if found is None:
-            pos = ctx.index.get(name)
+            pos = name_index(ctx).get(name)
             if pos is None:
                 return None
             value = ctx_id_env(ctx).lookup(pos)
@@ -316,11 +308,11 @@ class Checker:
         return found
 
     def support(self, ctx: TreeCtx, x) -> set:
-        """The paths a normal form over a tree context mentions, closed
+        """The positions a normal form over a tree context mentions, closed
         under taking the endpoints in their types."""
         out = N.nf_vars(x)
-        for p in tuple(out):
-            out |= N.nf_vars(ctx.type_of(p))
+        for pos in tuple(out):
+            out |= N.nf_vars(ctx.type_of(pos))
         return out
 
     def check_app(self, ctx: Ctx, raw: R.RApp) -> tuple:

@@ -418,6 +418,32 @@ def maximal_paths(t: Tree) -> list[Path]:
     return [(k,) + q for k, b in enumerate(t.branches) for q in maximal_paths(b)]
 
 
+def cell_ends(p: Path):
+    """The endpoints of the cell p: None at a 0-cell, and at a cell
+    q + (j,) the path q and the sibling that follows it."""
+    if len(p) == 1:
+        return None
+    q = p[:-1]
+    return q, q[:-1] + (q[-1] + 1,)
+
+
+def boundary_path(t: Tree, n: int, eps: str, p: Path) -> Path:
+    """Include a path of the n-boundary tree back into t: at n = 0 the
+    first or last 0-cell, and above it each 0-cell to itself and each
+    branch's paths into that branch."""
+    if n == 0:
+        return (0,) if eps == "-" else (len(t.branches),)
+    if len(p) == 1:
+        return p
+    k = p[0]
+    return (k,) + boundary_path(t.branches[k], n - 1, eps, p[1:])
+
+
+def at(lt: LTree, p: Path):
+    """The entry of a labelling at the path p."""
+    return lt.entries[T.path_table(lt.shape).index[p]]
+
+
 class NestedLabel:
     """A labelling as a tree of entries: the entries of the 0-cells and one
     labelling per branch.  Every operation recurses over the branches; the
@@ -557,20 +583,17 @@ def label_eq_max(a: LTree, b: LTree) -> bool:
     t = a.shape
     if t != b.shape:
         return False
-    return all(a.lookup(p) == b.lookup(p) for p in T.maximal_paths(t))
+    return all(at(a, p) == at(b, p) for p in T.maximal_paths(t))
 
 
 def boundary_label(t: Tree, n: int, eps: str) -> LTree:
     """The inclusion labelling from the n-boundary of t, with path entries."""
-    return LTree.from_fn(
-        T.tree_boundary(t, n), lambda p: T.boundary_path(t, n, eps, p)
-    )
+    return LTree.from_fn(T.tree_boundary(t, n), lambda p: boundary_path(t, n, eps, p))
 
 
 def tree_boundary_set(t: Tree, n: int, eps: str) -> VarSet:
-    return VarSet.of(
-        T.ctx_size(t), (F.path_pos(t, p) for p in T.boundary_paths(t, n, eps))
-    )
+    paths = boundary_label(t, n, eps).entries
+    return VarSet.of(T.ctx_size(t), (F.path_pos(t, p) for p in paths))
 
 
 def interior_label(s: Tree, p: Path, t: Tree) -> LTree:

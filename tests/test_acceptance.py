@@ -387,7 +387,7 @@ def test_09_structural_laws_hold_exactly():
         iota = SP.interior_label(s, p, t)
         lh = T.leaf_height(s, p)
         expect = F.substitute(F.standard_coh(t, lh), F.label_to_sub(iota))
-        assert kappa.lookup(T.branch_path(s, p)) == expect
+        assert SP.at(kappa, T.branch_path(s, p)) == expect
         r = T.insert_tree(s, p, t)
         assert T.insert_ltree(kappa, p, iota) == SP.id_label(r)
 

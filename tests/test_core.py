@@ -40,6 +40,16 @@ def all_trees(max_nodes: int):
 TREES = all_trees(5)
 
 
+def id_args(t: Tree) -> CArgs:
+    """The labelling of t by its own variables."""
+    return CArgs(LTree(t, tuple(map(CVar, range(T.ctx_size(t))))))
+
+
+def unnamed(t: Tree) -> C.Names:
+    """The names of a context over t that names no cell."""
+    return C.Names(LTree(t, (None,) * T.ctx_size(t)))
+
+
 # ---------------------------------------------------------------------------
 # flattening of variables and applications
 
@@ -50,9 +60,14 @@ def test_flatten_list_variable():
 
 
 def test_flatten_path_variable():
-    assert C.flatten_tm(CVar((0,)), CHAIN2) == Var(4)
-    assert C.flatten_tm(CVar((0, 0)), CHAIN2) == Var(2)
-    assert C.flatten_tm(CVar((2,)), CHAIN2) == Var(1)
+    # a variable of a tree context is its position: the index of its path
+    # in the realised context
+    for t in (CHAIN2, EXAMPLE, T.suspend_tree(EXAMPLE), linear_tree(3)):
+        paths = T.path_table(t).paths
+        for i in range(T.ctx_size(t)):
+            assert C.flatten_tm(CVar(i), t) == F.path_var(t, paths[i])
+    pinned = [F.path_var(CHAIN2, p) for p in ((0,), (0, 0), (2,))]
+    assert pinned == [Var(4), Var(2), Var(1)]
 
 
 def test_flatten_sub_application():
@@ -61,13 +76,12 @@ def test_flatten_sub_application():
 
 
 def test_flatten_label_application():
-    lab = CArgs(LTree.from_fn(CHAIN2, CVar))
-    s = CApp(CComp(CHAIN2), lab)
+    s = CApp(CComp(CHAIN2), id_args(CHAIN2))
     assert C.flatten_tm(s, CHAIN2) == F.standard_coh(CHAIN2, 1)
 
 
 def test_flatten_suspension():
-    tm = CSusp(CVar((0,)))
+    tm = CSusp(CVar(0))
     assert C.flatten_tm(tm, T.suspend_tree(CHAIN2)) == F.suspend_tm(
         Var(4), T.ctx_size(CHAIN2)
     )
@@ -172,26 +186,25 @@ def test_label_from_sub_length_mismatch():
 def test_to_raw_variables():
     nm = C.Names(["x", "f"])
     assert C.to_raw(CVar(1), nm) == R.RVar("f")
-    assert C.to_raw(CVar((0, 0))) == R.RVar("p00")
+    assert C.to_raw(CVar(2), unnamed(CHAIN2)) == R.RVar("p00")
+    assert C.to_raw(CVar(2)) == R.RVar("v2")
 
 
 def test_to_raw_label_keeps_only_maximal_entries():
-    lab = CArgs(LTree.from_fn(CHAIN2, CVar))
-    raw = C.to_raw(CApp(CComp(CHAIN2), lab))
+    raw = C.to_raw(CApp(CComp(CHAIN2), id_args(CHAIN2)), unnamed(CHAIN2))
     tree = raw.args.data
     assert tree.elements == (None, None, None)
     assert tree.branches[0].elements == (R.RVar("p00"),)
 
 
 def test_to_raw_keep_implicits():
-    lab = CArgs(LTree.from_fn(CHAIN2, CVar))
-    raw = C.to_raw(CApp(CComp(CHAIN2), lab), keep_implicits=True)
+    app = CApp(CComp(CHAIN2), id_args(CHAIN2))
+    raw = C.to_raw(app, unnamed(CHAIN2), keep_implicits=True)
     assert raw.args.data.elements == (R.RVar("p0"), R.RVar("p1"), R.RVar("p2"))
 
 
 def test_to_raw_pretty_parses_back():
-    lab = CArgs(LTree.from_fn(CHAIN2, CVar))
-    raw = C.to_raw(CApp(CComp(CHAIN2), lab))
+    raw = C.to_raw(CApp(CComp(CHAIN2), id_args(CHAIN2)), unnamed(CHAIN2))
     printed = R.pretty(raw)
     assert SP.strip_spans(R.parse_term(printed)) == SP.strip_spans(raw)
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from test_core import all_trees
+from test_core import all_trees, id_args
 
 from cattkernel import core as C
 from cattkernel import flat as F
 from cattkernel import nbe as N
 from cattkernel import trees as T
-from cattkernel.core import CArgs, CSusp, CVar
+from cattkernel.core import CSusp, CVar
 from cattkernel.nbe import SU, SUA, WEAK, Env, NApp, NCoh, NComp, NId, NVar
 from cattkernel.trees import LEAF, LTree, Tree, linear_tree
 from specs import NestedLabel as NL
@@ -27,11 +27,21 @@ def std_type(t: Tree, n: int):
 
 
 def std_comp_term(t: Tree):
-    return C.CApp(C.CComp(t), CArgs(LTree.from_fn(t, CVar)))
+    return C.CApp(C.CComp(t), id_args(t))
 
 
 def id_term(n: int, t: Tree):
-    return C.CApp(C.CId(n), CArgs(LTree.from_fn(t, CVar)))
+    return C.CApp(C.CId(n), id_args(t))
+
+
+def var(t: Tree, p) -> NVar:
+    """The variable of the cell p of t: its position."""
+    return NVar(T.path_table(t).index[p])
+
+
+def id_label(t: Tree) -> LTree:
+    """The labelling of t by its own variables."""
+    return LTree(t, tuple(map(NVar, range(T.ctx_size(t)))))
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +50,14 @@ def id_term(n: int, t: Tree):
 
 def test_id_env_evaluates_paths_to_themselves():
     env = N.id_env(CHAIN2)
-    assert ev(WEAK, CVar((0, 0)), env) == NVar((0, 0))
+    assert ev(WEAK, CVar(2), env) == var(CHAIN2, (0, 0)) == NVar(2)
 
 
 def test_lift_tree_env():
-    env = N.id_env(T.suspend_tree(CHAIN2))
-    up = N.lift(env)
-    assert up.ty == ((NVar((0,)), NVar((1,))),)
-    assert up.lookup((0,)) == NVar((0, 0))
+    sigma = T.suspend_tree(CHAIN2)
+    up = N.lift(N.id_env(sigma))
+    assert up.ty == ((var(sigma, (0,)), var(sigma, (1,))),)
+    assert up.lookup(0) == var(sigma, (0, 0))
 
 
 def test_lift_list_env():
@@ -58,14 +68,15 @@ def test_lift_list_env():
 
 
 def test_lower_folds_type_into_tree():
-    env = Env(LTree(LEAF, (NVar((0, 0)),)), ((NVar((0,)), NVar((1,))),))
-    lt = N.lower(env)
-    assert lt == NL((NVar((0,)), NVar((1,))), (NL((NVar((0, 0)),)),)).to_ltree()
+    d1 = linear_tree(1)
+    x, y, f = var(d1, (0,)), var(d1, (1,)), var(d1, (0, 0))
+    lt = N.lower(Env(LTree(LEAF, (f,)), ((x, y),)))
+    assert lt == NL((x, y), (NL((f,)),)).to_ltree()
 
 
 def test_suspension_evaluates_via_lift():
-    env = N.id_env(T.suspend_tree(LEAF))
-    assert ev(WEAK, CSusp(CVar((0,))), env) == NVar((0, 0))
+    d1 = T.suspend_tree(LEAF)
+    assert ev(WEAK, CSusp(CVar(0)), N.id_env(d1)) == var(d1, (0, 0))
 
 
 def test_suspension_environment_suspends_normal_forms():
@@ -73,8 +84,8 @@ def test_suspension_environment_suspends_normal_forms():
     # suspension environment: heads move up a dimension, not only variables
     sigma = T.suspend_tree(CHAIN2)
     up = N.lift(N.id_env(sigma))
-    comp = NApp(NComp(CHAIN2), LTree.from_fn(CHAIN2, NVar))
-    assert N.eval_nf(WEAK, comp, up) == NApp(NComp(sigma), LTree.from_fn(sigma, NVar))
+    comp = NApp(NComp(CHAIN2), id_label(CHAIN2))
+    assert N.eval_nf(WEAK, comp, up) == NApp(NComp(sigma), id_label(sigma))
     b = N.standard_nf_type(WEAK, CHAIN2, 1)
     assert N.eval_nf_ty(WEAK, b, up) == N.standard_nf_type(WEAK, sigma, 2)
 
@@ -90,7 +101,7 @@ def test_weak_comp_is_inert():
 
 def test_weak_identity_head():
     nf = ev(WEAK, id_term(0, LEAF), N.id_env(LEAF))
-    assert nf == NApp(NId(0), LTree(LEAF, (NVar((0,)),)))
+    assert nf == NApp(NId(0), LTree(LEAF, (NVar(0),)))
 
 
 def test_coherence_with_standard_type_becomes_comp():
@@ -120,7 +131,7 @@ def test_plain_coherence_stays_a_coherence():
 def test_disc_removal_unary_composite():
     d1 = linear_tree(1)
     unary = C.CCoh(d1, std_type(d1, 1))
-    assert ev(SU, unary, N.id_env(d1)) == NVar((0, 0))
+    assert ev(SU, unary, N.id_env(d1)) == var(d1, (0, 0))
     nf = ev(WEAK, unary, N.id_env(d1))
     assert isinstance(nf, NApp) and nf.head == NComp(d1)
 
@@ -128,7 +139,7 @@ def test_disc_removal_unary_composite():
 def test_disc_removal_higher_disc():
     d2 = linear_tree(2)
     unary = C.CCoh(d2, std_type(d2, 2))
-    assert ev(SU, unary, N.id_env(d2)) == NVar((0, 0, 0))
+    assert ev(SU, unary, N.id_env(d2)) == var(d2, (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -155,41 +166,27 @@ def test_ecr_off_keeps_endo_coherence():
 # pruning via disc insertion
 
 
+def vert_data(ident):
+    """A labelling of VERT by its own variables, except for ident at the
+    second 2-cell, whose cell (0, 1) is the target of the first."""
+    x, y = var(VERT, (0,)), var(VERT, (1,))
+    f, g, a = var(VERT, (0, 0)), var(VERT, (0, 1)), var(VERT, (0, 0, 0))
+    return NL((x, y), (NL((f, g, g), (NL((a,), ()), NL((ident,), ()))),)).to_ltree()
+
+
 def test_pruning_removes_identity_argument():
     # vertical composite of a 2-cell with an identity on its target
-    ident = NApp(
-        NId(1),
-        NL((NVar((0,)), NVar((2,))), (NL((NVar((0, 1)),), ()),)).to_ltree(),
-    )
-    data = NL(
-        (NVar((0,)), NVar((1,))),
-        (
-            NL(
-                (NVar((0, 0)), NVar((0, 1)), NVar((0, 1))),
-                (NL((NVar((0, 0, 0)),), ()), NL((ident,), ())),
-            ),
-        ),
-    ).to_ltree()
-    nf = ev(SU, C.CComp(VERT), Env(data, ()))
+    x, y, g = var(VERT, (0,)), var(VERT, (1,)), var(VERT, (0, 1))
+    ident = NApp(NId(1), NL((x, y), (NL((g,), ()),)).to_ltree())
+    nf = ev(SU, C.CComp(VERT), Env(vert_data(ident), ()))
     # pruning leaves a unary composite, then disc removal returns the cell
-    assert nf == NVar((0, 0, 0))
+    assert nf == var(VERT, (0, 0, 0))
 
 
 def test_pruning_disabled_under_weak():
-    ident = NApp(
-        NId(1),
-        NL((NVar((0,)), NVar((1,))), (NL((NVar((0, 1)),), ()),)).to_ltree(),
-    )
-    data = NL(
-        (NVar((0,)), NVar((1,))),
-        (
-            NL(
-                (NVar((0, 0)), NVar((0, 1)), NVar((0, 1))),
-                (NL((NVar((0, 0, 0)),), ()), NL((ident,), ())),
-            ),
-        ),
-    ).to_ltree()
-    nf = ev(WEAK, C.CComp(VERT), Env(data, ()))
+    x, y, g = var(VERT, (0,)), var(VERT, (1,)), var(VERT, (0, 1))
+    ident = NApp(NId(1), NL((x, y), (NL((g,), ()),)).to_ltree())
+    nf = ev(WEAK, C.CComp(VERT), Env(vert_data(ident), ()))
     assert isinstance(nf, NApp) and nf.head == NComp(VERT)
 
 
@@ -198,17 +195,10 @@ def test_pruning_disabled_under_weak():
 
 
 def test_full_insertion_flattens_nested_composites():
-    inner = NApp(
-        NComp(CHAIN2),
-        NL(
-            (NVar((0,)), NVar((1,)), NVar((2,))),
-            (NL((NVar((0, 0)),), ()), NL((NVar((1, 0)),), ())),
-        ).to_ltree(),
-    )
-    data = NL(
-        (NVar((0,)), NVar((2,)), NVar((3,))),
-        (NL((inner,), ()), NL((NVar((2, 0)),), ())),
-    ).to_ltree()
+    x, y, z, w = (var(CHAIN3, (i,)) for i in range(4))
+    f, g, h = (var(CHAIN3, (i, 0)) for i in range(3))
+    inner = NApp(NComp(CHAIN2), NL((x, y, z), (NL((f,), ()), NL((g,), ()))).to_ltree())
+    data = NL((x, z, w), (NL((inner,), ()), NL((h,), ()))).to_ltree()
     nf_sua = ev(SUA, C.CComp(CHAIN2), Env(data, ()))
     assert isinstance(nf_sua, NApp) and nf_sua.head == NComp(CHAIN3)
     nf_su = ev(SU, C.CComp(CHAIN2), Env(data, ()))
@@ -245,9 +235,9 @@ def test_branch_for_is_the_shortest_insertion_branch():
 
 def test_quote_eval_round_trip():
     samples = [
-        NVar((0, 0)),
-        NApp(NComp(CHAIN2), LTree.from_fn(CHAIN2, NVar)),
-        NApp(NId(1), LTree.from_fn(linear_tree(1), NVar)),
+        var(CHAIN2, (0, 0)),
+        NApp(NComp(CHAIN2), id_label(CHAIN2)),
+        NApp(NId(1), id_label(linear_tree(1))),
     ]
     for cfg in (WEAK, SU, SUA):
         for nf in samples:
@@ -261,7 +251,7 @@ def test_quote_eval_round_trip():
 
 
 def test_flatten_nf_matches_standard_composite():
-    nf = NApp(NComp(CHAIN2), LTree.from_fn(CHAIN2, NVar))
+    nf = NApp(NComp(CHAIN2), id_label(CHAIN2))
     assert N.flatten_nf(nf, CHAIN2) == F.standard_coh(CHAIN2, 1)
 
 
@@ -275,26 +265,25 @@ def test_flatten_nf_type():
 
 
 def test_size_of_variables_and_heads():
-    assert N.size_tm(NVar((0,))) == 0
-    comp = NApp(NComp(CHAIN2), LTree.from_fn(CHAIN2, NVar))
+    assert N.size_tm(NVar(0)) == 0
+    comp = NApp(NComp(CHAIN2), id_label(CHAIN2))
     assert N.size_tm(comp) == 1
-    ident = NApp(NId(1), LTree.from_fn(linear_tree(1), NVar))
+    ident = NApp(NId(1), id_label(linear_tree(1)))
     assert N.size_tm(ident) == 1
 
 
 def test_size_counts_nested_heads():
-    inner = NApp(NComp(CHAIN2), LTree.from_fn(CHAIN2, NVar))
-    data = NL(
-        (NVar((0,)), NVar((2,)), NVar((3,))),
-        (NL((inner,), ()), NL((NVar((2, 0)),), ())),
-    ).to_ltree()
+    inner = NApp(NComp(CHAIN2), id_label(CHAIN2))
+    x, z, w = var(CHAIN3, (0,)), var(CHAIN3, (2,)), var(CHAIN3, (3,))
+    h = var(CHAIN3, (2, 0))
+    data = NL((x, z, w), (NL((inner,), ()), NL((h,), ()))).to_ltree()
     outer = NApp(NComp(CHAIN2), data)
     assert N.size_tm(outer) == 2
 
 
 def test_size_of_coherence_counts_its_type():
     b = N.standard_nf_type(WEAK, CHAIN2, 1)
-    coh = NApp(NCoh(CHAIN2, b), LTree.from_fn(CHAIN2, NVar))
+    coh = NApp(NCoh(CHAIN2, b), id_label(CHAIN2))
     assert N.size_tm(coh) == 1 + N.size_ty(b)
 
 
@@ -303,8 +292,8 @@ def test_size_of_coherence_counts_its_type():
 
 
 def test_nf_vars():
-    nf = NApp(NComp(CHAIN2), LTree.from_fn(CHAIN2, NVar))
-    assert N.nf_vars(nf) == {(0,), (0, 0), (1,), (1, 0), (2,)}
+    nf = NApp(NComp(CHAIN2), id_label(CHAIN2))
+    assert N.nf_vars(nf) == {0, 1, 2, 3, 4}
 
 
 def test_config_validation():

@@ -116,10 +116,10 @@ def test_pruning_is_insertion_of_an_identity(monkeypatch):
         for st in prune_steps(t):
             mp = st.where[1]
             assert st.where[0] == "head" and mp in T.maximal_paths(s)
-            assert F.is_identity(lab.lookup(mp))
+            assert F.is_identity(SP.at(lab, mp))
             disc = T.linear_tree(len(mp) - 2)
             merged = T.insert_ltree(
-                lab, mp[:-1], F.label_from_sub(disc, lab.lookup(mp).sub)
+                lab, mp[:-1], F.label_from_sub(disc, SP.at(lab, mp).sub)
             )
             kappa = F.label_to_sub(F.exterior_label(s, mp[:-1], disc))
             assert st.term == Coh(

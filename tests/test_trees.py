@@ -191,7 +191,7 @@ def test_chain_zero_cells():
 def test_path_dim():
     for t in all_trees(6):
         g = F.tree_to_ctx(t)
-        for p in T.all_paths(t):
+        for p in SP.all_paths(t):
             v = F.path_var(t, p)
             assert F.dim_ty(g.entries[len(g) - 1 - v.idx]) == len(p) - 1
 
@@ -199,7 +199,7 @@ def test_path_dim():
 def test_paths_enumerate_all_variables():
     for t in all_trees(6):
         g = F.tree_to_ctx(t)
-        positions = {F.path_pos(t, p) for p in T.all_paths(t)}
+        positions = {F.path_pos(t, p) for p in SP.all_paths(t)}
         assert positions == set(range(len(g)))
 
 
@@ -227,7 +227,7 @@ def recursive_path_pos(t: Tree, p) -> int:
 
 def test_path_pos_matches_recursive_definition():
     for t in all_trees(8):
-        for p in T.all_paths(t):
+        for p in SP.all_paths(t):
             assert F.path_pos(t, p) == recursive_path_pos(t, p)
 
 
@@ -448,10 +448,13 @@ def test_path_table_matches_recursive_definitions():
     for t in all_trees(7):
         tb = T.path_table(t)
         assert T.path_table(t) is tb
-        assert list(tb.paths) == T.all_paths(t) == SP.all_paths(t)
+        assert list(tb.paths) == SP.all_paths(t)
         assert [tb.paths[i] for i in tb.maximal] == SP.maximal_paths(t)
         assert T.maximal_paths(t) == SP.maximal_paths(t)
         assert all(tb.paths[tb.index[p]] == p for p in tb.paths)
+        # each cell's endpoints, by index, are those of its definition
+        ends = [e and (tb.paths[e[0]], tb.paths[e[1]]) for e in tb.ends]
+        assert ends == [SP.cell_ends(p) for p in tb.paths]
         # each branch's block of paths starts at its offset
         for k, (b, o) in enumerate(zip(t.branches, tb.offsets)):
             block = tb.paths[o : o + T.ctx_size(b)]
@@ -467,7 +470,7 @@ def test_flat_labellings_agree_with_the_nested_reference():
         ref = SP.NestedLabel.from_fn(t, f)
         assert lt.shape is t and ref.shape() is t
         assert list(lt.entries) == ref.values() == [f(p) for p in SP.all_paths(t)]
-        assert all(lt.lookup(p) == ref.lookup(p) for p in SP.all_paths(t))
+        assert all(SP.at(lt, p) == ref.lookup(p) for p in SP.all_paths(t))
         assert SP.NestedLabel.of(lt) == ref
         assert lt.elements == ref.elements
         assert SP.NestedLabel.of(lt.map(len)) == ref.map(len)
@@ -479,7 +482,7 @@ def test_flat_labellings_agree_with_the_nested_reference():
         es = lt.entries
         for i in range(len(es)):
             other = LTree(t, es[:i] + ("x",) + es[i + 1 :])
-            assert other != lt and other.lookup(SP.all_paths(t)[i]) == "x"
+            assert other != lt and SP.at(other, SP.all_paths(t)[i]) == "x"
     # the same entries over another tree are another labelling
     chain, disc = Tree((LEAF, LEAF)), T.linear_tree(2)
     assert T.ctx_size(chain) == T.ctx_size(disc)
@@ -529,7 +532,7 @@ def test_labelling_operations_do_not_recurse(monkeypatch):
         assert calls == {"map": 1, "from_fn": 1, "LTree": 2, "branches": 0}
         # reading, comparing and hashing read no branch either
         for p in SP.all_paths(t):
-            lt.lookup(p)
+            SP.at(lt, p)
         assert image == lt.map(str) and hash(image) == hash(lt.map(str))
         assert lt.entries and lt.elements
         assert calls["branches"] == 0
@@ -575,8 +578,9 @@ def test_label_to_sub_matches_recursive_definition():
 
 @given(S.trees())
 def test_paths_are_listed_in_the_order_of_the_realised_context(t):
-    assert [F.path_pos(t, p) for p in T.all_paths(t)] == list(range(T.ctx_size(t)))
-    assert [F.path_var(t, p) for p in T.all_paths(t)] == list(
+    paths = T.path_table(t).paths
+    assert [F.path_pos(t, p) for p in paths] == list(range(T.ctx_size(t)))
+    assert [F.path_var(t, p) for p in paths] == list(
         F.identity_sub(F.tree_to_ctx(t)).terms
     )
 
@@ -647,7 +651,7 @@ def test_boundary_globularity():
                             continue
                         inner = SP.boundary_label(T.tree_boundary(t, m), n, eps)
                         composed = inner.map(
-                            lambda p: T.boundary_path(t, m, om, p)
+                            lambda p: SP.boundary_path(t, m, om, p)
                         )
                         assert composed == SP.boundary_label(t, n, eps)
 
@@ -665,16 +669,15 @@ def test_tree_supports_and_boundaries_match_pasting():
     for t in all_trees(6):
         g = F.tree_to_ctx(t)
 
-        def positions(paths):
-            return SP.VarSet.of(len(g), (F.path_pos(t, p) for p in paths))
-
-        for p in T.all_paths(t):
-            supp = ck.support(make_ctx(t), NVar(p))
-            assert positions(supp) == SP.support(g, F.path_var(t, p))
+        for p in SP.all_paths(t):
+            supp = ck.support(make_ctx(t), NVar(F.path_pos(t, p)))
+            assert SP.VarSet.of(len(g), supp) == SP.support(g, F.path_var(t, p))
         for n in range(0, t.height + 2):
             for eps in ("-", "+"):
-                bdry = T.boundary_paths(t, n, eps)
-                assert positions(bdry) == SP.boundary_set(g, n, eps)
+                bdry = T.boundary_index(t, n, eps)
+                paths = SP.boundary_label(t, n, eps).entries
+                assert bdry == tuple(F.path_pos(t, p) for p in paths)
+                assert SP.VarSet.of(len(g), bdry) == SP.boundary_set(g, n, eps)
 
 
 def test_boundary_inclusion_support():
@@ -813,7 +816,7 @@ def test_exterior_sends_branch_to_standard_coherence():
         iota = SP.interior_label(s, p, t)
         lh = T.leaf_height(s, p)
         expect = F.substitute(F.standard_coh(t, lh), F.label_to_sub(iota))
-        assert kappa.lookup(T.branch_path(s, p)) == expect
+        assert SP.at(kappa, T.branch_path(s, p)) == expect
 
 
 def test_exterior_is_full():
@@ -972,7 +975,7 @@ def test_trees_and_configurations_hash_by_identity():
 
 
 def test_records_of_different_classes_are_unequal():
-    assert N.NVar((0,)) != C.CVar((0,))
+    assert N.NVar(0) != C.CVar(0)
     assert F.Var(0) != C.CVar(0)
     assert R.RHole() != R.RId()
     examples = [example(cls) for cls in record_classes() if cls not in CHECKED]
@@ -997,7 +1000,7 @@ def test_record_constructor_and_repr():
     x = R.ImportCmd("a.catt")
     assert x == R.ImportCmd("a.catt", R.SYNTH)
     assert x == R.ImportCmd(path="a.catt", span=R.SYNTH)
-    assert repr(N.NVar((0,))) == "NVar(pos=(0,))"
+    assert repr(N.NVar(0)) == "NVar(pos=0)"
     with pytest.raises(TypeError):
         R.ImportCmd()
     with pytest.raises(TypeError):

@@ -19,7 +19,7 @@ from cattkernel import trees as T
 from cattkernel import typecheck as TC
 from cattkernel.core import path_name
 from cattkernel.nbe import SU, SUA, WEAK, NApp, NCoh, NComp, NId, NVar
-from cattkernel.trees import LEAF, Tree, linear_tree
+from cattkernel.trees import LEAF, LTree, Tree, linear_tree
 from cattkernel.typecheck import (
     CheckError,
     Checker,
@@ -136,38 +136,104 @@ def test_normal_form_supports_match_flat_supports():
             ck = Checker(Signature(config=config))
             term, ty = ck.check(ctx, R.parse_term(term_text))
             for x in (ck.nf(ctx, term),) + ty[0]:
-                got = SP.VarSet.of(
-                    len(g), (F.path_pos(tree, p) for p in ck.support(ctx, x))
-                )
+                got = SP.VarSet.of(len(g), ck.support(ctx, x))
                 assert got == SP.support(g, N.flatten_nf(x, tree))
 
 
+def core_positions(x, n: int):
+    """(position, length of its context) for each core variable of x, a
+    core term or type over a context of length n."""
+    cls = x.__class__
+    if cls is C.CVar:
+        yield x.pos, n
+    elif cls is C.CApp:
+        data = x.args.data
+        es = data.entries if isinstance(data, LTree) else data
+        yield from core_positions(x.term, len(es))
+        yield from core_positions(x.args.ty, n)
+        for e in es:
+            yield from core_positions(e, n)
+    elif cls is C.CSusp:
+        yield from core_positions(x.term, n - 2)
+    elif cls is C.CCoh:
+        yield from core_positions(x.ty, T.ctx_size(x.tree))
+    elif cls is C.CArrow:
+        for y in (x.src, x.base, x.tgt):
+            yield from core_positions(y, n)
+
+
+def nf_positions(x, n: int):
+    """(position, length of its context) for each variable of x, a normal
+    form or a normal type over a context of length n."""
+    if x.__class__ is tuple:
+        for s, t in x:
+            yield from nf_positions(s, n)
+            yield from nf_positions(t, n)
+    elif x.__class__ is NVar:
+        yield x.pos, n
+    else:
+        if x.head.__class__ is NCoh:
+            yield from nf_positions(x.head.ty, T.ctx_size(x.head.tree))
+        for e in x.label.entries:
+            yield from nf_positions(e, n)
+
+
+def test_every_kernel_variable_is_a_position_of_its_context():
+    # a variable of a tree context is its position, as one of a list
+    # context is: an int in range of the context it lives over
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads as W
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    rng = random.Random(5)
+    inputs = [gen_typed.random_case(rng)[1:] for _ in range(40)]
+    inputs += W.corpus_round(rng) + W.corpus_round(rng)
+    seen = 0
+    for ctx_text, term_text in inputs:
+        for config in (WEAK, SU, SUA):
+            ck = Checker(Signature(config=config))
+            ctx = ck.elab_ctx(R.parse_ctx(ctx_text))
+            term, ty, value = ck.elab(ctx, R.parse_term(term_text))
+            n = T.ctx_size(ctx.tree)
+            found = [
+                *core_positions(term, n),
+                *core_positions(N.quote_tm(value), n),
+                *nf_positions(value, n),
+                *nf_positions(ty, n),
+            ]
+            assert all(type(i) is int and 0 <= i < m for i, m in found), found
+            seen += len(found)
+    assert seen > 1000
+
+
 # ---------------------------------------------------------------------------
-# operation sets, on path supports
+# operation sets, on supports of positions
 
 
 def test_disc_boundaries_allowed_under_regular():
     ck = Checker(Signature())
     for n in range(1, 4):
         t = linear_tree(n)
-        u = ck.support(make_ctx(t), NVar((0,) * n))  # d_{n-1}^-
-        v = ck.support(make_ctx(t), NVar((0,) * (n - 1) + (1,)))  # d_{n-1}^+
+        index = T.path_table(t).index
+        u = ck.support(make_ctx(t), NVar(index[(0,) * n]))  # d_{n-1}^-
+        v = ck.support(make_ctx(t), NVar(index[(0,) * (n - 1) + (1,)]))  # d_{n-1}^+
         assert op_allowed(OperationSet.REGULAR, t, u, v)
 
 
 def test_groupoidal_allows_everything():
-    u = {(0,)}
+    u = {0}
     assert op_allowed(OperationSet.GROUPOIDAL, linear_tree(2), u, u)
 
 
 def test_regular_rejects_non_boundary():
-    u = {(0,)}
+    u = {0}
     assert not op_allowed(OperationSet.REGULAR, linear_tree(2), u, u)
 
 
 def test_regular_allows_full():
     t = Tree((LEAF, Tree((LEAF,))))  # x{f}y{g{a}h}z
-    full = set(T.all_paths(t))
+    full = set(range(T.ctx_size(t)))
     assert op_allowed(OperationSet.REGULAR, t, full, full)
 
 
@@ -436,12 +502,9 @@ def list_ctx_text(t: Tree) -> str:
     """The realisation of t as a list context, each cell named after its
     path as in gen_typed.ctx_text."""
     entries = []
-    for p in sorted(T.all_paths(t), key=lambda p: F.path_pos(t, p)):
-        if len(p) == 1:
-            ty = "*"
-        else:
-            q = p[:-1]
-            ty = f"{path_name(q)} -> {path_name(q[:-1] + (q[-1] + 1,))}"
+    for p in T.path_table(t).paths:
+        ends = SP.cell_ends(p)
+        ty = "*" if ends is None else " -> ".join(map(path_name, ends))
         entries.append(f"({path_name(p)} : {ty})")
     return ", ".join(entries)
 
@@ -550,7 +613,7 @@ def test_nested_composite_elaborates_in_linear_work(config, monkeypatch):
     # to its end; each of these grew quadratically in the nesting depth
     # when done again at every level.  The parser's work is counted as the
     # tokens it reads, which a scan ahead or a second parse would add to.
-    counts = {"all_paths": 0, "Tree": 0, "token": 0}
+    counts = {"path_table": 0, "Tree": 0, "token": 0}
 
     def counted(key, f):
         def g(*args):
@@ -559,7 +622,7 @@ def test_nested_composite_elaborates_in_linear_work(config, monkeypatch):
 
         return g
 
-    monkeypatch.setattr(T, "all_paths", counted("all_paths", T.all_paths))
+    monkeypatch.setattr(T, "path_table", counted("path_table", T.path_table))
     # a tree is asked for at Tree.__new__, which finds or makes it
     monkeypatch.setattr(T.Tree, "__new__", counted("Tree", T.Tree.__new__))
     tokenize = R.tokenize
@@ -643,7 +706,7 @@ def test_a_context_keeps_each_variable_it_looks_up(ctx_text, name):
     first = ck.lookup(ctx, name)
     again = ck.lookup(ctx, name)
     assert all(x is y for x, y in zip(first, again))
-    pos = ctx.index[name]
+    pos = TC.name_index(ctx)[name]
     assert first == (C.CVar(pos), ctx.type_of(pos), NVar(pos))
     # the value is the identity environment's, and the core variable the
     # one its quotation keeps
