@@ -126,7 +126,7 @@ def _import_flat() -> None:
 
 
 def _amb_size(amb: Ambient) -> int:
-    return T.ctx_size(amb) if isinstance(amb, Tree) else amb
+    return amb if amb.__class__ is int else amb._ctx_size
 
 
 def flatten_tm(x: CoreTerm, amb: Ambient) -> F.FlatTerm:
@@ -138,7 +138,7 @@ def flatten_tm(x: CoreTerm, amb: Ambient) -> F.FlatTerm:
         return F.Var(_amb_size(amb) - 1 - x.pos)
     if cls is CApp:
         data = x.args.data
-        inner_amb = data.shape if isinstance(data, LTree) else len(data)
+        inner_amb = len(data) if data.__class__ is tuple else data.shape
         return F.substitute(flatten_tm(x.term, inner_amb), flatten_args(x.args, amb))
     if cls is CComp:
         return F.standard_coh(x.tree, x.tree.height)
@@ -158,9 +158,10 @@ def flatten_ty(a: CoreType, amb: Ambient) -> F.FlatType:
     arrows over the base type."""
     if F is None:
         _import_flat()
-    if isinstance(a, CStar):
+    cls = a.__class__
+    if cls is CStar:
         return F.STAR
-    if isinstance(a, CArrow):
+    if cls is CArrow:
         return F.Arrow(
             flatten_tm(a.src, amb), flatten_ty(a.base, amb), flatten_tm(a.tgt, amb)
         )
@@ -168,7 +169,7 @@ def flatten_ty(a: CoreType, amb: Ambient) -> F.FlatType:
 
 
 def _unsuspend(amb: Ambient) -> Ambient:
-    if isinstance(amb, Tree):
+    if amb.__class__ is Tree:
         if len(amb.branches) != 1:
             raise T.MalformedSyntax("suspended term needs a suspension context")
         return amb.branches[0]
@@ -178,7 +179,7 @@ def _unsuspend(amb: Ambient) -> Ambient:
 def flatten_args(args: CArgs, amb: Ambient) -> F.FlatSub:
     ty = flatten_ty(args.ty, amb)
     data = args.data
-    es = data.entries if isinstance(data, LTree) else data
+    es = data if data.__class__ is tuple else data.entries
     return F.FlatSub(ty, tuple([flatten_tm(e, amb) for e in es]))
 
 

@@ -6,7 +6,12 @@ recently declared variable.  This makes suspension the identity on variable
 indices (the two new 0-cells go at the front) and weakening a uniform
 increment.  Positions counted from the start of the context are used for
 substitution term lists; ``Var(k)`` in a context of length ``n`` sits at
-position ``n - 1 - k``.
+position ``n - 1 - k``.  Variables are interned, one ``Var`` per index.
+``Arrow``, ``Coh`` and ``FlatSub`` write their equality out, each field
+decided by identity before it is compared: a head's context first (the
+heads over one tree share it), then the likelier field to differ (an
+arrow's endpoints, a substitution's terms).  No class here has
+subclasses, so a walk decides a node's case by its class.
 
 A tree realises as the pasting context whose cells are its paths, in the
 order of its ``PathTable``: ``(0,)``, ``(1,)``, the cells of branch 0,
@@ -54,6 +59,17 @@ class Arrow(Record):
         s_base(self, base)
         s_tgt(self, tgt)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (
+            (self.src is other.src or self.src == other.src)
+            and (self.tgt is other.tgt or self.tgt == other.tgt)
+            and (self.base is other.base or self.base == other.base)
+        )
+
+    __hash__ = Record.__hash__
+
     def __repr__(self) -> str:
         return f"({self.src!r} ->[{self.base!r}] {self.tgt!r})"
 
@@ -63,15 +79,33 @@ STAR = Star()
 
 
 class Var(Record):
+    """Interned: ``Var(k)`` for an int k >= 0 is ``_VARS[k]``; any other
+    index makes a new ``Var``, never one of the list."""
+
     __slots__ = ("idx",)
     idx: int
 
-    def __init__(self, idx: int):
-        (s_idx,) = self._setters
-        s_idx(self, idx)
+    def __new__(cls, idx: int):
+        if idx.__class__ is int and 0 <= idx < len(_VARS):
+            return _VARS[idx]
+        v = object.__new__(cls)
+        cls._setters[0](v, idx)
+        if idx.__class__ is int and idx >= 0:
+            # a new index: the ones below it, then it, join the list
+            for k in range(len(_VARS), idx):
+                Var(k)
+            _VARS.append(v)
+        return v
+
+    # __new__ finds or makes the variable
+    __init__ = object.__init__
 
     def __repr__(self) -> str:
         return f"v{self.idx}"
+
+
+# Var(k) at index k, for every k up to the largest met.
+_VARS: list[Var] = []
 
 
 class Coh(Record):
@@ -85,6 +119,17 @@ class Coh(Record):
         s_ctx(self, ctx)
         s_ty(self, ty)
         s_sub(self, sub)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (
+            (self.ctx is other.ctx or self.ctx == other.ctx)
+            and (self.sub is other.sub or self.sub == other.sub)
+            and (self.ty is other.ty or self.ty == other.ty)
+        )
+
+    __hash__ = Record.__hash__
 
     def __repr__(self) -> str:
         return f"Coh({self.ty!r})[{self.sub!r}]"
@@ -139,6 +184,16 @@ class FlatSub(Record):
         s_ty(self, ty)
         s_terms(self, terms)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (
+            (self.terms is other.terms or self.terms == other.terms)
+            and (self.ty is other.ty or self.ty == other.ty)
+        )
+
+    __hash__ = Record.__hash__
+
     def __repr__(self) -> str:
         parts = [repr(self.ty)] + [repr(t) for t in self.terms]
         return "<" + ", ".join(parts) + ">"
@@ -153,7 +208,7 @@ EMPTY_CTX = FlatCtx(())
 
 def dim_ty(a: FlatType) -> int:
     d = 0
-    while isinstance(a, Arrow):
+    while a.__class__ is Arrow:
         a = a.base
         d += 1
     return d
@@ -165,24 +220,25 @@ def dim_ty(a: FlatType) -> int:
 
 def substitute(x, sigma: FlatSub):
     """Apply a substitution to a term or type."""
-    if isinstance(x, (Star, Arrow)):
+    cls = x.__class__
+    if cls is Star or cls is Arrow:
         return _sub_ty(x, sigma)
     return _sub_tm(x, sigma)
 
 
 def _sub_ty(a: FlatType, sigma: FlatSub) -> FlatType:
-    if isinstance(a, Star):
+    if a.__class__ is Star:
         return sigma.ty
     return Arrow(_sub_tm(a.src, sigma), _sub_ty(a.base, sigma), _sub_tm(a.tgt, sigma))
 
 
 def _sub_tm(t: FlatTerm, sigma: FlatSub) -> FlatTerm:
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         n = len(sigma.terms)
         if not 0 <= t.idx < n:
             raise MalformedSyntax(f"variable v{t.idx} out of range for substitution of arity {n}")
         return sigma.terms[n - 1 - t.idx]
-    if isinstance(sigma.ty, Star):
+    if sigma.ty.__class__ is Star:
         # the identity of its context, as flattening makes every head:
         # composing it with sigma gives sigma back
         if t.sub is t.ctx._id and len(sigma.terms) == len(t.sub.terms):
@@ -221,13 +277,13 @@ def suspend_ctx(g: FlatCtx) -> FlatCtx:
 
 
 def suspend_ty(a: FlatType, n: int) -> FlatType:
-    if isinstance(a, Star):
+    if a.__class__ is Star:
         return Arrow(Var(n + 1), STAR, Var(n))
     return Arrow(suspend_tm(a.src, n), suspend_ty(a.base, n), suspend_tm(a.tgt, n))
 
 
 def suspend_tm(t: FlatTerm, n: int) -> FlatTerm:
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         return t
     return Coh(
         suspend_ctx(t.ctx),
@@ -246,7 +302,7 @@ def suspend_sub(sigma: FlatSub, n: int) -> FlatSub:
 
 
 def unrestrict(sigma: FlatSub) -> FlatSub:
-    if not isinstance(sigma.ty, Arrow):
+    if sigma.ty.__class__ is not Arrow:
         raise MalformedSyntax("unrestrict requires an arrow type part")
     a = sigma.ty
     return FlatSub(a.base, (a.src, a.tgt) + sigma.terms)
@@ -257,33 +313,31 @@ def unrestrict(sigma: FlatSub) -> FlatSub:
 
 
 def weaken(x):
-    if isinstance(x, (Star, Arrow)):
+    cls = x.__class__
+    if cls is Star or cls is Arrow:
         return _wk_ty(x)
-    if isinstance(x, (Var, Coh)):
+    if cls is Var or cls is Coh:
         return _wk_tm(x)
     return FlatSub(_wk_ty(x.ty), tuple(_wk_tm(t) for t in x.terms))
 
 
 def _wk_ty(a: FlatType) -> FlatType:
-    if isinstance(a, Star):
+    if a.__class__ is Star:
         return a
     return Arrow(_wk_tm(a.src), _wk_ty(a.base), _wk_tm(a.tgt))
 
 
 def _wk_tm(t: FlatTerm) -> FlatTerm:
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         return Var(t.idx + 1)
     return Coh(t.ctx, t.ty, weaken(t.sub))
 
 
-# Var(k) at index k, shared by every identity substitution.
-_VARS: list[Var] = []
-
-
 def variables(n: int) -> tuple[Var, ...]:
     """The variables of a context of length n, by position: Var(n - 1) to
-    Var(0)."""
-    _VARS.extend(Var(k) for k in range(len(_VARS), n))
+    Var(0), each the shared one."""
+    if n > len(_VARS):
+        Var(n - 1)
     return tuple(reversed(_VARS[:n]))
 
 
@@ -342,7 +396,7 @@ def disc_dim(g: FlatCtx) -> int | bool:
 
 def sub_from_sphere(a: FlatType) -> FlatSub:
     """The substitution {A} out of S^dim(A) classifying the type A."""
-    if isinstance(a, Star):
+    if a.__class__ is Star:
         return FlatSub(STAR, ())
     return FlatSub(STAR, sub_from_sphere(a.base).terms + (a.src, a.tgt))
 
@@ -365,18 +419,18 @@ def canonical_identity(a: FlatType, t: FlatTerm) -> FlatTerm:
 
 def is_identity(t: FlatTerm) -> bool:
     """Recognise the canonical-identity coherence shape syntactically."""
-    if not isinstance(t, Coh):
+    if t.__class__ is not Coh:
         return False
     n = disc_dim(t.ctx)
-    return n is not False and t.ty == _discs(n)[4]
+    return n is not False and (t.ty is (ty := _discs(n)[4]) or t.ty == ty)
 
 
 def is_unary_comp(t: FlatTerm) -> bool:
     """Recognise the unary composite coherence shape syntactically."""
-    if not isinstance(t, Coh):
+    if t.__class__ is not Coh:
         return False
     n = disc_dim(t.ctx)
-    return n is not False and t.ty == unary_comp_ty(n)
+    return n is not False and (t.ty is (ty := unary_comp_ty(n)) or t.ty == ty)
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +439,12 @@ def is_unary_comp(t: FlatTerm) -> bool:
 
 def path_var(t: Tree, p: Path) -> FlatTerm:
     """The variable of path p in the realised context, a shared ``Var``."""
-    n = t._ctx_size
-    if n > len(_VARS):
-        variables(n)
-    return _VARS[n - 1 - path_pos(t, p)]
+    return Var(t._ctx_size - 1 - path_pos(t, p))
 
 
 def path_pos(t: Tree, p: Path) -> int:
     """The position of path p in the realised context: its table index."""
-    i = T.path_table(t).index.get(p)
+    i = T.path_index(t).get(p)
     if i is None:
         raise MalformedSyntax("not a path of the tree")
     return i
@@ -401,8 +452,7 @@ def path_pos(t: Tree, p: Path) -> int:
 
 def path_type(t: Tree, p: Path) -> FlatType:
     """The type of the cell of path p over the whole realised context."""
-    tb = T.path_table(t)
-    return _cell_type(tb.ends, tb.index[p], t._ctx_size)
+    return _cell_type(T.path_table(t).ends, T.path_index(t)[p], t._ctx_size)
 
 
 def _cell_type(ends: tuple, j: int, i: int) -> FlatType:
@@ -445,7 +495,7 @@ def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
     """The labelling from the disc tree classifying a term and its type."""
 
     entries = (t,)
-    while isinstance(a, Arrow):
+    while a.__class__ is Arrow:
         entries = (a.src, a.tgt) + entries
         a = a.base
     return LTree(T.linear_tree(len(entries) // 2), entries)
@@ -564,13 +614,13 @@ def _exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
 
 
 def show_tm(t: FlatTerm) -> str:
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         return f"v{t.idx}"
     inner = ", ".join(show_tm(u) for u in t.sub.terms)
     return f"coh[{show_ty(t.ty)}]({inner})"
 
 
 def show_ty(a: FlatType) -> str:
-    if isinstance(a, Star):
+    if a.__class__ is Star:
         return "*"
     return f"{show_tm(a.src)} -> {show_tm(a.tgt)}"

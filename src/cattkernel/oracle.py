@@ -88,9 +88,9 @@ def reducts(t: FlatTerm, rules: RuleSet, normal: Optional[dict] = None) -> Itera
     holding the subterm itself so that its id stays its own.  Such a
     subterm is normal, so its search is skipped; a search of a subterm
     that ends here having yielded nothing adds it."""
-    if isinstance(t, Var) or (normal is not None and id(t) in normal):
+    if t.__class__ is Var or (normal is not None and id(t) in normal):
         return
-    assert isinstance(t, Coh)
+    assert t.__class__ is Coh
     yielded = False
     for st in _head_steps(t, rules):
         yielded = True
@@ -106,20 +106,18 @@ def reducts(t: FlatTerm, rules: RuleSet, normal: Optional[dict] = None) -> Itera
 
 
 def _head_steps(t: Coh, rules: RuleSet) -> Iterator[Step]:
-    if F.is_unary_comp(t):
+    # each shape of the head is decided once
+    unary = F.is_unary_comp(t)
+    if unary:
         yield Step(t.sub.terms[-1], "dr", ("head",))
-    if (
-        isinstance(t.ty, Arrow)
-        and t.ty.src == t.ty.tgt
-        and not F.is_identity(t)
-    ):
-        reduct = F.canonical_identity(
-            F.substitute(t.ty.base, t.sub), F.substitute(t.ty.src, t.sub)
-        )
+    identity = F.is_identity(t)
+    a = t.ty
+    if a.__class__ is Arrow and (a.src is a.tgt or a.src == a.tgt) and not identity:
+        reduct = F.canonical_identity(F.substitute(a.base, t.sub), F.substitute(a.src, t.sub))
         yield Step(reduct, "ecr", ("head",))
-    if rules.prunes and not F.is_identity(t):
+    if rules.prunes and not identity:
         yield from _prune_steps(t)
-    if rules.inserts and not F.is_identity(t) and not F.is_unary_comp(t):
+    if rules.inserts and not identity and not unary:
         yield from _insert_steps(t)
 
 
@@ -140,7 +138,7 @@ def _prune_steps(t: Coh) -> Iterator[Step]:
 def _insertable(arg: FlatTerm) -> Optional[tuple[Tree, FlatSub]]:
     """The tree and labelling substitution of an argument that may be
     inserted: an identity or a non-unary standard composite."""
-    if not isinstance(arg, Coh):
+    if arg.__class__ is not Coh:
         return None
     if F.is_identity(arg):
         n = (len(arg.ctx) - 1) // 2
@@ -148,9 +146,10 @@ def _insertable(arg: FlatTerm) -> Optional[tuple[Tree, FlatSub]]:
     if F.is_unary_comp(arg):
         return None
     tree = P.ctx_to_tree(arg.ctx)
-    if tree is None or arg.ty != F.standard_type(tree, tree.height):
+    if tree is None:
         return None
-    return tree, arg.sub
+    ty = F.standard_type(tree, tree.height)
+    return (tree, arg.sub) if arg.ty is ty or arg.ty == ty else None
 
 
 # Bounded like the tables of flat: each is as large as its tree.
@@ -186,9 +185,9 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
 
 
 def _ty_steps(a: FlatType, rules: RuleSet, normal: Optional[dict]) -> Iterator[tuple]:
-    if isinstance(a, Star):
+    if a.__class__ is Star:
         return
-    assert isinstance(a, Arrow)
+    assert a.__class__ is Arrow
     for st in reducts(a.src, rules, normal):
         yield Arrow(st.term, a.base, a.tgt), st.rule, ("src",) + st.where
     for st in reducts(a.tgt, rules, normal):

@@ -194,19 +194,20 @@ def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
 
 class PathTable:
     """The facts of a tree that its labellings read: its paths in the
-    order of the realised context, the index of each path in that order (its position
-    in the realised context), the index at which each branch's block of
+    order of the realised context, the index at which each branch's block of
     paths starts, just after the 0-cell that ends the branch, the indices
     of the 0-cells of the root block, 0 and then each offset - 1, the
     indices of the maximal paths, in ``maximal_paths`` order, and each
     cell's endpoints: None at a 0-cell, at a cell ``q + (j,)`` the indices
-    of ``q`` and of the sibling that follows it."""
+    of ``q`` and of the sibling that follows it.  ``index``, each path's
+    index (its position in the realised context), is None until the first
+    ``path_index``: only the validation route reads it."""
 
     __slots__ = ("paths", "index", "offsets", "zeros", "maximal", "ends")
 
     def __init__(self, paths: tuple, offsets: tuple, maximal: tuple, ends: tuple):
         self.paths = paths
-        self.index = {p: i for i, p in enumerate(paths)}
+        self.index = None
         self.offsets = offsets
         self.zeros = (0,) + tuple(o - 1 for o in offsets)
         self.maximal = maximal
@@ -243,6 +244,14 @@ def path_table(t: Tree) -> PathTable:
         tb = PathTable(tuple(paths), tuple(offsets), tuple(maximal), tuple(ends))
         object.__setattr__(t, "_table", tb)
     return tb
+
+
+def path_index(t: Tree) -> dict:
+    """The index of each path of t in its table, built at the first call."""
+    tb = path_table(t)
+    if tb.index is None:
+        tb.index = {p: i for i, p in enumerate(tb.paths)}
+    return tb.index
 
 
 def maximal_paths(t: Tree) -> list[Path]:

@@ -441,7 +441,7 @@ def boundary_path(t: Tree, n: int, eps: str, p: Path) -> Path:
 
 def at(lt: LTree, p: Path):
     """The entry of a labelling at the path p."""
-    return lt.entries[T.path_table(lt.shape).index[p]]
+    return lt.entries[T.path_index(lt.shape)[p]]
 
 
 class NestedLabel:

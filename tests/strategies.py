@@ -10,7 +10,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from cattkernel import flat as F
-from cattkernel.trees import LEAF, Tree
+from cattkernel.trees import LEAF, Record, Tree
 
 
 def types(n: int, depth: int = 2, dim: int = 2) -> st.SearchStrategy:
@@ -104,3 +104,53 @@ def trees(max_leaves: int = 12) -> st.SearchStrategy:
         lambda inner: st.lists(inner, max_size=4).map(lambda bs: Tree(tuple(bs))),
         max_leaves=max_leaves,
     )
+
+
+def flat_values(n: int = 3) -> st.SearchStrategy:
+    """Terms and types over a context of length n, and substitutions of
+    two terms into it."""
+    return st.one_of(terms(n), types(n), subs(2, n))
+
+
+def fields_key(x):
+    """x as nested tuples: a record as its class and the keys of its
+    fields, so that comparing keys compares field tuples all the way
+    down, with no ``__eq__`` of a record called."""
+    if isinstance(x, Record):
+        return (type(x).__name__,) + tuple(fields_key(getattr(x, f)) for f in x._fields)
+    if isinstance(x, tuple):
+        return tuple(fields_key(v) for v in x)
+    return x
+
+
+def change_var(x, k: int):
+    """x rebuilt with the k-th variable (in pre-order, context entries
+    included) moved up by one index, and the number of variables left to
+    pass: k minus the variables of x when x has no k-th."""
+    if x.__class__ is F.Var:
+        return (F.Var(x.idx + 1), -1) if k == 0 else (x, k - 1)
+    if isinstance(x, Record):
+        fields = []
+        for f in x._fields:
+            v, k = change_var(getattr(x, f), k)
+            fields.append(v)
+        return type(x)(*fields), k
+    if isinstance(x, tuple):
+        out = []
+        for v in x:
+            v, k = change_var(v, k)
+            out.append(v)
+        return tuple(out), k
+    return x, k
+
+
+@st.composite
+def with_one_leaf_changed(draw, values: st.SearchStrategy):
+    """A value and a copy of it with one variable moved up by one index,
+    or the copy unchanged when the value has no variable."""
+    x = draw(values)
+    k = draw(st.integers(min_value=0, max_value=20))
+    y, left = change_var(x, k)
+    if left >= 0:  # fewer than k + 1 variables: change the first, if any
+        y, _ = change_var(x, 0)
+    return x, y

@@ -61,11 +61,11 @@ def test_flatten_list_variable():
 
 def test_flatten_path_variable():
     # a variable of a tree context is its position: the index of its path
-    # in the realised context
+    # in the realised context, flattened to the one shared Var of its index
     for t in (CHAIN2, EXAMPLE, T.suspend_tree(EXAMPLE), linear_tree(3)):
         paths = T.path_table(t).paths
         for i in range(T.ctx_size(t)):
-            assert C.flatten_tm(CVar(i), t) == F.path_var(t, paths[i])
+            assert C.flatten_tm(CVar(i), t) is F.path_var(t, paths[i])
     pinned = [F.path_var(CHAIN2, p) for p in ((0,), (0, 0), (2,))]
     assert pinned == [Var(4), Var(2), Var(1)]
 

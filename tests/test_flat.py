@@ -15,9 +15,11 @@ from cattkernel.flat import (
     FlatSub,
     Var,
 )
-from cattkernel.trees import LEAF, Tree
+from cattkernel import trees as T
+from cattkernel.trees import LEAF, MalformedSyntax, Tree
 from cattkernel.typecheck import Checker, Signature
 
+import flat_cases as FC
 import specs as SP
 import strategies as S
 
@@ -363,6 +365,81 @@ def test_identity_recognition():
     assert F.is_identity(ident)
     assert not F.is_identity(_one_comp())
     assert not F.is_identity(Var(0))
+
+
+# ---------------------------------------------------------------------------
+# equality and shared variables
+
+
+def _agrees_with_field_tuples(x, y):
+    """x == y is what comparing their field tuples gives, one level down
+    and all the way down, and equal values hash equal."""
+    want = S.fields_key(x) == S.fields_key(y)
+    assert (x == y) is want and (y == x) is want and (x != y) is not want
+    if type(x) is type(y):
+        assert (x._values(x) == y._values(y)) is want
+    if want:
+        assert hash(x) == hash(y)
+
+
+@settings(max_examples=100)
+@given(S.with_one_leaf_changed(S.flat_values()))
+def test_equality_is_field_tuple_equality(pair):
+    # Arrow, Coh and FlatSub write their equality out: it answers as the
+    # tuples of their fields would, on a value and its rebuilt copy and on
+    # a value and its copy with one variable changed
+    x, y = pair
+    _agrees_with_field_tuples(x, x)
+    # with no k-th variable to change, change_var rebuilds x as it is
+    _agrees_with_field_tuples(x, S.change_var(x, -1)[0])
+    _agrees_with_field_tuples(x, y)
+
+
+def _nodes(x):
+    """Every record and tuple in x, x first."""
+    yield x
+    if isinstance(x, T.Record):
+        for f in x._fields:
+            yield from _nodes(getattr(x, f))
+    elif isinstance(x, tuple):
+        for v in x:
+            yield from _nodes(v)
+
+
+def test_equality_on_hand_built_terms():
+    # every pair of nodes of the hand-built terms: equal exactly when their
+    # field tuples are, of one class, and unequal across classes
+    ctx, left, right, ternary = FC.assoc_pair()
+    g, term, a = FC.pruning_chain()
+    every = _nodes((ctx, left, right, ternary, g, term, a))
+    nodes = list({id(x): x for x in every if isinstance(x, T.Record)}.values())
+    assert {type(x) for x in nodes} >= {Arrow, Coh, FlatSub, FlatCtx, Var, F.Star}
+    for x in nodes:
+        for y in nodes:
+            _agrees_with_field_tuples(x, y)
+            if type(x) is not type(y):
+                assert x != y and x.__eq__(y) is NotImplemented
+
+
+def test_variables_are_shared():
+    assert F.Var(3) is F.Var(3)
+    assert F.variables(5) == tuple(F.Var(k) for k in (4, 3, 2, 1, 0))
+    assert all(v is F.Var(v.idx) for v in F.variables(5))
+    # an index past every variable built so far grows the list
+    k = len(F._VARS) + 7
+    assert F.Var(k) is F.Var(k) is F._VARS[k] and F.Var(k).idx == k
+
+
+def test_indices_outside_the_shared_variables():
+    # a negative index makes a new variable, as any record is made: it
+    # never reads the end of the shared list
+    F.variables(3)
+    x = F.Var(-1)
+    assert x.idx == -1 and x is not F.Var(-1) and x == F.Var(-1)
+    assert hash(x) == hash(F.Var(-1)) and repr(x) == "v-1"
+    assert all(x is not v and x != v for v in F._VARS)
+    with pytest.raises(MalformedSyntax):
+        F.substitute(x, FlatSub(STAR, (Var(0),)))
 
 
 # ---------------------------------------------------------------------------

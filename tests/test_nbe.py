@@ -36,7 +36,7 @@ def id_term(n: int, t: Tree):
 
 def var(t: Tree, p) -> NVar:
     """The variable of the cell p of t: its position."""
-    return NVar(T.path_table(t).index[p])
+    return NVar(T.path_index(t)[p])
 
 
 def id_label(t: Tree) -> LTree:

@@ -1,7 +1,9 @@
 """Small-step reduction: rules, traces, complexity, confluence sampling."""
 
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,8 @@ from cattkernel import trees as T
 from cattkernel.flat import Arrow, Coh, FlatSub, STAR, Var
 from cattkernel.oracle import RuleSet
 from cattkernel.typecheck import Checker, Signature
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SU = RuleSet.SU_PRIME
 SUA = RuleSet.SUA_PRIME
@@ -503,6 +507,47 @@ def test_flattened_composites_share_one_coherence():
         a, b = C.flatten_tm(C.CComp(t), t), C.flatten_tm(C.CComp(t), t)
         assert a is b and a.ctx is b.ctx
         assert a == F.standard_coh(t, t.height)
+
+
+def _variables_in(t):
+    """Every Var in t, context entries and types included, each node read
+    once however often it is shared."""
+    seen, todo = set(), [t]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if x.__class__ is Var:
+            yield x
+        elif isinstance(x, T.Record):
+            todo.extend(getattr(x, f) for f in x._fields)
+        elif isinstance(x, tuple):
+            todo.extend(x)
+
+
+def test_flattened_terms_and_reducts_share_their_variables():
+    # every variable that flattening builds, and every one in the oracle's
+    # reducts, over 2 corpus rounds is the one shared Var of its index
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads as W
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    rng = random.Random(11)
+    seen = 0
+    for inp in W.corpus_round(rng) + W.corpus_round(rng):
+        for r in W.corpus_verdict(inp):
+            terms = [r.flat_term, r.flat_nf]
+            if r.preset in W.RULES:
+                rules = W.RULES[r.preset]
+                terms += [st.term for st in O.first_steps(r.flat_term, rules)]
+                terms += [st.term for st in O.step(r.flat_term, rules)]
+            for t in terms:
+                for v in _variables_in(t):
+                    assert v is F.Var(v.idx), v
+                    seen += 1
+    assert seen > 1000
 
 
 # ---------------------------------------------------------------------------

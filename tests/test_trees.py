@@ -451,7 +451,9 @@ def test_path_table_matches_recursive_definitions():
         assert list(tb.paths) == SP.all_paths(t)
         assert [tb.paths[i] for i in tb.maximal] == SP.maximal_paths(t)
         assert T.maximal_paths(t) == SP.maximal_paths(t)
-        assert all(tb.paths[tb.index[p]] == p for p in tb.paths)
+        index = T.path_index(t)
+        assert T.path_index(t) is index and tb.index is index
+        assert all(tb.paths[index[p]] == p for p in tb.paths)
         # each cell's endpoints, by index, are those of its definition
         ends = [e and (tb.paths[e[0]], tb.paths[e[1]]) for e in tb.ends]
         assert ends == [SP.cell_ends(p) for p in tb.paths]
@@ -938,9 +940,9 @@ def test_records_are_immutable_and_slotted():
             with pytest.raises(AttributeError):
                 delattr(x, name)
         y = rebuild(x)
-        # trees and configurations are interned: an equal one is the same
-        # object
-        assert (y is x) if cls in (Tree, N.EvalConfig) else (y is not x), cls
+        # trees, configurations and flat variables are interned: an equal
+        # one is the same object
+        assert (y is x) if cls in (Tree, N.EvalConfig, F.Var) else (y is not x), cls
         assert y == x and hash(y) == hash(x), cls
 
 

@@ -215,7 +215,7 @@ def test_disc_boundaries_allowed_under_regular():
     ck = Checker(Signature())
     for n in range(1, 4):
         t = linear_tree(n)
-        index = T.path_table(t).index
+        index = T.path_index(t)
         u = ck.support(make_ctx(t), NVar(index[(0,) * n]))  # d_{n-1}^-
         v = ck.support(make_ctx(t), NVar(index[(0,) * (n - 1) + (1,)]))  # d_{n-1}^+
         assert op_allowed(OperationSet.REGULAR, t, u, v)
@@ -797,6 +797,8 @@ def layers(n):
     shown = C.to_raw(core, names)
     other = ck.nf(ctx, term)
     assert other is not value
+    flat, flat_other = C.flatten_tm(term, ctx.tree), C.flatten_tm(term, ctx.tree)
+    assert flat is not flat_other
     return {
         "elab": lambda: ck.elab(ctx, raw),
         "quote_tm": lambda: N.quote_tm(value),
@@ -804,6 +806,7 @@ def layers(n):
         "pretty": lambda: R.pretty(shown),
         "flatten_tm": lambda: C.flatten_tm(term, ctx.tree),
         "equality": lambda: value == other,
+        "flat_equality": lambda: flat == flat_other,
     }
 
 def least_limit(f):
@@ -841,6 +844,9 @@ LAYER_BUDGET = {
     "pretty": 6,
     "flatten_tm": 4,
     "equality": 6,
+    # two flat terms flattened apart: 7 frames per level with Record's
+    # generic equality, 5 with the flat records' own
+    "flat_equality": 7,
 }
 
 

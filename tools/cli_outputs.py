@@ -10,6 +10,10 @@ checkouts, or two hash seeds, that answer alike write the same bytes:
     ... change the code ...
     python3 tools/cli_outputs.py > after.txt
     cmp before.txt after.txt
+
+``tests/golden/cli_outputs.txt`` holds its output, and CI compares a run
+with it by ``cmp``: a change that alters any answer regenerates that file
+on purpose.
 """
 
 from __future__ import annotations
