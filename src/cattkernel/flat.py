@@ -139,27 +139,24 @@ FlatTerm = Union[Var, Coh]
 
 
 class FlatCtx(Record):
-    """A context.  Five slots outside the fields keep facts of it, each
+    """A context.  Four slots outside the fields keep facts of it, each
     worked out at its first use: ``_tree``, the tree it presents and
     ``False`` if it is no pasting context (at the first
-    ``pasting.ctx_to_tree``, or as ``tree_to_ctx`` builds it), ``_pruned``,
-    by peak, the context that pruning it leaves and the projection (at
-    each first ``pasting.pruned``),
-    ``_disc``, n if it is the disc context D^n and ``False`` if it is no
-    disc (at the first ``disc_dim``), ``_susp``, its suspension (at the
-    first ``suspend_ctx``), which keeps facts of its own, and ``_id``, its
+    ``pasting.ctx_to_tree``, or as ``tree_to_ctx`` builds it), ``_disc``,
+    n if it is the disc context D^n and ``False`` if it is no disc (at the
+    first ``disc_dim``), ``_susp``, its suspension (at the first
+    ``suspend_ctx``), which keeps facts of its own, and ``_id``, its
     identity substitution (at the first ``identity_sub``).  Equality and
     repr see the entries alone."""
 
-    __slots__ = ("entries", "_tree", "_pruned", "_disc", "_susp", "_id")
+    __slots__ = ("entries", "_tree", "_disc", "_susp", "_id")
     _fields = ("entries",)
     entries: tuple[FlatType, ...]
 
     def __init__(self, entries: tuple[FlatType, ...]):
-        s_entries, s_tree, s_pruned, s_disc, s_susp, s_id = self._setters
+        s_entries, s_tree, s_disc, s_susp, s_id = self._setters
         s_entries(self, entries)
         s_tree(self, None)
-        s_pruned(self, None)
         s_disc(self, None)
         s_susp(self, None)
         s_id(self, None)
@@ -284,6 +281,9 @@ def suspend_ty(a: FlatType, n: int) -> FlatType:
 
 def suspend_tm(t: FlatTerm, n: int) -> FlatTerm:
     if t.__class__ is Var:
+        # a variable at n or above would alias a new 0-cell
+        if not 0 <= t.idx < n:
+            raise MalformedSyntax(f"variable v{t.idx} out of range for a context of length {n}")
         return t
     return Coh(
         suspend_ctx(t.ctx),
@@ -448,11 +448,6 @@ def path_pos(t: Tree, p: Path) -> int:
     if i is None:
         raise MalformedSyntax("not a path of the tree")
     return i
-
-
-def path_type(t: Tree, p: Path) -> FlatType:
-    """The type of the cell of path p over the whole realised context."""
-    return _cell_type(T.path_table(t).ends, T.path_index(t)[p], t._ctx_size)
 
 
 def _cell_type(ends: tuple, j: int, i: int) -> FlatType:

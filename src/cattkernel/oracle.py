@@ -19,11 +19,14 @@ Head rules:
   ecr     an endo-coherence that is not an identity reduces to a canonical
           identity on its substituted source
   prune   a peak argument that is an identity is removed from the pasting
-          context: a peak is a leaf of the context's tree; pruning removes
-          it (first rule set only)
+          context: a peak is a leaf of the context's tree, and pruning it
+          is inserting the identity's disc along the peak's branch (first
+          rule set only)
   insert  a locally maximal argument that is an identity or a non-unary
           standard composite is inserted into the head tree (second rule
           set only)
+
+Both build their reduct with `_inserted`.
 
 Congruence steps inside coherence types (and substitution type parts) are
 tagged "cell"; they do not decrease the syntactic complexity measure.
@@ -41,7 +44,7 @@ from . import flat as F
 from . import pasting as P
 from . import trees as T
 from .flat import Arrow, Coh, FlatSub, FlatTerm, FlatType, Star, Var
-from .trees import Record, Tree, linear_tree
+from .trees import LTree, Record, Tree, linear_tree
 
 
 class RuleSet(Enum):
@@ -127,12 +130,16 @@ def _prune_steps(t: Coh) -> Iterator[Step]:
         return
     terms = t.sub.terms
     tb = T.path_table(s)
+    lab = None
     for i in tb.maximal:
-        if not F.is_identity(terms[i]):
+        arg = terms[i]
+        if not F.is_identity(arg):
             continue
-        ctx, proj = P.pruned(t.ctx, i)
-        reduct = Coh(ctx, F.substitute(t.ty, proj), P.prune_sub(t.sub, i))
-        yield Step(reduct, "prune", ("head", tb.paths[i]))
+        if lab is None:
+            lab = F.label_from_sub(s, t.sub)
+        mp = tb.paths[i]
+        reduct = _inserted(t, s, lab, mp[:-1], linear_tree(len(mp) - 2), arg.sub)
+        yield Step(reduct, "prune", ("head", mp))
 
 
 def _insertable(arg: FlatTerm) -> Optional[tuple[Tree, FlatSub]]:
@@ -174,14 +181,20 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
             continue
         if lab is None:
             lab = F.label_from_sub(s, t.sub)
-        kappa = F.label_to_sub(F.exterior_label(s, p, tree))
-        merged = T.insert_ltree(lab, p, F.label_from_sub(tree, m_sub))
-        reduct = Coh(
-            F.tree_to_ctx(merged.shape),
-            F.substitute(t.ty, kappa),
-            F.label_to_sub(merged, t.sub.ty),
-        )
-        yield Step(reduct, "insert", ("head",) + p)
+        yield Step(_inserted(t, s, lab, p, tree, m_sub), "insert", ("head",) + p)
+
+
+def _inserted(t: Coh, s: Tree, lab: LTree, p: T.Branch, tree: Tree, m_sub: FlatSub) -> Coh:
+    """The head t over the tree s, labelled by lab, with the tree labelled
+    by m_sub inserted at the branch p: the merged labelling over the merged
+    tree's realisation, and t's type along the exterior labelling."""
+    kappa = F.label_to_sub(F.exterior_label(s, p, tree))
+    merged = T.insert_ltree(lab, p, F.label_from_sub(tree, m_sub))
+    return Coh(
+        F.tree_to_ctx(merged.shape),
+        F.substitute(t.ty, kappa),
+        F.label_to_sub(merged, t.sub.ty),
+    )
 
 
 def _ty_steps(a: FlatType, rules: RuleSet, normal: Optional[dict]) -> Iterator[tuple]:

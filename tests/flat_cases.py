@@ -1,10 +1,18 @@
-"""Hand-built flat terms shared by the oracle and acceptance tests."""
+"""Hand-built flat terms shared by the oracle and acceptance tests, and the
+oracle's prune steps checked against the Dyck-word reference of
+``specs``."""
+
+import itertools
 
 from cattkernel import flat as F
+from cattkernel import oracle as O
+from cattkernel import pasting as P
+from cattkernel import trees as T
 from cattkernel.core import path_name
 from cattkernel.flat import Arrow, Coh, FlatCtx, FlatSub, STAR, Var
 from cattkernel.trees import LEAF, LTree, Tree
 from cattkernel.typecheck import TreeCtx
+import specs as SP
 from specs import NestedLabel as NL
 
 CHAIN2 = Tree((LEAF, LEAF))
@@ -80,3 +88,38 @@ def two_peak_term() -> tuple:
     x = Var(0)
     ident = F.canonical_identity(STAR, x)
     return ctx, binary_comp(x, ident, x, ident, x)
+
+
+def head_prunes(t: Coh) -> dict:
+    """The oracle's prune steps at the head of t, in its order, by the
+    position of the peak each prunes."""
+    s = P.ctx_to_tree(t.ctx)
+    return {
+        F.path_pos(s, st.where[1]): st
+        for st in O.step(t, O.RuleSet.SU_PRIME)
+        if st.rule == "prune" and st.where[0] == "head"
+    }
+
+
+def check_prunes_commute(t: Tree) -> None:
+    """For every two peaks i < j of t: over the head whose substitution is
+    the Dyck reference's projection that prunes both, the oracle's prune
+    steps at i and then j, and at j and then i, reach one term, the head
+    over the doubly pruned context.  Pruning i leaves j two positions
+    earlier, and its Dyck peak two moves earlier."""
+    if not t.branches:
+        return
+    g = F.tree_to_ctx(t)
+    a = F.standard_type(t, t.height)
+    d = SP.tree_to_dyck(t)
+    peaks = list(zip(SP.peaks(d), T.path_table(t).maximal))
+    for (p, i), (q, j) in itertools.combinations(peaks, 2):
+        d_p, pi_p = SP.prune(d, p)
+        d_pq, pi_pq = SP.prune(d_p, q - 2)
+        sigma = F.compose(pi_p, pi_pq)
+        first = head_prunes(Coh(g, a, sigma))
+        assert list(first) == [i, j]
+        via_i = head_prunes(first[i].term)[j - 2].term
+        via_j = head_prunes(first[j].term)[i].term
+        g_pq = SP.dyck_realise(d_pq)[0]
+        assert via_i == via_j == Coh(g_pq, F.substitute(a, sigma), F.identity_sub(g_pq))

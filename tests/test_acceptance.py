@@ -6,7 +6,6 @@ and the independent small-step reduction engine that cross-validates
 normal forms.
 """
 
-import itertools
 import random
 import time
 from pathlib import Path
@@ -15,14 +14,13 @@ import pytest
 
 import gen_typed
 import specs as SP
-from flat_cases import CHAIN3, assoc_pair, make_ctx, pruning_chain
+from flat_cases import CHAIN3, assoc_pair, check_prunes_commute, make_ctx, pruning_chain
 
 from cattkernel import cli as X
 from cattkernel import core as C
 from cattkernel import flat as F
 from cattkernel import nbe as N
 from cattkernel import oracle as O
-from cattkernel import pasting as P
 from cattkernel import surface as R
 from cattkernel import trees as T
 from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var
@@ -345,23 +343,12 @@ def test_09_structural_laws_hold_exactly():
         n = F.dim_ty(a)
         assert F.substitute(SP.sphere_ty(n), F.sub_from_sphere(a)) == a
 
-    # pruning two peaks commutes, on contexts and on substitutions: the
-    # peaks of a tree are its maximal paths (none for the leaf), and
-    # pruning the one at i < j leaves the one at j two positions earlier
+    # pruning two peaks commutes: the peaks of a tree are its maximal paths
+    # (none for the leaf), and the oracle's prune steps at the peaks i < j,
+    # taken in either order, reach the head over the context that the
+    # Dyck reference prunes to
     for t in all_trees(6):
-        g = F.tree_to_ctx(t)
-        sigma = FlatSub(STAR, tuple(Var(i % 2) for i in range(len(g))))
-        pks = T.path_table(t).maximal if t.branches else ()
-        for i, j in itertools.combinations(pks, 2):
-            g_i, pi_i = P.pruned(g, i)
-            g_j, pi_j = P.pruned(g, j)
-            g_ij, pi_ij = P.pruned(g_i, j - 2)
-            g_ji, pi_ji = P.pruned(g_j, i)
-            assert g_ij == g_ji
-            assert F.compose(pi_i, pi_ij) == F.compose(pi_j, pi_ji)
-            assert P.prune_sub(P.prune_sub(sigma, i), j - 2) == P.prune_sub(
-                P.prune_sub(sigma, j), i
-            )
+        check_prunes_commute(t)
 
     # labellings: realisation is a homomorphism and round-trips
     for t in all_trees(5):

@@ -281,15 +281,31 @@ def test_flattening_a_suspended_composite_composes_nothing(
     calls = count_compose(monkeypatch)
     assert F.substitute(fresh, sigma) == out
     assert calls["compose"] > 0
-    # a longer sigma composes as before, and an empty one still fails, over
-    # either identity (a sigma only a few terms short goes through, on the
-    # old path as on the new)
+    # a longer sigma composes as before, and an empty one or one a few
+    # terms short fails, over either identity
     longer = FlatSub(sigma.ty, (Var(0),) + sigma.terms)
     assert F.substitute(head, longer) == F.substitute(fresh, longer)
-    shorter = FlatSub(sigma.ty, ())
-    for h in (head, fresh):
-        with pytest.raises(F.MalformedSyntax):
-            F.substitute(h, shorter)
+    for k in (len(sigma.terms), 2, 1):
+        shorter = FlatSub(sigma.ty, sigma.terms[k:])
+        for h in (head, fresh):
+            with pytest.raises(F.MalformedSyntax):
+                F.substitute(h, shorter)
+
+
+def test_an_extended_substitution_a_few_terms_short_fails():
+    # an extended sigma needs a term for each of the head's variables:
+    # the suspended head's variables at or above sigma's length would
+    # alias the two new 0-cells, so one of 3 or 4 terms over the 5
+    # variables of the binary composite went through with no error
+    comp = F.standard_coh(Tree((LEAF, LEAF)), 1)
+    fresh = Coh(comp.ctx, comp.ty, FlatSub(STAR, comp.sub.terms))
+    ty = Arrow(Var(6), STAR, Var(5))
+    terms = F.variables(5)
+    for h in (comp, fresh):
+        for k in range(5):
+            with pytest.raises(F.MalformedSyntax, match="out of range"):
+                F.substitute(h, FlatSub(ty, terms[:k]))
+        F.substitute(h, FlatSub(ty, terms))
 
 
 @settings(max_examples=100)

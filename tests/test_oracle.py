@@ -107,29 +107,30 @@ def test_unary_composite_argument_is_not_inserted():
 
 
 def test_pruning_is_insertion_of_an_identity(monkeypatch):
-    # pruning a peak whose argument is an identity gives the reduct that
-    # inserting the identity's disc along the branch of that peak gives;
-    # the step names the peak by its maximal path
+    # pruning a peak whose argument is an identity, built as the insertion
+    # of the identity's disc along the branch of that peak, gives the
+    # reduct of the Dyck-word reference: the head over the pruned word's
+    # realisation, its type pulled back along the projection, and the
+    # substitution without the peak's two terms; the step names the peak
+    # by its maximal path
     checked = 0
     prune_steps = O._prune_steps
 
     def checked_steps(t):
         nonlocal checked
         s = P.ctx_to_tree(t.ctx)
-        lab = F.label_from_sub(s, t.sub)
+        d = SP.tree_to_dyck(s)
         for st in prune_steps(t):
             mp = st.where[1]
             assert st.where[0] == "head" and mp in T.maximal_paths(s)
-            assert F.is_identity(SP.at(lab, mp))
-            disc = T.linear_tree(len(mp) - 2)
-            merged = T.insert_ltree(
-                lab, mp[:-1], F.label_from_sub(disc, SP.at(lab, mp).sub)
-            )
-            kappa = F.label_to_sub(F.exterior_label(s, mp[:-1], disc))
+            i = F.path_pos(s, mp)
+            assert F.is_identity(t.sub.terms[i])
+            (p,) = [p for p in SP.peaks(d) if SP.peak_pos(d, p) == i]
+            d2, pi = SP.prune(d, p)
             assert st.term == Coh(
-                F.tree_to_ctx(merged.shape),
-                F.substitute(t.ty, kappa),
-                F.label_to_sub(merged, t.sub.ty),
+                SP.dyck_realise(d2)[0],
+                F.substitute(t.ty, pi),
+                SP.prune_terms(t.sub, d, p),
             )
             checked += 1
             yield st
@@ -444,10 +445,10 @@ def test_insertion_search_builds_no_labelling_without_an_insertable_argument(mon
 
 
 def test_normalising_again_builds_no_pasting_construction(monkeypatch):
-    # a second normalisation of the same terms finds every pruned context,
-    # projection and exterior labelling built by the first, and scans no
-    # context; the caches start empty, so the first builds some whatever
-    # ran before
+    # a second normalisation of the same terms finds every realised context
+    # and exterior labelling built by the first, pruning and inserting
+    # alike, and scans no context; the caches start empty, so the first
+    # builds some whatever ran before
     for cache in (F.tree_to_ctx, F.standard_coh, F.exterior_label):
         cache.cache_clear()
     built = Counter()
@@ -465,7 +466,7 @@ def test_normalising_again_builds_no_pasting_construction(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in [(P, "_drop"), (P, "_scan"), (F, "_exterior_label")]:
+    for module, name in [(P, "_scan"), (F, "_exterior_label")]:
         counting(module, name)
     _, chain, _ = pruning_chain()
     cases = [(chain, SU)] + [
@@ -478,7 +479,7 @@ def test_normalising_again_builds_no_pasting_construction(monkeypatch):
         before = counts()
         assert O.normalise(t, rules) == first
         assert counts() == before, t
-    assert built["_drop"] > 0 and built["_exterior_label"] > 0
+    assert built["_exterior_label"] > 0
 
 
 def test_pruning_scans_no_context_that_keeps_its_tree(monkeypatch):

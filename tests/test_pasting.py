@@ -1,6 +1,6 @@
-"""Pasting contexts: recognition, peaks and pruning on the trees that
-present them, checked against the Dyck-word reference of ``specs``, and
-boundary sets."""
+"""Pasting contexts: recognition and peaks on the trees that present them,
+and the oracle's pruning, checked against the Dyck-word reference of
+``specs``, and boundary sets."""
 
 import itertools
 
@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from cattkernel import flat as F
 from cattkernel import pasting as P
 from cattkernel import trees as T
-from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var
+from cattkernel.flat import STAR, Arrow, Coh, FlatCtx, FlatSub, Var
 from cattkernel.trees import LEAF, Tree
 
 import specs as SP
 import strategies as S
+from flat_cases import check_prunes_commute, head_prunes
 from specs import DOWN, UP, DyckWord
 
 
@@ -170,8 +171,6 @@ def test_empty_word_has_no_peaks():
     assert SP.peaks(DyckWord(())) == []
     # the leaf's one maximal path is a point, not a peak
     assert peaks(LEAF) == ()
-    with pytest.raises(F.MalformedSyntax, match="not a peak"):
-        P.pruned(FlatCtx((STAR,)), 0)
 
 
 def test_disc_word_peak():
@@ -194,38 +193,46 @@ def test_peaks_are_locally_maximal_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# pruning
+# pruning: the oracle's prune step against the Dyck-word reference
 
 CHAIN2 = Tree((LEAF, LEAF))
 
 
 def test_prune_example():
     # the second 1-cell of x -> y -> z, at position 4
-    g2, pi = P.pruned(F.tree_to_ctx(CHAIN2), 4)
-    assert g2 == F.tree_to_ctx(Tree((LEAF,)))
+    d2, pi = SP.prune(DyckWord((UP, DOWN, UP, DOWN)), 2)
+    assert d2 == DyckWord((UP, DOWN))
     # <a, b, c, b, id(*, b)> with (a, b, c) = (v2, v1, v0) in the codomain
     assert pi == FlatSub(
         STAR, (Var(2), Var(1), Var(0), Var(1), F.canonical_identity(STAR, Var(1)))
     )
-    assert SP.prune(DyckWord((UP, DOWN, UP, DOWN)), 2) == (DyckWord((UP, DOWN)), pi)
+    # a binary composite whose second argument is an identity prunes to
+    # the unary composite over the disc, along the reference's projection
+    a = F.standard_type(CHAIN2, 1)
     sigma = FlatSub(STAR, (Var(0), Var(0), Var(1), Var(0), F.canonical_identity(STAR, Var(0))))
-    assert P.prune_sub(sigma, 4) == FlatSub(STAR, (Var(0), Var(0), Var(1)))
+    st = head_prunes(Coh(F.tree_to_ctx(CHAIN2), a, sigma))[4]
+    assert st.where == ("head", (1, 0))
+    assert st.term == Coh(
+        F.tree_to_ctx(Tree((LEAF,))), F.substitute(a, pi), FlatSub(STAR, (Var(0), Var(0), Var(1)))
+    )
 
 
 def test_prune_disc_word():
     for n in range(1, 5):
-        d2, _ = SP.prune(SP.disc_word(n), n - 1)
+        d2, pi = SP.prune(SP.disc_word(n), n - 1)
         assert SP.dyck_realise(d2)[0] == F.disc_ctx(n - 1)
-        g2, _ = P.pruned(F.tree_to_ctx(T.linear_tree(n)), 2 * n)
-        assert g2 == F.disc_ctx(n - 1)
+        t = T.linear_tree(n)
+        st = head_prunes(Coh(F.tree_to_ctx(t), F.standard_type(t, n), pi))[2 * n]
+        assert st.term.ctx == F.disc_ctx(n - 1)
 
 
 @settings(max_examples=40)
-@given(S.types(2, dim=1), S.terms(2), S.terms(2))
-def test_prune_disc_sub(a, t, u):
+@given(S.types(2, dim=1), S.terms(2))
+def test_prune_disc_sub(a, t):
     n = F.dim_ty(a) + 1
-    sigma = F.sub_from_disc(Arrow(t, a, t), u)
-    assert P.prune_sub(sigma, 2 * n) == F.sub_from_disc(a, t)
+    sigma = F.sub_from_disc(Arrow(t, a, t), F.canonical_identity(a, t))
+    head = Coh(F.disc_ctx(n), F.unary_comp_ty(n), sigma)
+    assert head_prunes(head)[2 * n].term.sub == F.sub_from_disc(a, t)
     assert SP.prune_terms(sigma, SP.disc_word(n), n - 1) == F.sub_from_disc(a, t)
 
 
@@ -242,88 +249,92 @@ def test_pruning_projection_compatible_with_realisation():
     # each cell's term typed by the cell's type pulled back along it
     for t in all_trees(5):
         g = F.tree_to_ctx(t)
-        paths = T.path_table(t).paths
-        for i in peaks(t):
-            g2, pi = P.pruned(g, i)
-            for q, term in zip(paths, pi.terms):
-                want = F.substitute(F.path_type(t, q), pi)
+        d = SP.tree_to_dyck(t)
+        for p in SP.peaks(d):
+            d2, pi = SP.prune(d, p)
+            g2 = SP.dyck_realise(d2)[0]
+            for k, term in enumerate(pi.terms):
+                want = F.substitute(SP.canonical_type(g, Var(len(g) - 1 - k)), pi)
                 assert SP.canonical_type(g2, term) == want
 
 
 def test_only_a_peak_is_taken():
-    # EXAMPLE_TREE ends in a leaf, so position -1 would pass a check that
-    # indexed the positions from the end
-    g = FlatCtx(F.tree_to_ctx(EXAMPLE_TREE).entries)
+    # with an identity at every position, the oracle prunes at the peaks
+    # alone; EXAMPLE_TREE ends in a leaf, so a search that indexed the
+    # positions from the end would also take position -1.  The identity at
+    # k is on the cell before it, so at a peak it is on the peak's target
+    g = F.tree_to_ctx(EXAMPLE_TREE)
     positions = set(peaks(EXAMPLE_TREE))
     assert positions == {4, 6, 8}
-    n = len(g)
-    for i in range(-n - 2, n + 2):
-        if i in positions:
-            P.pruned(g, i)
-            continue
-        with pytest.raises(F.MalformedSyntax, match="not a peak"):
-            P.pruned(g, i)
+    cells = F.variables(len(g))
+    idents = tuple(
+        F.canonical_identity(SP.canonical_type(g, v), v) for v in cells[:1] + cells[:-1]
+    )
+    t = Coh(g, F.standard_type(EXAMPLE_TREE, 2), FlatSub(STAR, idents))
+    assert set(head_prunes(t)) == positions
     for p in range(-len(EXAMPLE_WORD.moves) - 2, len(EXAMPLE_WORD.moves) + 2):
         if p not in (1, 3, 6):
             with pytest.raises(F.MalformedSyntax, match="not a peak"):
                 SP.prune(EXAMPLE_WORD, p)
     # a context that is no pasting context has no peak
-    with pytest.raises(F.MalformedSyntax, match="not a peak"):
-        P.pruned(FlatCtx((STAR, STAR, STAR)), 2)
+    g3 = FlatCtx((STAR, STAR, STAR))
+    assert head_prunes(Coh(g3, Arrow(Var(2), STAR, Var(1)), FlatSub(STAR, idents[:3]))) == {}
 
 
 @settings(max_examples=60)
 @given(S.subs(5, 3, extended=False), S.subs(3, 2, extended=False))
 def test_prune_sub_commutes_with_composition(sigma, tau):
+    # pruning then substituting reaches what substituting then pruning
+    # reaches: a substitution keeps an identity an identity
+    g = F.tree_to_ctx(CHAIN2)
+    a = F.standard_type(CHAIN2, 1)
     for i in peaks(CHAIN2):
-        lhs = F.compose(P.prune_sub(sigma, i), tau)
-        rhs = P.prune_sub(F.compose(sigma, tau), i)
+        ident = F.canonical_identity(STAR, sigma.terms[i - 1])
+        terms = sigma.terms[:i] + (ident,) + sigma.terms[i + 1 :]
+        t = Coh(g, a, FlatSub(STAR, terms))
+        lhs = F.substitute(head_prunes(t)[i].term, tau)
+        rhs = head_prunes(F.substitute(t, tau))[i].term
         assert lhs == rhs
 
 
 def test_pruning_commutes():
-    # pruning the peak at i < j leaves the one at j two positions earlier
     for t in all_trees(5):
-        g = F.tree_to_ctx(t)
-        sigma = FlatSub(STAR, tuple(Var(k % 2) for k in range(len(g))))
-        for i, j in itertools.combinations(peaks(t), 2):
-            g_i, pi_i = P.pruned(g, i)
-            g_j, pi_j = P.pruned(g, j)
-            g_ij, pi_ij = P.pruned(g_i, j - 2)
-            g_ji, pi_ji = P.pruned(g_j, i)
-            assert g_ij == g_ji
-            assert F.compose(pi_i, pi_ij) == F.compose(pi_j, pi_ji)
-            assert P.prune_sub(P.prune_sub(sigma, i), j - 2) == P.prune_sub(
-                P.prune_sub(sigma, j), i
-            )
+        check_prunes_commute(t)
 
 
 def test_peak_table_and_pruned_contexts_agree_with_pruning():
     # every tree with at most 6 edges and every peak, against the Dyck-word
-    # reference: its peaks in order, the realised pruned word, the
-    # projection and the terms that pruning drops
+    # reference: its peaks in order, and the oracle's prune step over the
+    # head whose substitution is the reference's projection pi.  pi puts an
+    # identity at the peak, so the step reaches the head over the pruned
+    # word's realisation, its type pulled back along pi, and the terms that
+    # pruning keeps are the pruned context's variables
     for t in all_trees(6):
-        g = FlatCtx(F.tree_to_ctx(t).entries)
-        sigma = F.identity_sub(g)
+        if not t.branches:
+            continue
+        g = F.tree_to_ctx(t)
+        a = F.standard_type(t, t.height)
         d = SP.tree_to_dyck(t)
         assert [SP.peak_pos(d, p) for p in SP.peaks(d)] == list(peaks(t))
         for p, i in zip(SP.peaks(d), peaks(t)):
-            g2, proj = P.pruned(g, i)
-            assert P.pruned(g, i)[0] is g2 and P.pruned(g, i)[1] is proj
             d2, pi = SP.prune(d, p)
-            assert g2 == SP.dyck_realise(d2)[0] and proj == pi
-            assert P.prune_sub(sigma, i) == SP.prune_terms(sigma, d, p)
+            g2 = SP.dyck_realise(d2)[0]
+            st = head_prunes(Coh(g, a, pi))[i]
+            assert st.term == Coh(g2, F.substitute(a, pi), F.identity_sub(g2))
+            assert st.term.sub == SP.prune_terms(pi, d, p)
             # the context is the shared realisation of its tree, which it
             # keeps
-            r = P.ctx_to_tree(g2)
-            assert g2 is F.tree_to_ctx(r) and SP.tree_to_dyck(r) == d2
+            r = P.ctx_to_tree(st.term.ctx)
+            assert st.term.ctx is F.tree_to_ctx(r) and SP.tree_to_dyck(r) == d2
 
 
 def test_projection_support_is_full():
     for t in all_trees(4):
-        for i in peaks(t):
-            g2, pi = P.pruned(F.tree_to_ctx(t), i)
-            assert SP.free_vars(pi, len(g2)) == SP.VarSet.full(len(g2))
+        d = SP.tree_to_dyck(t)
+        for p in SP.peaks(d):
+            d2, pi = SP.prune(d, p)
+            n2 = len(SP.dyck_realise(d2)[0])
+            assert SP.free_vars(pi, n2) == SP.VarSet.full(n2)
 
 
 # ---------------------------------------------------------------------------

@@ -842,11 +842,11 @@ LAYER_BUDGET = {
     "quote_tm": 2,
     "to_raw": 2,
     "pretty": 6,
-    "flatten_tm": 4,
+    "flatten_tm": 3,
     "equality": 6,
     # two flat terms flattened apart: 7 frames per level with Record's
     # generic equality, 5 with the flat records' own
-    "flat_equality": 7,
+    "flat_equality": 5,
 }
 
 

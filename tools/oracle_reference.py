@@ -20,6 +20,10 @@ to ``oracle.normalise``.
 Exit status: 0 if every sequence agrees with the reference and every
 verdict passes its checks, 1 otherwise.
 
+``tests/golden/oracle_steps.txt`` holds its output at the default seed and
+rounds, and CI compares a run with it by ``cmp``: a change that alters the
+steps the oracle takes regenerates that file on purpose.
+
     python3 tools/oracle_reference.py [--seed N] [--rounds N]
 """
 
