@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Union
 
 from . import trees as T
-from .trees import LEAF, LTree, MalformedSyntax, Path, Record, Tree, ctx_size
+from .trees import LEAF, LTree, MalformedSyntax, Record, Tree, ctx_size
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +437,6 @@ def is_unary_comp(t: FlatTerm) -> bool:
 # realisation of trees and labellings
 
 
-def path_var(t: Tree, p: Path) -> FlatTerm:
-    """The variable of path p in the realised context, a shared ``Var``."""
-    return Var(t._ctx_size - 1 - path_pos(t, p))
-
-
-def path_pos(t: Tree, p: Path) -> int:
-    """The position of path p in the realised context: its table index."""
-    i = T.path_index(t).get(p)
-    if i is None:
-        raise MalformedSyntax("not a path of the tree")
-    return i
-
-
 def _cell_type(ends: tuple, j: int, i: int) -> FlatType:
     """The type of the cell at position j over the i cells before it,
     following the endpoints that ends gives each cell."""
@@ -547,36 +534,26 @@ def standard_term(t: Tree, n: int) -> FlatTerm:
 # the exterior labelling of an insertion
 
 
-def _inclusion_sub(r: Tree, k: int, m: int) -> FlatSub:
-    """Substitution including the realisation of components k..k+m-1 of r
-    into the realisation of r."""
-    paths = T.path_table(Tree(r.branches[k : k + m])).paths
-    return FlatSub(STAR, tuple(path_var(r, (p[0] + k,) + p[1:]) for p in paths))
-
-
-def _include_component(r: Tree, k: int, inner_size: int, e: FlatTerm) -> FlatTerm:
-    """Suspend a term over the realisation of component k's child and include
-    it into the realisation of r."""
-    return substitute(suspend_tm(e, inner_size), _inclusion_sub(r, k, 1))
-
-
 # Bounded like standard_type: it depends on three interned trees alone, so
 # the oracle's insertions and the recursion below build each once.
 @lru_cache(maxsize=128)
 def exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
-    """The labelling of s over the realisation of the tree that inserting t
-    at the branch p makes."""
-    return _exterior_label(s, p, t)
-
-
-def _exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
-    """Build ``exterior_label(s, p, t)``."""
-    r = T.insert_tree(s, p, t)
+    """The labelling of s over the realisation of the tree r that inserting
+    t at the branch p makes.  Only branch k = p[0] changes: the cells of s
+    before its 0-cell k+1 are r's first cells, those after its block are
+    r's last ones, and its 0-cell k+1 is r's 0-cell k+nt, after the nt
+    branches that take the place of branch k."""
     k = p[0]
+    r = T.insert_tree(s, p, t)
+    rt = T.path_table(r)
+    vs = variables(r._ctx_size)
+    o = T.path_table(s).offsets[k]
     if len(p) == 1:
         nt = len(t.branches)
         m = s.branches[k].height + 1
-        inc = _inclusion_sub(r, k, nt)
+        # t's first 0-cell is r's 0-cell k, and its other cells are r's
+        # from the 0-cell k+1 on
+        inc = FlatSub(STAR, (vs[rt.zeros[k]],) + vs[o - 1 : o + t._ctx_size - 2])
         disc = label_from_disc(
             substitute(standard_type(t, m), inc),
             substitute(standard_coh(t, m), inc),
@@ -584,24 +561,13 @@ def _exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
         mid = disc.entries[2:]
     else:
         nt = 1
+        # the inner exterior labelling, suspended and included as branch k
+        size = r.branches[k]._ctx_size
+        inc = FlatSub(STAR, (vs[rt.zeros[k]],) + vs[o - 1 : o + size])
         inner = exterior_label(s.branches[k], p[1:], t.branches[0])
-        size = ctx_size(T.insert_tree(s.branches[k], p[1:], t.branches[0]))
-        mid = tuple(_include_component(r, k, size, e) for e in inner.entries)
-
-    def shifted(j: int) -> int:
-        return j if j <= k else j + nt - 1
-
-    # each 0-cell before the block of the branch it ends: the identity on
-    # the other branches, moved past the inserted ones
-    entries = [path_var(r, (0,))]
-    for j, sub in enumerate(s.branches):
-        entries.append(path_var(r, (shifted(j + 1),)))
-        if j == k:
-            entries.extend(mid)
-        else:
-            sj = shifted(j)
-            entries.extend(path_var(r, (sj,) + q) for q in T.path_table(sub).paths)
-    return LTree(s, tuple(entries))
+        mid = tuple(substitute(suspend_tm(e, size), inc) for e in inner.entries)
+    after = s._ctx_size - o - s.branches[k]._ctx_size
+    return LTree(s, vs[: o - 1] + (vs[rt.zeros[k + nt]],) + mid + vs[r._ctx_size - after :])
 
 
 # ---------------------------------------------------------------------------

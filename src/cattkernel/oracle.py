@@ -37,7 +37,6 @@ that fired.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import flat as F
@@ -159,29 +158,38 @@ def _insertable(arg: FlatTerm) -> Optional[tuple[Tree, FlatSub]]:
     return (tree, arg.sub) if arg.ty is ty or arg.ty == ty else None
 
 
-# Bounded like the tables of flat: each is as large as its tree.
-@lru_cache(maxsize=128)
-def _branch_args(s: Tree) -> tuple[tuple[T.Branch, int], ...]:
-    """Each branch of s with the position, in the realised context, of the
-    argument at its maximal path."""
-    return tuple((p, F.path_pos(s, T.branch_path(s, p))) for p in T.all_branches(s))
+def _branches_to(s: Tree, mp: T.Path) -> Iterator[T.Branch]:
+    """The branches of s whose maximal path is mp, shortest first: the
+    prefixes of mp from the first that leads to a linear subtree to the
+    one that leads to its leaf.  Taken maximal path by maximal path, in
+    table order, the branches of s come in pre-order."""
+    sub = s
+    for cut, k in enumerate(mp[:-1], 1):
+        sub = sub.branches[k]
+        if sub.is_linear:
+            for c in range(cut, len(mp)):
+                yield mp[:c]
+            return
 
 
 def _insert_steps(t: Coh) -> Iterator[Step]:
     s = P.ctx_to_tree(t.ctx)
     if s is None:
         return
+    terms = t.sub.terms
+    tb = T.path_table(s)
     lab = None
-    for p, pos in _branch_args(s):
-        found = _insertable(t.sub.terms[pos])
+    for i in tb.maximal:
+        found = _insertable(terms[i])
         if found is None:
             continue
         tree, m_sub = found
-        if not T.is_insertion_point(s, p, tree):
-            continue
-        if lab is None:
-            lab = F.label_from_sub(s, t.sub)
-        yield Step(_inserted(t, s, lab, p, tree, m_sub), "insert", ("head",) + p)
+        for p in _branches_to(s, tb.paths[i]):
+            if not T.is_insertion_point(s, p, tree):
+                continue
+            if lab is None:
+                lab = F.label_from_sub(s, t.sub)
+            yield Step(_inserted(t, s, lab, p, tree, m_sub), "insert", ("head",) + p)
 
 
 def _inserted(t: Coh, s: Tree, lab: LTree, p: T.Branch, tree: Tree, m_sub: FlatSub) -> Coh:

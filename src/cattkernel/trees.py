@@ -180,14 +180,6 @@ def linear_tree(n: int) -> Tree:
     return t
 
 
-def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
-    for k in p:
-        if not 0 <= k < len(t.branches):
-            raise MalformedSyntax("path leaves the tree")
-        t = t.branches[k]
-    return t
-
-
 # ---------------------------------------------------------------------------
 # paths
 
@@ -199,15 +191,13 @@ class PathTable:
     of the 0-cells of the root block, 0 and then each offset - 1, the
     indices of the maximal paths, in ``maximal_paths`` order, and each
     cell's endpoints: None at a 0-cell, at a cell ``q + (j,)`` the indices
-    of ``q`` and of the sibling that follows it.  ``index``, each path's
-    index (its position in the realised context), is None until the first
-    ``path_index``: only the validation route reads it."""
+    of ``q`` and of the sibling that follows it.  Both routes address a
+    cell by its index; no table maps a path back to it."""
 
-    __slots__ = ("paths", "index", "offsets", "zeros", "maximal", "ends")
+    __slots__ = ("paths", "offsets", "zeros", "maximal", "ends")
 
     def __init__(self, paths: tuple, offsets: tuple, maximal: tuple, ends: tuple):
         self.paths = paths
-        self.index = None
         self.offsets = offsets
         self.zeros = (0,) + tuple(o - 1 for o in offsets)
         self.maximal = maximal
@@ -246,63 +236,9 @@ def path_table(t: Tree) -> PathTable:
     return tb
 
 
-def path_index(t: Tree) -> dict:
-    """The index of each path of t in its table, built at the first call."""
-    tb = path_table(t)
-    if tb.index is None:
-        tb.index = {p: i for i, p in enumerate(tb.paths)}
-    return tb.index
-
-
 def maximal_paths(t: Tree) -> list[Path]:
     tb = path_table(t)
     return [tb.paths[i] for i in tb.maximal]
-
-
-def max_path(n: int) -> Path:
-    """The unique maximal path of the linear tree of height n."""
-    return (0,) * (n + 1)
-
-
-# ---------------------------------------------------------------------------
-# branches
-
-
-def is_branch(s: Tree, p: Branch) -> bool:
-    if not p:
-        return False
-    try:
-        return subtree(s, p).is_linear
-    except MalformedSyntax:
-        return False
-
-
-def branch_height(p: Branch) -> int:
-    return len(p) - 1
-
-
-def branch_path(s: Tree, p: Branch) -> Path:
-    """The maximal path obtained by following the branch down its linear
-    subtree."""
-    return p + max_path(subtree(s, p).height)
-
-
-def leaf_height(s: Tree, p: Branch) -> int:
-    return len(branch_path(s, p)) - 1
-
-
-def all_branches(s: Tree) -> list[Branch]:
-    return _branches_below(s, ())
-
-
-def _branches_below(t: Tree, prefix: Branch) -> list[Branch]:
-    out = []
-    for k, b in enumerate(t.branches):
-        q = prefix + (k,)
-        if b.is_linear:
-            out.append(q)
-        out.extend(_branches_below(b, q))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +343,19 @@ def boundary_index(t: Tree, n: int, eps: str) -> tuple[int, ...]:
 
 
 def is_insertion_point(s: Tree, p: Branch, t: Tree) -> bool:
-    return (
-        is_branch(s, p)
-        and branch_height(p) <= t.trunk_height
-        and leaf_height(s, p) >= t.height
-    )
+    """Whether t inserts into s along p: p is a branch, a path of
+    indices down s to a linear subtree, no higher than t's trunk, and the
+    leaf that subtree ends in is at least as high as t.  Any other tuple
+    answers False."""
+    if not p or len(p) - 1 > t._trunk_height:
+        return False
+    sub = s
+    for k in p:
+        bs = sub.branches
+        if not 0 <= k < len(bs):
+            return False
+        sub = bs[k]
+    return sub.is_linear and len(p) + sub._height >= t._height
 
 
 def insert_tree(s: Tree, p: Branch, t: Tree) -> Tree:

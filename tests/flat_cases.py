@@ -37,7 +37,7 @@ def binary_comp(x, f, y, g, z) -> Coh:
 def assoc_pair() -> tuple:
     """(f*g)*h and f*(g*h) over the 4-point path, with the ternary
     composite they should both flatten to."""
-    v = lambda p: F.path_var(CHAIN3, p)
+    v = lambda p: SP.path_var(CHAIN3, p)
     x0, x1, x2, x3 = v((0,)), v((1,)), v((2,)), v((3,))
     f, g, h = v((0, 0)), v((1, 0)), v((2, 0))
     left = binary_comp(x0, binary_comp(x0, f, x1, g, x2), x2, h, x3)
@@ -95,7 +95,7 @@ def head_prunes(t: Coh) -> dict:
     position of the peak each prunes."""
     s = P.ctx_to_tree(t.ctx)
     return {
-        F.path_pos(s, st.where[1]): st
+        SP.path_pos(s, st.where[1]): st
         for st in O.step(t, O.RuleSet.SU_PRIME)
         if st.rule == "prune" and st.where[0] == "head"
     }

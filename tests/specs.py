@@ -4,14 +4,16 @@ These are definitions from the paper that the program itself never needs:
 variable sets and supports over flat contexts, the pasting-context
 judgement and its boundary sets, Dyck words with their realisation, peaks
 and pruning, the oracle's complexity measure, random normalisation and
-the reduction sequence of its full search, paths of a tree, labellings as
+the reduction sequence of its full search, paths of a tree with their
+positions and variables, branches and insertion points, labellings as
 nested trees of entries, the realisation of trees by suspension and wedge
-and of labellings by unrestriction, labellings of trees built by hand,
-and the tokens and round trips of the surface syntax.  The program
-decides the same things another way (on trees, where a peak is a leaf, on
-normal forms, by taking the first reduct, by reading a table of a tree's
-cells or paths, by one table of the tokens of one character); each test
-that uses a definition here checks that the two ways agree.
+and of labellings by unrestriction and of a branch's inclusion by paths,
+labellings of trees built by hand, and the tokens and round trips of the
+surface syntax.  The program decides the same things another way (on
+trees, where a peak is a leaf, on normal forms, by taking the first
+reduct, by reading a table of a tree's cells by position, by one table of
+the tokens of one character); each test that uses a definition here
+checks that the two ways agree.
 """
 
 from __future__ import annotations
@@ -387,18 +389,27 @@ def local_confluence_sample(
 # trees and labellings
 
 
+def subtree(t: Tree, p: tuple[int, ...]) -> Tree:
+    """The subtree that the indices p lead to, down from the root."""
+    for k in p:
+        if not 0 <= k < len(t.branches):
+            raise F.MalformedSyntax("path leaves the tree")
+        t = t.branches[k]
+    return t
+
+
 def is_path(t: Tree, p: Path) -> bool:
     if not p:
         return False
     try:
-        prefix = T.subtree(t, p[:-1])
+        prefix = subtree(t, p[:-1])
     except F.MalformedSyntax:
         return False
     return 0 <= p[-1] <= len(prefix.branches)
 
 
 def is_maximal_path(t: Tree, p: Path) -> bool:
-    return is_path(t, p) and T.subtree(t, p[:-1]).branches == () and p[-1] == 0
+    return is_path(t, p) and subtree(t, p[:-1]).branches == () and p[-1] == 0
 
 
 def all_paths(t: Tree) -> list[Path]:
@@ -416,6 +427,78 @@ def maximal_paths(t: Tree) -> list[Path]:
     if not t.branches:
         return [(0,)]
     return [(k,) + q for k, b in enumerate(t.branches) for q in maximal_paths(b)]
+
+
+def path_pos(t: Tree, p: Path) -> int:
+    """The position of the path p in the realised context, by recursion:
+    the 0-cell (k,) follows the k 0-cells before it and the cells of
+    branches 0 .. k-2, and the cells of branch k follow the 0-cell
+    (k + 1,)."""
+    if not is_path(t, p):
+        raise F.MalformedSyntax("not a path of the tree")
+
+    def zero_cell(k: int) -> int:
+        return k + sum(T.ctx_size(b) for b in t.branches[: max(k - 1, 0)])
+
+    if len(p) == 1:
+        return zero_cell(p[0])
+    k = p[0]
+    return zero_cell(k + 1) + 1 + path_pos(t.branches[k], p[1:])
+
+
+def path_var(t: Tree, p: Path) -> Var:
+    """The variable of the path p in the realised context."""
+    return Var(T.ctx_size(t) - 1 - path_pos(t, p))
+
+
+def max_path(n: int) -> Path:
+    """The unique maximal path of the linear tree of height n."""
+    return (0,) * (n + 1)
+
+
+def is_branch(s: Tree, p: Path) -> bool:
+    """A branch is a nonempty path of indices down s to a linear subtree."""
+    if not p:
+        return False
+    try:
+        return subtree(s, p).is_linear
+    except F.MalformedSyntax:
+        return False
+
+
+def branch_path(s: Tree, p: Path) -> Path:
+    """The maximal path obtained by following the branch down its linear
+    subtree."""
+    return p + max_path(subtree(s, p).height)
+
+
+def leaf_height(s: Tree, p: Path) -> int:
+    return len(branch_path(s, p)) - 1
+
+
+def all_branches(s: Tree) -> list[Path]:
+    """The branches of s in pre-order."""
+
+    def below(t: Tree, prefix: Path) -> list[Path]:
+        out = []
+        for k, b in enumerate(t.branches):
+            q = prefix + (k,)
+            if b.is_linear:
+                out.append(q)
+            out.extend(below(b, q))
+        return out
+
+    return below(s, ())
+
+
+def is_insertion_point(s: Tree, p: Path, t: Tree) -> bool:
+    """t inserts into s along the branch p: the branch is no higher than
+    t's trunk, and its leaf at least as high as t."""
+    return (
+        is_branch(s, p)
+        and len(p) - 1 <= t.trunk_height
+        and leaf_height(s, p) >= t.height
+    )
 
 
 def cell_ends(p: Path):
@@ -441,7 +524,7 @@ def boundary_path(t: Tree, n: int, eps: str, p: Path) -> Path:
 
 def at(lt: LTree, p: Path):
     """The entry of a labelling at the path p."""
-    return lt.entries[T.path_index(lt.shape)[p]]
+    return lt.entries[path_pos(lt.shape, p)]
 
 
 class NestedLabel:
@@ -569,7 +652,7 @@ def from_wedge(sigma: FlatSub, tau: FlatSub) -> FlatSub:
 
 
 def id_label(t: Tree) -> LTree:
-    return LTree.from_fn(t, lambda p: F.path_var(t, p))
+    return LTree.from_fn(t, lambda p: path_var(t, p))
 
 
 def label_sub(lt: LTree, sigma: FlatSub) -> LTree:
@@ -593,7 +676,16 @@ def boundary_label(t: Tree, n: int, eps: str) -> LTree:
 
 def tree_boundary_set(t: Tree, n: int, eps: str) -> VarSet:
     paths = boundary_label(t, n, eps).entries
-    return VarSet.of(T.ctx_size(t), (F.path_pos(t, p) for p in paths))
+    return VarSet.of(T.ctx_size(t), (path_pos(t, p) for p in paths))
+
+
+def include_component(r: Tree, k: int, size: int, e: FlatTerm) -> FlatTerm:
+    """Suspend a term over the realisation of branch k of r, whose length
+    is size, and include it into the realisation of r: the two new 0-cells
+    go to the 0-cells k and k + 1, and the branch's paths q to k + q."""
+    paths = [(k,), (k + 1,)] + [(k,) + q for q in all_paths(r.branches[k])]
+    inc = FlatSub(STAR, tuple(path_var(r, q) for q in paths))
+    return F.substitute(F.suspend_tm(e, size), inc)
 
 
 def interior_label(s: Tree, p: Path, t: Tree) -> LTree:
@@ -606,11 +698,11 @@ def interior_label(s: Tree, p: Path, t: Tree) -> LTree:
         def inc(q: Path) -> Path:
             return (q[0] + k,) + q[1:]
 
-        return LTree.from_fn(t, lambda q: F.path_var(r, inc(q)))
+        return LTree.from_fn(t, lambda q: path_var(r, inc(q)))
     inner = interior_label(s.branches[k], p[1:], t.branches[0])
     size = T.ctx_size(T.insert_tree(s.branches[k], p[1:], t.branches[0]))
-    branch = inner.map(lambda e: F._include_component(r, k, size, e))
-    ends = (F.path_var(r, (k,)), F.path_var(r, (k + 1,)))
+    branch = inner.map(lambda e: include_component(r, k, size, e))
+    ends = (path_var(r, (k,)), path_var(r, (k + 1,)))
     return LTree(T.suspend_tree(branch.shape), ends + branch.entries)
 
 

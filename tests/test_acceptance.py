@@ -296,7 +296,7 @@ def all_trees(max_nodes: int):
 def insertion_points(max_nodes: int):
     ts = list(all_trees(max_nodes))
     for s in ts:
-        for p in T.all_branches(s):
+        for p in SP.all_branches(s):
             for t in ts:
                 if T.is_insertion_point(s, p, t):
                     yield s, p, t
@@ -372,22 +372,22 @@ def test_09_structural_laws_hold_exactly():
     for s, p, t in insertion_points(6):
         kappa = F.exterior_label(s, p, t)
         iota = SP.interior_label(s, p, t)
-        lh = T.leaf_height(s, p)
+        lh = SP.leaf_height(s, p)
         expect = F.substitute(F.standard_coh(t, lh), F.label_to_sub(iota))
-        assert SP.at(kappa, T.branch_path(s, p)) == expect
+        assert SP.at(kappa, SP.branch_path(s, p)) == expect
         r = T.insert_tree(s, p, t)
         assert T.insert_ltree(kappa, p, iota) == SP.id_label(r)
 
     # disc unit laws for insertion
     for n in range(1, 4):
         d = T.linear_tree(n)
-        for p in T.all_branches(d):
+        for p in SP.all_branches(d):
             for t in all_trees(5):
                 if T.is_insertion_point(d, p, t):
                     assert T.insert_tree(d, p, t) == t
                     assert SP.interior_label(d, p, t) == SP.id_label(t)
     for s, p, t in insertion_points(5):
-        d = T.linear_tree(T.leaf_height(s, p))
+        d = T.linear_tree(SP.leaf_height(s, p))
         if T.is_insertion_point(s, p, d):
             assert T.insert_tree(s, p, d) == s
 

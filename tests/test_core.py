@@ -65,8 +65,8 @@ def test_flatten_path_variable():
     for t in (CHAIN2, EXAMPLE, T.suspend_tree(EXAMPLE), linear_tree(3)):
         paths = T.path_table(t).paths
         for i in range(T.ctx_size(t)):
-            assert C.flatten_tm(CVar(i), t) is F.path_var(t, paths[i])
-    pinned = [F.path_var(CHAIN2, p) for p in ((0,), (0, 0), (2,))]
+            assert C.flatten_tm(CVar(i), t) is SP.path_var(t, paths[i])
+    pinned = [SP.path_var(CHAIN2, p) for p in ((0,), (0, 0), (2,))]
     assert pinned == [Var(4), Var(2), Var(1)]
 
 
@@ -142,7 +142,7 @@ def test_label_from_disc_matches_flat():
 
 def insertion_points(max_nodes: int):
     for s in all_trees(max_nodes):
-        for p in T.all_branches(s):
+        for p in SP.all_branches(s):
             for t in all_trees(max_nodes):
                 if T.is_insertion_point(s, p, t):
                     yield s, tuple(p), t

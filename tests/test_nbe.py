@@ -11,6 +11,7 @@ from cattkernel import trees as T
 from cattkernel.core import CSusp, CVar
 from cattkernel.nbe import SU, SUA, WEAK, Env, NApp, NCoh, NComp, NId, NVar
 from cattkernel.trees import LEAF, LTree, Tree, linear_tree
+import specs as SP
 from specs import NestedLabel as NL
 
 CHAIN2 = Tree((LEAF, LEAF))
@@ -36,7 +37,7 @@ def id_term(n: int, t: Tree):
 
 def var(t: Tree, p) -> NVar:
     """The variable of the cell p of t: its position."""
-    return NVar(T.path_index(t)[p])
+    return NVar(SP.path_pos(t, p))
 
 
 def id_label(t: Tree) -> LTree:
@@ -220,7 +221,7 @@ def test_branch_for_is_the_shortest_insertion_branch():
                     (
                         p
                         for p in prefixes
-                        if T.is_branch(s, p) and T.is_insertion_point(s, p, t)
+                        if SP.is_branch(s, p) and T.is_insertion_point(s, p, t)
                     ),
                     None,
                 )

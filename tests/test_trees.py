@@ -58,7 +58,7 @@ def all_trees(max_nodes: int):
 def insertion_points(max_nodes: int):
     ts = list(all_trees(max_nodes))
     for s in ts:
-        for p in T.all_branches(s):
+        for p in SP.all_branches(s):
             for t in ts:
                 if T.is_insertion_point(s, p, t):
                     yield s, p, t
@@ -173,33 +173,33 @@ def test_stored_metadata_matches_recursive_definitions():
 
 
 def test_leaf_path():
-    assert F.path_var(LEAF, (0,)) == Var(0)
+    assert SP.path_var(LEAF, (0,)) == Var(0)
 
 
 def test_maximal_path_of_disc():
     for n in range(5):
-        assert F.path_var(T.linear_tree(n), T.max_path(n)) == Var(0)
+        assert SP.path_var(T.linear_tree(n), SP.max_path(n)) == Var(0)
 
 
 def test_chain_zero_cells():
     # x, y, z at positions 0, 1, 3 of the realised context
-    assert F.path_var(CHAIN2_TREE, (0,)) == Var(4)
-    assert F.path_var(CHAIN2_TREE, (1,)) == Var(3)
-    assert F.path_var(CHAIN2_TREE, (2,)) == Var(1)
+    assert SP.path_var(CHAIN2_TREE, (0,)) == Var(4)
+    assert SP.path_var(CHAIN2_TREE, (1,)) == Var(3)
+    assert SP.path_var(CHAIN2_TREE, (2,)) == Var(1)
 
 
 def test_path_dim():
     for t in all_trees(6):
         g = F.tree_to_ctx(t)
         for p in SP.all_paths(t):
-            v = F.path_var(t, p)
+            v = SP.path_var(t, p)
             assert F.dim_ty(g.entries[len(g) - 1 - v.idx]) == len(p) - 1
 
 
 def test_paths_enumerate_all_variables():
     for t in all_trees(6):
         g = F.tree_to_ctx(t)
-        positions = {F.path_pos(t, p) for p in SP.all_paths(t)}
+        positions = {SP.path_pos(t, p) for p in SP.all_paths(t)}
         assert positions == set(range(len(g)))
 
 
@@ -210,25 +210,14 @@ def test_maximal_paths_are_locally_maximal():
         for i, e in enumerate(g.entries):
             used.update(SP.free_vars(e, i).positions())
         loc_max = {i for i in range(len(g)) if i not in used}
-        assert {F.path_pos(t, p) for p in T.maximal_paths(t)} == loc_max
-
-
-def recursive_path_pos(t: Tree, p) -> int:
-    def zero_cell(k: int) -> int:
-        # (k,) follows the k 0-cells before it and the cells of branches
-        # 0 .. k-2; the cells of branch k-1 follow (k,)
-        return k + sum(T.ctx_size(b) for b in t.branches[: max(k - 1, 0)])
-
-    if len(p) == 1:
-        return zero_cell(p[0])
-    k = p[0]
-    return zero_cell(k + 1) + 1 + recursive_path_pos(t.branches[k], p[1:])
+        assert {SP.path_pos(t, p) for p in T.maximal_paths(t)} == loc_max
 
 
 def test_path_pos_matches_recursive_definition():
+    # the table lists each path at its recursive position
     for t in all_trees(8):
-        for p in SP.all_paths(t):
-            assert F.path_pos(t, p) == recursive_path_pos(t, p)
+        for i, p in enumerate(T.path_table(t).paths):
+            assert SP.path_pos(t, p) == i
 
 
 def non_paths(t: Tree):
@@ -244,15 +233,19 @@ def non_paths(t: Tree):
 
 
 def test_invalid_path_rejected():
+    # no tuple that is not a path has a position, and none is a branch:
+    # no tree inserts along it
     with pytest.raises(F.MalformedSyntax):
-        F.path_var(LEAF, (1, 0))
+        SP.path_var(LEAF, (1, 0))
+    small = list(all_trees(3))
     for t in all_trees(6):
         for p in non_paths(t):
             assert not SP.is_path(t, p) and not SP.is_maximal_path(t, p)
             with pytest.raises(F.MalformedSyntax, match="not a path of the tree"):
-                F.path_pos(t, p)
+                SP.path_pos(t, p)
+            assert not any(T.is_insertion_point(t, p, u) for u in small)
         for k in range(len(t.branches)):
-            assert not T.is_branch(t, (-1 - k,))
+            assert not SP.is_branch(t, (-1 - k,))
 
 
 def test_equal_trees_share_one_cache_entry():
@@ -451,9 +444,6 @@ def test_path_table_matches_recursive_definitions():
         assert list(tb.paths) == SP.all_paths(t)
         assert [tb.paths[i] for i in tb.maximal] == SP.maximal_paths(t)
         assert T.maximal_paths(t) == SP.maximal_paths(t)
-        index = T.path_index(t)
-        assert T.path_index(t) is index and tb.index is index
-        assert all(tb.paths[index[p]] == p for p in tb.paths)
         # each cell's endpoints, by index, are those of its definition
         ends = [e and (tb.paths[e[0]], tb.paths[e[1]]) for e in tb.ends]
         assert ends == [SP.cell_ends(p) for p in tb.paths]
@@ -581,8 +571,8 @@ def test_label_to_sub_matches_recursive_definition():
 @given(S.trees())
 def test_paths_are_listed_in_the_order_of_the_realised_context(t):
     paths = T.path_table(t).paths
-    assert [F.path_pos(t, p) for p in paths] == list(range(T.ctx_size(t)))
-    assert [F.path_var(t, p) for p in paths] == list(
+    assert [SP.path_pos(t, p) for p in paths] == list(range(T.ctx_size(t)))
+    assert [SP.path_var(t, p) for p in paths] == list(
         F.identity_sub(F.tree_to_ctx(t)).terms
     )
 
@@ -672,13 +662,13 @@ def test_tree_supports_and_boundaries_match_pasting():
         g = F.tree_to_ctx(t)
 
         for p in SP.all_paths(t):
-            supp = ck.support(make_ctx(t), NVar(F.path_pos(t, p)))
-            assert SP.VarSet.of(len(g), supp) == SP.support(g, F.path_var(t, p))
+            supp = ck.support(make_ctx(t), NVar(SP.path_pos(t, p)))
+            assert SP.VarSet.of(len(g), supp) == SP.support(g, SP.path_var(t, p))
         for n in range(0, t.height + 2):
             for eps in ("-", "+"):
                 bdry = T.boundary_index(t, n, eps)
                 paths = SP.boundary_label(t, n, eps).entries
-                assert bdry == tuple(F.path_pos(t, p) for p in paths)
+                assert bdry == tuple(SP.path_pos(t, p) for p in paths)
                 assert SP.VarSet.of(len(g), bdry) == SP.boundary_set(g, n, eps)
 
 
@@ -777,10 +767,39 @@ def test_insertion_point_conditions():
         T.insert_tree(s, (0, 0), CHAIN2_TREE)
 
 
+def test_insertion_point_agrees_with_its_definition():
+    # every tuple that indexes nodes of s, every one that leaves s at some
+    # level (past the last branch, or negative) and the empty one
+    trees = list(all_trees(6))
+
+    def tuples(t: Tree, prefix=()):
+        yield prefix + (len(t.branches),)
+        yield prefix + (-1,)
+        for k, b in enumerate(t.branches):
+            yield prefix + (k,)
+            yield from tuples(b, prefix + (k,))
+
+    for s in trees:
+        ps = [()] + list(tuples(s))
+        for p, t in itertools.product(ps, trees):
+            assert T.is_insertion_point(s, p, t) is SP.is_insertion_point(s, p, t)
+
+
+def test_oracle_branches_come_in_pre_order_with_their_maximal_position():
+    # the insert search takes the maximal cells in table order and, for
+    # each, the branches that reach it: together, every branch in pre-order
+    for s in all_trees(8):
+        tb = T.path_table(s)
+        found = [(p, i) for i in tb.maximal for p in oracle._branches_to(s, tb.paths[i])]
+        assert found == [
+            (p, SP.path_pos(s, SP.branch_path(s, p))) for p in SP.all_branches(s)
+        ]
+
+
 def test_disc_host_insertion():
     for n in range(1, 4):
         d = T.linear_tree(n)
-        for p in T.all_branches(d):
+        for p in SP.all_branches(d):
             for t in all_trees(5):
                 if not T.is_insertion_point(d, p, t):
                     continue
@@ -790,7 +809,7 @@ def test_disc_host_insertion():
 
 def test_disc_insertion_is_trivial_on_trees():
     for s, p, t in insertion_points(5):
-        lh = T.leaf_height(s, p)
+        lh = SP.leaf_height(s, p)
         d = T.linear_tree(lh)
         if T.is_insertion_point(s, p, d):
             assert T.insert_tree(s, p, d) == s
@@ -799,12 +818,12 @@ def test_disc_insertion_is_trivial_on_trees():
 def test_disc_insertion_label_max_equal():
     for s in all_trees(5):
         g = F.tree_to_ctx(s)
-        for p in T.all_branches(s):
-            lh = T.leaf_height(s, p)
+        for p in SP.all_branches(s):
+            lh = SP.leaf_height(s, p)
             d = T.linear_tree(lh)
             if not T.is_insertion_point(s, p, d):
                 continue
-            pv = F.path_var(s, T.branch_path(s, p))
+            pv = SP.path_var(s, SP.branch_path(s, p))
             a = SP.canonical_type(g, pv)
             lab = SP.id_label(s)
             m = F.label_from_disc(a, pv)
@@ -816,9 +835,9 @@ def test_exterior_sends_branch_to_standard_coherence():
     for s, p, t in insertion_points(6):
         kappa = F.exterior_label(s, p, t)
         iota = SP.interior_label(s, p, t)
-        lh = T.leaf_height(s, p)
+        lh = SP.leaf_height(s, p)
         expect = F.substitute(F.standard_coh(t, lh), F.label_to_sub(iota))
-        assert SP.at(kappa, T.branch_path(s, p)) == expect
+        assert SP.at(kappa, SP.branch_path(s, p)) == expect
 
 
 def test_exterior_is_full():
@@ -854,16 +873,17 @@ def test_kept_exterior_labelling_equals_a_fresh_build(monkeypatch):
     for s, p, t in points:
         kept.append(F.exterior_label(s, p, t))
         assert F.exterior_label(s, p, t) is kept[-1]
-    monkeypatch.setattr(F, "exterior_label", F._exterior_label)
+    fresh = F.exterior_label.__wrapped__
+    monkeypatch.setattr(F, "exterior_label", fresh)
     for (s, p, t), k in zip(points, kept):
-        assert F._exterior_label(s, p, t) == k
+        assert fresh(s, p, t) == k
 
 
 def test_branch_ambiguity():
     for s in all_trees(6):
-        branches = T.all_branches(s)
+        branches = SP.all_branches(s)
         for p, q in itertools.combinations(branches, 2):
-            if T.branch_path(s, p) != T.branch_path(s, q):
+            if SP.branch_path(s, p) != SP.branch_path(s, q):
                 continue
             for t in all_trees(5):
                 if not (

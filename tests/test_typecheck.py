@@ -215,9 +215,8 @@ def test_disc_boundaries_allowed_under_regular():
     ck = Checker(Signature())
     for n in range(1, 4):
         t = linear_tree(n)
-        index = T.path_index(t)
-        u = ck.support(make_ctx(t), NVar(index[(0,) * n]))  # d_{n-1}^-
-        v = ck.support(make_ctx(t), NVar(index[(0,) * (n - 1) + (1,)]))  # d_{n-1}^+
+        u = ck.support(make_ctx(t), NVar(SP.path_pos(t, (0,) * n)))  # d_{n-1}^-
+        v = ck.support(make_ctx(t), NVar(SP.path_pos(t, (0,) * (n - 1) + (1,))))  # d_{n-1}^+
         assert op_allowed(OperationSet.REGULAR, t, u, v)
 
 
