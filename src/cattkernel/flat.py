@@ -465,14 +465,6 @@ def label_to_sub(lt: LTree, ty: FlatType = STAR) -> FlatSub:
     return FlatSub(ty, lt.entries)
 
 
-def label_from_sub(t: Tree, sigma: FlatSub) -> LTree:
-    """The labelling over t whose realisation is sigma, up to its type
-    part: its entries are sigma's terms."""
-    if len(sigma.terms) != ctx_size(t):
-        raise MalformedSyntax("substitution length does not match the tree")
-    return LTree(t, sigma.terms)
-
-
 def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
     """The labelling from the disc tree classifying a term and its type."""
 
@@ -539,35 +531,28 @@ def standard_term(t: Tree, n: int) -> FlatTerm:
 @lru_cache(maxsize=128)
 def exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
     """The labelling of s over the realisation of the tree r that inserting
-    t at the branch p makes.  Only branch k = p[0] changes: the cells of s
-    before its 0-cell k+1 are r's first cells, those after its block are
-    r's last ones, and its 0-cell k+1 is r's 0-cell k+nt, after the nt
-    branches that take the place of branch k."""
-    k = p[0]
-    r = T.insert_tree(s, p, t)
-    rt = T.path_table(r)
-    vs = variables(r._ctx_size)
-    o = T.path_table(s).offsets[k]
-    if len(p) == 1:
-        nt = len(t.branches)
+    t at the branch p makes, at the positions of its plan: s's cells before
+    its 0-cell k+1 (k = p[0]) are r's first variables, that 0-cell is
+    ``join``, and the cells after branch k are shifted."""
+    plan = T.insertion(s, p, t)
+    vs = variables(plan.tree._ctx_size)
+    k, zk, lo = p[0], plan.zk, plan.lo
+    if plan.inner is None:
         m = s.branches[k].height + 1
-        # t's first 0-cell is r's 0-cell k, and its other cells are r's
-        # from the 0-cell k+1 on
-        inc = FlatSub(STAR, (vs[rt.zeros[k]],) + vs[o - 1 : o + t._ctx_size - 2])
+        # t's first 0-cell is at zk, and its other cells from lo - 1 on
+        inc = FlatSub(STAR, (vs[zk],) + vs[lo - 1 : lo + t._ctx_size - 2])
         disc = label_from_disc(
             substitute(standard_type(t, m), inc),
             substitute(standard_coh(t, m), inc),
         )
         mid = disc.entries[2:]
     else:
-        nt = 1
         # the inner exterior labelling, suspended and included as branch k
-        size = r.branches[k]._ctx_size
-        inc = FlatSub(STAR, (vs[rt.zeros[k]],) + vs[o - 1 : o + size])
+        size = plan.inner.tree._ctx_size
+        inc = FlatSub(STAR, (vs[zk],) + vs[lo - 1 : lo + size])
         inner = exterior_label(s.branches[k], p[1:], t.branches[0])
         mid = tuple(substitute(suspend_tm(e, size), inc) for e in inner.entries)
-    after = s._ctx_size - o - s.branches[k]._ctx_size
-    return LTree(s, vs[: o - 1] + (vs[rt.zeros[k + nt]],) + mid + vs[r._ctx_size - after :])
+    return LTree(s, vs[: lo - 1] + (vs[plan.join],) + mid + vs[plan.hi + plan.shift :])
 
 
 # ---------------------------------------------------------------------------

@@ -316,47 +316,30 @@ def _find_redex(cfg: EvalConfig, s: Tree, lt: LTree):
 
 def exterior(cfg: EvalConfig, s: Tree, p: T.Branch, t: Tree) -> LTree:
     """The exterior labelling of inserting t into s along the branch p, as
-    values over the tree r the insertion makes."""
-    k = p[0]
-    r = T.insert_tree(s, p, t)
-    rt = T.path_table(r)
-    if len(p) == 1:
-        nt = len(t.branches)
-        # the inserted branch: the standard coherence of t, included as
-        # components k .. k+nt-1: t's first 0-cell is r's 0-cell k, and
-        # its other cells take the place of s's 0-cell k+1 and branch k
+    values over the tree r the insertion makes, at the positions of its
+    plan: s's cells before its 0-cell k+1 (k = p[0]) are r's first ones,
+    that 0-cell is ``join``, and the cells after branch k are shifted."""
+    plan = T.insertion(s, p, t)
+    k, zk, lo = p[0], plan.zk, plan.lo
+    if plan.inner is None:
+        # the inserted branch: the standard coherence of t, included with
+        # t's first 0-cell at zk and its other cells from lo - 1 on
         b = standard_nf_type(cfg, t, s.branches[k].height + 1)
-        st = T.path_table(s)
-        z, o = st.zeros[k], st.offsets[k]
-        cells = (z, *range(o - 1, o + t._ctx_size - 2))
+        cells = (zk, *range(lo - 1, lo + t._ctx_size - 2))
         inc = Env(LTree(t, tuple(map(NVar, cells))))
         coh = _eval_head(cfg, t, b, inc)
         mid = disc_label(eval_nf_ty(cfg, b, inc), coh).entries[2:]
     else:
-        nt = 1
-        # the inner exterior labelling, suspended into component k
-        rk, o = r.branches[k], rt.offsets[k]
+        # the inner exterior labelling, suspended into r's branch k
+        rk = plan.inner.tree
         up = Env(
-            LTree(rk, tuple(map(NVar, range(o, o + rk._ctx_size)))),
-            ((NVar(rt.zeros[k]), NVar(o - 1)),),
+            LTree(rk, tuple(map(NVar, range(lo, lo + rk._ctx_size)))),
+            ((NVar(zk), NVar(plan.join)),),
         )
         inner = exterior(cfg, s.branches[k], p[1:], t.branches[0])
         mid = tuple(eval_nf(cfg, e, up) for e in inner.entries)
-
-    def shifted(j: int):
-        return j if j <= k else j + nt - 1
-
-    # each 0-cell before the block of the branch it ends: the identity on
-    # the other branches, moved past the inserted ones
-    entries = [NVar(0)]
-    for j, sub in enumerate(s.branches):
-        entries.append(NVar(rt.zeros[shifted(j + 1)]))
-        if j == k:
-            entries.extend(mid)
-        else:
-            o = rt.offsets[shifted(j)]
-            entries.extend(map(NVar, range(o, o + sub._ctx_size)))
-    return LTree(s, tuple(entries))
+    after = range(plan.hi + plan.shift, plan.tree._ctx_size)
+    return LTree(s, (*map(NVar, range(lo - 1)), NVar(plan.join), *mid, *map(NVar, after)))
 
 
 def _eval_head(
@@ -384,8 +367,11 @@ def _eval_head(
             p, t, m = redex
             if b is not None:
                 b = eval_nf_ty(cfg, b, Env(exterior(cfg, s, p, t)))
-            lt = T.insert_ltree(lt, p, m)
-            s = lt.shape
+            # built afresh: a kept plan would live on into the collector's
+            # oldest generation (at SUA n=1024, one more full collection)
+            plan = T.insertion.__wrapped__(s, p, t)
+            s = plan.tree
+            lt = LTree(s, T.splice(lt.entries, plan, m.entries))
     std = None
     if b is None:
         b = standard_nf_type(cfg, s, comp_dim)

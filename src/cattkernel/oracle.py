@@ -43,7 +43,7 @@ from . import flat as F
 from . import pasting as P
 from . import trees as T
 from .flat import Arrow, Coh, FlatSub, FlatTerm, FlatType, Star, Var
-from .trees import LTree, Record, Tree, linear_tree
+from .trees import MalformedSyntax, Record, Tree, linear_tree
 
 
 class RuleSet(Enum):
@@ -129,15 +129,12 @@ def _prune_steps(t: Coh) -> Iterator[Step]:
         return
     terms = t.sub.terms
     tb = T.path_table(s)
-    lab = None
     for i in tb.maximal:
         arg = terms[i]
         if not F.is_identity(arg):
             continue
-        if lab is None:
-            lab = F.label_from_sub(s, t.sub)
         mp = tb.paths[i]
-        reduct = _inserted(t, s, lab, mp[:-1], linear_tree(len(mp) - 2), arg.sub)
+        reduct = _inserted(t, s, mp[:-1], linear_tree(len(mp) - 2), arg.sub)
         yield Step(reduct, "prune", ("head", mp))
 
 
@@ -178,7 +175,6 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
         return
     terms = t.sub.terms
     tb = T.path_table(s)
-    lab = None
     for i in tb.maximal:
         found = _insertable(terms[i])
         if found is None:
@@ -187,21 +183,21 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
         for p in _branches_to(s, tb.paths[i]):
             if not T.is_insertion_point(s, p, tree):
                 continue
-            if lab is None:
-                lab = F.label_from_sub(s, t.sub)
-            yield Step(_inserted(t, s, lab, p, tree, m_sub), "insert", ("head",) + p)
+            yield Step(_inserted(t, s, p, tree, m_sub), "insert", ("head",) + p)
 
 
-def _inserted(t: Coh, s: Tree, lab: LTree, p: T.Branch, tree: Tree, m_sub: FlatSub) -> Coh:
-    """The head t over the tree s, labelled by lab, with the tree labelled
-    by m_sub inserted at the branch p: the merged labelling over the merged
-    tree's realisation, and t's type along the exterior labelling."""
-    kappa = F.label_to_sub(F.exterior_label(s, p, tree))
-    merged = T.insert_ltree(lab, p, F.label_from_sub(tree, m_sub))
+def _inserted(t: Coh, s: Tree, p: T.Branch, tree: Tree, m_sub: FlatSub) -> Coh:
+    """The head t over the tree s with the tree labelled by m_sub inserted
+    at the branch p: t's terms and m_sub's, spliced by the insertion's plan,
+    over the merged tree's realisation, and t's type along the exterior
+    labelling.  Each substitution must have one term per cell of its tree."""
+    if len(t.sub.terms) != s._ctx_size or len(m_sub.terms) != tree._ctx_size:
+        raise MalformedSyntax("substitution length does not match the tree")
+    plan = T.insertion(s, p, tree)
     return Coh(
-        F.tree_to_ctx(merged.shape),
-        F.substitute(t.ty, kappa),
-        F.label_to_sub(merged, t.sub.ty),
+        F.tree_to_ctx(plan.tree),
+        F.substitute(t.ty, F.label_to_sub(F.exterior_label(s, p, tree))),
+        FlatSub(t.sub.ty, T.splice(t.sub.terms, plan, m_sub.terms)),
     )
 
 

@@ -10,12 +10,17 @@ is one entry per path, kept as one tuple in that order.  Realising trees
 and labellings as flat contexts and substitutions belongs to the
 validation route, in ``flat``.
 
+An insertion's ``Insertion`` plan is the one place where the positions of
+its cells are derived: the merged labelling (``splice``) and both routes'
+exterior labellings read them from it.
+
 ``Record``, the immutable base of every node class of the package, is
 defined here because this module imports no other.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Callable
 from weakref import WeakValueDictionary
@@ -358,37 +363,62 @@ def is_insertion_point(s: Tree, p: Branch, t: Tree) -> bool:
     return sub.is_linear and len(p) + sub._height >= t._height
 
 
-def insert_tree(s: Tree, p: Branch, t: Tree) -> Tree:
+class Insertion(Record):
+    """The plan of inserting t into s at the branch p, k = p[0]: the merged
+    tree r, and where the cells of s and t land in r.  s's cells before its
+    0-cell k+1 keep their positions, that 0-cell is ``join``, t's last
+    0-cell (``zk`` if t is the leaf), branch k is s's block ``lo:hi``, and
+    the cells after it move by ``shift``.  t's 0-cell 0 is s's 0-cell k, at
+    ``zk``; its other cells are r's from lo - 1 on, or, past a branch of
+    length 1, ``join`` and the cells that ``inner`` places from lo on."""
+
+    __slots__ = ("tree", "zk", "lo", "hi", "join", "shift", "inner")
+
+    def __init__(self, tree, zk, lo, hi, join, shift, inner):
+        s_tree, s_zk, s_lo, s_hi, s_join, s_shift, s_inner = self._setters
+        s_tree(self, tree)
+        s_zk(self, zk)
+        s_lo(self, lo)
+        s_hi(self, hi)
+        s_join(self, join)
+        s_shift(self, shift)
+        s_inner(self, inner)
+
+
+# Bounded like flat.exterior_label, since a plan depends on three interned
+# trees alone; the oracle asks for each twice per step.
+@lru_cache(maxsize=128)
+def insertion(s: Tree, p: Branch, t: Tree) -> Insertion:
+    """The plan of inserting t into s at the branch p."""
     if not is_insertion_point(s, p, t):
         raise MalformedSyntax("not an insertion point")
     k = p[0]
-    if len(p) == 1:
-        return Tree(s.branches[:k] + t.branches + s.branches[k + 1 :])
-    inner = insert_tree(s.branches[k], p[1:], t.branches[0])
-    return Tree(s.branches[:k] + (inner,) + s.branches[k + 1 :])
-
-
-def insert_ltree(lt: LTree, p: Branch, m: LTree) -> LTree:
-    """Splice the labelling of the inserted tree into the host labelling;
-    the image of the branch itself is never read.  The result's shape is
-    the insertion of the two shapes."""
-    shape = insert_tree(lt.shape, p, m.shape)
-    return LTree(shape, _splice(lt.entries, lt.shape, p, m.entries, m.shape))
-
-
-def _splice(es: tuple, s: Tree, q: Branch, ms: tuple, t: Tree) -> tuple:
-    """The entries of the insertion of t into s along q: es is the block of
-    s and ms that of t.  ms[0] takes the place of the 0-cell k of s, and
-    the rest of ms that of the 0-cell k+1 and branch k, or ms[1] that of
-    k+1 and the insertion into branch k."""
-    k = q[0]
     tb = path_table(s)
-    o = tb.offsets[k]
-    end = o + s.branches[k]._ctx_size
+    lo = tb.offsets[k]
+    hi = lo + s.branches[k]._ctx_size
     zk = tb.zeros[k]
-    if len(q) == 1:
+    if len(p) == 1:
+        inner = None
+        mid = t.branches
+        # t's last 0-cell comes just before its last branch's block
+        join = lo - 3 + t._ctx_size - mid[-1]._ctx_size if mid else zk
+    else:
+        inner = insertion(s.branches[k], p[1:], t.branches[0])
+        mid = (inner.tree,)
+        join = lo - 1
+    r = Tree(s.branches[:k] + mid + s.branches[k + 1 :])
+    return Insertion(r, zk, lo, hi, join, r._ctx_size - s._ctx_size, inner)
+
+
+def splice(es: tuple, plan: Insertion, ms: tuple) -> tuple:
+    """The entries over the plan's merged tree, from es over the host and
+    ms over the inserted tree: ms[0] takes the place of the host's 0-cell
+    k, and the rest of ms that of its 0-cell k+1 and branch k, or, past a
+    branch of length 1, ms[1] that of the 0-cell and the rest of ms, along
+    the inner plan, that of the branch."""
+    zk, lo, hi, inner = plan.zk, plan.lo, plan.hi, plan.inner
+    if inner is None:
         rest = ms[1:]
     else:
-        inner = _splice(es[o:end], s.branches[k], q[1:], ms[2:], t.branches[0])
-        rest = ms[1:2] + inner
-    return es[:zk] + ms[:1] + es[zk + 1 : o - 1] + rest + es[end:]
+        rest = ms[1:2] + splice(es[lo:hi], inner, ms[2:])
+    return es[:zk] + ms[:1] + es[zk + 1 : lo - 1] + rest + es[hi:]

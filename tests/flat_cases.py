@@ -20,6 +20,13 @@ CHAIN3 = Tree((LEAF, LEAF, LEAF))
 VERT = Tree((CHAIN2,))
 
 
+def merge(lt: LTree, p: T.Branch, m: LTree) -> LTree:
+    """The labelling m inserted into lt at the branch p: the two entry
+    tuples spliced along the insertion's plan."""
+    plan = T.insertion(lt.shape, p, m.shape)
+    return LTree(plan.tree, T.splice(lt.entries, plan, m.entries))
+
+
 def make_ctx(t: Tree) -> TreeCtx:
     return TreeCtx(LTree.from_fn(t, path_name))
 

@@ -679,19 +679,30 @@ def tree_boundary_set(t: Tree, n: int, eps: str) -> VarSet:
     return VarSet.of(T.ctx_size(t), (path_pos(t, p) for p in paths))
 
 
-def include_component(r: Tree, k: int, size: int, e: FlatTerm) -> FlatTerm:
-    """Suspend a term over the realisation of branch k of r, whose length
-    is size, and include it into the realisation of r: the two new 0-cells
-    go to the 0-cells k and k + 1, and the branch's paths q to k + q."""
+def host_path(s: Tree, p: Path, t: Tree, q: Path) -> Path:
+    """The path of the tree that inserting t at the branch p of s makes,
+    for a path q of s outside branch k = p[0]: a 0-cell or branch up to k
+    keeps its index, and one after k moves past the branches that take
+    the place of branch k, t's at a branch of length 1 and the one inner
+    insertion deeper.  So the 0-cell k + 1 becomes t's last 0-cell."""
+    k = p[0]
+    assert len(q) == 1 or q[0] != k
+    nt = len(t.branches) if len(p) == 1 else 1
+    return q if q[0] <= k else (q[0] + nt - 1,) + q[1:]
+
+
+def component_inclusion(r: Tree, k: int) -> FlatSub:
+    """The inclusion of the suspended realisation of branch k of r into the
+    realisation of r: the two new 0-cells go to the 0-cells k and k + 1,
+    and the branch's paths q to k + q."""
     paths = [(k,), (k + 1,)] + [(k,) + q for q in all_paths(r.branches[k])]
-    inc = FlatSub(STAR, tuple(path_var(r, q) for q in paths))
-    return F.substitute(F.suspend_tm(e, size), inc)
+    return FlatSub(STAR, tuple(path_var(r, q) for q in paths))
 
 
 def interior_label(s: Tree, p: Path, t: Tree) -> LTree:
     """The labelling of t over the realisation of the tree that inserting t
     at the branch p of s makes."""
-    r = T.insert_tree(s, p, t)
+    r = T.insertion(s, p, t).tree
     k = p[0]
     if len(p) == 1:
 
@@ -700,8 +711,9 @@ def interior_label(s: Tree, p: Path, t: Tree) -> LTree:
 
         return LTree.from_fn(t, lambda q: path_var(r, inc(q)))
     inner = interior_label(s.branches[k], p[1:], t.branches[0])
-    size = T.ctx_size(T.insert_tree(s.branches[k], p[1:], t.branches[0]))
-    branch = inner.map(lambda e: include_component(r, k, size, e))
+    size = T.ctx_size(T.insertion(s.branches[k], p[1:], t.branches[0]).tree)
+    incl = component_inclusion(r, k)
+    branch = inner.map(lambda e: F.substitute(F.suspend_tm(e, size), incl))
     ends = (path_var(r, (k,)), path_var(r, (k + 1,)))
     return LTree(T.suspend_tree(branch.shape), ends + branch.entries)
 

@@ -14,7 +14,7 @@ import pytest
 
 import gen_typed
 import specs as SP
-from flat_cases import CHAIN3, assoc_pair, check_prunes_commute, make_ctx, pruning_chain
+from flat_cases import CHAIN3, assoc_pair, check_prunes_commute, make_ctx, merge, pruning_chain
 
 from cattkernel import cli as X
 from cattkernel import core as C
@@ -26,7 +26,7 @@ from cattkernel import trees as T
 from cattkernel.flat import STAR, Arrow, FlatCtx, FlatSub, Var
 from cattkernel.nbe import SU, SUA, WEAK, NId
 from cattkernel.oracle import RuleSet
-from cattkernel.trees import LEAF, Tree
+from cattkernel.trees import LEAF, LTree, Tree
 from cattkernel.typecheck import Checker, Signature
 
 MONOIDAL = Path(__file__).resolve().parent.parent / "catt" / "monoidal.catt"
@@ -353,7 +353,7 @@ def test_09_structural_laws_hold_exactly():
     # labellings: realisation is a homomorphism and round-trips
     for t in all_trees(5):
         lab = SP.id_label(t)
-        assert F.label_from_sub(t, F.label_to_sub(lab)) == lab
+        assert LTree(t, F.label_to_sub(lab).terms) == lab
         tau = _rand_sub(rng, T.ctx_size(t), T.ctx_size(t))
         assert F.label_to_sub(SP.label_sub(lab, tau), tau.ty) == F.compose(
             F.label_to_sub(lab), tau
@@ -362,7 +362,7 @@ def test_09_structural_laws_hold_exactly():
             for eps in ("-", "+"):
                 incl = F.boundary_inclusion(t, n, eps)
                 b = T.tree_boundary(t, n)
-                assert F.label_from_sub(b, F.label_to_sub(incl)) == incl
+                assert LTree(b, F.label_to_sub(incl).terms) == incl
                 assert F.label_to_sub(SP.label_sub(incl, tau), tau.ty) == F.compose(
                     F.label_to_sub(incl), tau
                 )
@@ -375,8 +375,8 @@ def test_09_structural_laws_hold_exactly():
         lh = SP.leaf_height(s, p)
         expect = F.substitute(F.standard_coh(t, lh), F.label_to_sub(iota))
         assert SP.at(kappa, SP.branch_path(s, p)) == expect
-        r = T.insert_tree(s, p, t)
-        assert T.insert_ltree(kappa, p, iota) == SP.id_label(r)
+        r = T.insertion(s, p, t).tree
+        assert merge(kappa, p, iota) == SP.id_label(r)
 
     # disc unit laws for insertion
     for n in range(1, 4):
@@ -384,17 +384,17 @@ def test_09_structural_laws_hold_exactly():
         for p in SP.all_branches(d):
             for t in all_trees(5):
                 if T.is_insertion_point(d, p, t):
-                    assert T.insert_tree(d, p, t) == t
+                    assert T.insertion(d, p, t).tree == t
                     assert SP.interior_label(d, p, t) == SP.id_label(t)
     for s, p, t in insertion_points(5):
         d = T.linear_tree(SP.leaf_height(s, p))
         if T.is_insertion_point(s, p, d):
-            assert T.insert_tree(s, p, d) == s
+            assert T.insertion(s, p, d).tree == s
 
     # pushout factorisation is unique: the two legs jointly cover the
     # inserted context, so a factoring substitution is forced pointwise
     for s, p, t in insertion_points(5):
-        r = T.insert_tree(s, p, t)
+        r = T.insertion(s, p, t).tree
         n = T.ctx_size(r)
         fv = SP.free_vars(F.label_to_sub(F.exterior_label(s, p, t)), n).union(
             SP.free_vars(F.label_to_sub(SP.interior_label(s, p, t)), n)

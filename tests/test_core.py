@@ -2,8 +2,6 @@
 types, disc and insertion labellings built as values are checked against
 the flat ones here too."""
 
-import pytest
-
 from cattkernel import core as C
 from cattkernel import flat as F
 from cattkernel import nbe as N
@@ -152,7 +150,7 @@ def test_exterior_clabel_matches_flat():
     # the weak theory leaves the standard coherence on the inserted branch
     # as it is, so flattening must give the flat exterior labelling
     for s, p, t in insertion_points(4):
-        r = T.insert_tree(s, p, t)
+        r = T.insertion(s, p, t).tree
         got = N.exterior(N.WEAK, s, p, t)
         flat = got.map(lambda e: N.flatten_nf(e, r))
         assert flat == F.exterior_label(s, p, t)
@@ -165,18 +163,13 @@ def test_exterior_clabel_matches_flat():
 def test_label_round_trip():
     for t in TREES:
         lab = SP.id_label(t)
-        assert F.label_from_sub(t, F.label_to_sub(lab)) == lab
+        assert LTree(t, F.label_to_sub(lab).terms) == lab
 
 
 def test_label_round_trip_after_substitution():
     lab = SP.id_label(EXAMPLE)
     sigma = F.label_to_sub(lab)
-    assert F.label_from_sub(EXAMPLE, sigma) == lab
-
-
-def test_label_from_sub_length_mismatch():
-    with pytest.raises(F.MalformedSyntax):
-        F.label_from_sub(CHAIN2, F.FlatSub(STAR, (Var(0),)))
+    assert LTree(EXAMPLE, sigma.terms) == lab
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,18 @@ def test_pruning_is_insertion_of_an_identity(monkeypatch):
     assert checked > 100
 
 
+def test_pruning_rejects_an_identity_of_the_wrong_dimension():
+    # the peak f of the binary composite over [f, g] is a 1-cell, but its
+    # argument is the identity of a 1-cell, a 2-cell: its substitution does
+    # not fit the disc that pruning the peak inserts
+    v = lambda p: SP.path_var(CHAIN2, p)
+    x, y, f = v((0,)), v((1,)), v((0, 0))
+    ident = F.canonical_identity(Arrow(x, STAR, y), f)
+    t = binary_comp(x, ident, y, v((1, 0)), v((2,)))
+    with pytest.raises(F.MalformedSyntax):
+        O.step(t, SU)
+
+
 # ---------------------------------------------------------------------------
 # congruence steps
 
@@ -203,6 +215,32 @@ def test_both_bracketings_insert_to_the_ternary_composite():
     assert O.normalise(right, SUA)[0] == ternary
     lnf, rnf = O.normalise(left, SU)[0], O.normalise(right, SU)[0]
     assert lnf != rnf
+
+
+# the vertical composite of three 2-cells, bracketed either way: each
+# inner composite is inserted at a branch of length 2, into the one branch
+# of the context's tree
+VERTICAL_BRACKETINGS = (
+    "normalise comp[[comp[[a, b]], c]] in [[a, b, c]]\n"
+    "normalise comp[[a, comp[[b, c]]]] in [[a, b, c]]\n"
+)
+
+
+def test_vertical_bracketings_insert_at_a_branch_of_length_2():
+    cmds = R.parse(VERTICAL_BRACKETINGS)
+    for cmd, branch in zip(cmds, [(0, 0), (0, 1)]):
+        for config, rules in [(N.SUA, SUA), (N.SU, SU)]:
+            ck = Checker(Signature(config=config))
+            ctx = ck.elab_ctx(cmd.ctx)
+            core, _ = ck.check(ctx, cmd.term)
+            flat = C.flatten_tm(core, ctx.tree)
+            nf, trace = O.normalise(flat, rules)
+            assert nf == N.flatten_nf(ck.nf(ctx, core), ctx.tree)
+            if rules is SUA:
+                ((rule, where),) = [(st.rule, st.where) for st in O.first_steps(flat, SUA)]
+                assert (rule, where) == ("insert", ("head",) + branch)
+            else:
+                assert trace == []
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +464,22 @@ def test_disc_test_compares_a_context_once(monkeypatch):
 
 
 def test_insertion_search_builds_no_labelling_without_an_insertable_argument(monkeypatch):
-    calls = 0
-    label_from_sub = F.label_from_sub
+    planned = []
+    insertion = T.insertion
 
-    def counted(t, sigma):
-        nonlocal calls
-        calls += 1
-        return label_from_sub(t, sigma)
+    def counted(s, p, t):
+        planned.append((s, p, t))
+        return insertion(s, p, t)
 
-    monkeypatch.setattr(F, "label_from_sub", counted)
+    monkeypatch.setattr(T, "insertion", counted)
     _, left, _, ternary = assoc_pair()
     assert list(O._insert_steps(ternary)) == []
-    assert calls == 0
-    # the composite argument of (f*g)*h is insertable: the host labelling
-    # and the argument's are built
-    assert len(list(O._insert_steps(left))) == 1
-    assert calls == 2
+    assert planned == []
+    # the composite argument of (f*g)*h is insertable: the one step plans
+    # its own insertion, for the exterior and the merged labellings, and
+    # no other
+    (st,) = O._insert_steps(left)
+    assert planned and set(planned) == {(CHAIN2, st.where[1:], CHAIN2)}
 
 
 def test_normalising_again_builds_no_pasting_construction(monkeypatch):

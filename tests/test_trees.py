@@ -27,7 +27,7 @@ from cattkernel.typecheck import Checker, Signature
 import gen_typed
 import specs as SP
 import strategies as S
-from flat_cases import make_ctx
+from flat_cases import make_ctx, merge
 
 
 def nodes(t: Tree) -> int:
@@ -289,7 +289,7 @@ def test_every_construction_returns_the_one_canonical_tree():
         lt = LTree.from_fn(t, lambda p: p)
         assert lt.shape is t and renested(lt).shape is t
     for s, p, t in insertion_points(6):
-        check(T.insert_tree(s, p, t))
+        check(T.insertion(s, p, t).tree)
 
 
 def test_intern_table_holds_trees_weakly():
@@ -482,12 +482,12 @@ def test_flat_labellings_agree_with_the_nested_reference():
     assert LTree(chain, es) != LTree(disc, es)
 
 
-def test_insert_ltree_agrees_with_the_nested_reference():
+def test_splice_agrees_with_the_nested_reference():
     for s, p, t in insertion_points(6):
         host = SP.NestedLabel.from_fn(s, lambda q: ("s",) + q)
         m = SP.NestedLabel.from_fn(t, lambda q: ("t",) + q)
-        got = T.insert_ltree(host.to_ltree(), p, m.to_ltree())
-        assert got.shape is T.insert_tree(s, p, t)
+        got = merge(host.to_ltree(), p, m.to_ltree())
+        assert got.shape is T.insertion(s, p, t).tree
         assert SP.NestedLabel.of(got) == host.insert(p, m)
 
 
@@ -565,7 +565,7 @@ def test_label_to_sub_matches_recursive_definition():
             ty = rng.choice((STAR, Arrow(x, STAR, y)))
             sub = F.label_to_sub(lt, ty)
             assert sub == SP.label_to_sub(lt, ty)
-            assert F.label_from_sub(t, sub) == lt
+            assert LTree(t, sub.terms) == lt
 
 
 @given(S.trees())
@@ -582,7 +582,6 @@ def test_realising_a_labelling_copies_nothing(t, ty):
     lt = LTree.from_fn(t, lambda p: Var(len(p)))
     sub = F.label_to_sub(lt, ty)
     assert sub.terms is lt.entries and sub.ty is ty
-    assert F.label_from_sub(t, sub).entries is sub.terms
 
 
 def test_id_label_realises_to_identity():
@@ -753,10 +752,43 @@ def test_standard_coh_precondition():
 # insertion
 
 
-def test_insert_tree_example():
+def test_insertion_example():
     # f * (g * h)  ->  f * g * h
-    out = T.insert_tree(CHAIN2_TREE, (1,), CHAIN2_TREE)
+    out = T.insertion(CHAIN2_TREE, (1,), CHAIN2_TREE).tree
     assert out == Tree((LEAF, LEAF, LEAF))
+
+
+def plan_cells(plan: T.Insertion, t: Tree) -> list[int]:
+    """The positions in the merged tree of t's cells, read off the plan."""
+    if plan.inner is None:
+        return [plan.zk, *range(plan.lo - 1, plan.lo + T.ctx_size(t) - 2)]
+    inner = plan_cells(plan.inner, t.branches[0])
+    return [plan.zk, plan.join] + [plan.lo + i for i in inner]
+
+
+def test_insertion_plan_agrees_with_the_path_references():
+    # every insertion with at most 6 edges in each tree: the plan's tree is
+    # the nested reference's, t's cells land on the interior labelling's
+    # variables, and each cell of s outside branch k on its moved path
+    for s, p, t in insertion_points(7):
+        plan = T.insertion(s, p, t)
+        r = plan.tree
+        nested = SP.NestedLabel.from_fn(s, lambda q: q)
+        assert r is nested.insert(p, SP.NestedLabel.from_fn(t, lambda q: q)).shape()
+        n = T.ctx_size(r)
+        iota = SP.interior_label(s, p, t)
+        assert plan_cells(plan, t) == [n - 1 - v.idx for v in iota.entries]
+        k = p[0]
+        assert plan.zk == SP.path_pos(s, (k,))
+        assert plan.lo == SP.path_pos(s, (k + 1,)) + 1
+        assert plan.hi == plan.lo + T.ctx_size(s.branches[k])
+        assert plan.shift == n - T.ctx_size(s)
+        for i, q in enumerate(SP.all_paths(s)):
+            if plan.lo <= i < plan.hi:
+                assert len(q) > 1 and q[0] == k
+                continue
+            at = i if i < plan.lo - 1 else plan.join if i == plan.lo - 1 else i + plan.shift
+            assert at == SP.path_pos(r, SP.host_path(s, p, t, q))
 
 
 def test_insertion_point_conditions():
@@ -764,7 +796,7 @@ def test_insertion_point_conditions():
     s = Tree((Tree((LEAF,)),))
     assert not T.is_insertion_point(s, (0, 0), CHAIN2_TREE)
     with pytest.raises(F.MalformedSyntax):
-        T.insert_tree(s, (0, 0), CHAIN2_TREE)
+        T.insertion(s, (0, 0), CHAIN2_TREE)
 
 
 def test_insertion_point_agrees_with_its_definition():
@@ -803,7 +835,7 @@ def test_disc_host_insertion():
             for t in all_trees(5):
                 if not T.is_insertion_point(d, p, t):
                     continue
-                assert T.insert_tree(d, p, t) == t
+                assert T.insertion(d, p, t).tree == t
                 assert SP.interior_label(d, p, t) == SP.id_label(t)
 
 
@@ -812,7 +844,7 @@ def test_disc_insertion_is_trivial_on_trees():
         lh = SP.leaf_height(s, p)
         d = T.linear_tree(lh)
         if T.is_insertion_point(s, p, d):
-            assert T.insert_tree(s, p, d) == s
+            assert T.insertion(s, p, d).tree == s
 
 
 def test_disc_insertion_label_max_equal():
@@ -827,7 +859,7 @@ def test_disc_insertion_label_max_equal():
             a = SP.canonical_type(g, pv)
             lab = SP.id_label(s)
             m = F.label_from_disc(a, pv)
-            out = T.insert_ltree(lab, p, m)
+            out = merge(lab, p, m)
             assert SP.label_eq_max(out, lab)
 
 
@@ -842,7 +874,7 @@ def test_exterior_sends_branch_to_standard_coherence():
 
 def test_exterior_is_full():
     for s, p, t in insertion_points(5):
-        r = T.insert_tree(s, p, t)
+        r = T.insertion(s, p, t).tree
         n = T.ctx_size(r)
         kappa = F.label_to_sub(F.exterior_label(s, p, t))
         assert SP.free_vars(kappa, n) == SP.VarSet.full(n)
@@ -850,8 +882,8 @@ def test_exterior_is_full():
 
 def test_exterior_insert_interior_is_identity():
     for s, p, t in insertion_points(5):
-        r = T.insert_tree(s, p, t)
-        out = T.insert_ltree(F.exterior_label(s, p, t), p, SP.interior_label(s, p, t))
+        r = T.insertion(s, p, t).tree
+        out = merge(F.exterior_label(s, p, t), p, SP.interior_label(s, p, t))
         assert out == SP.id_label(r)
 
 
@@ -860,7 +892,7 @@ def test_interior_after_inserted_labelling():
     for s, p, t in insertion_points(5):
         kappa = F.exterior_label(s, p, t)
         iota = SP.interior_label(s, p, t)
-        glued = T.insert_ltree(kappa, p, iota)
+        glued = merge(kappa, p, iota)
         composed = SP.label_sub(iota, F.label_to_sub(glued))
         assert composed == iota
 
@@ -890,7 +922,7 @@ def test_branch_ambiguity():
                     T.is_insertion_point(s, p, t) and T.is_insertion_point(s, q, t)
                 ):
                     continue
-                assert T.insert_tree(s, p, t) == T.insert_tree(s, q, t)
+                assert T.insertion(s, p, t).tree == T.insertion(s, q, t).tree
                 assert SP.label_eq_max(
                     F.exterior_label(s, p, t), F.exterior_label(s, q, t)
                 )
@@ -901,7 +933,7 @@ def test_pushout_factorisation_unique_at_desk_scale():
     # variable of the inserted context appears in the image of the exterior
     # or interior labelling, so a factoring substitution is forced pointwise
     for s, p, t in insertion_points(5):
-        r = T.insert_tree(s, p, t)
+        r = T.insertion(s, p, t).tree
         n = T.ctx_size(r)
         fv = SP.free_vars(F.label_to_sub(F.exterior_label(s, p, t)), n).union(
             SP.free_vars(F.label_to_sub(SP.interior_label(s, p, t)), n)
