@@ -465,16 +465,6 @@ def label_to_sub(lt: LTree, ty: FlatType = STAR) -> FlatSub:
     return FlatSub(ty, lt.entries)
 
 
-def label_from_disc(a: FlatType, t: FlatTerm) -> LTree:
-    """The labelling from the disc tree classifying a term and its type."""
-
-    entries = (t,)
-    while a.__class__ is Arrow:
-        entries = (a.src, a.tgt) + entries
-        a = a.base
-    return LTree(T.linear_tree(len(entries) // 2), entries)
-
-
 def boundary_inclusion(t: Tree, n: int, eps: str) -> LTree:
     """The inclusion of the n-boundary of t, with variable entries over the
     realised context."""
@@ -526,32 +516,31 @@ def standard_term(t: Tree, n: int) -> FlatTerm:
 # the exterior labelling of an insertion
 
 
-# Bounded like standard_type: it depends on three interned trees alone, so
-# the oracle's insertions and the recursion below build each once.
-@lru_cache(maxsize=128)
-def exterior_label(s: Tree, p: T.Branch, t: Tree) -> LTree:
-    """The labelling of s over the realisation of the tree r that inserting
-    t at the branch p makes, at the positions of its plan: s's cells before
-    its 0-cell k+1 (k = p[0]) are r's first variables, that 0-cell is
-    ``join``, and the cells after branch k are shifted."""
-    plan = T.insertion(s, p, t)
+def exterior_label(plan: T.Insertion) -> LTree:
+    """The labelling of s over the realisation of the tree r that the
+    plan's insertion of t into s at the branch p makes, at the positions of
+    the plan: s's cells before its 0-cell k+1 (k = p[0]) are r's first
+    variables, that 0-cell is ``join``, and the cells after branch k are
+    shifted."""
+    s, t = plan.host, plan.inserted
     vs = variables(plan.tree._ctx_size)
-    k, zk, lo = p[0], plan.zk, plan.lo
-    if plan.inner is None:
-        m = s.branches[k].height + 1
+    zk, lo, inner = plan.zk, plan.lo, plan.inner
+    if inner is None:
+        m = s.branches[plan.branch[0]].height + 1
         # t's first 0-cell is at zk, and its other cells from lo - 1 on
         inc = FlatSub(STAR, (vs[zk],) + vs[lo - 1 : lo + t._ctx_size - 2])
-        disc = label_from_disc(
+        disc = sub_from_disc(
             substitute(standard_type(t, m), inc),
             substitute(standard_coh(t, m), inc),
         )
-        mid = disc.entries[2:]
+        mid = disc.terms[2:]
     else:
         # the inner exterior labelling, suspended and included as branch k
-        size = plan.inner.tree._ctx_size
+        size = inner.tree._ctx_size
         inc = FlatSub(STAR, (vs[zk],) + vs[lo - 1 : lo + size])
-        inner = exterior_label(s.branches[k], p[1:], t.branches[0])
-        mid = tuple(substitute(suspend_tm(e, size), inc) for e in inner.entries)
+        mid = tuple(
+            substitute(suspend_tm(e, size), inc) for e in exterior_label(inner).entries
+        )
     return LTree(s, vs[: lo - 1] + (vs[plan.join],) + mid + vs[plan.hi + plan.shift :])
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Union
 from . import core as C
 from . import trees as T
 from .core import CoreTerm, CoreType
-from .trees import LTree, Path, Record, Tree
+from .trees import LTree, Record, Tree
 
 
 # Every configuration made so far, by its values: at most twelve.
@@ -271,20 +271,6 @@ def disc_label(b: NfType, x: NfTerm) -> LTree:
 # coherence evaluation
 
 
-def _branch_for(s: Tree, mp: Path, t: Tree) -> Optional[tuple]:
-    """The shortest branch under the maximal path mp that accepts an
-    insertion of t.  Only the first linear subtree on the way down can:
-    the deeper ones reach the same leaf from a higher branch point."""
-    sub = s
-    for cut in range(1, len(mp)):
-        sub = sub.branches[mp[cut - 1]]
-        if sub.is_linear:
-            if cut - 1 <= t.trunk_height and cut + sub.height >= t.height:
-                return mp[:cut]
-            return None
-    return None
-
-
 def _find_redex(cfg: EvalConfig, s: Tree, lt: LTree):
     """A branch of s whose locally maximal argument allows insertion."""
     id_candidates = []
@@ -297,14 +283,15 @@ def _find_redex(cfg: EvalConfig, s: Tree, lt: LTree):
         head = arg.head
         if head.__class__ is NId:
             t = T.linear_tree(head.n)
-            p = _branch_for(s, mp, t)
-            if p is not None:
-                id_candidates.append((len(p) - 1, p, t, arg.label))
+            candidates = id_candidates
         elif head.__class__ is NComp and cfg.insertion == "full":
             t = head.tree
-            p = _branch_for(s, mp, t)
-            if p is not None:
-                full_candidates.append((len(p) - 1, p, t, arg.label))
+            candidates = full_candidates
+        else:
+            continue
+        p = T.first_branch(s, mp)
+        if p is not None and T.is_insertion_point(s, p, t):
+            candidates.append((len(p) - 1, p, t, arg.label))
     if id_candidates:
         _, p, t, m = min(id_candidates, key=lambda c: c[0])
         return p, t, m
@@ -314,30 +301,30 @@ def _find_redex(cfg: EvalConfig, s: Tree, lt: LTree):
     return None
 
 
-def exterior(cfg: EvalConfig, s: Tree, p: T.Branch, t: Tree) -> LTree:
-    """The exterior labelling of inserting t into s along the branch p, as
-    values over the tree r the insertion makes, at the positions of its
-    plan: s's cells before its 0-cell k+1 (k = p[0]) are r's first ones,
-    that 0-cell is ``join``, and the cells after branch k are shifted."""
-    plan = T.insertion(s, p, t)
-    k, zk, lo = p[0], plan.zk, plan.lo
-    if plan.inner is None:
+def exterior(cfg: EvalConfig, plan: T.Insertion) -> LTree:
+    """The exterior labelling of the plan's insertion of t into s along the
+    branch p, as values over the tree r the insertion makes, at the
+    positions of the plan: s's cells before its 0-cell k+1 (k = p[0]) are
+    r's first ones, that 0-cell is ``join``, and the cells after branch k
+    are shifted."""
+    s, t = plan.host, plan.inserted
+    zk, lo, inner = plan.zk, plan.lo, plan.inner
+    if inner is None:
         # the inserted branch: the standard coherence of t, included with
         # t's first 0-cell at zk and its other cells from lo - 1 on
-        b = standard_nf_type(cfg, t, s.branches[k].height + 1)
+        b = standard_nf_type(cfg, t, s.branches[plan.branch[0]].height + 1)
         cells = (zk, *range(lo - 1, lo + t._ctx_size - 2))
         inc = Env(LTree(t, tuple(map(NVar, cells))))
         coh = _eval_head(cfg, t, b, inc)
         mid = disc_label(eval_nf_ty(cfg, b, inc), coh).entries[2:]
     else:
         # the inner exterior labelling, suspended into r's branch k
-        rk = plan.inner.tree
+        rk = inner.tree
         up = Env(
             LTree(rk, tuple(map(NVar, range(lo, lo + rk._ctx_size)))),
             ((NVar(zk), NVar(plan.join)),),
         )
-        inner = exterior(cfg, s.branches[k], p[1:], t.branches[0])
-        mid = tuple(eval_nf(cfg, e, up) for e in inner.entries)
+        mid = tuple(eval_nf(cfg, e, up) for e in exterior(cfg, inner).entries)
     after = range(plan.hi + plan.shift, plan.tree._ctx_size)
     return LTree(s, (*map(NVar, range(lo - 1)), NVar(plan.join), *mid, *map(NVar, after)))
 
@@ -365,11 +352,9 @@ def _eval_head(
             if redex is None:
                 break
             p, t, m = redex
+            plan = T.insertion(s, p, t)
             if b is not None:
-                b = eval_nf_ty(cfg, b, Env(exterior(cfg, s, p, t)))
-            # built afresh: a kept plan would live on into the collector's
-            # oldest generation (at SUA n=1024, one more full collection)
-            plan = T.insertion.__wrapped__(s, p, t)
+                b = eval_nf_ty(cfg, b, Env(exterior(cfg, plan)))
             s = plan.tree
             lt = LTree(s, T.splice(lt.entries, plan, m.entries))
     std = None

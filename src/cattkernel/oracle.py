@@ -37,6 +37,7 @@ that fired.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import flat as F
@@ -155,20 +156,6 @@ def _insertable(arg: FlatTerm) -> Optional[tuple[Tree, FlatSub]]:
     return (tree, arg.sub) if arg.ty is ty or arg.ty == ty else None
 
 
-def _branches_to(s: Tree, mp: T.Path) -> Iterator[T.Branch]:
-    """The branches of s whose maximal path is mp, shortest first: the
-    prefixes of mp from the first that leads to a linear subtree to the
-    one that leads to its leaf.  Taken maximal path by maximal path, in
-    table order, the branches of s come in pre-order."""
-    sub = s
-    for cut, k in enumerate(mp[:-1], 1):
-        sub = sub.branches[k]
-        if sub.is_linear:
-            for c in range(cut, len(mp)):
-                yield mp[:c]
-            return
-
-
 def _insert_steps(t: Coh) -> Iterator[Step]:
     s = P.ctx_to_tree(t.ctx)
     if s is None:
@@ -180,10 +167,21 @@ def _insert_steps(t: Coh) -> Iterator[Step]:
         if found is None:
             continue
         tree, m_sub = found
-        for p in _branches_to(s, tb.paths[i]):
+        for p in T.branches_to(s, tb.paths[i]):
             if not T.is_insertion_point(s, p, tree):
                 continue
             yield Step(_inserted(t, s, p, tree, m_sub), "insert", ("head",) + p)
+
+
+# Bounded like the realisations it keeps: all that a step needs about one
+# insertion shape, which depends on three interned trees alone, so a run
+# that meets a shape again builds nothing for it.
+@lru_cache(maxsize=128)
+def _construction(s: Tree, p: T.Branch, tree: Tree) -> tuple:
+    """The plan of inserting tree into s at the branch p, the realisation
+    of its merged tree and its exterior labelling as a substitution."""
+    plan = T.insertion(s, p, tree)
+    return plan, F.tree_to_ctx(plan.tree), F.label_to_sub(F.exterior_label(plan))
 
 
 def _inserted(t: Coh, s: Tree, p: T.Branch, tree: Tree, m_sub: FlatSub) -> Coh:
@@ -193,10 +191,10 @@ def _inserted(t: Coh, s: Tree, p: T.Branch, tree: Tree, m_sub: FlatSub) -> Coh:
     labelling.  Each substitution must have one term per cell of its tree."""
     if len(t.sub.terms) != s._ctx_size or len(m_sub.terms) != tree._ctx_size:
         raise MalformedSyntax("substitution length does not match the tree")
-    plan = T.insertion(s, p, tree)
+    plan, ctx, kappa = _construction(s, p, tree)
     return Coh(
-        F.tree_to_ctx(plan.tree),
-        F.substitute(t.ty, F.label_to_sub(F.exterior_label(s, p, tree))),
+        ctx,
+        F.substitute(t.ty, kappa),
         FlatSub(t.sub.ty, T.splice(t.sub.terms, plan, m_sub.terms)),
     )
 

@@ -20,9 +20,8 @@ defined here because this module imports no other.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import attrgetter
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, Optional
 from weakref import WeakValueDictionary
 
 
@@ -160,10 +159,6 @@ class Tree(Record):
         return self._height
 
     @property
-    def trunk_height(self) -> int:
-        return self._trunk_height
-
-    @property
     def is_linear(self) -> bool:
         return self._height == self._trunk_height
 
@@ -194,9 +189,9 @@ class PathTable:
     order of the realised context, the index at which each branch's block of
     paths starts, just after the 0-cell that ends the branch, the indices
     of the 0-cells of the root block, 0 and then each offset - 1, the
-    indices of the maximal paths, in ``maximal_paths`` order, and each
-    cell's endpoints: None at a 0-cell, at a cell ``q + (j,)`` the indices
-    of ``q`` and of the sibling that follows it.  Both routes address a
+    indices of the maximal paths, in table order, and each cell's
+    endpoints: None at a 0-cell, at a cell ``q + (j,)`` the indices of
+    ``q`` and of the sibling that follows it.  Both routes address a
     cell by its index; no table maps a path back to it."""
 
     __slots__ = ("paths", "offsets", "zeros", "maximal", "ends")
@@ -239,11 +234,6 @@ def path_table(t: Tree) -> PathTable:
         tb = PathTable(tuple(paths), tuple(offsets), tuple(maximal), tuple(ends))
         object.__setattr__(t, "_table", tb)
     return tb
-
-
-def maximal_paths(t: Tree) -> list[Path]:
-    tb = path_table(t)
-    return [tb.paths[i] for i in tb.maximal]
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +353,51 @@ def is_insertion_point(s: Tree, p: Branch, t: Tree) -> bool:
     return sub.is_linear and len(p) + sub._height >= t._height
 
 
+def first_branch(s: Tree, mp: Path) -> Optional[Branch]:
+    """The shortest branch of s whose maximal path is mp: the first prefix
+    of mp that leads to a linear subtree, or None if there is none.  Along
+    the longer ones len(p) + the subtree's height is the same and the trunk
+    bound only tightens, so if t inserts at any of them it inserts here."""
+    sub = s
+    for cut, k in enumerate(mp[:-1], 1):
+        sub = sub.branches[k]
+        if sub.is_linear:
+            return mp[:cut]
+    return None
+
+
+def branches_to(s: Tree, mp: Path) -> Iterator[Branch]:
+    """The branches of s whose maximal path is mp, shortest first: the
+    prefixes of mp from the first branch to the one that leads to the
+    leaf.  Taken maximal path by maximal path, in table order, the
+    branches of s come in pre-order."""
+    p = first_branch(s, mp)
+    if p is not None:
+        for c in range(len(p), len(mp)):
+            yield mp[:c]
+
+
 class Insertion(Record):
-    """The plan of inserting t into s at the branch p, k = p[0]: the merged
-    tree r, and where the cells of s and t land in r.  s's cells before its
-    0-cell k+1 keep their positions, that 0-cell is ``join``, t's last
-    0-cell (``zk`` if t is the leaf), branch k is s's block ``lo:hi``, and
-    the cells after it move by ``shift``.  t's 0-cell 0 is s's 0-cell k, at
-    ``zk``; its other cells are r's from lo - 1 on, or, past a branch of
-    length 1, ``join`` and the cells that ``inner`` places from lo on."""
+    """The plan of inserting t (``inserted``) into s (``host``) at the
+    branch p (``branch``), k = p[0]: the merged tree r, and where the cells
+    of s and t land in r.  s's cells before its 0-cell k+1 keep their
+    positions, that 0-cell is ``join``, t's last 0-cell (``zk`` if t is the
+    leaf), branch k is s's block ``lo:hi``, and the cells after it move by
+    ``shift``.  t's 0-cell 0 is s's 0-cell k, at ``zk``; its other cells
+    are r's from lo - 1 on, or, past a branch of length 1, ``join`` and the
+    cells that ``inner``, the plan of the insertion into branch k, places
+    from lo on."""
 
-    __slots__ = ("tree", "zk", "lo", "hi", "join", "shift", "inner")
+    __slots__ = (
+        "host", "branch", "inserted", "tree", "zk", "lo", "hi", "join", "shift", "inner",
+    )
 
-    def __init__(self, tree, zk, lo, hi, join, shift, inner):
-        s_tree, s_zk, s_lo, s_hi, s_join, s_shift, s_inner = self._setters
+    def __init__(self, host, branch, inserted, tree, zk, lo, hi, join, shift, inner):
+        (s_host, s_branch, s_inserted, s_tree, s_zk,
+         s_lo, s_hi, s_join, s_shift, s_inner) = self._setters
+        s_host(self, host)
+        s_branch(self, branch)
+        s_inserted(self, inserted)
         s_tree(self, tree)
         s_zk(self, zk)
         s_lo(self, lo)
@@ -385,11 +407,9 @@ class Insertion(Record):
         s_inner(self, inner)
 
 
-# Bounded like flat.exterior_label, since a plan depends on three interned
-# trees alone; the oracle asks for each twice per step.
-@lru_cache(maxsize=128)
 def insertion(s: Tree, p: Branch, t: Tree) -> Insertion:
-    """The plan of inserting t into s at the branch p."""
+    """The plan of inserting t into s at the branch p.  Nothing keeps it:
+    each route plans an insertion once and passes the plan on."""
     if not is_insertion_point(s, p, t):
         raise MalformedSyntax("not an insertion point")
     k = p[0]
@@ -407,7 +427,7 @@ def insertion(s: Tree, p: Branch, t: Tree) -> Insertion:
         mid = (inner.tree,)
         join = lo - 1
     r = Tree(s.branches[:k] + mid + s.branches[k + 1 :])
-    return Insertion(r, zk, lo, hi, join, r._ctx_size - s._ctx_size, inner)
+    return Insertion(s, p, t, r, zk, lo, hi, join, r._ctx_size - s._ctx_size, inner)
 
 
 def splice(es: tuple, plan: Insertion, ms: tuple) -> tuple:

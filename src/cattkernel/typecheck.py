@@ -521,10 +521,12 @@ def _tree_ctx(raw: R.RawTree, span: Span) -> TreeCtx:
 def _sub_to_label(args: R.RArgs, shape: Tree) -> R.RArgs:
     """Assign substitution arguments to the locally maximal positions of a
     tree context."""
-    mps = T.maximal_paths(shape)
-    if len(args.data) != len(mps):
+    maximal = T.path_table(shape).maximal
+    if len(args.data) != len(maximal):
         raise CheckError(
-            f"expected {len(mps)} arguments, got {len(args.data)}", args.span
+            f"expected {len(maximal)} arguments, got {len(args.data)}", args.span
         )
-    data = R.RawTree.from_fn(shape, dict(zip(mps, args.data)).get)
-    return R.RArgs(data, args.ty, args.span)
+    entries = [None] * shape._ctx_size
+    for i, a in zip(maximal, args.data):
+        entries[i] = a
+    return R.RArgs(R.RawTree(shape, tuple(entries)), args.ty, args.span)

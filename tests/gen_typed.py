@@ -12,6 +12,7 @@ import random
 from cattkernel import trees as T
 from cattkernel.core import path_name
 from cattkernel.trees import LEAF, Tree
+import specs as SP
 
 
 def random_tree(rng: random.Random, max_vars: int = 9, max_height: int = 3) -> Tree:
@@ -53,7 +54,7 @@ def random_composite(rng: random.Random, t: Tree, depth: int = 3) -> str:
         depth,
     )
     if t.height < 3 and rng.random() < 0.25:
-        args = ", ".join(path_name(p) for p in T.maximal_paths(t))
+        args = ", ".join(path_name(p) for p in SP.maximal_paths(t))
         return f"coh [ {_named(t, ())} : {expr} -> {expr} ] ({args})"
     return expr
 

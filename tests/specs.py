@@ -491,12 +491,17 @@ def all_branches(s: Tree) -> list[Path]:
     return below(s, ())
 
 
+def trunk_height(t: Tree) -> int:
+    """The height of the linear part of t at its root."""
+    return 1 + trunk_height(t.branches[0]) if len(t.branches) == 1 else 0
+
+
 def is_insertion_point(s: Tree, p: Path, t: Tree) -> bool:
     """t inserts into s along the branch p: the branch is no higher than
     t's trunk, and its leaf at least as high as t."""
     return (
         is_branch(s, p)
-        and len(p) - 1 <= t.trunk_height
+        and len(p) - 1 <= trunk_height(t)
         and leaf_height(s, p) >= t.height
     )
 
@@ -661,12 +666,23 @@ def label_sub(lt: LTree, sigma: FlatSub) -> LTree:
     return lt.map(lambda e: F.substitute(e, sigma))
 
 
+def disc_label(a: FlatType, t: FlatTerm) -> LTree:
+    """The labelling of the linear tree of dimension dim(a) that classifies
+    a term t of type a: the endpoints of each arrow of a, outermost last,
+    then t."""
+    entries = (t,)
+    while isinstance(a, Arrow):
+        entries = (a.src, a.tgt) + entries
+        a = a.base
+    return LTree(T.linear_tree(len(entries) // 2), entries)
+
+
 def label_eq_max(a: LTree, b: LTree) -> bool:
     """Equality on maximal paths only."""
     t = a.shape
     if t != b.shape:
         return False
-    return all(at(a, p) == at(b, p) for p in T.maximal_paths(t))
+    return all(at(a, p) == at(b, p) for p in maximal_paths(t))
 
 
 def boundary_label(t: Tree, n: int, eps: str) -> LTree:

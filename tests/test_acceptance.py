@@ -370,13 +370,13 @@ def test_09_structural_laws_hold_exactly():
     # insertion: the exterior labelling sends the branch to the standard
     # coherence over the interior, and gluing the two is the identity
     for s, p, t in insertion_points(6):
-        kappa = F.exterior_label(s, p, t)
+        plan = T.insertion(s, p, t)
+        kappa = F.exterior_label(plan)
         iota = SP.interior_label(s, p, t)
         lh = SP.leaf_height(s, p)
         expect = F.substitute(F.standard_coh(t, lh), F.label_to_sub(iota))
         assert SP.at(kappa, SP.branch_path(s, p)) == expect
-        r = T.insertion(s, p, t).tree
-        assert merge(kappa, p, iota) == SP.id_label(r)
+        assert merge(kappa, p, iota) == SP.id_label(plan.tree)
 
     # disc unit laws for insertion
     for n in range(1, 4):
@@ -394,9 +394,9 @@ def test_09_structural_laws_hold_exactly():
     # pushout factorisation is unique: the two legs jointly cover the
     # inserted context, so a factoring substitution is forced pointwise
     for s, p, t in insertion_points(5):
-        r = T.insertion(s, p, t).tree
-        n = T.ctx_size(r)
-        fv = SP.free_vars(F.label_to_sub(F.exterior_label(s, p, t)), n).union(
+        plan = T.insertion(s, p, t)
+        n = T.ctx_size(plan.tree)
+        fv = SP.free_vars(F.label_to_sub(F.exterior_label(plan)), n).union(
             SP.free_vars(F.label_to_sub(SP.interior_label(s, p, t)), n)
         )
         assert fv == SP.VarSet.full(n)

@@ -134,8 +134,9 @@ def test_label_from_disc_matches_flat():
     ]
     for a, t in cases:
         got = N.disc_label(_lift_ty(a, n), _lift_tm(t, n))
-        want = F.label_from_disc(a, t)
-        assert got.map(lambda e: N.flatten_nf(e, n)) == want
+        assert got.shape is T.linear_tree(F.dim_ty(a))
+        flat = got.map(lambda e: N.flatten_nf(e, n))
+        assert flat.entries == F.sub_from_disc(a, t).terms
 
 
 def insertion_points(max_nodes: int):
@@ -150,10 +151,10 @@ def test_exterior_clabel_matches_flat():
     # the weak theory leaves the standard coherence on the inserted branch
     # as it is, so flattening must give the flat exterior labelling
     for s, p, t in insertion_points(4):
-        r = T.insertion(s, p, t).tree
-        got = N.exterior(N.WEAK, s, p, t)
-        flat = got.map(lambda e: N.flatten_nf(e, r))
-        assert flat == F.exterior_label(s, p, t)
+        plan = T.insertion(s, p, t)
+        got = N.exterior(N.WEAK, plan)
+        flat = got.map(lambda e: N.flatten_nf(e, plan.tree))
+        assert flat == F.exterior_label(plan)
 
 
 # ---------------------------------------------------------------------------

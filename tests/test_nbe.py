@@ -207,14 +207,14 @@ def test_full_insertion_flattens_nested_composites():
 
 
 def test_branch_for_is_the_shortest_insertion_branch():
-    # _branch_for walks down the maximal path once and stops at the first
-    # linear subtree; the definition tries every prefix of the path.  The
-    # trees are all those with at most 5 edges.
+    # _find_redex takes trees.first_branch down the maximal path and checks
+    # it alone; the definition tries every prefix of the path.  The trees
+    # are all those with at most 5 edges.
     trees = all_trees(6)
     assert len(trees) == 1 + 1 + 2 + 5 + 14 + 42
     found = 0
     for s in trees:
-        for mp in T.maximal_paths(s):
+        for mp in SP.maximal_paths(s):
             for t in trees:
                 prefixes = (mp[:cut] for cut in range(1, len(mp) + 1))
                 expected = next(
@@ -225,7 +225,9 @@ def test_branch_for_is_the_shortest_insertion_branch():
                     ),
                     None,
                 )
-                assert N._branch_for(s, mp, t) == expected, (s, mp, t)
+                p = T.first_branch(s, mp)
+                got = p if p is not None and T.is_insertion_point(s, p, t) else None
+                assert got == expected, (s, mp, t)
                 found += expected is not None
     assert found > 1000
 

@@ -122,7 +122,7 @@ def test_pruning_is_insertion_of_an_identity(monkeypatch):
         d = SP.tree_to_dyck(s)
         for st in prune_steps(t):
             mp = st.where[1]
-            assert st.where[0] == "head" and mp in T.maximal_paths(s)
+            assert st.where[0] == "head" and mp in SP.maximal_paths(s)
             i = SP.path_pos(s, mp)
             assert F.is_identity(t.sub.terms[i])
             (p,) = [p for p in SP.peaks(d) if SP.peak_pos(d, p) == i]
@@ -464,6 +464,9 @@ def test_disc_test_compares_a_context_once(monkeypatch):
 
 
 def test_insertion_search_builds_no_labelling_without_an_insertable_argument(monkeypatch):
+    # the construction cache starts empty, so the step plans its insertion
+    # whatever ran before
+    O._construction.cache_clear()
     planned = []
     insertion = T.insertion
 
@@ -476,27 +479,27 @@ def test_insertion_search_builds_no_labelling_without_an_insertable_argument(mon
     assert list(O._insert_steps(ternary)) == []
     assert planned == []
     # the composite argument of (f*g)*h is insertable: the one step plans
-    # its own insertion, for the exterior and the merged labellings, and
-    # no other
+    # its own insertion once, for the exterior and the merged labellings,
+    # and no other
     (st,) = O._insert_steps(left)
-    assert planned and set(planned) == {(CHAIN2, st.where[1:], CHAIN2)}
+    assert planned == [(CHAIN2, st.where[1:], CHAIN2)]
 
 
 def test_normalising_again_builds_no_pasting_construction(monkeypatch):
     # a second normalisation of the same terms finds every realised context
-    # and exterior labelling built by the first, pruning and inserting
-    # alike, and scans no context; the caches start empty, so the first
-    # builds some whatever ran before
-    for cache in (F.tree_to_ctx, F.standard_coh, F.exterior_label):
+    # and insertion construction (plan, realisation and exterior labelling)
+    # built by the first, pruning and inserting alike, and scans no context;
+    # the caches start empty, so the first builds some whatever ran before
+    for cache in (F.tree_to_ctx, F.standard_coh, O._construction):
         cache.cache_clear()
     built = Counter()
 
     def counts() -> Counter:
-        # the realisations and exterior labellings that the caches build,
-        # with the scans
+        # the realisations and insertion constructions that the caches
+        # build, with the scans
         return built + Counter(
             tree_to_ctx=F.tree_to_ctx.cache_info().misses,
-            exterior_label=F.exterior_label.cache_info().misses,
+            construction=O._construction.cache_info().misses,
         )
 
     scan = P._scan
@@ -517,7 +520,7 @@ def test_normalising_again_builds_no_pasting_construction(monkeypatch):
         before = counts()
         assert O.normalise(t, rules) == first
         assert counts() == before, t
-    assert counts()["exterior_label"] > 0
+    assert counts()["construction"] > 0
 
 
 def test_pruning_scans_no_context_that_keeps_its_tree(monkeypatch):
@@ -525,7 +528,7 @@ def test_pruning_scans_no_context_that_keeps_its_tree(monkeypatch):
     # flat.tree_to_ctx built, which keeps its tree: the prune search reads
     # it there and scans nothing.  The caches start empty, so the contexts
     # are new and have been pruned by nothing before.
-    for cache in (F.tree_to_ctx, F.standard_coh, F.standard_type):
+    for cache in (F.tree_to_ctx, F.standard_coh, F.standard_type, O._construction):
         cache.cache_clear()
     scans = 0
     scan = P._scan

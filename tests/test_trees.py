@@ -143,9 +143,6 @@ def test_stored_metadata_matches_recursive_definitions():
     def height(t):
         return max((height(b) + 1 for b in t.branches), default=0)
 
-    def trunk_height(t):
-        return 1 + trunk_height(t.branches[0]) if len(t.branches) == 1 else 0
-
     def ctx_size(t):
         return 1 + sum(ctx_size(b) + 1 for b in t.branches)
 
@@ -160,9 +157,9 @@ def test_stored_metadata_matches_recursive_definitions():
     assert set(Tree.__slots__) - set(Tree._fields) == metadata
     for t in all_trees(6):
         assert t.height == height(t)
-        assert t.trunk_height == trunk_height(t)
+        assert t._trunk_height == SP.trunk_height(t)
         assert T.ctx_size(t) == ctx_size(t)
-        assert t.is_linear == (height(t) == trunk_height(t))
+        assert t.is_linear == (height(t) == SP.trunk_height(t))
         u = rebuild(t)
         assert u is t
         assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
@@ -210,7 +207,7 @@ def test_maximal_paths_are_locally_maximal():
         for i, e in enumerate(g.entries):
             used.update(SP.free_vars(e, i).positions())
         loc_max = {i for i in range(len(g)) if i not in used}
-        assert {SP.path_pos(t, p) for p in T.maximal_paths(t)} == loc_max
+        assert set(T.path_table(t).maximal) == loc_max
 
 
 def test_path_pos_matches_recursive_definition():
@@ -224,7 +221,7 @@ def non_paths(t: Tree):
     yield ()
     yield (len(t.branches) + 1,)
     yield (-1,)
-    for p in T.maximal_paths(t):
+    for p in SP.maximal_paths(t):
         yield p + (0,)  # past a leaf
         yield p[:-1] + (1,)
     for k in range(len(t.branches)):
@@ -360,7 +357,10 @@ def test_a_realised_context_keeps_its_tree(monkeypatch):
         return scan(x)
 
     monkeypatch.setattr(P, "_scan", counted)
-    F.tree_to_ctx.cache_clear()
+    # the oracle's constructions keep realisations too: cleared with the
+    # realisations, so that the two keep one context per tree
+    for cache in (F.tree_to_ctx, oracle._construction):
+        cache.cache_clear()
     for t in all_trees(6):
         assert P.ctx_to_tree(F.tree_to_ctx(t)) is t
     assert scans == 0
@@ -443,7 +443,6 @@ def test_path_table_matches_recursive_definitions():
         assert T.path_table(t) is tb
         assert list(tb.paths) == SP.all_paths(t)
         assert [tb.paths[i] for i in tb.maximal] == SP.maximal_paths(t)
-        assert T.maximal_paths(t) == SP.maximal_paths(t)
         # each cell's endpoints, by index, are those of its definition
         ends = [e and (tb.paths[e[0]], tb.paths[e[1]]) for e in tb.ends]
         assert ends == [SP.cell_ends(p) for p in tb.paths]
@@ -592,7 +591,7 @@ def test_id_label_realises_to_identity():
 @settings(max_examples=60)
 @given(S.types(3, dim=3), S.terms(3))
 def test_label_from_disc_matches_sub_from_disc(a, t):
-    lab = F.label_from_disc(a, t)
+    lab = SP.disc_label(a, t)
     assert lab.shape == T.linear_tree(F.dim_ty(a))
     assert F.label_to_sub(lab) == F.sub_from_disc(a, t)
 
@@ -605,7 +604,7 @@ def test_unary_composite_via_disc_label(a, t):
         return
     comp = F.substitute(
         F.standard_coh(T.linear_tree(n), n),
-        F.label_to_sub(F.label_from_disc(a, t)),
+        F.sub_from_disc(a, t),
     )
     ctx = FlatCtx((STAR, STAR, STAR))
     assert SP.canonical_type(ctx, comp) == a
@@ -822,7 +821,7 @@ def test_oracle_branches_come_in_pre_order_with_their_maximal_position():
     # each, the branches that reach it: together, every branch in pre-order
     for s in all_trees(8):
         tb = T.path_table(s)
-        found = [(p, i) for i in tb.maximal for p in oracle._branches_to(s, tb.paths[i])]
+        found = [(p, i) for i in tb.maximal for p in T.branches_to(s, tb.paths[i])]
         assert found == [
             (p, SP.path_pos(s, SP.branch_path(s, p))) for p in SP.all_branches(s)
         ]
@@ -858,14 +857,14 @@ def test_disc_insertion_label_max_equal():
             pv = SP.path_var(s, SP.branch_path(s, p))
             a = SP.canonical_type(g, pv)
             lab = SP.id_label(s)
-            m = F.label_from_disc(a, pv)
+            m = SP.disc_label(a, pv)
             out = merge(lab, p, m)
             assert SP.label_eq_max(out, lab)
 
 
 def test_exterior_sends_branch_to_standard_coherence():
     for s, p, t in insertion_points(6):
-        kappa = F.exterior_label(s, p, t)
+        kappa = F.exterior_label(T.insertion(s, p, t))
         iota = SP.interior_label(s, p, t)
         lh = SP.leaf_height(s, p)
         expect = F.substitute(F.standard_coh(t, lh), F.label_to_sub(iota))
@@ -874,41 +873,44 @@ def test_exterior_sends_branch_to_standard_coherence():
 
 def test_exterior_is_full():
     for s, p, t in insertion_points(5):
-        r = T.insertion(s, p, t).tree
-        n = T.ctx_size(r)
-        kappa = F.label_to_sub(F.exterior_label(s, p, t))
+        plan = T.insertion(s, p, t)
+        n = T.ctx_size(plan.tree)
+        kappa = F.label_to_sub(F.exterior_label(plan))
         assert SP.free_vars(kappa, n) == SP.VarSet.full(n)
 
 
 def test_exterior_insert_interior_is_identity():
     for s, p, t in insertion_points(5):
-        r = T.insertion(s, p, t).tree
-        out = merge(F.exterior_label(s, p, t), p, SP.interior_label(s, p, t))
-        assert out == SP.id_label(r)
+        plan = T.insertion(s, p, t)
+        out = merge(F.exterior_label(plan), p, SP.interior_label(s, p, t))
+        assert out == SP.id_label(plan.tree)
 
 
 def test_interior_after_inserted_labelling():
     # iota • (L << M) == M when M is the interior labelling route
     for s, p, t in insertion_points(5):
-        kappa = F.exterior_label(s, p, t)
+        kappa = F.exterior_label(T.insertion(s, p, t))
         iota = SP.interior_label(s, p, t)
         glued = merge(kappa, p, iota)
         composed = SP.label_sub(iota, F.label_to_sub(glued))
         assert composed == iota
 
 
-def test_kept_exterior_labelling_equals_a_fresh_build(monkeypatch):
-    # every insertion point of a tree with at most 5 edges; the fresh build
-    # recurses through the builder, with nothing kept
+def test_kept_exterior_labelling_equals_a_fresh_build():
+    # every insertion point of a tree with at most 5 edges: the oracle's
+    # kept construction is the one asked for, and equals a fresh plan, a
+    # fresh realisation of its tree and a fresh exterior labelling
     points = list(insertion_points(6))
     kept = []
     for s, p, t in points:
-        kept.append(F.exterior_label(s, p, t))
-        assert F.exterior_label(s, p, t) is kept[-1]
-    fresh = F.exterior_label.__wrapped__
-    monkeypatch.setattr(F, "exterior_label", fresh)
-    for (s, p, t), k in zip(points, kept):
-        assert fresh(s, p, t) == k
+        kept.append(oracle._construction(s, p, t))
+        assert oracle._construction(s, p, t) is kept[-1]
+    for (s, p, t), (plan, ctx, kappa) in zip(points, kept):
+        fresh = T.insertion(s, p, t)
+        assert plan is not fresh and plan == fresh
+        assert (plan.host, plan.branch, plan.inserted) == (s, p, t)
+        assert ctx == F.tree_to_ctx.__wrapped__(fresh.tree)
+        assert kappa == F.label_to_sub(F.exterior_label(fresh))
 
 
 def test_branch_ambiguity():
@@ -922,10 +924,9 @@ def test_branch_ambiguity():
                     T.is_insertion_point(s, p, t) and T.is_insertion_point(s, q, t)
                 ):
                     continue
-                assert T.insertion(s, p, t).tree == T.insertion(s, q, t).tree
-                assert SP.label_eq_max(
-                    F.exterior_label(s, p, t), F.exterior_label(s, q, t)
-                )
+                at_p, at_q = T.insertion(s, p, t), T.insertion(s, q, t)
+                assert at_p.tree == at_q.tree
+                assert SP.label_eq_max(F.exterior_label(at_p), F.exterior_label(at_q))
 
 
 def test_pushout_factorisation_unique_at_desk_scale():
@@ -933,9 +934,9 @@ def test_pushout_factorisation_unique_at_desk_scale():
     # variable of the inserted context appears in the image of the exterior
     # or interior labelling, so a factoring substitution is forced pointwise
     for s, p, t in insertion_points(5):
-        r = T.insertion(s, p, t).tree
-        n = T.ctx_size(r)
-        fv = SP.free_vars(F.label_to_sub(F.exterior_label(s, p, t)), n).union(
+        plan = T.insertion(s, p, t)
+        n = T.ctx_size(plan.tree)
+        fv = SP.free_vars(F.label_to_sub(F.exterior_label(plan)), n).union(
             SP.free_vars(F.label_to_sub(SP.interior_label(s, p, t)), n)
         )
         assert fv == SP.VarSet.full(n)

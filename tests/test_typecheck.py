@@ -947,6 +947,14 @@ KERNEL_PATH_CASES = [
         "f -> g",
         "(x : *), (y : *), (f : x -> y), (g : x -> y), (a : f -> g)",
     ),
+    # a coherence with an identity argument at a branch of length 2: under
+    # insertion, its type is transported along the exterior labelling of
+    # an inner plan
+    (
+        "coh [x{f{a}g{b}h}y : comp[[a, b]] -> comp[[a, b]]](id(f), b)",
+        "comp[[id(f), b]] -> comp[[id(f), b]]",
+        "x{f{b}h}y",
+    ),
 ]
 
 

@@ -68,6 +68,7 @@ assert comp1(f, g) = comp[f, g] in [f, g]
 normalise comp1(f) in [f]
 normalise comp[f, in [f]
 normalise S(comp1)<x{a{m}b{n}d}y> in x{a{m}b{n}d}y
+normalise coh [x{f{a}g{b}h}y : comp[[a, b]] -> comp[[a, b]]](id(f), b) in x{f{b}h}y
 """
 SEED = 1
 
