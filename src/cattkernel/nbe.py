@@ -91,6 +91,15 @@ class NCoh(Record):
     tree: Tree
     ty: tuple  # NfType
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (
+            self.tree is other.tree and (self.ty is other.ty or self.ty == other.ty)
+        )
+
+    __hash__ = Record.__hash__
+
 
 class NId(Record):
     __slots__ = ("n",)
@@ -122,6 +131,18 @@ class NApp(Record):
         s_head, s_label = self._setters
         s_head(self, head)
         s_label(self, label)
+
+    # written out, identity first, as the flat records' are: normal forms
+    # are compared on hot paths and share their subterms
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (
+            (self.head is other.head or self.head == other.head)
+            and (self.label is other.label or self.label == other.label)
+        )
+
+    __hash__ = Record.__hash__
 
 
 NfTerm = Union[NVar, NApp]
@@ -205,7 +226,7 @@ def eval_tm(cfg: EvalConfig, x: CoreTerm, env: Env) -> NfTerm:
     if cls is C.CVar:
         return env.lookup(x.pos)
     if cls is C.CApp:
-        return eval_tm(cfg, x.term, eval_args(cfg, x.args, env))
+        return _eval_app(cfg, x, env)
     if cls is C.CComp:
         return _eval_head(cfg, x.tree, None, env)
     if cls is C.CCoh:
@@ -231,31 +252,89 @@ def eval_ty(cfg: EvalConfig, a: CoreType, env: Env) -> NfType:
     raise TypeError(f"cannot evaluate {a!r}")
 
 
-def eval_args(cfg: EvalConfig, args: C.CArgs, env: Env) -> Env:
-    """The environment of the evaluated arguments of a substitution or a
-    labelling."""
-    data = args.data
-    if isinstance(data, LTree):
-        data = LTree(data.shape, tuple([eval_tm(cfg, e, env) for e in data.entries]))
-    else:
-        data = tuple([eval_tm(cfg, t, env) for t in data])
-    return Env(data, eval_ty(cfg, args.ty, env))
+def _eval_app(cfg: EvalConfig, x: C.CApp, env: Env) -> NfTerm:
+    """Evaluate an application on an explicit stack, so that nesting costs
+    no Python frames.  An application's arguments are evaluated left to
+    right; one that is itself an application is pushed, with the iterator
+    over its parent's arguments and the values so far.  Then the head is
+    evaluated in the environment of the values: a head that is an
+    application takes the place of the one it heads, and any other head
+    gives the value that goes to the application below on the stack."""
+    pending = []
+    data = x.args.data
+    args = iter(data.entries if data.__class__ is LTree else data)
+    vals: list = []
+    while True:
+        data = env.data
+        ees = data.entries if data.__class__ is LTree else data
+        for e in args:
+            ecls = e.__class__
+            if ecls is C.CVar:
+                vals.append(ees[e.pos])
+            elif ecls is C.CApp:
+                pending.append((x, env, args, vals))
+                x = e
+                break
+            else:
+                vals.append(eval_tm(cfg, e, env))
+        else:
+            # every argument of x has its value: evaluate the head
+            data = x.args.data
+            if data.__class__ is LTree:
+                data = LTree(data.shape, tuple(vals))
+            else:
+                data = tuple(vals)
+            ty = x.args.ty
+            inner = Env(data, env.ty if ty.__class__ is C.CStar else eval_ty(cfg, ty, env))
+            head = x.term
+            if head.__class__ is C.CApp:
+                x, env = head, inner
+            else:
+                v = eval_tm(cfg, head, inner)
+                if not pending:
+                    return v
+                x, env, args, vals = pending.pop()
+                vals.append(v)
+                continue
+        # x is an application whose arguments are still to evaluate, in env
+        data = x.args.data
+        args = iter(data.entries if data.__class__ is LTree else data)
+        vals = []
 
 
 def eval_nf(cfg: EvalConfig, x: NfTerm, env: Env) -> NfTerm:
     """Evaluate a normal form in an environment: the same as evaluating
-    its quotation, without building core syntax."""
+    its quotation, without building core syntax.  An application waits on
+    an explicit stack, as in ``_eval_app``, while an entry of its labelling
+    that is an application is evaluated."""
+    data = env.data
+    ees = data.entries if data.__class__ is LTree else data
     if x.__class__ is NVar:
-        return env.lookup(x.pos)
-    lt = x.label
-    vals = tuple([eval_nf(cfg, e, env) for e in lt.entries])
-    args = Env(LTree(lt.shape, vals), env.ty)
-    head = x.head
-    hcls = head.__class__
-    if hcls is NId:
-        return NApp(NId(head.n + len(env.ty)), lower(args))
-    ty = head.ty if hcls is NCoh else None
-    return _eval_head(cfg, head.tree, ty, args)
+        return ees[x.pos]
+    pending = []
+    entries = iter(x.label.entries)
+    vals: list = []
+    while True:
+        for e in entries:
+            if e.__class__ is NVar:
+                vals.append(ees[e.pos])
+            else:
+                pending.append((x, entries, vals))
+                x, entries, vals = e, iter(e.label.entries), []
+                break
+        else:
+            args = Env(LTree(x.label.shape, tuple(vals)), env.ty)
+            head = x.head
+            hcls = head.__class__
+            if hcls is NId:
+                v = NApp(NId(head.n + len(env.ty)), lower(args))
+            else:
+                ty = head.ty if hcls is NCoh else None
+                v = _eval_head(cfg, head.tree, ty, args)
+            if not pending:
+                return v
+            x, entries, vals = pending.pop()
+            vals.append(v)
 
 
 def eval_nf_ty(cfg: EvalConfig, b: NfType, env: Env) -> NfType:
@@ -424,21 +503,46 @@ def _std_term(cfg: EvalConfig, b: Tree, m: int, env: Env) -> NfTerm:
 
 
 def quote_tm(x: NfTerm) -> CoreTerm:
+    """The core term of a normal form, built in post-order on an explicit
+    stack: an application whose labelling holds an application waits, with
+    the iterator over its entries and the quotations so far, until that
+    entry is quoted."""
     if x.__class__ is NVar:
         c = x._core
-        if c is None:
-            c = C.CVar(x.pos)
-            object.__setattr__(x, "_core", c)
-        return c
-    head = x.head
-    hcls = head.__class__
-    if hcls is NComp:
-        inner: CoreTerm = C.CComp(head.tree)
-    elif hcls is NId:
-        inner = C.CId(head.n)
-    else:
-        inner = C.CCoh(head.tree, quote_ty(head.ty))
-    return C.CApp(inner, C.CArgs(x.label.map(quote_tm)))
+        return c if c is not None else _quote_var(x)
+    pending = []
+    entries = iter(x.label.entries)
+    out: list = []
+    while True:
+        for e in entries:
+            if e.__class__ is NVar:
+                c = e._core
+                out.append(c if c is not None else _quote_var(e))
+            else:
+                pending.append((x, entries, out))
+                x, entries, out = e, iter(e.label.entries), []
+                break
+        else:
+            head = x.head
+            hcls = head.__class__
+            if hcls is NComp:
+                inner: CoreTerm = C.CComp(head.tree)
+            elif hcls is NId:
+                inner = C.CId(head.n)
+            else:
+                inner = C.CCoh(head.tree, quote_ty(head.ty))
+            c = C.CApp(inner, C.CArgs(LTree(x.label.shape, tuple(out))))
+            if not pending:
+                return c
+            x, entries, out = pending.pop()
+            out.append(c)
+
+
+def _quote_var(x: NVar) -> C.CVar:
+    """Build a variable's quotation and keep it in the variable."""
+    c = C.CVar(x.pos)
+    object.__setattr__(x, "_core", c)
+    return c
 
 
 def quote_ty(b: NfType) -> CoreType:
@@ -461,19 +565,17 @@ def flatten_nf(x: NfTerm, amb):
 
 
 def size_tm(x: NfTerm) -> int:
-    if x.__class__ is NVar:
-        return 0
-    return _size_head(x.head) + _size_label(x.label)
-
-
-def _size_head(h: Head) -> int:
-    if h.__class__ is NCoh:
-        return 1 + size_ty(h.ty)
-    return 1
-
-
-def _size_label(lt: LTree) -> int:
-    return sum(size_tm(e) for e in lt.entries)
+    """The number of heads in a normal form, a coherence's type included,
+    counted on an explicit stack."""
+    n = 0
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        if y.__class__ is NApp:
+            head = y.head
+            n += 1 + size_ty(head.ty) if head.__class__ is NCoh else 1
+            todo += y.label.entries
+    return n
 
 
 def size_ty(b: NfType) -> int:

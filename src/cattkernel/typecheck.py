@@ -257,7 +257,14 @@ class Checker:
 
     def elab(self, ctx: Ctx, raw: R.RawTerm) -> tuple:
         """Elaborate a term in a context; return it with its type and its
-        value, which equals ``self.nf(ctx, term)``."""
+        value, which equals ``self.nf(ctx, term)``.
+
+        An application is checked by a generator (``_app``), which yields
+        each argument that is itself an application and is sent back that
+        argument's (term, type, value).  This loop keeps the generators
+        that wait on an argument on a stack, so the depth of nesting costs
+        no Python frames, and errors are raised in the order, and with the
+        spans, of a recursive walk."""
         # raw term classes have no subclasses, so a node's class decides
         cls = raw.__class__
         if cls is R.RVar:
@@ -266,7 +273,22 @@ class Checker:
                 return found
             return self.check_by_infer(ctx, raw)
         if cls is R.RApp:
-            return self.check_app(ctx, raw)
+            pending = []
+            gen = self._app(ctx, raw)
+            out = next(gen)
+            while True:
+                if out.__class__ is R.RApp:
+                    pending.append(gen)
+                    gen = self._app(ctx, out)
+                    out = next(gen)
+                    continue
+                # a generator's last yield is its result, and resuming it
+                # once more ends it without raising StopIteration
+                next(gen, None)
+                if not pending:
+                    return out
+                gen = pending.pop()
+                out = gen.send(out)
         if cls is R.RComp:
             if ctx.__class__ is TreeCtx:
                 tree = ctx.tree
@@ -315,30 +337,38 @@ class Checker:
             out |= N.nf_vars(ctx.type_of(pos))
         return out
 
-    def check_app(self, ctx: Ctx, raw: R.RApp) -> tuple:
+    def _app(self, ctx: Ctx, raw: R.RApp):
+        """The generator that checks an application (see ``elab``).  Its
+        head is inferred here, before any argument is elaborated."""
         head, args = raw.term, raw.args
         labelling = args.data.__class__ is R.RawTree
         if labelling and head.__class__ is R.RComp:
             shape = args.data.shape
-            lab, vals, lab_ty = self.check_label(ctx, args, shape)
             inner_ty = N.standard_nf_type(self.config, shape, shape.height)
-            return self.apply(C.CComp(shape), inner_ty, lab, Env(vals, lab_ty))
+            return self._label(ctx, args, shape, C.CComp(shape), inner_ty)
         inner_ctx, t, ty = self.infer(head)
         if inner_ctx.__class__ is TreeCtx:
+            shape = inner_ctx.tree
             if not labelling:
-                args = _sub_to_label(args, inner_ctx.tree)
-            lab, vals, lab_ty = self.check_label(ctx, args, inner_ctx.tree)
-            return self.apply(t, ty, lab, Env(vals, lab_ty))
+                args = _sub_to_label(args, shape)
+            elif args.data.shape is not shape:
+                raise CheckError(
+                    "the labelling does not match the shape of the context",
+                    args.data.span,
+                )
+            return self._label(ctx, args, shape, t, ty)
         if labelling:
             raise CheckError("labelling arguments need a tree context", args.span)
-        return self.apply_sub(ctx, inner_ctx, t, ty, args)
+        return self._sub(ctx, inner_ctx, t, ty, args)
 
     def apply(self, t, inner_ty: NfType, args: C.CArgs, env: Env) -> tuple:
         """Apply t, of type inner_ty, to args, whose values make env."""
         out_ty = N.eval_nf_ty(self.config, inner_ty, env)
         return C.CApp(t, args), out_ty, N.eval_tm(self.config, t, env)
 
-    def apply_sub(self, ctx, inner_ctx: ListCtx, t, inner_ty, args: R.RArgs):
+    def _sub(self, ctx, inner_ctx: ListCtx, t, inner_ty, args: R.RArgs):
+        """The generator that checks substitution arguments out of a list
+        context and applies t to them."""
         if len(args.data) != len(inner_ctx):
             raise CheckError(
                 f"expected {len(inner_ctx)} arguments, got {len(args.data)}",
@@ -348,7 +378,10 @@ class Checker:
         types = []
         vals = []
         for s in args.data:
-            ti, bi, vi = self.elab(ctx, s)
+            if s.__class__ is R.RApp:
+                ti, bi, vi = yield s
+            else:
+                ti, bi, vi = self.elab(ctx, s)
             terms.append(ti)
             types.append(bi)
             vals.append(vi)
@@ -367,112 +400,114 @@ class Checker:
                     "the type part does not match the arguments", args.ty.span
                 )
         sub = C.CArgs(tuple(terms), N.quote_ty(base_ty))
-        return self.apply(t, inner_ty, sub, env)
+        yield self.apply(t, inner_ty, sub, env)
 
     # -- labellings ---------------------------------------------------------
 
-    def check_label(self, ctx: Ctx, args: R.RArgs, shape: Tree) -> tuple:
-        """Elaborate a labelling; return it with the labelling of its
-        values and the type of its zero cells."""
-        if args.data.shape is not shape:
-            raise CheckError(
-                "the labelling does not match the shape of the context",
-                args.data.span,
-            )
-        lt, vals, ty = self._label_tree(ctx, args.data, shape)
+    def _label(self, ctx: Ctx, args: R.RArgs, shape: Tree, t, inner_ty: NfType):
+        """The generator that checks a labelling of shape and applies t, of
+        type inner_ty, to it.  An omitted argument takes the endpoint value
+        found in its neighbours' types.
+
+        The blocks of the subtrees that have branches are checked in
+        post-order on an explicit stack.  A block's entry holds its
+        subtree, its index in the labelling, its tree's table, the iterator
+        over its branches and the first pair and the rest of each branch's
+        type so far.  A leaf branch's entry is elaborated when the iterator
+        reaches it.  When every branch of a block is done, the branches'
+        types are checked against each other, the block's 0-cells are
+        filled in, and the block's type is its branches' common rest."""
+        raw = args.data
+        es = raw.entries
+        terms = [None] * shape._ctx_size
+        vals = [None] * shape._ctx_size
+        if not shape.branches:
+            x = es[0]
+            if x is None or x.__class__ is R.RHole:
+                raise CheckError(
+                    "a locally maximal argument cannot be omitted", raw.span_at(0)
+                )
+            if x.__class__ is R.RApp:
+                terms[0], ty, vals[0] = yield x
+            else:
+                terms[0], ty, vals[0] = self.elab(ctx, x)
+        else:
+            tb = T.path_table(shape)
+            blocks = [(shape, 0, tb, iter(zip(shape.branches, tb.offsets)), [], [])]
+            while blocks:
+                s, o, tb, branches, pairs, tails = blocks[-1]
+                for sub, so in branches:
+                    so += o
+                    if sub.branches:
+                        stb = T.path_table(sub)
+                        subs = iter(zip(sub.branches, stb.offsets))
+                        blocks.append((sub, so, stb, subs, [], []))
+                        break
+                    x = es[so]
+                    if x is None or x.__class__ is R.RHole:
+                        raise CheckError(
+                            "a locally maximal argument cannot be omitted",
+                            raw.span_at(so),
+                        )
+                    if x.__class__ is R.RApp:
+                        terms[so], b, vals[so] = yield x
+                    else:
+                        terms[so], b, vals[so] = self.elab(ctx, x)
+                    if not b:
+                        raise CheckError(
+                            "a branch argument has a type of the wrong dimension",
+                            raw.span_at(so),
+                        )
+                    pairs.append(b[0])
+                    tails.append(b[1:])
+                else:
+                    blocks.pop()
+                    # lists and tuples compare their items identity first
+                    if tails[1:] != tails[:-1]:
+                        raise CheckError(
+                            "the branch arguments live over different types",
+                            raw.span_at(o),
+                        )
+                    srcs, tgts = zip(*pairs)
+                    if tgts[:-1] != srcs[1:]:
+                        raise CheckError(
+                            "consecutive arguments do not share an endpoint",
+                            raw.span_at(o),
+                        )
+                    for i, end in zip(tb.zeros, srcs + tgts[-1:]):
+                        i += o
+                        vals[i] = end
+                        x = es[i]
+                        if x is None or x.__class__ is R.RHole:
+                            terms[i] = N.quote_tm(end)
+                            continue
+                        if x.__class__ is R.RApp:
+                            terms[i], _, v = yield x
+                        else:
+                            terms[i], _, v = self.elab(ctx, x)
+                        if v != end:
+                            raise CheckError(
+                                "an explicit argument disagrees with the inferred one",
+                                x.span,
+                            )
+                    ty = tails[0]
+                    if blocks:
+                        # the block is a branch of the block below it
+                        if not ty:
+                            raise CheckError(
+                                "a branch argument has a type of the wrong dimension",
+                                raw.span_at(o),
+                            )
+                        blocks[-1][4].append(ty[0])
+                        blocks[-1][5].append(ty[1:])
         if args.ty is not None:
             _, given = self.check_ty(ctx, args.ty)
             if given != ty:
                 raise CheckError(
                     "the type part does not match the labelling", args.ty.span
                 )
-        return C.CArgs(lt, N.quote_ty(ty)), vals, ty
-
-    def _label_tree(self, ctx: Ctx, raw: R.RawTree, shape: Tree) -> tuple:
-        """The core labelling, the labelling of its values, and the type of
-        its zero cells; an omitted argument takes the endpoint value found
-        in its neighbours' types."""
-        if shape.branches:
-            terms, vals, ty = self._label_block(ctx, raw, shape, 0)
-        else:
-            t, ty, v = self._label_leaf(ctx, raw, 0)
-            terms, vals = [t], [v]
-        return (
-            LTree(shape, tuple(terms)),
-            LTree(shape, tuple(vals)),
-            ty,
-        )
-
-    def _label_leaf(self, ctx: Ctx, raw: R.RawTree, o: int) -> tuple:
-        """The core entry, type and value of the locally maximal entry of
-        raw at index o."""
-        x = raw.entries[o]
-        if x is None or x.__class__ is R.RHole:
-            raise CheckError(
-                "a locally maximal argument cannot be omitted", raw.span_at(o)
-            )
-        return self.elab(ctx, x)
-
-    def _label_block(self, ctx: Ctx, raw: R.RawTree, s: Tree, o: int) -> tuple:
-        """The core entries and the values of the block of raw over the
-        subtree s, which has branches and starts at index o, and the type
-        of its zero cells.  A leaf branch is elaborated here, and a branch
-        with branches of its own by a call for its block.  These are
-        methods, not closures: a recursive closure is a reference cycle,
-        which would keep each labelling's raw syntax alive until the
-        cyclic garbage collector runs."""
-        es = raw.entries
-        nb = len(s.branches)
-        tb = T.path_table(s)
-        terms: list = [None]
-        vals: list = [None]
-        pairs = []
-        tails = []
-        for sub, so in zip(s.branches, tb.offsets):
-            if sub.branches:
-                m, mv, b = self._label_block(ctx, raw, sub, o + so)
-                terms.append(None)
-                terms += m
-                vals.append(None)
-                vals += mv
-            else:
-                t, b, v = self._label_leaf(ctx, raw, o + so)
-                terms += (None, t)
-                vals += (None, v)
-            if not b:
-                raise CheckError(
-                    "a branch argument has a type of the wrong dimension",
-                    raw.span_at(o + so),
-                )
-            pairs.append(b[0])
-            tails.append(b[1:])
-        for i in range(nb - 1):
-            if tails[i] != tails[i + 1]:
-                raise CheckError(
-                    "the branch arguments live over different types",
-                    raw.span_at(o),
-                )
-        for i in range(nb - 1):
-            if pairs[i][1] != pairs[i + 1][0]:
-                raise CheckError(
-                    "consecutive arguments do not share an endpoint",
-                    raw.span_at(o),
-                )
-        ends = [p[0] for p in pairs] + [pairs[-1][1]]
-        for i, end in zip(tb.zeros, ends):
-            vals[i] = end
-            x = es[o + i]
-            if x is None or x.__class__ is R.RHole:
-                terms[i] = N.quote_tm(end)
-            else:
-                t, _, v = self.elab(ctx, x)
-                if v != end:
-                    raise CheckError(
-                        "an explicit argument disagrees with the inferred one",
-                        x.span,
-                    )
-                terms[i] = t
-        return terms, vals, tails[0]
+        lab = C.CArgs(LTree(shape, tuple(terms)), N.quote_ty(ty))
+        yield self.apply(t, inner_ty, lab, Env(LTree(shape, tuple(vals)), ty))
 
     # -- types --------------------------------------------------------------
 

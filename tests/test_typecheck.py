@@ -647,15 +647,50 @@ def test_nested_composite_elaborates_in_linear_work(config, monkeypatch):
         assert large[key] <= 2.5 * small[key], (key, small[key], large[key])
 
 
+def nested_error(kind: str) -> tuple:
+    """A context, a left-nested composite 100 deep over it whose innermost
+    application is at fault, where in the text the part at fault starts,
+    and the message: an unknown name, or an explicit 0-cell argument that
+    disagrees with the one its neighbours' types give."""
+    ctx_text = "x0" + "".join(f"{{f{i}}}x{i + 1}" for i in range(100))
+    if kind == "unknown":
+        term, message = "comp[zz, f1]", "unknown name 'zz'"
+    else:
+        term = "comp<x0{f0}x1{f1}x0>"
+        message = "an explicit argument disagrees with the inferred one"
+    for i in range(2, 100):
+        term = f"comp[{term}, f{i}]"
+    at = term.index("zz") if kind == "unknown" else term.index("}x0>") + 1
+    return ctx_text, term, at, message
+
+
+@pytest.mark.parametrize("config", [WEAK, SU, SUA], ids=["weak", "su", "sua"])
+@pytest.mark.parametrize("kind", ["unknown", "disagrees"])
+def test_an_error_deep_in_a_nested_composite_keeps_its_message_and_span(config, kind):
+    # elaboration keeps the applications that wait on an argument on its
+    # own stack, and reports an error from 100 levels down as a recursive
+    # walk would: the same message, at the same two characters
+    ctx_text, term_text, at, message = nested_error(kind)
+    ck = Checker(Signature(config=config))
+    ctx = ck.elab_ctx(R.parse_ctx(ctx_text))
+    with pytest.raises(CheckError) as err:
+        ck.elab(ctx, R.parse_term(term_text))
+    assert err.value.message == message
+    assert (err.value.span.start, err.value.span.end) == (at, at + 2)
+
+
 @pytest.mark.parametrize("config", [WEAK, SU, SUA], ids=["weak", "su", "sua"])
 def test_the_kernel_route_leaves_no_reference_cycles(config):
     # parsing, elaborating, quoting and printing free what they build by
     # reference counting alone: a recursive closure is a reference cycle,
     # and one per labelling kept its raw syntax alive until the cyclic
-    # collector ran, which took about an eighth of the nary workload's time
+    # collector ran, which took about an eighth of the nary workload's time.
+    # So does an elaboration that fails deep in a nested composite, with
+    # the applications that waited on the failing one
     cases = [gen_typed.random_case(random.Random(seed)) for seed in range(20)]
     texts = [(nary_ctx(16), nested(16)) for nested in (left_nested, right_nested)]
     texts += [(ctx_text, term_text) for _, ctx_text, term_text in cases]
+    failing = [nested_error(kind)[:2] for kind in ("unknown", "disagrees")]
 
     def run() -> None:
         ck = Checker(Signature(config=config))
@@ -663,6 +698,14 @@ def test_the_kernel_route_leaves_no_reference_cycles(config):
             ctx = ck.elab_ctx(R.parse_ctx(ctx_text))
             _, _, value = ck.elab(ctx, R.parse_term(term_text))
             R.pretty(C.to_raw(N.quote_tm(value), C.Names(ctx.names)))
+        for ctx_text, term_text in failing:
+            ctx = ck.elab_ctx(R.parse_ctx(ctx_text))
+            try:
+                ck.elab(ctx, R.parse_term(term_text))
+            except CheckError:
+                pass
+            else:
+                raise AssertionError(f"{term_text} elaborated")
 
     run()  # fill the caches first
     gc.collect()
@@ -680,7 +723,7 @@ def test_deeply_nested_composite_normalises(config, size, nested):
     ck = Checker(Signature(config=config))
     ctx = ck.elab_ctx(R.parse_ctx(nary_ctx(128)))
     term, _, value = ck.elab(ctx, R.parse_term(nested(128)))
-    # comparing two normal forms nested 127 deep takes about 1450 frames
+    # comparing two normal forms nested 127 deep takes about 640 frames
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(3000)
     try:
@@ -688,6 +731,50 @@ def test_deeply_nested_composite_normalises(config, size, nested):
     finally:
         sys.setrecursionlimit(limit)
     assert N.size_tm(value) == size
+
+
+# Composites nested 1,000 deep, left and right, under SU and SUA, in a fresh
+# interpreter at the default recursion limit: elaboration, evaluation,
+# quotation and size keep their work on explicit stacks.  The parser and
+# equality of values still recurse, so the text is parsed, and the values
+# are compared, under a raised limit.
+THOUSAND_DEEP = """
+import sys
+from cattkernel import nbe as N, surface as R
+from cattkernel.typecheck import Checker, Signature, ctx_id_env
+
+n = int(sys.argv[1])
+limit = sys.getrecursionlimit()
+assert limit == 1000
+names = [f"f{i}" for i in range(n)]
+left, right = names[0], names[-1]
+for i in range(1, n):
+    left = f"comp[{left}, {names[i]}]"
+    right = f"comp[{names[n - 1 - i]}, {right}]"
+sys.setrecursionlimit(20 * n)
+raws = [R.parse_ctx("[" + ", ".join(names) + "]"), R.parse_term(left), R.parse_term(right)]
+sys.setrecursionlimit(limit)
+for config, size in ((N.SU, n - 1), (N.SUA, 1)):
+    ck = Checker(Signature(config=config))
+    ctx = ck.elab_ctx(raws[0])
+    for raw in raws[1:]:
+        term, _, value = ck.elab(ctx, raw)
+        other = ck.nf(ctx, term)
+        again = N.eval_tm(config, N.quote_tm(value), ctx_id_env(ctx))
+        assert N.size_tm(value) == size
+        sys.setrecursionlimit(10 * n)
+        assert value == other and again == value
+        sys.setrecursionlimit(limit)
+"""
+
+
+def test_thousand_deep_composites_need_no_raised_recursion_limit():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", THOUSAND_DEEP, "1000"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +887,7 @@ def layers(n):
     assert flat is not flat_other
     return {
         "elab": lambda: ck.elab(ctx, raw),
+        "nf": lambda: ck.nf(ctx, term),
         "quote_tm": lambda: N.quote_tm(value),
         "to_raw": lambda: C.to_raw(core, names),
         "pretty": lambda: R.pretty(shown),
@@ -835,14 +923,19 @@ worker.join()
 """
 
 # frames per nesting level of each layer, as measured when the budget was
-# set: a layer that needs more has started to recurse more deeply
+# set: a layer that needs more has started to recurse more deeply.
+# Elaboration, evaluation and quotation keep their work on explicit
+# stacks, so nesting costs them no frames at all
 LAYER_BUDGET = {
-    "elab": 6,
-    "quote_tm": 2,
+    "elab": 0,
+    "nf": 0,
+    "quote_tm": 0,
     "to_raw": 2,
     "pretty": 6,
     "flatten_tm": 3,
-    "equality": 6,
+    # 6 frames per level with Record's generic equality, 5 with the
+    # kernel records' own
+    "equality": 5,
     # two flat terms flattened apart: 7 frames per level with Record's
     # generic equality, 5 with the flat records' own
     "flat_equality": 5,
@@ -903,7 +996,10 @@ def test_eval_nf_is_eval_of_the_quotation():
             inner_ctx = ck.elab_ctx(R.parse_ctx(gen_typed.ctx_text(shape)))
             _, b, x = ck.elab(inner_ctx, R.parse_term(inner_text))
             for ctx in (tree_ctx, ck.elab_ctx(R.parse_ctx(f"[ {tree_text} ]"))):
-                _, vals, lab_ty = ck.check_label(ctx, raw.args, shape)
+                # the environment of the labelling's values
+                args = ck.check(ctx, raw)[0].args
+                vals = args.data.map(lambda e: ck.nf(ctx, e))
+                lab_ty = N.eval_ty(config, args.ty, TC.ctx_id_env(ctx))
                 agree(config, x, b, N.Env(vals, lab_ty))
 
 

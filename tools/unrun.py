@@ -69,6 +69,13 @@ normalise comp1(f) in [f]
 normalise comp[f, in [f]
 normalise S(comp1)<x{a{m}b{n}d}y> in x{a{m}b{n}d}y
 normalise coh [x{f{a}g{b}h}y : comp[[a, b]] -> comp[[a, b]]](id(f), b) in x{f{b}h}y
+def cc [f, g] = comp[comp]
+normalise cc in [f, g]
+def tw (x : *), (y : *), (f : x -> y), (z : *), (g : y -> z) = comp[f, g]
+def tw2 (x : *), (y : *), (f : x -> y), (z : *), (g : y -> z) = tw(x, y, f, z, g)
+normalise tw2 in (x : *), (y : *), (f : x -> y), (z : *), (g : y -> z)
+normalise id(comp[f, g]) in [f, g]
+normalise comp<x{comp[f]{a}g}y> in x{f{a}g}y
 """
 SEED = 1
 
