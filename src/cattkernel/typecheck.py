@@ -498,8 +498,9 @@ class Checker:
                                 "a branch argument has a type of the wrong dimension",
                                 raw.span_at(o),
                             )
-                        blocks[-1][4].append(ty[0])
-                        blocks[-1][5].append(ty[1:])
+                        *_, up_pairs, up_tails = blocks[-1]
+                        up_pairs.append(ty[0])
+                        up_tails.append(ty[1:])
         if args.ty is not None:
             _, given = self.check_ty(ctx, args.ty)
             if given != ty:
